@@ -14,7 +14,7 @@ Subcommands
 Configuration files (``--config``) use a flat ``key = value`` grammar:
 one assignment per line, ``#`` starts a comment, blank lines ignored.
 Recognized keys are the sweep controls (``gate``, ``sweep``, ``start``,
-``stop``, ``points``, ``scale``, ``p``, ``n``, ``input_threshold``,
+``stop``, ``points``, ``scale``, ``p``, ``input_threshold``,
 ``output_threshold``, ``phase_samples``, ``domain``, ``out``,
 ``format``, ``jobs``) plus the gate parameters themselves (``G``,
 ``T``, ``g``, ``gA``, ``gM``, ``kappa_tau``, ``eta``, ``Gamma``,
@@ -119,7 +119,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), dest="out_format")
     parser.add_argument("--jobs", type=int, help="parallel worker processes")
-    parser.add_argument("--n", type=float, help="input thermal occupation")
     parser.add_argument("--phase-samples", type=int, help="phase-average sample count")
 
 
@@ -239,7 +238,6 @@ def _assemble_sweep(gate: str, args: argparse.Namespace) -> SweepConfig:
         if args.output_threshold is None else args.output_threshold,
         with_input_threshold=settings.get("input_threshold", False)
         if args.input_threshold is None else args.input_threshold,
-        n=args.n if args.n is not None else settings.get("n", 1e-3),
         phase_options=phase,
         out_path=args.out or settings.get("out"),
         out_format=args.out_format or settings.get("format", "csv"),
@@ -274,8 +272,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     domain = args.domain if args.domain is not None else settings.get("domain")
     if domain is not None:
         opts = replace(opts, domain=float(domain))
-    n = args.n if args.n is not None else settings.get("n", 1e-3)
-    result = input_threshold(model, opts, n=n)
+    result = input_threshold(model, opts)
     record = {
         "gate": gate,
         "input_threshold": result.value,
@@ -322,8 +319,7 @@ def _cmd_optimum(args: argparse.Namespace) -> int:
     fixed = {k: v for k, v in settings.items() if k in _GATE_PARAMS[args.gate]}
     fixed.update(_parse_fix(args.fix))
     free = _parse_free(args.free)
-    n = args.n if args.n is not None else settings.get("n", 1e-3)
-    result = find_optimum(args.gate, fixed, free, p=args.p, n=n, grid=args.grid)
+    result = find_optimum(args.gate, fixed, free, p=args.p, grid=args.grid)
     record = {
         "gate": args.gate,
         "argmax": dict(result.argmax),
@@ -350,8 +346,6 @@ def _cmd_preset(args: argparse.Namespace) -> int:
         overrides["jobs"] = args.jobs
     elif os.environ.get("QND_HOM_JOBS"):
         overrides["jobs"] = _jobs_default()
-    if args.n is not None:
-        overrides["n"] = args.n
     if args.phase_samples is not None:
         overrides["phase_options"] = replace(
             PRESETS[args.name].phase_options, phase_samples=args.phase_samples

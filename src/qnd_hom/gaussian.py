@@ -8,35 +8,28 @@ Conventions used throughout the package:
 * two-mode vectors are ordered (x_a, p_a, x_b, p_b), the symplectic
   form is block-diagonal with 2x2 blocks [[0, 1], [-1, 0]].
 
-A single photon has no Gaussian Wigner function, but it can be written
-as a signed combination of a thermal state and vacuum,
-
-    W_|1>(r) ~ (1/n) [ (n+1) W_th(n) - W_vac ],    n -> 0,
-
-which lets every HOM matrix element in this package reduce to sums of
-displaced-Gaussian overlaps.  The weights grow like 1/n, and the final
-results emerge from near-total cancellation between terms, so overlaps
-are accumulated in extended precision (np.longdouble) internally.
+Photon-number states have no Gaussian Wigner function, but their
+generating function is Gaussian: Σₖ xᵏ|k⟩⟨k| = ρ_th/(1−x) with per-mode
+covariance (1+x)/(1−x)·I, and two zero-mean two-mode states overlap as
+Tr ρ₁ρ₂ = 4/√det(V₁+V₂).  Keeping only first order in every variable
+(each εᵢ² = 0), a mode that carries |0⟩⟨0| + ε|1⟩⟨1| has weight 1 + ε and
+covariance I + 2ε·I.  Every element ⟨HOM|ρ_out|HOM⟩ of this package is
+therefore an exact multilinear Taylor coefficient, which :func:`hom_jet`
+evaluates in plain float64 with 2^k-component jets (truncated Taylor
+arithmetic) — no term of it is larger than O(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import math
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
-# Largest approximation occupation accepted by the thermal-minus-vacuum
-# photon representation; the O(n) error is useless beyond this.
-N_MAX = 0.05
-
-# Condition-number guard for overlap matrix inversions; squeezed-mediator
-# covariances can make V1+V2 nearly singular.
-COND_LIMIT = 1e12
-
 
 class NumericalDomainError(ArithmeticError):
-    """An overlap or covariance left the numerically trustworthy domain."""
+    """A covariance or an element left its physical domain."""
 
 
 def omega(n_modes: int = 2) -> np.ndarray:
@@ -93,218 +86,73 @@ def check_physical(cov: np.ndarray, tol: float = 1e-9) -> None:
         )
 
 
-@dataclass(frozen=True)
-class GaussianTerm:
-    """One signed Gaussian term: weight, mean vector, covariance.
+# |HOM⟩ = B|1,1⟩ with B the balanced beam splitter
+HOM_BS = bs_matrix(0.5)
 
-    Negative weights are deliberate — the photon representation needs
-    them.  Terms are 2- or 4-dimensional (one or two modes).
+
+@lru_cache(maxsize=None)
+def _cycles(k: int) -> tuple:
+    """Cycles of the log-det expansion over k variables, by length L.
+
+    Each entry holds the (row, column) block indices of every cycle that
+    visits a nonempty variable set once, starting at its smallest member,
+    the bit mask of that set, and the sign (−1)^(L+1).
     """
-
-    weight: float
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (mean.size, mean.size) or mean.size not in (2, 4):
-            raise ValueError("term dimensions must be 2 or 4 and consistent")
-        if not np.isfinite(self.weight):
-            raise ValueError("term weight must be finite")
-        if np.max(np.abs(cov - cov.T)) > 1e-12 * max(1.0, np.max(np.abs(cov))):
-            raise ValueError("covariance must be symmetric")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", (cov + cov.T) / 2.0)
-
-
-@dataclass(frozen=True)
-class GaussianCombo:
-    """Ordered signed combination of Gaussian terms with unit total weight."""
-
-    terms: tuple[GaussianTerm, ...]
-
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("combo must contain at least one term")
-        total = sum(t.weight for t in terms)
-        scale = max(abs(t.weight) for t in terms)
-        if abs(total - 1.0) > 1e-6 * max(1.0, scale):
-            raise ValueError(f"combo weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "terms", terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-
-def _lu_det_solve(S: np.ndarray, rhs: np.ndarray) -> tuple[np.longdouble, np.ndarray]:
-    """Determinant and solve of a small SPD-ish system in extended precision.
-
-    Plain LU with partial pivoting; numpy's solve/det only work in
-    float64, and the 1/n⁴ weight cancellation needs the extra digits.
-    """
-    A = np.array(S, dtype=np.longdouble)
-    x = np.array(rhs, dtype=np.longdouble)
-    n = A.shape[0]
-    det = np.longdouble(1.0)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[piv, k] == 0:
-            raise NumericalDomainError("singular overlap matrix")
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            x[[k, piv]] = x[[piv, k]]
-            det = -det
-        det *= A[k, k]
-        for i in range(k + 1, n):
-            f = A[i, k] / A[k, k]
-            A[i, k + 1:] -= f * A[k, k + 1:]
-            x[i] -= f * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - np.dot(A[k, k + 1:], x[k + 1:])) / A[k, k]
-    return det, x
-
-
-def gaussian_overlap(t1: GaussianTerm, t2: GaussianTerm) -> float:
-    """Overlap integral of two weighted Gaussian Wigner terms.
-
-    Returns w1 w2 exp(-Δᵀ S⁻¹ Δ / 2) / ((2π)^k √det S) with S = V1+V2,
-    Δ = R1-R2, k the number of modes.  For two-mode zero-mean terms this
-    is w1 w2 (4π²)⁻¹ / √det(V1+V2).
-    """
-    if t1.mean.size != t2.mean.size:
-        raise ValueError("terms must have the same mode count")
-    S = t1.cov.astype(np.longdouble) + t2.cov.astype(np.longdouble)
-    if np.linalg.cond(S.astype(float)) > COND_LIMIT:
-        raise NumericalDomainError("overlap matrix condition number exceeds 1e12")
-    delta = t1.mean.astype(np.longdouble) - t2.mean.astype(np.longdouble)
-    det, sol = _lu_det_solve(S, delta)
-    if det <= 0:
-        raise NumericalDomainError("overlap matrix is not positive definite")
-    k = t1.mean.size // 2
-    expo = np.exp(-np.dot(delta, sol) / np.longdouble(2.0))
-    norm = np.longdouble(2.0 * np.pi) ** k
-    value = np.longdouble(t1.weight) * np.longdouble(t2.weight) * expo / (norm * np.sqrt(det))
-    return float(value)
-
-
-def _pair_core(ti: GaussianTerm, tj: GaussianTerm) -> np.longdouble:
-    """Weighted overlap kernel w_i·w_j·exp(-½ΔᵀS⁻¹Δ)/√det S of one term
-    pair, in longdouble; multiply by 4 (two-mode) for its contribution
-    to a matrix element.  Individual pairs reach ~1/n⁴ while their sum
-    is O(1), hence the extended precision."""
-    S = ti.cov.astype(np.longdouble) + tj.cov.astype(np.longdouble)
-    if np.linalg.cond(S.astype(float)) > COND_LIMIT:
-        raise NumericalDomainError("overlap matrix condition number exceeds 1e12")
-    delta = ti.mean.astype(np.longdouble) - tj.mean.astype(np.longdouble)
-    det, sol = _lu_det_solve(S, delta)
-    if det <= 0:
-        raise NumericalDomainError("overlap matrix is not positive definite")
-    expo = np.exp(-np.dot(delta, sol) / np.longdouble(2.0))
-    return np.longdouble(ti.weight) * np.longdouble(tj.weight) * expo / np.sqrt(det)
-
-
-def matrix_element(bra_ket_combo: GaussianCombo, state_combo: GaussianCombo) -> float:
-    """⟨φ|ρ|φ⟩ from two Gaussian combinations (projector and state).
-
-    The Wigner-overlap trace formula gives (4π)² Σ_ij overlap(term_i,
-    term_j) for two-mode operators.  Accumulation stays in longdouble
-    because individual products reach ~1e12 while the sum is O(1).
-    """
-    acc = np.longdouble(0.0)
-    for ti in bra_ket_combo:
-        for tj in state_combo:
-            acc += _pair_core(ti, tj)
-    k = bra_ket_combo.terms[0].mean.size // 2
-    # (4π)² · [overlap with its (4π²)⁻¹ prefactor] = 4/√det per term pair
-    if k == 2:
-        return float(np.longdouble(4.0) * acc)
-    return float(np.longdouble(2.0) * acc)
-
-
-def single_photon_combo(n: float) -> GaussianCombo:
-    """Single-mode photon as thermal-minus-vacuum, occupation n ≪ 1."""
-    _validate_n(n)
-    eye2 = np.eye(2)
-    zero2 = np.zeros(2)
-    return GaussianCombo((
-        GaussianTerm((n + 1.0) / n, zero2, (2.0 * n + 1.0) * eye2),
-        GaussianTerm(-1.0 / n, zero2, eye2),
-    ))
-
-
-def _validate_n(n: float) -> None:
-    if not (0.0 < n <= N_MAX):
-        raise ValueError(f"approximation occupation must lie in (0, {N_MAX}], got {n}")
-
-
-def _mode_weights(p: float, n: float) -> list[tuple[int, float, float]]:
-    """Per-mode (kind, weight, variance) triples for p|1><1| + (1-p)|0><0|.
-
-    The photon's own vacuum counter-term merges with the (1-p) vacuum:
-       kind 0, thermal term  p(n+1)/n      at variance 2n+1,
-       kind 1, vacuum term   1 - p(n+1)/n  at variance 1.
-    Zero-weight terms are dropped so p=0 stays a single Gaussian.
-    """
-    w_th = p * (n + 1.0) / n
+    by_length: dict[int, list] = {}
+    for mask in range(1, 1 << k):
+        members = [i for i in range(k) if mask >> i & 1]
+        for rest in permutations(members[1:]):
+            by_length.setdefault(len(members), []).append(((members[0],) + rest, mask))
     out = []
-    if w_th != 0.0:
-        out.append((0, w_th, 2.0 * n + 1.0))
-    if 1.0 - w_th != 0.0:
-        out.append((1, 1.0 - w_th, 1.0))
-    return out
+    for length, items in sorted(by_length.items()):
+        rows = np.array([cycle for cycle, _ in items])
+        masks = np.array([mask for _, mask in items])
+        out.append((rows, np.roll(rows, -1, axis=1), masks, (-1.0) ** (length + 1)))
+    return tuple(out)
 
 
-def input_state_combo(p_a: float, p_b: float, n: float) -> GaussianCombo:
-    """Two-mode input mixture (p_a|1><1|+(1-p_a)|0><0|) ⊗ (same with p_b)."""
-    if not (0.0 <= p_a <= 1.0 and 0.0 <= p_b <= 1.0):
-        raise ValueError("single-quantum fractions must lie in [0, 1]")
-    _validate_n(n)
-    terms = []
-    # canonical order: photon-term before vacuum-term, mode a before mode b
-    for _, wa, va in _mode_weights(p_a, n):
-        for _, wb, vb in _mode_weights(p_b, n):
-            terms.append(GaussianTerm(wa * wb, np.zeros(4), np.diag([va, va, vb, vb])))
-    return GaussianCombo(tuple(terms))
+def _jet_exp(u: np.ndarray) -> np.ndarray:
+    """exp of a multilinear jet: since every εᵢ² = 0, component m is the
+    sum over set partitions of m of the products of u over the parts."""
+    u = u.tolist()
+    e = [math.exp(u[0])] + [0.0] * (len(u) - 1)
+    for m in range(1, len(u)):
+        low = m & -m
+        s, total = m, 0.0
+        while s:
+            if s & low:
+                total += u[s] * e[m ^ s]
+            s = (s - 1) & m
+        e[m] = total
+    return np.array(e)
 
 
-def hom_projector_combo(n: float) -> GaussianCombo:
-    """|HOM⟩⟨HOM| with |HOM⟩=(|0,2⟩-|2,0⟩)/√2 as a 4-term Gaussian combo.
+def hom_jet(cov: np.ndarray, inputs: tuple[np.ndarray, ...] = ()) -> np.ndarray:
+    """Multilinear jet of Πᵢ(1+εᵢ)·4/√det S(ε), S(ε) = cov + I + Σᵢ 2εᵢPᵢPᵢᵀ.
 
-    |HOM⟩ is the balanced beam splitter acting on |1,1⟩, so the combo is
-    the two-photon input combination conjugated by the T=1/2 map.
+    ``inputs`` are 4×2 column blocks Pᵢ, one per input variable; the two
+    column blocks of the balanced beam splitter follow as the last two
+    variables (the HOM projector).  Component m multiplies the product
+    of the variables whose bits are set in m.  The multilinear part of
+    log det S(ε) = log det S₀ + log det(I + D_ε K), K = 2PᵀS₀⁻¹P
+    (Sylvester), is a sum of block-trace cycles with coefficient
+    (−1)^(L+1)/L, and the L rotations of a cycle share one trace.
     """
-    _validate_n(n)
-    T = bs_matrix(0.5)
-    terms = []
-    for _, wa, va in _mode_weights(1.0, n):
-        for _, wb, vb in _mode_weights(1.0, n):
-            cov = T @ np.diag([va, va, vb, vb]) @ T.T
-            terms.append(GaussianTerm(wa * wb, np.zeros(4), cov))
-    return GaussianCombo(tuple(terms))
-
-
-def push_combo(
-    combo: GaussianCombo,
-    T: np.ndarray,
-    added_noise: np.ndarray | None = None,
-) -> GaussianCombo:
-    """Propagate every term through r → T r, V → T V Tᵀ + V_N."""
-    T = np.asarray(T, dtype=float)
-    if added_noise is not None:
-        VN = np.asarray(added_noise, dtype=float)
-        if np.max(np.abs(VN - VN.T)) > 1e-10:
-            raise ValueError("added noise must be symmetric")
-    else:
-        VN = None
-    out = []
-    for t in combo:
-        cov = T @ t.cov @ T.T
-        if VN is not None:
-            cov = cov + VN
-        out.append(GaussianTerm(t.weight, T @ t.mean, cov))
-    return GaussianCombo(tuple(out))
+    S0 = np.asarray(cov, dtype=float) + np.eye(4)
+    try:
+        det = float(np.prod(np.diag(np.linalg.cholesky(S0)))) ** 2
+    except np.linalg.LinAlgError:
+        det = math.nan
+    if not math.isfinite(det):
+        raise NumericalDomainError("overlap matrix is not positive definite")
+    P = np.hstack(list(inputs) + [HOM_BS[:, :2], HOM_BS[:, 2:]])
+    k = P.shape[1] // 2
+    blocks = (2.0 * P.T @ np.linalg.solve(S0, P)).reshape(k, 2, k, 2).transpose(0, 2, 1, 3)
+    u = np.zeros(1 << k)
+    for rows, cols, masks, sign in _cycles(k):
+        M = blocks[rows[:, 0], cols[:, 0]]
+        for j in range(1, rows.shape[1]):
+            M = M @ blocks[rows[:, j], cols[:, j]]
+        np.add.at(u, masks, -0.5 * sign * np.trace(M, axis1=1, axis2=2))
+    u[1 << np.arange(k)] += 1.0  # the weights 1 + εᵢ
+    return 4.0 / math.sqrt(det) * _jet_exp(u)

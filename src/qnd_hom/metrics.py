@@ -1,15 +1,12 @@
 """Bunching matrix element ⟨HOM|ρ_out|HOM⟩ for gate models.
 
 The input on the two signal subsystems is the mixture
-(p_a|1⟩⟨1| + (1−p_a)|0⟩⟨0|) ⊗ (p_b|1⟩⟨1| + (1−p_b)|0⟩⟨0|); single
-photons are represented as thermal-minus-vacuum Gaussian combinations
-at occupation n ≪ 1 (see :mod:`qnd_hom.gaussian`), so the element is a
-signed sum of displaced-Gaussian overlaps indexed by the projector term
-pair (k, l) and the input term pair (m, d).  Individual (k,l,m,d)
-contributions diverge as 1/n⁴ while their sum stays O(1); the sum is
-accumulated in extended precision and, by default, the leading O(n)
-bias is removed by Richardson extrapolation of evaluations at n and
-n/2.
+(p_a|1⟩⟨1| + (1−p_a)|0⟩⟨0|) ⊗ (p_b|1⟩⟨1| + (1−p_b)|0⟩⟨0|), so the
+element is the bilinear p-combination of four sectors E_ij, the element
+for input |i⟩⟨i| ⊗ |j⟩⟨j|.  All four are read off one generating-function
+jet (:func:`qnd_hom.gaussian.hom_jet`): they are exact, with no
+occupation parameter and no extrapolation.  Coherent inputs go through
+the same jet with the projector variables alone.
 
 For the atom-light and optomech gates the second subsystem is the
 outgoing pulse mode; for the atom-mechanical gate both subsystems are
@@ -19,29 +16,25 @@ matter modes and the mediator pulse never carries an input state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
-from .gaussian import (
-    GaussianCombo,
-    GaussianTerm,
-    _mode_weights,
-    _pair_core,
-    _validate_n,
-    check_physical,
-    hom_projector_combo,
-    matrix_element,
-)
+from .gaussian import HOM_BS, NumericalDomainError, check_physical, hom_jet
 from .gates import GateModel, ideal_gate_model
 
+# Accepted and ignored: the element is the exact n → 0 limit.
 DEFAULT_OCCUPATION = 1e-3
+
+# float64 roundoff allowed outside [0, 1] before an element is an error
+_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
 class InputSpec:
-    """Mixture input: single-quantum fractions per signal subsystem."""
+    """Mixture input: single-quantum fractions per signal subsystem.
+
+    The third field ``n`` is accepted and ignored.
+    """
 
     p_a: float
     p_b: float
@@ -50,87 +43,41 @@ class InputSpec:
     def __post_init__(self):
         if not (0.0 <= self.p_a <= 1.0 and 0.0 <= self.p_b <= 1.0):
             raise ValueError("single-quantum fractions must lie in [0, 1]")
-        _validate_n(self.n)
 
 
 @dataclass(frozen=True)
 class HomResult:
-    """Bunching element with convergence diagnostics.
-
-    ``value`` is the extrapolated element (or the raw value when
-    extrapolation is off); ``raw`` is the plain evaluation at ``n``.
-    ``error_estimate`` is |f(n/2) − f(n)|, an O(n) proxy, present only
-    when extrapolation ran.  ``breakdown`` maps (k, l, m, d) — the
-    projector term pair and the input term pair, 0 = thermal-like
-    term, 1 = vacuum term — to that term's (extrapolated)
-    contribution; entries are individually huge (≈1/n⁴) by
-    construction and cancel in the sum.
-    """
+    """Bunching element; ``error_estimate`` is 0.0, since the element
+    carries no truncation or extrapolation error."""
 
     value: float
-    raw: float
-    n: float
-    error_estimate: float | None
-    breakdown: Mapping[tuple[int, int, int, int], float]
+    error_estimate: float = 0.0
 
     def __float__(self) -> float:
         return self.value
 
 
-def _element_eval(
-    model: GateModel, p_a: float, p_b: float, n: float
-) -> tuple[np.longdouble, dict[tuple[int, int, int, int], float]]:
-    """One evaluation at fixed n: longdouble total plus the per-term
-    breakdown.  The total must be accumulated *before* any float
-    rounding — individual terms are ~1/n⁴ and cancel to O(1), so a
-    float64 copy of a term already carries an absolute error far above
-    the final value.  The breakdown is diagnostic only.
-    """
-    proj = hom_projector_combo(n)
-    pw = _mode_weights(1.0, n)
-    proj_kinds = [(ka, kb) for ka, _, _ in pw for kb, _, _ in pw]
-    base = np.ones(model.n_latents)
-    acc = np.longdouble(0.0)
-    out: dict[tuple[int, int, int, int], float] = {}
-    for m, wa, va in _mode_weights(p_a, n):
-        for d, wb, vb in _mode_weights(p_b, n):
-            v = base.copy()
-            v[0] = v[1] = va
-            v[2] = v[3] = vb
-            cov = model.output_cov(v)
-            check_physical(cov, tol=1e-9)
-            state = GaussianTerm(wa * wb, np.zeros(4), cov)
-            for (k, l), tproj in zip(proj_kinds, proj.terms):
-                pair = np.longdouble(4.0) * _pair_core(tproj, state)
-                acc += pair
-                out[(k, l, m, d)] = float(pair)
-    return acc, out
+def _probability(value: float) -> float:
+    """Clip float64 roundoff into [0, 1]; anything further out is an error."""
+    if not -_ROUNDOFF <= value <= 1.0 + _ROUNDOFF:
+        raise NumericalDomainError(f"element {value!r} lies outside [0, 1]")
+    return min(max(value, 0.0), 1.0)
 
 
-def hom_element_for_gate(
-    model: GateModel,
-    spec: InputSpec,
-    extrapolate: bool = True,
-) -> HomResult:
-    """⟨HOM|ρ_out|HOM⟩ for a gate model and mixture input.
+def hom_sectors(model: GateModel) -> np.ndarray:
+    """E[i, j] = ⟨HOM|ρ_out|HOM⟩ for input |i⟩⟨i| ⊗ |j⟩⟨j|, i, j ∈ {0, 1}."""
+    cov = model.vacuum_output_cov
+    check_physical(cov, tol=1e-9)
+    signal = model.latent_map[:, :4]
+    jet = hom_jet(cov, (signal[:, :2], signal[:, 2:]))
+    return jet[12:].reshape(2, 2).T  # component 12 + i + 2j is E[i, j]
 
-    With ``extrapolate`` (the default) the value is 2f(n/2) − f(n),
-    cancelling the leading O(n) bias of the thermal-minus-vacuum
-    photon representation.
-    """
-    acc1, t1 = _element_eval(model, spec.p_a, spec.p_b, spec.n)
-    raw = float(acc1)
-    if not extrapolate:
-        return HomResult(raw, raw, spec.n, None, MappingProxyType(t1))
-    acc2, t2 = _element_eval(model, spec.p_a, spec.p_b, spec.n / 2.0)
-    combined = {key: 2.0 * t2[key] - t1[key] for key in t1}
-    return HomResult(
-        value=float(np.longdouble(2.0) * acc2 - acc1),
-        raw=raw,
-        n=spec.n,
-        error_estimate=abs(float(acc2) - raw),
-        breakdown=MappingProxyType(combined),
-    )
+
+def hom_element_for_gate(model: GateModel, spec: InputSpec) -> HomResult:
+    """⟨HOM|ρ_out|HOM⟩ for a gate model and mixture input."""
+    wa = np.array([1.0 - spec.p_a, spec.p_a])
+    wb = np.array([1.0 - spec.p_b, spec.p_b])
+    return HomResult(_probability(float(wa @ hom_sectors(model) @ wb)))
 
 
 def hom_element_ideal_via_wigner(
@@ -143,20 +90,42 @@ def hom_element_ideal_via_wigner(
     """Ideal-gate element through the Gaussian engine.
 
     Exists as the cross-validation bridge to the truncated-Fock oracle
-    and the closed forms; returns the plain number.
+    and the closed forms; returns the plain number.  ``n`` and
+    ``extrapolate`` are accepted and ignored.
     """
-    result = hom_element_for_gate(
-        ideal_gate_model(G), InputSpec(p_a, p_b, n), extrapolate=extrapolate
+    return hom_element_for_gate(ideal_gate_model(G), InputSpec(p_a, p_b)).value
+
+
+def coherent_jets(model: GateModel) -> tuple[np.ndarray, np.ndarray]:
+    """Projector jets of a gate for coherent signal inputs.
+
+    Returns ``c``, the jet (c₀, c_a, c_b, c_ab) of (1+y_a)(1+y_b)·4/√det S(y)
+    with S(y) = V_vac + I + 2y_a B_aB_aᵀ + 2y_b B_bB_bᵀ, and ``Q`` (4, 4, 4),
+    the quadratic forms over the input quadrature means whose values are
+    the jet (q₀, q_a, q_b, q_ab) of dᵀS(y)⁻¹d, d the output mean.
+    """
+    cov = model.vacuum_output_cov
+    check_physical(cov, tol=1e-9)
+    W = model.latent_map[:, :4]
+    Si = np.linalg.inv(cov + np.eye(4))
+    Ba, Bb = HOM_BS[:, :2], HOM_BS[:, 2:]
+    Ua, Ub = Ba.T @ Si @ W, Bb.T @ Si @ W
+    # S(y)⁻¹ to first order in each y: Si − 2y_a Si A Si − 2y_b Si B Si
+    # + 4y_a y_b (Si A Si B Si + Si B Si A Si), A = B_aB_aᵀ, B = B_bB_bᵀ
+    cross = Ua.T @ (Ba.T @ Si @ Bb) @ Ub
+    Q = np.stack([W.T @ Si @ W, -2.0 * Ua.T @ Ua, -2.0 * Ub.T @ Ub, 4.0 * (cross + cross.T)])
+    return hom_jet(cov), Q
+
+
+def coherent_coefficient(c: np.ndarray, q0, qa, qb, qab):
+    """y_a·y_b coefficient of c(y)·exp(−q(y)/2): the coherent element
+    (elementwise on arrays of q values)."""
+    return np.exp(-0.5 * q0) * (
+        c[0] * (0.25 * qa * qb - 0.5 * qab) - 0.5 * (c[1] * qb + c[2] * qa) + c[3]
     )
-    return result.value
 
 
-def coherent_output_element(
-    model: GateModel | float,
-    means: np.ndarray,
-    n: float = DEFAULT_OCCUPATION,
-    extrapolate: bool = True,
-) -> float:
+def coherent_output_element(model: GateModel | float, means: np.ndarray) -> float:
     """Element for coherent signal inputs with quadrature means
     (X_a, P_a, X_b, P_b) — twice the coherent amplitudes — propagated
     through the gate; all noise modes stay at zero mean.
@@ -169,15 +138,5 @@ def coherent_output_element(
     means = np.asarray(means, dtype=float)
     if means.shape != (4,):
         raise ValueError("means must be a quadrature 4-vector")
-    mean_out = model.latent_map[:, :4] @ means
-    cov = model.vacuum_output_cov
-    check_physical(cov, tol=1e-9)
-    state = GaussianCombo((GaussianTerm(1.0, mean_out, cov),))
-
-    def eval_at(nn: float) -> float:
-        return matrix_element(hom_projector_combo(nn), state)
-
-    v1 = eval_at(n)
-    if not extrapolate:
-        return v1
-    return 2.0 * eval_at(n / 2.0) - v1
+    c, Q = coherent_jets(model)
+    return _probability(float(coherent_coefficient(c, *(means @ Q @ means))))

@@ -2,9 +2,10 @@
 
 A sweep is: one gate kind, fixed parameters, one swept parameter over a
 grid, and a list of input fractions p.  Every grid point yields one row
-per p with the bunching element, its O(n) error estimate, and the
-requested thresholds; the input threshold is computed once per grid
-point and shared across the p rows (it depends only on the gate).
+per p with the bunching element, its error estimate (0: the element is
+exact), and the requested thresholds; the input threshold is computed
+once per grid point and shared across the p rows (it depends only on
+the gate).
 
 Grid points are independent; with ``jobs > 1`` they are evaluated by a
 process pool and reassembled in grid order, so the emitted file is
@@ -32,7 +33,7 @@ from .gates import (
     build_optomech_gate,
     ideal_gate_model,
 )
-from .metrics import DEFAULT_OCCUPATION, InputSpec, hom_element_for_gate
+from .metrics import InputSpec, hom_element_for_gate
 from .modes import NoiseModeBasis
 from .thresholds import PhaseAverageOptions, input_threshold, output_threshold
 
@@ -71,7 +72,6 @@ class SweepConfig:
     p_values: tuple[float, ...] = (1.0,)
     with_output_threshold: bool = True
     with_input_threshold: bool = False
-    n: float = DEFAULT_OCCUPATION
     phase_options: PhaseAverageOptions = PhaseAverageOptions()
     out_path: str | None = None
     out_format: str = "csv"
@@ -186,12 +186,12 @@ def _evaluate_point(task: tuple[SweepConfig, float]) -> list[SweepRow]:
         in_thr = None
         warnings: list[str] = []
         if config.with_input_threshold:
-            thr = input_threshold(model, config.phase_options, n=config.n)
+            thr = input_threshold(model, config.phase_options)
             in_thr = thr.value
             warnings.extend(thr.warnings)
         rows = []
         for p in config.p_values:
-            res = hom_element_for_gate(model, InputSpec(p, p, config.n))
+            res = hom_element_for_gate(model, InputSpec(p, p))
             rows.append(SweepRow(
                 param=config.sweep_param,
                 value=float(value),
@@ -308,7 +308,6 @@ def find_optimum(
     fixed: Mapping[str, float],
     free: Mapping[str, tuple[float, float]],
     p: float = 1.0,
-    n: float = DEFAULT_OCCUPATION,
     grid: int = 15,
     refine: bool = True,
 ) -> OptimumResult:
@@ -329,7 +328,7 @@ def find_optimum(
         for name, x in zip(names, point):
             values[name] = float(x)
         model = build_model(gate, values)
-        return hom_element_for_gate(model, InputSpec(p, p, n)).value
+        return hom_element_for_gate(model, InputSpec(p, p)).value
 
     axes = [np.linspace(lo, hi, grid) for lo, hi in (free[k] for k in names)]
     best_val, best_pt = -np.inf, None

@@ -15,9 +15,8 @@ The phase average uses the periodic trapezoid rule (spectrally accurate
 for smooth periodic integrands); the amplitude maximization scans a
 coarse grid and refines with a derivative-free simplex from the best
 grid cells, since the averaged element can have several local maxima.
-Within the objective, the occupation-n bias of the projector
-representation is removed by the same 2f(n/2) − f(n) extrapolation the
-element computation uses.
+The objective is the exact coherent element of :mod:`qnd_hom.metrics`,
+one exp per phase point.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fock import coherent_hom_element
-from .gaussian import hom_projector_combo
 from .gates import GateModel, ideal_gate_model
-from .metrics import DEFAULT_OCCUPATION
+from .metrics import coherent_coefficient, coherent_jets
 
 _CONVERGENCE_TOL = 1e-6
 ACCURACY_WARNING = "phase average not converged after two sample doublings"
@@ -98,59 +96,36 @@ class _AveragedElement:
     """Phase-averaged coherent element M^av(R_a, R_b) for one model.
 
     The input means are (R_a cosφ_a, R_a sinφ_a, R_b cosφ_b, R_b sinφ_b),
-    so each projector term's quadratic form RᵀQR splits into
+    so each quadratic form RᵀQR of :func:`coherent_jets` splits into
     R_a²·u(φ_a) + R_b²·v(φ_b) + 2R_aR_b·w(φ_a,φ_b); u, v, w only depend
     on the phase grid and are precomputed, leaving one exp per grid
-    point per term at evaluation time.
+    point at evaluation time.
     """
 
-    def __init__(
-        self,
-        model: GateModel,
-        n: float,
-        phase_samples: int,
-        phase_offset: float = 0.0,
-        extrapolate: bool = True,
-    ):
-        cov_out = model.vacuum_output_cov
-        signal = model.latent_map[:, :4]
+    def __init__(self, model: GateModel, phase_samples: int, phase_offset: float = 0.0):
+        self.c, Q = coherent_jets(model)
         theta = phase_offset + 2.0 * np.pi * np.arange(phase_samples) / phase_samples
         circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (ns, 2)
-        self.terms: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
-        stages = ((2.0, n / 2.0), (-1.0, n)) if extrapolate else ((1.0, n),)
-        for pref, nn in stages:
-            for term in hom_projector_combo(nn):
-                S = term.cov + cov_out
-                det = float(np.linalg.det(S))
-                Si = np.linalg.inv(S)
-                Q = signal.T @ Si @ signal
-                coeff = pref * 4.0 * term.weight / math.sqrt(det)
-                u = np.einsum("ik,kl,il->i", circle, Q[:2, :2], circle)
-                v = np.einsum("ik,kl,il->i", circle, Q[2:, 2:], circle)
-                w = circle @ Q[:2, 2:] @ circle.T
-                self.terms.append((coeff, u[:, None], v[None, :], w))
+        self.u = np.einsum("ik,qkl,il->qi", circle, Q[:, :2, :2], circle)[:, :, None]
+        self.v = np.einsum("ik,qkl,il->qi", circle, Q[:, 2:, 2:], circle)[:, None, :]
+        self.w = circle @ Q[:, :2, 2:] @ circle.T
 
     def __call__(self, R_a: float, R_b: float) -> float:
-        ra2, rb2, rab = R_a * R_a, R_b * R_b, 2.0 * R_a * R_b
-        total = 0.0
-        for coeff, u, v, w in self.terms:
-            expo = ra2 * u + rb2 * v + rab * w
-            total += coeff * float(np.exp(-0.5 * expo).mean())
-        return total
+        q = (2.0 * R_a * R_b) * self.w
+        q += (R_a * R_a) * self.u
+        q += (R_b * R_b) * self.v
+        return float(coherent_coefficient(self.c, *q).mean())
 
 
 def phase_averaged_element(
     model: GateModel | float,
     R_a: float,
     R_b: float,
-    n: float = DEFAULT_OCCUPATION,
     phase_samples: int = 64,
     phase_offset: float = 0.0,
-    extrapolate: bool = True,
 ) -> float:
     """M^av at one amplitude pair; exposed for convergence diagnostics."""
-    avg = _AveragedElement(_as_model(model), n, phase_samples, phase_offset, extrapolate)
-    return avg(R_a, R_b)
+    return _AveragedElement(_as_model(model), phase_samples, phase_offset)(R_a, R_b)
 
 
 def _maximize(objective, opts: PhaseAverageOptions) -> tuple[float, tuple[float, float], bool]:
@@ -183,7 +158,6 @@ def _maximize(objective, opts: PhaseAverageOptions) -> tuple[float, tuple[float,
 def input_threshold(
     model: GateModel | float,
     opts: PhaseAverageOptions = PhaseAverageOptions(),
-    n: float = DEFAULT_OCCUPATION,
 ) -> ThresholdResult:
     """Phase-randomized coherent input threshold of a gate.
 
@@ -195,15 +169,11 @@ def input_threshold(
     """
     gate = _as_model(model)
     samples = opts.phase_samples
-    value, argmax, hit_cap = _maximize(
-        _AveragedElement(gate, n, samples), opts
-    )
+    value, argmax, hit_cap = _maximize(_AveragedElement(gate, samples), opts)
     converged = False
     for _ in range(2):
         samples *= 2
-        value2, argmax2, hit_cap = _maximize(
-            _AveragedElement(gate, n, samples), opts
-        )
+        value2, argmax2, hit_cap = _maximize(_AveragedElement(gate, samples), opts)
         moved = abs(value2 - value)
         value, argmax = value2, argmax2
         if moved < _CONVERGENCE_TOL:

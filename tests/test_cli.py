@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import qnd_hom.metrics
 from qnd_hom.cli import build_parser, main, parse_config_file
 from qnd_hom.sweep import CSV_HEADER, SweepConfigError
 
@@ -61,6 +63,26 @@ def test_atom_light_subcommand(capsys):
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     assert abs(float(row[3]) - 0.2278) < 1e-3
+
+
+def test_occupation_flag_removed(capsys):
+    # `--n 1e-5` once printed hom=768 with exit 0; the element is exact
+    # and has no occupation, so the flag is a usage error
+    code, out, _ = run_cli(
+        capsys, "atom-light", "--g", "0.06", "--kappa-tau", "100", "--eta", "0.9",
+        "--n", "1e-5",
+    )
+    assert code == 1
+    assert out == ""
+
+
+def test_out_of_range_element_exits_2(monkeypatch, capsys):
+    # an element outside [0, 1] is never emitted with exit code 0
+    monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", lambda model: np.full((2, 2), 768.0))
+    code, out, err = run_cli(capsys, "ideal", "--G", "0.9")
+    assert code == 2
+    assert out == ""
+    assert "numerical failure" in err
 
 
 def test_missing_gate_parameter(capsys):

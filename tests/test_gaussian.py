@@ -1,23 +1,22 @@
-"""Covariance toolkit: symplectic maps, physicality, signed overlaps."""
+"""Covariance toolkit: symplectic maps, physicality, generating-function jets."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 from qnd_hom.gaussian import (
-    GaussianCombo,
-    GaussianTerm,
+    HOM_BS,
     NumericalDomainError,
+    _jet_exp,
     bs_matrix,
     check_physical,
-    hom_projector_combo,
-    input_state_combo,
+    hom_jet,
     is_symplectic,
-    matrix_element,
     min_physicality_eig,
     omega,
-    push_combo,
     qnd_matrix,
-    single_photon_combo,
 )
 
 
@@ -67,48 +66,73 @@ def test_thermal_is_physical():
     assert min_physicality_eig(3.0 * np.eye(2)) > 0
 
 
-def test_single_photon_weights_sum_to_one():
-    combo = single_photon_combo(1e-3)
-    assert sum(t.weight for t in combo.terms) == pytest.approx(1.0, abs=1e-12)
+def test_vacuum_jet_is_projector_statistics():
+    # no input variables: the vacuum output projected on B(Σ y^k|k⟩⟨k|)B†
+    # has weight 1 on |0,0⟩ and nothing on one or two photons
+    jet = hom_jet(np.eye(4))
+    assert jet == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
 
 
-def test_input_combo_term_count():
-    # thermal + vacuum weight per mode → 2×2 product terms
-    combo = input_state_combo(0.5, 0.5, 1e-2)
-    assert len(combo.terms) == 4
-    pure = input_state_combo(1.0, 1.0, 1e-2)
-    assert len(pure.terms) == 4
-    vacuum = input_state_combo(0.0, 0.0, 1e-2)
-    assert len(vacuum.terms) == 1
+def test_identity_jet_is_beam_splitter_photon_statistics():
+    # identity channel: component (i, j, k, l) is |⟨i,j|B|k,l⟩|² for the
+    # balanced beam splitter B — the HOM dip makes (1, 1, 1, 1) vanish
+    eye = np.eye(4)
+    jet = hom_jet(eye, (eye[:, :2], eye[:, 2:]))
+    for i, j, k, l in itertools.product((0, 1), repeat=4):
+        mask = i | j << 1 | k << 2 | l << 3
+        if i + j != k + l:
+            expected = 0.0
+        elif i + j == 1:
+            expected = 0.5
+        else:
+            expected = float(i + j == 0)
+        assert abs(jet[mask] - expected) <= 1e-15, (i, j, k, l)
 
 
 def test_projector_normalization():
-    # the HOM projector combo integrates against itself to ≈ 1 (purity)
-    n = 1e-2
-    proj = hom_projector_combo(n)
-    val = matrix_element(proj, proj)
-    assert val == pytest.approx(1.0, abs=30 * n)
+    # |1,1⟩ sent through the balanced beam splitter is |HOM⟩ itself: the
+    # projector reads exactly 1 on it and nothing on the other inputs
+    jet = hom_jet(np.eye(4), (HOM_BS[:, :2], HOM_BS[:, 2:]))
+    assert abs(jet[0b1111] - 1.0) <= 1e-14
+    assert np.abs(jet[0b1100:0b1111]).max() <= 1e-15
 
 
 def test_identity_gate_produces_no_bunching():
-    # G=0: photons never swap modes, ⟨HOM|ρ|HOM⟩ → 0
-    n = 1e-3
-    state = push_combo(input_state_combo(1.0, 1.0, n), qnd_matrix(0.0))
-    val = matrix_element(hom_projector_combo(n), state)
-    assert abs(val) < 5e-3
+    # G=0: photons never swap modes, so no input sector reaches |HOM⟩
+    T = qnd_matrix(0.0)
+    jet = hom_jet(T @ T.T, (T[:, :2], T[:, 2:]))
+    assert np.abs(jet[0b1100:]).max() <= 1e-15
+
+
+def test_jet_exp_matches_power_series():
+    # exp of a nilpotent jet (u₀ = 0) equals its series truncated after u⁴
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=16)
+    u[0] = 0.0
+
+    def mul(a, b):
+        out = np.zeros(16)
+        for m in range(16):
+            for s in range(16):
+                if s & m == s:
+                    out[m] += a[s] * b[m ^ s]
+        return out
+
+    series, power = np.eye(1, 16)[0], np.eye(1, 16)[0]
+    for k in range(1, 5):
+        power = mul(power, u) / k
+        series = series + power
+    assert np.abs(_jet_exp(u) - series).max() <= 1e-14
+    shifted = u.copy()
+    shifted[0] = 0.3
+    assert np.abs(_jet_exp(shifted) - math.exp(0.3) * series).max() <= 1e-14
 
 
 def test_singular_overlap_rejected():
-    t1 = GaussianTerm(1.0, np.zeros(2), -np.eye(2))
-    t2 = GaussianTerm(1.0, np.zeros(2), np.eye(2))
+    # V + I must be positive definite; a singular or indefinite one is
+    # outside the physical domain
     with pytest.raises(NumericalDomainError):
-        matrix_element(GaussianCombo((t1,)), GaussianCombo((t2,)))
-
-
-def test_matrix_element_longdouble_accumulation():
-    # the signed thermal-vacuum representation cancels ~1/n⁴ terms; the
-    # result must stay O(1) and positive at small n
-    n = 1e-3
-    state = push_combo(input_state_combo(1.0, 1.0, n), qnd_matrix(0.8677840941388602))
-    val = matrix_element(hom_projector_combo(n), state)
-    assert 0.25 < val < 0.27
+        hom_jet(np.diag([-1.0, 1.0, 1.0, 1.0]))
+    for diag in ([-3.0, 1.0, 1.0, 1.0], [-3.0, -3.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0]):
+        with pytest.raises(NumericalDomainError):
+            hom_jet(np.diag(diag))

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from qnd_hom.fock import closed_form_qnd_11
+import qnd_hom.metrics
+import qnd_hom.sweep
+from qnd_hom.fock import QND_11_ARGMAX, closed_form_qnd_11
 from qnd_hom.sweep import (
     CSV_HEADER,
     PRESETS,
@@ -86,7 +88,7 @@ def test_row_count_and_order():
 def test_values_match_closed_form():
     rows = run_sweep(_ideal_config(points=9, p_values=(1.0,)))
     for row in rows:
-        assert row.hom == pytest.approx(closed_form_qnd_11(row.value), abs=1e-3)
+        assert row.hom == pytest.approx(closed_form_qnd_11(row.value), abs=1e-12)
 
 
 def test_single_point_grid():
@@ -144,6 +146,26 @@ def test_csv_header_and_shape():
     assert "\r" not in text
 
 
+def test_hom_err_is_zero_and_empty_on_failure_rows(monkeypatch):
+    # the element is exact, so hom_err is 0; a point whose element leaves
+    # [0, 1] becomes a warning row with an empty hom_err field
+    rows = run_sweep(_ideal_config(points=2))
+    assert [row.hom_err for row in rows] == [0.0, 0.0]
+    assert render_csv(rows).split("\n")[1].split(",")[4] == "0"
+
+    real = qnd_hom.metrics.hom_sectors
+
+    def sectors(model):
+        return np.full((2, 2), 768.0) if model.gains["G"] == 2.0 else real(model)
+
+    monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", sectors)
+    good, bad = run_sweep(_ideal_config(points=2, start=1.0))
+    assert good.hom_err == 0.0 and 0.0 <= good.hom <= 1.0
+    assert math.isnan(bad.hom) and bad.hom_err is None
+    assert "outside [0, 1]" in bad.warnings
+    assert render_csv([bad]).split("\n")[1].split(",")[4] == ""
+
+
 def test_csv_empty_is_header_only():
     assert render_csv([]) == CSV_HEADER + "\n"
 
@@ -187,6 +209,23 @@ def test_find_optimum_recovers_ideal_maximum():
     assert res.argmax["G"] == pytest.approx(0.8677840941388602, abs=5e-3)
     assert res.value == pytest.approx(0.26085, abs=5e-4)
     assert res.interior
+
+
+def test_find_optimum_converges_without_stalling(monkeypatch):
+    # on a range whose simplex once ran on to maxiter (1,193 element calls),
+    # the exact element lets the search stop at its tolerances
+    calls = []
+    element = qnd_hom.sweep.hom_element_for_gate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return element(*args, **kwargs)
+
+    monkeypatch.setattr(qnd_hom.sweep, "hom_element_for_gate", counted)
+    res = find_optimum("ideal", {}, {"G": (0.3288957047183011, 2.028895704718301)}, grid=15)
+    assert len(calls) <= 300
+    assert abs(res.value - closed_form_qnd_11(QND_11_ARGMAX)) <= 1e-10
+    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-5
 
 
 def test_find_optimum_flags_boundary():

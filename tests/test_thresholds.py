@@ -55,7 +55,7 @@ def test_input_threshold_zero_gain_equals_output_threshold():
     # at G=0 the best phase-averaged coherent pair is one mode in vacuum
     # and one at |β|² = 2: the input threshold degenerates to e^{−2}
     res = input_threshold(0.0)
-    assert res.value == pytest.approx(math.exp(-2.0), abs=2e-4)
+    assert res.value == pytest.approx(math.exp(-2.0), abs=1e-12)
     assert min(res.argmax) == pytest.approx(0.0, abs=5e-2)
 
 
