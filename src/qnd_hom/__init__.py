@@ -4,170 +4,58 @@ The package computes the Hong–Ou–Mandel projection of two noisy single
 photons sent through a quadrature QND interaction — ideal, pulsed
 atom–light, pulsed optomechanical, or hybrid atom–mechanical — together
 with the coherent-state thresholds that certify nonclassical operation.
+
+The top level re-exports what the README, the command line and the
+scripts use; everything else is imported from its submodule.
 """
 
-from .fock import (
-    FockBasisSpec,
-    TruncatedOperator,
-    TruncatedState,
-    TruncationError,
-    QND_11_ARGMAX,
-    build_bs_unitary,
-    build_qnd_unitary,
-    closed_form_bs_11,
-    closed_form_qnd_00,
-    closed_form_qnd_11,
-    coherent_hom_element,
-    default_cutoff,
-    fock_state,
-    hom_element_exact,
-    hom_element_mixture_ideal,
-    hom_state,
-)
-from .gates import (
-    AtomLightParams,
-    AtomMechConstants,
-    AtomMechParams,
-    GateModel,
-    OptomechParams,
-    PulseGateConstants,
-    atom_light_constants,
-    atom_light_constants_quadrature,
-    atom_mech_constants,
-    atom_mech_constants_quadrature,
-    build_atom_light_gate,
-    build_atom_mech_gate,
-    build_optomech_gate,
-    ideal_gate_model,
-)
-from .gaussian import (
-    NumericalDomainError,
-    bs_matrix,
-    check_physical,
-    is_symplectic,
-    min_physicality_eig,
-    omega,
-    qnd_matrix,
-)
-from .metrics import (
-    DEFAULT_OCCUPATION,
-    HomResult,
-    InputSpec,
-    coherent_output_element,
-    hom_element_for_gate,
-    hom_element_ideal_via_wigner,
-)
-from .modes import (
-    NoiseModeBasis,
-    OverlapConsistencyError,
-    apply_squeezing,
-    build_gram,
-    gram_cholesky,
-    orthogonalize_noise_modes,
-    squeezing_factor,
-)
+from .fock import QND_11_ARGMAX, closed_form_qnd_11, hom_element_mixture_ideal
+from .gates import AtomMechParams, build_atom_mech_gate, ideal_gate_model
+from .gaussian import NumericalDomainError
+from .metrics import InputSpec, hom_element_for_gate
 from .sweep import (
-    GATE_KINDS,
-    OptimumResult,
     PRESETS,
     SweepConfig,
     SweepConfigError,
     SweepNumericalError,
-    SweepRow,
     build_model,
     emit,
     find_optimum,
     preset_config,
-    render_csv,
-    render_json,
     run_sweep,
 )
 from .thresholds import (
-    ACCURACY_WARNING,
-    BOUNDARY_WARNING,
     PhaseAverageOptions,
-    ThresholdResult,
     find_crossing,
     input_threshold,
     output_threshold,
-    phase_averaged_element,
     verify_output_threshold,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACCURACY_WARNING",
-    "AtomLightParams",
-    "AtomMechConstants",
     "AtomMechParams",
-    "BOUNDARY_WARNING",
-    "DEFAULT_OCCUPATION",
-    "FockBasisSpec",
-    "GATE_KINDS",
-    "GateModel",
-    "HomResult",
     "InputSpec",
-    "NoiseModeBasis",
     "NumericalDomainError",
-    "OptimumResult",
-    "OptomechParams",
-    "OverlapConsistencyError",
     "PRESETS",
     "PhaseAverageOptions",
-    "PulseGateConstants",
     "QND_11_ARGMAX",
     "SweepConfig",
     "SweepConfigError",
     "SweepNumericalError",
-    "SweepRow",
-    "ThresholdResult",
-    "TruncatedOperator",
-    "TruncatedState",
-    "TruncationError",
-    "apply_squeezing",
-    "atom_light_constants",
-    "atom_light_constants_quadrature",
-    "atom_mech_constants",
-    "atom_mech_constants_quadrature",
-    "bs_matrix",
-    "build_atom_light_gate",
     "build_atom_mech_gate",
-    "build_bs_unitary",
-    "build_gram",
     "build_model",
-    "build_optomech_gate",
-    "build_qnd_unitary",
-    "check_physical",
-    "closed_form_bs_11",
-    "closed_form_qnd_00",
     "closed_form_qnd_11",
-    "coherent_hom_element",
-    "coherent_output_element",
-    "default_cutoff",
     "emit",
     "find_crossing",
     "find_optimum",
-    "fock_state",
-    "gram_cholesky",
-    "hom_element_exact",
     "hom_element_for_gate",
-    "hom_element_ideal_via_wigner",
     "hom_element_mixture_ideal",
-    "hom_state",
     "ideal_gate_model",
     "input_threshold",
-    "is_symplectic",
-    "min_physicality_eig",
-    "omega",
-    "orthogonalize_noise_modes",
     "output_threshold",
-    "phase_averaged_element",
     "preset_config",
-    "qnd_matrix",
-    "render_csv",
-    "render_json",
     "run_sweep",
-    "squeezing_factor",
     "verify_output_threshold",
 ]

@@ -257,18 +257,8 @@ class GateModel:
 
     @cached_property
     def vacuum_output_cov(self) -> np.ndarray:
-        return self.output_cov()
-
-    def output_cov(self, latent_variances: np.ndarray | None = None) -> np.ndarray:
-        """A Σ Aᵀ, optionally with non-vacuum latent variances (slots 0..3
-        carry the input systems; all other latents are vacuum)."""
-        At = self.latent_map
-        if latent_variances is None:
-            return At @ At.T
-        v = np.asarray(latent_variances, dtype=float)
-        if v.shape != (self.n_latents,):
-            raise ValueError("latent variance vector has the wrong length")
-        return (At * v) @ At.T
+        """A Σ Aᵀ with every latent in vacuum."""
+        return self.latent_map @ self.latent_map.T
 
 
 def ideal_gate_model(G: float) -> GateModel:
@@ -281,6 +271,11 @@ def ideal_gate_model(G: float) -> GateModel:
         basis=basis,
         gains={"G": float(G)},
     )
+
+
+def as_gate_model(model: GateModel | float) -> GateModel:
+    """A gate model as given; a bare number denotes the ideal gate with that gain."""
+    return model if isinstance(model, GateModel) else ideal_gate_model(float(model))
 
 
 def _pulse_rows(g: float, tau: float, eta: float, c: PulseGateConstants, n_modes: int) -> tuple[np.ndarray, dict]:

@@ -41,9 +41,6 @@ def omega(n_modes: int = 2) -> np.ndarray:
     return om
 
 
-OMEGA4 = omega(2)
-
-
 def qnd_matrix(G: float) -> np.ndarray:
     """Quadrature map of the ideal QND gate: x_a += G x_b, p_b -= G p_a."""
     if not np.isfinite(G):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import HOM_BS, NumericalDomainError, check_physical, hom_jet
-from .gates import GateModel, ideal_gate_model
+from .gates import GateModel, as_gate_model, ideal_gate_model
 
 # Accepted and ignored: the element is the exact n → 0 limit.
 DEFAULT_OCCUPATION = 1e-3
@@ -73,11 +73,16 @@ def hom_sectors(model: GateModel) -> np.ndarray:
     return jet[12:].reshape(2, 2).T  # component 12 + i + 2j is E[i, j]
 
 
-def hom_element_for_gate(model: GateModel, spec: InputSpec) -> HomResult:
-    """⟨HOM|ρ_out|HOM⟩ for a gate model and mixture input."""
+def sector_element(sectors: np.ndarray, spec: InputSpec) -> HomResult:
+    """The mixture element: the bilinear p-combination of the sectors."""
     wa = np.array([1.0 - spec.p_a, spec.p_a])
     wb = np.array([1.0 - spec.p_b, spec.p_b])
-    return HomResult(_probability(float(wa @ hom_sectors(model) @ wb)))
+    return HomResult(_probability(float(wa @ sectors @ wb)))
+
+
+def hom_element_for_gate(model: GateModel, spec: InputSpec) -> HomResult:
+    """⟨HOM|ρ_out|HOM⟩ for a gate model and mixture input."""
+    return sector_element(hom_sectors(model), spec)
 
 
 def hom_element_ideal_via_wigner(
@@ -133,10 +138,8 @@ def coherent_output_element(model: GateModel | float, means: np.ndarray) -> floa
     A bare number is accepted in place of a model and denotes the
     ideal gate with that gain.
     """
-    if not isinstance(model, GateModel):
-        model = ideal_gate_model(float(model))
     means = np.asarray(means, dtype=float)
     if means.shape != (4,):
         raise ValueError("means must be a quadrature 4-vector")
-    c, Q = coherent_jets(model)
+    c, Q = coherent_jets(as_gate_model(model))
     return _probability(float(coherent_coefficient(c, *(means @ Q @ means))))

@@ -3,9 +3,10 @@
 A sweep is: one gate kind, fixed parameters, one swept parameter over a
 grid, and a list of input fractions p.  Every grid point yields one row
 per p with the bunching element, its error estimate (0: the element is
-exact), and the requested thresholds; the input threshold is computed
-once per grid point and shared across the p rows (it depends only on
-the gate).
+exact), and the requested thresholds.  The input threshold and the
+element's four input sectors are computed once per grid point and
+shared across the p rows: the threshold depends only on the gate, and
+each p row is a bilinear combination of the sectors.
 
 Grid points are independent; with ``jobs > 1`` they are evaluated by a
 process pool and reassembled in grid order, so the emitted file is
@@ -16,12 +17,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 
+from . import metrics  # hom_sectors is looked up here, where tests substitute it
 from .gaussian import NumericalDomainError, bs_matrix
 from .gates import (
     AtomLightParams,
@@ -33,8 +37,7 @@ from .gates import (
     build_optomech_gate,
     ideal_gate_model,
 )
-from .metrics import InputSpec, hom_element_for_gate
-from .modes import NoiseModeBasis
+from .metrics import InputSpec, hom_element_for_gate, sector_element
 from .thresholds import PhaseAverageOptions, input_threshold, output_threshold
 
 GATE_KINDS = ("ideal", "bs", "atom-light", "optomech", "atom-mech")
@@ -60,6 +63,16 @@ class SweepNumericalError(RuntimeError):
     """Every grid point failed numerically (CLI exit code 2)."""
 
 
+def _check_params(gate: str, names: Iterable[str]):
+    """Reject a gate kind or a parameter name outside its vocabulary."""
+    if gate not in _GATE_PARAMS:
+        raise SweepConfigError(f"unknown gate kind {gate!r}; choose from {GATE_KINDS}")
+    allowed = _GATE_PARAMS[gate]
+    for name in names:
+        if name not in allowed:
+            raise SweepConfigError(f"gate {gate!r} has no parameter {name!r}; choose from {allowed}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     gate: str
@@ -78,18 +91,7 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.gate not in GATE_KINDS:
-            raise SweepConfigError(f"unknown gate kind {self.gate!r}; choose from {GATE_KINDS}")
-        allowed = _GATE_PARAMS[self.gate]
-        if self.sweep_param not in allowed:
-            raise SweepConfigError(
-                f"gate {self.gate!r} has no parameter {self.sweep_param!r}; choose from {allowed}"
-            )
-        for key in self.fixed:
-            if key not in allowed:
-                raise SweepConfigError(
-                    f"gate {self.gate!r} has no parameter {key!r}; choose from {allowed}"
-                )
+        _check_params(self.gate, (self.sweep_param, *self.fixed))
         if self.points < 1:
             raise SweepConfigError("points must be at least 1")
         if self.scale not in ("linear", "log"):
@@ -135,14 +137,16 @@ class SweepRow:
 
 def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
     """Gate model from a flat parameter mapping (CLI vocabulary)."""
+    _check_params(gate, values)
     try:
         if gate == "ideal":
             return ideal_gate_model(values["G"])
         if gate == "bs":
+            # the ideal gate's two signal modes under the beam-splitter map
             T = values["T"]
-            labels = ("X_a0", "P_a0", "X_b0", "P_b0")
-            basis = NoiseModeBasis(labels, np.eye(4), np.eye(4))
-            return GateModel("bs", bs_matrix(T), basis, gains={"T": T})
+            return replace(
+                ideal_gate_model(0.0), kind="bs", output_matrix=bs_matrix(T), gains={"T": T}
+            )
         if gate == "atom-light":
             return build_atom_light_gate(
                 AtomLightParams(values["g"], values["kappa_tau"], values.get("eta", 1.0))
@@ -154,25 +158,24 @@ def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
                     values.get("eta", 1.0), values.get("Gamma", 0.0),
                 )
             )
-        if gate == "atom-mech":
-            gA = values.get("gA", values.get("g"))
-            gM = values.get("gM", values.get("g"))
-            if gA is None or gM is None:
-                raise SweepConfigError("atom-mech needs g (or both gA and gM)")
-            return build_atom_mech_gate(
-                AtomMechParams(
-                    gA, gM, values["kappa_tau"],
-                    values.get("eta", 1.0), values.get("Gamma", 0.0),
-                    values.get("S", 0.0),
-                )
+        # atom-mech, the last gate kind _check_params admits
+        gA = values.get("gA", values.get("g"))
+        gM = values.get("gM", values.get("g"))
+        if gA is None or gM is None:
+            raise SweepConfigError("atom-mech needs g (or both gA and gM)")
+        return build_atom_mech_gate(
+            AtomMechParams(
+                gA, gM, values["kappa_tau"],
+                values.get("eta", 1.0), values.get("Gamma", 0.0),
+                values.get("S", 0.0),
             )
+        )
     except KeyError as exc:
         raise SweepConfigError(f"gate {gate!r} is missing parameter {exc.args[0]!r}") from None
     except ValueError as exc:
         if isinstance(exc, SweepConfigError):
             raise
         raise SweepConfigError(str(exc)) from None
-    raise SweepConfigError(f"unknown gate kind {gate!r}")
 
 
 def _evaluate_point(task: tuple[SweepConfig, float]) -> list[SweepRow]:
@@ -189,9 +192,10 @@ def _evaluate_point(task: tuple[SweepConfig, float]) -> list[SweepRow]:
             thr = input_threshold(model, config.phase_options)
             in_thr = thr.value
             warnings.extend(thr.warnings)
+        sectors = metrics.hom_sectors(model)
         rows = []
         for p in config.p_values:
-            res = hom_element_for_gate(model, InputSpec(p, p))
+            res = sector_element(sectors, InputSpec(p, p))
             rows.append(SweepRow(
                 param=config.sweep_param,
                 value=float(value),
@@ -274,21 +278,23 @@ def render_json(rows: Iterable[SweepRow]) -> str:
     return json.dumps([clean(r) for r in rows], indent=2) + "\n"
 
 
-def emit(rows: Sequence[SweepRow], out_format: str, path: str | None):
-    """Write rows as UTF-8 with LF line endings; path None → stdout."""
-    if out_format == "csv":
-        text = render_csv(rows)
-    elif out_format == "json":
-        text = render_json(rows)
-    else:
-        raise SweepConfigError(f"unknown output format {out_format!r}")
+def write_text(text: str, path: str | None):
+    """Write text as UTF-8 with LF line endings; path None → stdout."""
     if path is None:
-        import sys
-
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def emit(rows: Sequence[SweepRow], out_format: str, path: str | None):
+    """Write rows as CSV or JSON through :func:`write_text`."""
+    if out_format == "csv":
+        write_text(render_csv(rows), path)
+    elif out_format == "json":
+        write_text(render_json(rows), path)
+    else:
+        raise SweepConfigError(f"unknown output format {out_format!r}")
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +315,6 @@ def find_optimum(
     free: Mapping[str, tuple[float, float]],
     p: float = 1.0,
     grid: int = 15,
-    refine: bool = True,
 ) -> OptimumResult:
     """Maximize the p-input bunching element over 1–2 free parameters.
 
@@ -340,19 +345,15 @@ def find_optimum(
         v = objective(pt)
         if v > best_val:
             best_val, best_pt = v, pt
-    if refine:
-        from scipy.optimize import minimize
-
-        bounds = [free[k] for k in names]
-        res = minimize(
-            lambda x: -objective(x),
-            list(best_pt),
-            method="Nelder-Mead",
-            bounds=bounds,
-            options=dict(xatol=1e-5, fatol=1e-10, maxiter=400),
-        )
-        if -res.fun > best_val:
-            best_val, best_pt = -float(res.fun), tuple(float(x) for x in res.x)
+    res = minimize(
+        lambda x: -objective(x),
+        list(best_pt),
+        method="Nelder-Mead",
+        bounds=[free[k] for k in names],
+        options=dict(xatol=1e-5, fatol=1e-10, maxiter=400),
+    )
+    if -res.fun > best_val:
+        best_val, best_pt = -float(res.fun), tuple(float(x) for x in res.x)
     at_boundary = []
     for name, x in zip(names, best_pt):
         lo, hi = free[name]

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .fock import coherent_hom_element
-from .gates import GateModel, ideal_gate_model
+from .gates import GateModel, as_gate_model
 from .metrics import coherent_coefficient, coherent_jets
 
 _CONVERGENCE_TOL = 1e-6
+_SIMPLEX_TOL = 1e-8  # xatol and fatol of each amplitude refinement
+_SIMPLEX_ITERATIONS = 200
 ACCURACY_WARNING = "phase average not converged after two sample doublings"
 BOUNDARY_WARNING = "amplitude optimum hit the search-domain cap"
 
@@ -43,8 +44,6 @@ class PhaseAverageOptions:
     phase_samples: int = 64
     domain: float = 6.0
     coarse_grid: int = 25
-    simplex_iterations: int = 200
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.phase_samples < 16 or self.phase_samples % 2:
@@ -53,8 +52,6 @@ class PhaseAverageOptions:
             raise ValueError("amplitude domain bound must be at least 4")
         if self.coarse_grid < 2:
             raise ValueError("coarse grid needs at least 2 points per axis")
-        if self.simplex_iterations < 1 or self.tolerance <= 0:
-            raise ValueError("invalid refinement settings")
 
 
 @dataclass(frozen=True)
@@ -74,22 +71,14 @@ def output_threshold() -> float:
 
 def verify_output_threshold(grid_points: int = 200, amplitude_max: float = 4.0) -> float:
     """Brute-force sup of the coherent element over an amplitude grid
-    with the optimal phase choice (α real, β imaginary)."""
+    with the optimal phase choice α = a real, β = ib imaginary, where it
+    is ¼(a² + b²)²·e^{−a²−b²}."""
     amps = np.linspace(0.0, amplitude_max, grid_points)
     best = 0.0
     for a in amps:
         vals = 0.25 * np.exp(-a * a - amps * amps) * (a * a + amps * amps) ** 2
         best = max(best, float(vals.max()))
-    # the vectorized row above is |a² - (ib)²|² expanded; spot-check the
-    # closed form on the winning corner class
-    assert abs(coherent_hom_element(math.sqrt(2.0), 0.0) - 0.25 * 4.0 * math.exp(-2.0)) < 1e-12
     return best
-
-
-def _as_model(model: GateModel | float) -> GateModel:
-    if isinstance(model, GateModel):
-        return model
-    return ideal_gate_model(float(model))
 
 
 class _AveragedElement:
@@ -125,7 +114,7 @@ def phase_averaged_element(
     phase_offset: float = 0.0,
 ) -> float:
     """M^av at one amplitude pair; exposed for convergence diagnostics."""
-    return _AveragedElement(_as_model(model), phase_samples, phase_offset)(R_a, R_b)
+    return _AveragedElement(as_gate_model(model), phase_samples, phase_offset)(R_a, R_b)
 
 
 def _maximize(objective, opts: PhaseAverageOptions) -> tuple[float, tuple[float, float], bool]:
@@ -143,11 +132,7 @@ def _maximize(objective, opts: PhaseAverageOptions) -> tuple[float, tuple[float,
             [ra, rb],
             method="Nelder-Mead",
             bounds=[(0.0, opts.domain), (0.0, opts.domain)],
-            options=dict(
-                xatol=opts.tolerance,
-                fatol=opts.tolerance,
-                maxiter=opts.simplex_iterations,
-            ),
+            options=dict(xatol=_SIMPLEX_TOL, fatol=_SIMPLEX_TOL, maxiter=_SIMPLEX_ITERATIONS),
         )
         if -res.fun > best_val:
             best_val, best_arg = -float(res.fun), (float(res.x[0]), float(res.x[1]))
@@ -167,7 +152,7 @@ def input_threshold(
     converge attaches an accuracy warning instead of raising.  The
     threshold depends only on the gate, never on the input mixture.
     """
-    gate = _as_model(model)
+    gate = as_gate_model(model)
     samples = opts.phase_samples
     value, argmax, hit_cap = _maximize(_AveragedElement(gate, samples), opts)
     converged = False

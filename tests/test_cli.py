@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import qnd_hom.cli
 import qnd_hom.metrics
 from qnd_hom.cli import build_parser, main, parse_config_file
 from qnd_hom.sweep import CSV_HEADER, SweepConfigError
@@ -171,6 +172,81 @@ def test_config_comments_and_types(tmp_path):
     assert settings["p"] == (1.0, 0.5, 0.25)
     assert settings["input_threshold"] is True
     assert settings["G"] == 0.9
+
+
+def test_misspelled_config_key_rejected_with_hint(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("g = 0.06\nkapa_tau = 100\neta = 0.9\n")
+    code, out, err = run_cli(capsys, "atom-light", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "'kapa_tau'" in err and "did you mean 'kappa_tau'" in err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (("optimum", "--gate", "ideal", "--free", "G=0.2:2"), "p = 1\n"),
+        (("ideal", "--G", "0.9"), "coarse_grid = 3\n"),
+        (("threshold", "--gate", "ideal", "--G", "0.9"), "coarse_grid = 3\n"),
+        (("threshold", "--gate", "ideal", "--G", "0.9"), "jobs = 2\n"),
+        (("ideal", "--G", "0.9"), "kappa_tau = 100\n"),
+    ],
+)
+def test_config_key_unused_by_subcommand_rejected(tmp_path, capsys, command, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert repr(text.split(" =")[0]) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimum", "--gate", "ideal", "--free", "G=0.2:2", "--jobs", "2"),
+        ("optimum", "--gate", "ideal", "--free", "G=0.2:2", "--phase-samples", "16"),
+        ("threshold", "--gate", "ideal", "--G", "0.9", "--format", "csv"),
+        ("threshold", "--gate", "ideal", "--G", "0.9", "--jobs", "2"),
+    ],
+)
+def test_flag_unused_by_subcommand_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert argv[-2] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("threshold", "--gate", "ideal", "--G", "0.9", "--T", "0.3"),
+        ("optimum", "--gate", "ideal", "--free", "T=0:1"),
+    ],
+)
+def test_parameter_of_another_gate_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "'T'" in err
+
+
+def test_jobs_precedence_env_file_flag(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def fake_run_sweep(config):
+        seen.append(config.jobs)
+        return []
+
+    monkeypatch.setattr(qnd_hom.cli, "run_sweep", fake_run_sweep)
+    monkeypatch.setenv("QND_HOM_JOBS", "2")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("jobs = 3\n")
+    for extra in ((), ("--config", str(cfg)), ("--config", str(cfg), "--jobs", "4")):
+        code, _, _ = run_cli(capsys, "ideal", "--G", "0.9", *extra)
+        assert code == 0
+    assert seen == [2, 3, 4]
 
 
 # ----------------------------------------------------------------------

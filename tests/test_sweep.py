@@ -9,6 +9,7 @@ import pytest
 import qnd_hom.metrics
 import qnd_hom.sweep
 from qnd_hom.fock import QND_11_ARGMAX, closed_form_qnd_11
+from qnd_hom.metrics import InputSpec, hom_element_for_gate
 from qnd_hom.sweep import (
     CSV_HEADER,
     PRESETS,
@@ -68,6 +69,18 @@ def test_rejects_bad_p():
 def test_missing_required_parameter():
     with pytest.raises(SweepConfigError):
         build_model("atom-light", {"g": 0.06})  # no kappa_tau
+
+
+def test_build_model_rejects_foreign_parameter():
+    # one name check covers sweeps, thresholds and optimum searches alike
+    with pytest.raises(SweepConfigError, match="'T'"):
+        build_model("ideal", {"G": 0.9, "T": 0.3})
+    with pytest.raises(SweepConfigError, match="'Gamma'"):
+        build_model("atom-light", {"g": 0.06, "kappa_tau": 100.0, "Gamma": 1e-3})
+    with pytest.raises(SweepConfigError, match="unknown gate kind"):
+        build_model("nonsense", {})
+    with pytest.raises(SweepConfigError, match="'T'"):
+        find_optimum("ideal", {}, {"T": (0.0, 1.0)}, grid=3)
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +177,28 @@ def test_hom_err_is_zero_and_empty_on_failure_rows(monkeypatch):
     assert math.isnan(bad.hom) and bad.hom_err is None
     assert "outside [0, 1]" in bad.warnings
     assert render_csv([bad]).split("\n")[1].split(",")[4] == ""
+
+
+def test_sectors_computed_once_per_grid_point(monkeypatch):
+    # every p row of a grid point combines the same four sectors
+    calls = []
+    real = qnd_hom.metrics.hom_sectors
+
+    def counted(model):
+        calls.append(1)
+        return real(model)
+
+    monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", counted)
+    config = SweepConfig(
+        gate="atom-light", sweep_param="g", start=0.02, stop=0.12, points=6,
+        fixed={"kappa_tau": 100.0, "eta": 0.9}, p_values=(1.0, 0.78, 0.55, 0.4),
+    )
+    rows = run_sweep(config)
+    assert len(rows) == 24
+    assert len(calls) == 6
+    for row in rows:
+        model = build_model("atom-light", {"g": row.value, "kappa_tau": 100.0, "eta": 0.9})
+        assert row.hom == hom_element_for_gate(model, InputSpec(row.p, row.p)).value
 
 
 def test_csv_empty_is_header_only():
