@@ -5,7 +5,8 @@ Gaussian noise: an atomic ensemble coupled to a traveling light pulse,
 a mechanical oscillator read out by the same kind of pulse, and the
 cascaded atom-mechanical gate where the pulse mediates an effective
 direct interaction between the two matter systems (feedforward makes
-the two gains equal by construction).
+the two gains equal by construction).  The atom-light gate is the
+optomechanical pulse gate without rethermalization (Γ = 0).
 
 Each builder expresses the output quadratures (X_a, P_a, X_b, P_b) as
 rows of a coefficient matrix A over a vector z of scalar quadrature
@@ -16,8 +17,7 @@ pairwise overlaps go through :func:`qnd_hom.modes.orthogonalize_noise_modes`
 so that covariances are assembled over independent unit-variance
 latents.  Because every flat-top signal/mediator mode precedes the
 auxiliary modes of its family, the first four latent slots always
-coincide with the physical signal quadratures — input states and
-per-term thermal variances are injected there.
+coincide with the physical signal quadratures.
 
 All rates are in units of the cavity decay κ (κ_A = κ_M = κ = 1) and
 times in units of 1/κ; ``kappa_tau`` is the dimensionless pulse length.
@@ -26,17 +26,14 @@ times in units of 1/κ; ``kappa_tau`` is the dimensionless pulse length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gaussian import check_physical, qnd_matrix
 from .modes import NoiseModeBasis, apply_squeezing, orthogonalize_noise_modes
-
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 
 
 # ----------------------------------------------------------------------
@@ -48,6 +45,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _require_finite(params) -> None:
+    for f in fields(params):
+        _require(math.isfinite(getattr(params, f.name)), f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class AtomLightParams:
     g_over_kappa: float
@@ -55,6 +57,7 @@ class AtomLightParams:
     eta: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.g_over_kappa > 0, "g_over_kappa must be positive")
         _require(self.kappa_tau > 0, "kappa_tau must be positive")
         _require(0.0 < self.eta <= 1.0, "eta must lie in (0, 1]")
@@ -68,6 +71,7 @@ class OptomechParams:
     Gamma_over_kappa: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.g_over_kappa > 0, "g_over_kappa must be positive")
         _require(self.kappa_tau > 0, "kappa_tau must be positive")
         _require(0.0 < self.eta <= 1.0, "eta must lie in (0, 1]")
@@ -84,6 +88,7 @@ class AtomMechParams:
     squeezing_db: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.gA_over_kappa > 0, "gA_over_kappa must be positive")
         _require(self.gM_over_kappa > 0, "gM_over_kappa must be positive")
         _require(self.kappa_tau > 0, "kappa_tau must be positive")
@@ -158,24 +163,6 @@ def atom_light_constants(kappa_tau: float) -> PulseGateConstants:
     return PulseGateConstants(tau, K1, L, L1, Kf, Kf1, Kff1, M, M1, theta)
 
 
-def atom_light_constants_quadrature(kappa_tau: float) -> PulseGateConstants:
-    """Same constants via adaptive quadrature of the defining integrals."""
-    tau = float(kappa_tau)
-    st = math.sqrt(tau)
-    K1 = math.sqrt(quad(lambda t: math.exp(-2.0 * (tau - t)), 0, tau, **_QUAD_KW)[0])
-    f1 = lambda t: 2.0 * (1.0 - math.exp(-(tau - t))) / st
-    L = math.sqrt(quad(lambda t: f1(t) ** 2, 0, tau, **_QUAD_KW)[0])
-    L1 = math.sqrt(quad(lambda t: (f1(t) / L - 1.0 / st) ** 2, 0, tau, **_QUAD_KW)[0])
-    Kf = quad(lambda t: math.exp(-(tau - t)) / st, 0, tau, **_QUAD_KW)[0]
-    Kf1 = quad(lambda t: (f1(t) / L - 1.0 / st) / st, 0, tau, **_QUAD_KW)[0]
-    Kff1 = quad(lambda t: math.exp(-(tau - t)) * (f1(t) / L - 1.0 / st), 0, tau, **_QUAD_KW)[0]
-    w3 = lambda s: s - 1.0 + math.exp(-s)
-    M = math.sqrt(2.0 / tau * quad(lambda s: w3(s) ** 2, 0, tau, **_QUAD_KW)[0])
-    M1 = math.sqrt(2.0 / tau) * quad(w3, 0, tau, **_QUAD_KW)[0]
-    theta = quad(lambda s: math.exp(-s), 0, tau, **_QUAD_KW)[0]
-    return PulseGateConstants(tau, K1, L, L1, Kf, Kf1, Kff1, M, M1, theta)
-
-
 def atom_mech_constants(kappa_tau: float) -> AtomMechConstants:
     """Closed-form constants of the cascaded atom-mechanical gate."""
     _require(kappa_tau > 0, "kappa_tau must be positive")
@@ -192,25 +179,6 @@ def atom_mech_constants(kappa_tau: float) -> AtomMechConstants:
     return AtomMechConstants(tau, K1, K2, K3, K4, K5, K6, K7, E)
 
 
-def atom_mech_constants_quadrature(kappa_tau: float) -> AtomMechConstants:
-    """Same constants via adaptive quadrature of the mode weights."""
-    tau = float(kappa_tau)
-    w1 = lambda s: 1.0 - 2.0 * math.exp(-s)
-    w2 = lambda s: 1.0 - math.exp(-s)
-    w3 = lambda s: s - 1.0 + math.exp(-s)
-    w5 = lambda s: 1.0 - 4.0 * s * math.exp(-s)
-    w6 = lambda s: 1.0 - math.exp(-s) * (2.0 * s + 1.0)
-    norm = lambda w: 1.0 / math.sqrt(quad(lambda s: w(s) ** 2, 0, tau, **_QUAD_KW)[0])
-    K4 = quad(w3, 0, tau, **_QUAD_KW)[0]
-    K7 = quad(lambda s: w2(s) * w5(s), 0, tau, **_QUAD_KW)[0]
-    em = math.exp(-tau)
-    E = em * (tau + 2.0) + tau - 2.0
-    return AtomMechConstants(tau, norm(w1), norm(w2), norm(w3), K4, norm(w5), norm(w6), K7, E)
-
-
-GateConstants = PulseGateConstants | AtomMechConstants
-
-
 # ----------------------------------------------------------------------
 # Gate models
 # ----------------------------------------------------------------------
@@ -219,21 +187,13 @@ GateConstants = PulseGateConstants | AtomMechConstants
 class GateModel:
     """Linear output map of one gate over its correlated mode vector z.
 
-    ``output_matrix`` rows are (X_a, P_a, X_b, P_b); subsystem a/b per
-    ``kind``.  ``signal_slots`` names the z entries carrying the two
-    input systems (and the mediator where present); these always occupy
-    the first latent slots unchanged, so downstream code may inject
-    input-state variances directly on latents 0..3.
+    ``output_matrix`` rows are (X_a, P_a, X_b, P_b).  The z entries of
+    the two input systems occupy the first four latent slots unchanged.
     """
 
-    kind: str
     output_matrix: np.ndarray
     basis: NoiseModeBasis
     gains: Mapping[str, float]
-    constants: GateConstants | None = None
-    signal_slots: Mapping[str, tuple[int, ...]] = field(
-        default_factory=lambda: {"a": (0, 1), "b": (2, 3)}
-    )
 
     def __post_init__(self):
         A = np.asarray(self.output_matrix, dtype=float)
@@ -245,10 +205,6 @@ class GateModel:
             if abs(row[i] - 1.0) > 1e-12 or np.any(np.abs(np.delete(row, i)) > 1e-12):
                 raise ValueError("signal quadratures must be uncorrelated leading modes")
         check_physical(self.vacuum_output_cov, tol=1e-9)
-
-    @property
-    def n_latents(self) -> int:
-        return self.basis.n_modes
 
     @cached_property
     def latent_map(self) -> np.ndarray:
@@ -265,12 +221,7 @@ def ideal_gate_model(G: float) -> GateModel:
     """Noiseless QND gate with a single gain G (no extra modes)."""
     labels = ("X_a0", "P_a0", "X_b0", "P_b0")
     basis = NoiseModeBasis(labels, np.eye(4), np.eye(4))
-    return GateModel(
-        kind="ideal",
-        output_matrix=qnd_matrix(G),
-        basis=basis,
-        gains={"G": float(G)},
-    )
+    return GateModel(qnd_matrix(G), basis, {"G": float(G)})
 
 
 def as_gate_model(model: GateModel | float) -> GateModel:
@@ -278,11 +229,29 @@ def as_gate_model(model: GateModel | float) -> GateModel:
     return model if isinstance(model, GateModel) else ideal_gate_model(float(model))
 
 
-def _pulse_rows(g: float, tau: float, eta: float, c: PulseGateConstants, n_modes: int) -> tuple[np.ndarray, dict]:
-    """Shared atom-light/optomech rows; matter mode a, light mode b.
+_PULSE_LABELS = (
+    "X_a0", "P_a0", "X_L0", "Y_L0", "X_0f1", "Y_0k", "Y_0f1",
+    "x_c", "p_c", "x_v", "p_v", "zeta_XM", "zeta_PM", "zeta_XMf",
+)
 
-    z[0..10]: X_a0, P_a0, X_L0, Y_L0, X_0f1, Y_0k, Y_0f1, x_c, p_c, x_v, p_v.
+
+def build_atom_light_gate(params: AtomLightParams) -> GateModel:
+    """Atomic ensemble (mode a) entangled with a traveling pulse (mode b):
+    the pulse gate of :func:`build_optomech_gate` at Γ = 0."""
+    return build_optomech_gate(OptomechParams(params.g_over_kappa, params.kappa_tau, params.eta))
+
+
+def build_optomech_gate(params: OptomechParams) -> GateModel:
+    """Mechanical oscillator (mode a) entangled with a traveling pulse
+    (mode b), with rethermalization forces at rate Γ = γ·n_th.
+
+    z: X_a0, P_a0, X_L0, Y_L0, X_0f1, Y_0k, Y_0f1, x_c, p_c, x_v, p_v,
+    zeta_XM, zeta_PM, zeta_XMf.
     """
+    g, tau, eta, Gamma = (
+        params.g_over_kappa, params.kappa_tau, params.eta, params.Gamma_over_kappa,
+    )
+    c = atom_light_constants(tau)
     em = math.exp(-tau)
     GA = g * math.sqrt(2.0 * tau)
     GL = GA * math.sqrt(eta) * (1.0 - (1.0 - em) / tau)
@@ -290,63 +259,33 @@ def _pulse_rows(g: float, tau: float, eta: float, c: PulseGateConstants, n_modes
     theta = g * c.theta
     s_cav = math.sqrt(2.0 * eta) * (1.0 - em) / math.sqrt(tau)
     s_loss = math.sqrt(1.0 - eta)
-    A = np.zeros((4, n_modes))
+    A = np.zeros((4, 14))
     A[0, 0] = 1.0
+    A[0, 11] = math.sqrt(2.0 * Gamma * tau)
     A[1, 1] = 1.0
     A[1, 3] = -GA
     A[1, 8] = -theta
     A[1, 5] = GA * c.K1 / math.sqrt(tau)
+    A[1, 12] = math.sqrt(2.0 * Gamma * tau)
     A[2, 2] = TL
     A[2, 0] = GL
     A[2, 9] = s_loss
     A[2, 7] = s_cav
     A[2, 4] = math.sqrt(eta) * c.L * c.L1
+    A[2, 13] = math.sqrt(eta) * math.sqrt(2.0 * Gamma) * g * c.M
     A[3, 3] = TL
     A[3, 10] = s_loss
     A[3, 8] = s_cav
     A[3, 6] = math.sqrt(eta) * c.L * c.L1
-    return A, {"G_A": GA, "G_L": GL, "T_L": TL, "theta": theta}
-
-
-_PULSE_LABELS = (
-    "X_a0", "P_a0", "X_L0", "Y_L0", "X_0f1", "Y_0k", "Y_0f1",
-    "x_c", "p_c", "x_v", "p_v",
-)
-
-
-def _pulse_overlaps(c: PulseGateConstants) -> dict[tuple[str, str], float]:
-    return {
+    overlaps = {
         ("X_L0", "X_0f1"): c.Kf1 / c.L1,
         ("Y_L0", "Y_0k"): c.Kf / c.K1,
         ("Y_L0", "Y_0f1"): c.Kf1 / c.L1,
         ("Y_0k", "Y_0f1"): c.Kff1 / (c.L1 * c.K1),
+        ("zeta_XM", "zeta_XMf"): c.M1 / (math.sqrt(tau) * c.M),
     }
-
-
-def build_atom_light_gate(params: AtomLightParams) -> GateModel:
-    """Atomic ensemble (mode a) entangled with a traveling pulse (mode b)."""
-    c = atom_light_constants(params.kappa_tau)
-    A, gains = _pulse_rows(params.g_over_kappa, params.kappa_tau, params.eta, c, 11)
-    basis = orthogonalize_noise_modes(_PULSE_LABELS, _pulse_overlaps(c))
-    return GateModel("atom_light", A, basis, gains, constants=c)
-
-
-def build_optomech_gate(params: OptomechParams) -> GateModel:
-    """Mechanical oscillator (mode a) entangled with a traveling pulse
-    (mode b), with rethermalization forces at rate Γ = γ·n_th."""
-    g, tau, eta, Gamma = (
-        params.g_over_kappa, params.kappa_tau, params.eta, params.Gamma_over_kappa,
-    )
-    c = atom_light_constants(tau)
-    A, gains = _pulse_rows(g, tau, eta, c, 14)
-    A[0, 11] = math.sqrt(2.0 * Gamma * tau)
-    A[1, 12] = math.sqrt(2.0 * Gamma * tau)
-    A[2, 13] = math.sqrt(eta) * math.sqrt(2.0 * Gamma) * g * c.M
-    labels = _PULSE_LABELS + ("zeta_XM", "zeta_PM", "zeta_XMf")
-    overlaps = _pulse_overlaps(c)
-    overlaps[("zeta_XM", "zeta_XMf")] = c.M1 / (math.sqrt(tau) * c.M)
-    basis = orthogonalize_noise_modes(labels, overlaps)
-    return GateModel("optomech", A, basis, gains, constants=c)
+    basis = orthogonalize_noise_modes(_PULSE_LABELS, overlaps)
+    return GateModel(A, basis, {"G_A": GA, "G_L": GL, "T_L": TL, "theta": theta})
 
 
 _ATOM_MECH_LABELS = (
@@ -358,14 +297,15 @@ _ATOM_MECH_LABELS = (
 )
 
 
-def build_atom_mech_gate(params: AtomMechParams, convention: str = "squeeze_p") -> GateModel:
+def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
     """Symmetric atom-mechanical gate mediated by a light pulse.
 
     Subsystem a is the atomic ensemble, b the mechanical oscillator;
     after feedforward both cross gains equal 𝔊 = 2·gA·gM·√η·E(τ)
     (equivalently gA·gM·√η·τ·[1+e^{-τ}-(2/τ)(1-e^{-τ})]).  The mediator
     pulse enters through the temporal modes X_in, X_in_f, P_in, which
-    carry the initial squeezing.
+    carry the initial squeezing (P_in squeezed, X_in, X_in_f
+    anti-squeezed).
     """
     gA, gM = params.gA_over_kappa, params.gM_over_kappa
     tau, eta, Gamma = params.kappa_tau, params.eta, params.Gamma_over_kappa
@@ -404,11 +344,5 @@ def build_atom_mech_gate(params: AtomMechParams, convention: str = "squeeze_p") 
         mediator_p=("P_in",),
     )
     if params.squeezing_db > 0.0:
-        basis = apply_squeezing(basis, params.squeezing_db, convention)
-    slots = {"a": (0, 1), "b": (2, 3), "mediator": (4, 5, 6)}
-    return GateModel(
-        "atom_mech", A, basis,
-        gains={"gain": gain, "K_f": Kf},
-        constants=c,
-        signal_slots=slots,
-    )
+        basis = apply_squeezing(basis, params.squeezing_db)
+    return GateModel(A, basis, {"gain": gain, "K_f": Kf})

@@ -10,9 +10,7 @@ overlaps into an explicit lower-triangular transform C with Σ₀ = C Cᵀ:
 each auxiliary mode is decomposed sequentially into its component along
 the flat-top mode (coefficient = the stated overlap) plus an
 orthogonal remainder, so downstream covariances can be assembled over
-independent unit-variance latent modes and non-vacuum states (thermal
-terms, squeezed mediator input) can be injected on the flat-top slot
-consistently.
+independent unit-variance latent modes.
 
 Broadband mediator squeezing rescales the variances — and, by the same
 factor, the co-quadrature cross-correlations — of the mediator-derived
@@ -74,20 +72,22 @@ def gram_cholesky(gram: np.ndarray, labels: Sequence[str]) -> np.ndarray:
         raise OverlapConsistencyError("overlap matrix is not symmetric")
     L = np.zeros((n, n))
     for k in range(n):
-        d = gram[k, k] - float(L[k, :k] @ L[k, :k])
+        row = L[k, :k]
+        d = gram[k, k] - float(np.dot(row, row))
         if d < -_PSD_TOL:
-            j = int(np.argmax(np.abs(L[k, :k]))) if k else 0
+            j = int(np.argmax(np.abs(row))) if k else 0
             raise OverlapConsistencyError(
                 f"stated overlaps are numerically impossible: mode {labels[k]!r} "
                 f"has residual variance {d:.3e} after removing its correlated "
                 f"components; strongest conflict is the "
                 f"({labels[j]!r}, {labels[k]!r}) pair"
             )
-        L[k, k] = math.sqrt(d) if d > _DEGENERACY_TOL else 0.0
+        pivot = math.sqrt(d) if d > _DEGENERACY_TOL else 0.0
+        L[k, k] = pivot
         for i in range(k + 1, n):
-            off = gram[i, k] - float(L[i, :k] @ L[k, :k])
-            if L[k, k] > 0.0:
-                L[i, k] = off / L[k, k]
+            off = gram[i, k] - float(np.dot(L[i, :k], row))
+            if pivot > 0.0:
+                L[i, k] = off / pivot
             elif abs(off) > _PSD_TOL:
                 raise OverlapConsistencyError(
                     f"mode {labels[k]!r} is fully determined by earlier modes, "
@@ -113,7 +113,6 @@ class NoiseModeBasis:
     transform: np.ndarray
     mediator_x: tuple[str, ...] = ()
     mediator_p: tuple[str, ...] = ()
-    squeezing_db: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -136,13 +135,6 @@ class NoiseModeBasis:
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
-
-    def correlation(self, a: str, b: str) -> float:
-        return float(self.sigma0[self.index(a), self.index(b)])
-
-    def correlation_matrix(self) -> np.ndarray:
-        """Reconstruction C Cᵀ — must match sigma0 (pinned in tests)."""
-        return self.transform @ self.transform.T
 
 
 def orthogonalize_noise_modes(
@@ -174,37 +166,27 @@ def squeezing_factor(squeezing_db: float) -> float:
     return math.exp(-2.0 * r)
 
 
-def apply_squeezing(
-    basis: NoiseModeBasis,
-    squeezing_db: float,
-    convention: str = "squeeze_p",
-) -> NoiseModeBasis:
+def apply_squeezing(basis: NoiseModeBasis, squeezing_db: float) -> NoiseModeBasis:
     """Broadband squeezing of the mediator input pulse.
 
     Scales the variance of every mediator-derived temporal mode by
-    e^{-2r} on the squeezed quadrature family and e^{+2r} on its
-    conjugate, r = squeezing_db·ln(10)/20; co-quadrature
-    cross-correlations scale by the same factor (frequency-flat
-    squeezing over the pulse band).  The default convention squeezes
-    the P family — the assignment under which mediator squeezing
-    actually improves the bunching element (the alternate assignment
-    only degrades it; both are exposed for comparison).  Loss vacua,
-    intracavity initials and thermal-force modes are never squeezed.
+    e^{-2r} on the P family and e^{+2r} on the X family,
+    r = squeezing_db·ln(10)/20; co-quadrature cross-correlations scale
+    by the same factor (frequency-flat squeezing over the pulse band).
+    Squeezing P is the assignment under which mediator squeezing
+    improves the bunching element.  Loss vacua, intracavity initials
+    and thermal-force modes are never squeezed.
     """
     if squeezing_db < 0.0:
         raise ValueError("squeezing_db must be non-negative")
-    if convention not in ("squeeze_p", "squeeze_x"):
-        raise ValueError("convention must be 'squeeze_p' or 'squeeze_x'")
     if squeezing_db == 0.0:
         return basis
-    f_minus = squeezing_factor(squeezing_db)          # e^{-2r}
-    f_plus = 1.0 / f_minus                            # e^{+2r}
-    fx, fp = (f_plus, f_minus) if convention == "squeeze_p" else (f_minus, f_plus)
+    fp = squeezing_factor(squeezing_db)  # e^{-2r}
     scale = np.ones(basis.n_modes)
     for lab in basis.mediator_x:
-        scale[basis.index(lab)] = math.sqrt(fx)
+        scale[basis.index(lab)] = math.sqrt(1.0 / fp)
     for lab in basis.mediator_p:
         scale[basis.index(lab)] = math.sqrt(fp)
     sigma = scale[:, None] * basis.sigma0 * scale[None, :]
     C = gram_cholesky(sigma, basis.labels)
-    return replace(basis, sigma0=sigma, transform=C, squeezing_db=float(squeezing_db))
+    return replace(basis, sigma0=sigma, transform=C)

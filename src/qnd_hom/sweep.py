@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import metrics  # hom_sectors is looked up here, where tests substitute it
 from .gaussian import NumericalDomainError, bs_matrix
@@ -38,7 +37,7 @@ from .gates import (
     ideal_gate_model,
 )
 from .metrics import InputSpec, hom_element_for_gate, sector_element
-from .thresholds import PhaseAverageOptions, input_threshold, output_threshold
+from .thresholds import PhaseAverageOptions, input_threshold, maximize_on_box, output_threshold
 
 GATE_KINDS = ("ideal", "bs", "atom-light", "optomech", "atom-mech")
 
@@ -144,9 +143,7 @@ def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
         if gate == "bs":
             # the ideal gate's two signal modes under the beam-splitter map
             T = values["T"]
-            return replace(
-                ideal_gate_model(0.0), kind="bs", output_matrix=bs_matrix(T), gains={"T": T}
-            )
+            return replace(ideal_gate_model(0.0), output_matrix=bs_matrix(T), gains={"T": T})
         if gate == "atom-light":
             return build_atom_light_gate(
                 AtomLightParams(values["g"], values["kappa_tau"], values.get("eta", 1.0))
@@ -327,33 +324,21 @@ def find_optimum(
     for name, (lo, hi) in free.items():
         if not hi > lo:
             raise SweepConfigError(f"empty range for free parameter {name!r}")
+        if name in fixed:
+            raise SweepConfigError(f"parameter {name!r} is both fixed and free")
+    if grid < 1:
+        raise SweepConfigError("grid must be at least 1")
 
-    def objective(point: Sequence[float]) -> float:
+    def objective(*point: float) -> float:
         values = dict(fixed)
         for name, x in zip(names, point):
             values[name] = float(x)
         model = build_model(gate, values)
         return hom_element_for_gate(model, InputSpec(p, p)).value
 
-    axes = [np.linspace(lo, hi, grid) for lo, hi in (free[k] for k in names)]
-    best_val, best_pt = -np.inf, None
-    if len(names) == 1:
-        candidates = [(x,) for x in axes[0]]
-    else:
-        candidates = [(x, y) for x in axes[0] for y in axes[1]]
-    for pt in candidates:
-        v = objective(pt)
-        if v > best_val:
-            best_val, best_pt = v, pt
-    res = minimize(
-        lambda x: -objective(x),
-        list(best_pt),
-        method="Nelder-Mead",
-        bounds=[free[k] for k in names],
-        options=dict(xatol=1e-5, fatol=1e-10, maxiter=400),
+    best_val, best_pt = maximize_on_box(
+        objective, [free[k] for k in names], grid, 1, xatol=1e-5, fatol=1e-10, maxiter=400
     )
-    if -res.fun > best_val:
-        best_val, best_pt = -float(res.fun), tuple(float(x) for x in res.x)
     at_boundary = []
     for name, x in zip(names, best_pt):
         lo, hi = free[name]
@@ -361,8 +346,8 @@ def find_optimum(
         if x - lo < margin or hi - x < margin:
             at_boundary.append(name)
     return OptimumResult(
-        argmax={name: float(x) for name, x in zip(names, best_pt)},
-        value=float(best_val),
+        argmax=dict(zip(names, best_pt)),
+        value=best_val,
         interior=not at_boundary,
         boundary_params=tuple(at_boundary),
     )

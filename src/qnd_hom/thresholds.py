@@ -21,6 +21,7 @@ one exp per phase point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ from .gates import GateModel, as_gate_model
 from .metrics import coherent_coefficient, coherent_jets
 
 _CONVERGENCE_TOL = 1e-6
+_COARSE_GRID = 25  # amplitude grid points per axis
 _SIMPLEX_TOL = 1e-8  # xatol and fatol of each amplitude refinement
 _SIMPLEX_ITERATIONS = 200
 ACCURACY_WARNING = "phase average not converged after two sample doublings"
@@ -43,15 +45,12 @@ class PhaseAverageOptions:
 
     phase_samples: int = 64
     domain: float = 6.0
-    coarse_grid: int = 25
 
     def __post_init__(self):
         if self.phase_samples < 16 or self.phase_samples % 2:
             raise ValueError("phase_samples must be even and at least 16")
-        if self.domain < 4.0:
-            raise ValueError("amplitude domain bound must be at least 4")
-        if self.coarse_grid < 2:
-            raise ValueError("coarse grid needs at least 2 points per axis")
+        if not (math.isfinite(self.domain) and self.domain >= 4.0):
+            raise ValueError("amplitude domain bound must be finite and at least 4")
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,10 @@ class _AveragedElement:
         self.u = np.einsum("ik,qkl,il->qi", circle, Q[:, :2, :2], circle)[:, :, None]
         self.v = np.einsum("ik,qkl,il->qi", circle, Q[:, 2:, 2:], circle)[:, None, :]
         self.w = circle @ Q[:, :2, 2:] @ circle.T
+        self.q = np.empty_like(self.w)  # reused: a fresh one per call can page-fault
 
     def __call__(self, R_a: float, R_b: float) -> float:
-        q = (2.0 * R_a * R_b) * self.w
+        q = np.multiply(2.0 * R_a * R_b, self.w, out=self.q)
         q += (R_a * R_a) * self.u
         q += (R_b * R_b) * self.v
         return float(coherent_coefficient(self.c, *q).mean())
@@ -117,25 +117,34 @@ def phase_averaged_element(
     return _AveragedElement(as_gate_model(model), phase_samples, phase_offset)(R_a, R_b)
 
 
-def _maximize(objective, opts: PhaseAverageOptions) -> tuple[float, tuple[float, float], bool]:
-    """Coarse grid + multi-start simplex; returns (max, argmax, hit_cap)."""
-    axis = np.linspace(0.0, opts.domain, opts.coarse_grid)
-    scores = []
-    for ra in axis:
-        for rb in axis:
-            scores.append((objective(ra, rb), ra, rb))
-    scores.sort(key=lambda t: -t[0])
-    best_val, best_arg = scores[0][0], (scores[0][1], scores[0][2])
-    for _, ra, rb in scores[:4]:
+def maximize_on_box(objective, box, points: int, starts: int, **simplex):
+    """Maximize ``objective(*x)`` over the box [(lo, hi), ...].
+
+    Scans ``points`` evenly spaced values per axis (first axis
+    outermost), then runs a bounded Nelder–Mead, with ``simplex`` as its
+    options, from each of the ``starts`` best grid points; equal grid
+    values keep grid order.  Returns (max, argmax).
+    """
+    axes = [np.linspace(lo, hi, points) for lo, hi in box]
+    scores = sorted(
+        ((objective(*x), x) for x in itertools.product(*axes)), key=lambda t: -t[0]
+    )
+    best_val, best_arg = scores[0]
+    for _, x0 in scores[:starts]:
         res = minimize(
-            lambda x: -objective(x[0], x[1]),
-            [ra, rb],
-            method="Nelder-Mead",
-            bounds=[(0.0, opts.domain), (0.0, opts.domain)],
-            options=dict(xatol=_SIMPLEX_TOL, fatol=_SIMPLEX_TOL, maxiter=_SIMPLEX_ITERATIONS),
+            lambda x: -objective(*x), list(x0), method="Nelder-Mead", bounds=box, options=simplex
         )
         if -res.fun > best_val:
-            best_val, best_arg = -float(res.fun), (float(res.x[0]), float(res.x[1]))
+            best_val, best_arg = -float(res.fun), tuple(res.x)
+    return float(best_val), tuple(float(x) for x in best_arg)
+
+
+def _maximize(objective, opts: PhaseAverageOptions) -> tuple[float, tuple[float, float], bool]:
+    """Coarse grid + multi-start simplex; returns (max, argmax, hit_cap)."""
+    best_val, best_arg = maximize_on_box(
+        objective, [(0.0, opts.domain)] * 2, _COARSE_GRID, 4,
+        xatol=_SIMPLEX_TOL, fatol=_SIMPLEX_TOL, maxiter=_SIMPLEX_ITERATIONS,
+    )
     hit_cap = max(best_arg) > opts.domain - 1e-3
     return best_val, best_arg, hit_cap
 

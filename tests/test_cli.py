@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, config files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,51 @@ def test_optimum_subcommand(capsys):
 def test_optimum_bad_free_spec(capsys):
     code, _, err = run_cli(capsys, "optimum", "--gate", "ideal", "--free", "G=oops")
     assert code == 1
+
+
+def test_optimum_empty_grid_is_config_error(capsys):
+    code, _, err = run_cli(capsys, "optimum", "--gate", "ideal", "--free", "G=0.2:2", "--grid", "0")
+    assert code == 1
+    assert "configuration error" in err and "grid" in err
+
+
+def test_optimum_parameter_fixed_and_free_rejected(capsys):
+    code, _, err = run_cli(
+        capsys, "optimum", "--gate", "ideal", "--fix", "G=0.5", "--free", "G=0.2:2"
+    )
+    assert code == 1
+    assert "configuration error" in err and "'G'" in err
+
+
+@pytest.mark.parametrize("domain", ["nan", "inf"])
+def test_threshold_non_finite_domain_rejected(capsys, domain):
+    code, out, err = run_cli(capsys, "threshold", "--gate", "ideal", "--G", "0.9", "--domain", domain)
+    assert code == 1
+    assert out == ""
+    assert "configuration error" in err and "domain" in err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("atom-light", "--g", "0.06", "--kappa-tau", "inf", "--eta", "0.9"), "kappa_tau"),
+    (("atom-light", "--g", "inf", "--kappa-tau", "100"), "g_over_kappa"),
+    (("atom-mech", "--g", "0.07", "--kappa-tau", "inf"), "kappa_tau"),
+    (("optomech", "--g", "0.06", "--kappa-tau", "100", "--Gamma", "inf"), "Gamma_over_kappa"),
+])
+def test_non_finite_gate_parameter_is_config_error(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"configuration error: {name} must be finite" in err
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    src = Path(qnd_hom.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, qnd_hom.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_preset_known_names(capsys):

@@ -1,16 +1,19 @@
 """Physical gate builders: constants, reductions, and symmetries."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qnd_hom.gates import (
     AtomLightParams,
+    AtomMechConstants,
     AtomMechParams,
     OptomechParams,
+    PulseGateConstants,
     atom_light_constants,
-    atom_light_constants_quadrature,
     atom_mech_constants,
-    atom_mech_constants_quadrature,
     build_atom_light_gate,
     build_atom_mech_gate,
     build_optomech_gate,
@@ -18,10 +21,46 @@ from qnd_hom.gates import (
 )
 from qnd_hom.gaussian import min_physicality_eig, qnd_matrix
 
+_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
+
 
 # ----------------------------------------------------------------------
 # Constants
 # ----------------------------------------------------------------------
+
+def atom_light_constants_quadrature(kappa_tau: float) -> PulseGateConstants:
+    """Same constants via adaptive quadrature of the defining integrals."""
+    tau = float(kappa_tau)
+    st = math.sqrt(tau)
+    K1 = math.sqrt(quad(lambda t: math.exp(-2.0 * (tau - t)), 0, tau, **_QUAD_KW)[0])
+    f1 = lambda t: 2.0 * (1.0 - math.exp(-(tau - t))) / st
+    L = math.sqrt(quad(lambda t: f1(t) ** 2, 0, tau, **_QUAD_KW)[0])
+    L1 = math.sqrt(quad(lambda t: (f1(t) / L - 1.0 / st) ** 2, 0, tau, **_QUAD_KW)[0])
+    Kf = quad(lambda t: math.exp(-(tau - t)) / st, 0, tau, **_QUAD_KW)[0]
+    Kf1 = quad(lambda t: (f1(t) / L - 1.0 / st) / st, 0, tau, **_QUAD_KW)[0]
+    Kff1 = quad(lambda t: math.exp(-(tau - t)) * (f1(t) / L - 1.0 / st), 0, tau, **_QUAD_KW)[0]
+    w3 = lambda s: s - 1.0 + math.exp(-s)
+    M = math.sqrt(2.0 / tau * quad(lambda s: w3(s) ** 2, 0, tau, **_QUAD_KW)[0])
+    M1 = math.sqrt(2.0 / tau) * quad(w3, 0, tau, **_QUAD_KW)[0]
+    theta = quad(lambda s: math.exp(-s), 0, tau, **_QUAD_KW)[0]
+    return PulseGateConstants(tau, K1, L, L1, Kf, Kf1, Kff1, M, M1, theta)
+
+
+def atom_mech_constants_quadrature(kappa_tau: float) -> AtomMechConstants:
+    """Same constants via adaptive quadrature of the mode weights."""
+    tau = float(kappa_tau)
+    w1 = lambda s: 1.0 - 2.0 * math.exp(-s)
+    w2 = lambda s: 1.0 - math.exp(-s)
+    w3 = lambda s: s - 1.0 + math.exp(-s)
+    w5 = lambda s: 1.0 - 4.0 * s * math.exp(-s)
+    w6 = lambda s: 1.0 - math.exp(-s) * (2.0 * s + 1.0)
+    norm = lambda w: 1.0 / math.sqrt(quad(lambda s: w(s) ** 2, 0, tau, **_QUAD_KW)[0])
+    K4 = quad(w3, 0, tau, **_QUAD_KW)[0]
+    K7 = quad(lambda s: w2(s) * w5(s), 0, tau, **_QUAD_KW)[0]
+    em = math.exp(-tau)
+    E = em * (tau + 2.0) + tau - 2.0
+    return AtomMechConstants(tau, norm(w1), norm(w2), norm(w3), K4, norm(w5), norm(w6), K7, E)
+
 
 def test_atom_light_constants_anchors():
     c = atom_light_constants(100.0)
@@ -175,7 +214,19 @@ def test_parameter_validation():
         AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 25.0)
 
 
-def test_signal_slots():
-    model = build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 7.0))
-    assert model.signal_slots["a"] == (0, 1)
-    assert model.signal_slots["b"] == (2, 3)
+@pytest.mark.parametrize("cls,args,name", [
+    (AtomLightParams, (math.inf, 100.0, 0.9), "g_over_kappa"),
+    (AtomLightParams, (0.06, math.inf, 0.9), "kappa_tau"),
+    (OptomechParams, (math.inf, 100.0, 0.9, 1e-3), "g_over_kappa"),
+    (OptomechParams, (0.06, math.inf, 0.9, 1e-3), "kappa_tau"),
+    (OptomechParams, (0.06, 100.0, 0.9, math.inf), "Gamma_over_kappa"),
+    (OptomechParams, (0.06, 100.0, 0.9, math.nan), "Gamma_over_kappa"),
+    (AtomMechParams, (math.inf, 0.07, 90.0, 0.9, 1e-4, 7.0), "gA_over_kappa"),
+    (AtomMechParams, (0.07, math.inf, 90.0, 0.9, 1e-4, 7.0), "gM_over_kappa"),
+    (AtomMechParams, (0.07, 0.07, math.inf, 0.9, 1e-4, 7.0), "kappa_tau"),
+    (AtomMechParams, (0.07, 0.07, 90.0, 0.9, math.inf, 7.0), "Gamma_over_kappa"),
+])
+def test_non_finite_parameter_rejected_by_name(cls, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        cls(*args)
+

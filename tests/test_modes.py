@@ -58,10 +58,10 @@ def test_orthogonalize_round_trip():
     overlaps = {("m1", "m2"): 0.4, ("m2", "m3"): 0.25}
     basis = orthogonalize_noise_modes(labels, overlaps)
     assert basis.n_modes == 3
-    corr = basis.correlation_matrix()
+    corr = basis.transform @ basis.transform.T
     assert corr[basis.index("m1"), basis.index("m2")] == pytest.approx(0.4, abs=1e-12)
     assert corr[basis.index("m2"), basis.index("m3")] == pytest.approx(0.25, abs=1e-12)
-    assert basis.correlation("m1", "m3") == pytest.approx(0.0, abs=1e-12)
+    assert basis.sigma0[basis.index("m1"), basis.index("m3")] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(np.diag(corr), 1.0, atol=1e-12)
 
 
@@ -83,7 +83,6 @@ def test_apply_squeezing_scales_mediator_families():
     assert squeezed.sigma0[ip, ip] == pytest.approx(f, abs=1e-12)
     assert squeezed.sigma0[ix, ix] == pytest.approx(1.0 / f, abs=1e-12)
     assert squeezed.sigma0[io, io] == pytest.approx(1.0, abs=1e-12)
-    assert squeezed.squeezing_db == 7.0
 
 
 def test_zero_squeezing_is_identity():
@@ -104,7 +103,7 @@ def test_squeezing_preserves_correlated_structure():
     i, j = squeezed.index("X_m"), squeezed.index("X_mf")
     # covariance scaled by 1/f uniformly on the X block
     assert squeezed.sigma0[i, j] == pytest.approx(0.6 / f, abs=1e-12)
-    corr = squeezed.correlation_matrix()
+    corr = squeezed.transform @ squeezed.transform.T
     gram = squeezed.transform @ squeezed.transform.T
     assert np.allclose(gram, squeezed.sigma0, atol=1e-12)
     assert corr[i, j] / np.sqrt(corr[i, i] * corr[j, j]) == pytest.approx(0.6, abs=1e-12)

@@ -27,7 +27,7 @@ def _terms(p, n):
 def _signed_sum(model, p, n):
     A = mpmath.matrix(model.latent_map.tolist())
     B = mpmath.matrix(bs_matrix(0.5).tolist())
-    vacuum = [mpmath.mpf(1)] * (model.n_latents - 4)
+    vacuum = [mpmath.mpf(1)] * (model.basis.n_modes - 4)
     projector = [
         (wk * wl, B * mpmath.diag([vk, vk, vl, vl]) * B.T)
         for wk, vk in _terms(1, n)

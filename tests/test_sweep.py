@@ -277,6 +277,13 @@ def test_find_optimum_validates_arity():
         find_optimum("ideal", {}, {"G": (0.5, 0.4)}, grid=3)
 
 
+def test_find_optimum_rejects_empty_grid_and_fixed_free_overlap():
+    with pytest.raises(SweepConfigError, match="grid must be at least 1"):
+        find_optimum("ideal", {}, {"G": (0.2, 2.0)}, grid=0)
+    with pytest.raises(SweepConfigError, match="'G' is both fixed and free"):
+        find_optimum("ideal", {"G": 0.5}, {"G": (0.2, 2.0)}, grid=3)
+
+
 # ----------------------------------------------------------------------
 # Presets
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from qnd_hom.thresholds import (
     ThresholdResult,
     find_crossing,
     input_threshold,
+    maximize_on_box,
     output_threshold,
     phase_averaged_element,
     verify_output_threshold,
@@ -27,8 +28,12 @@ def test_options_validation():
         PhaseAverageOptions(phase_samples=65)  # must be even
     with pytest.raises(ValueError):
         PhaseAverageOptions(domain=2.0)
-    with pytest.raises(ValueError):
-        PhaseAverageOptions(coarse_grid=1)
+
+
+@pytest.mark.parametrize("domain", [math.nan, math.inf])
+def test_options_reject_non_finite_domain(domain):
+    with pytest.raises(ValueError, match="finite"):
+        PhaseAverageOptions(domain=domain)
 
 
 def test_output_threshold_value():
@@ -98,16 +103,42 @@ def test_determinism_bit_identical():
     assert a.phase_samples == b.phase_samples
 
 
-def test_cap_detection_on_monotone_objective():
+def test_cap_detection_on_monotone_objective(monkeypatch):
     # a monotone objective pushes the simplex onto the amplitude cap,
     # which must be flagged rather than silently accepted
+    from qnd_hom import thresholds
     from qnd_hom.thresholds import _maximize
 
-    opts = PhaseAverageOptions(domain=6.0, coarse_grid=9)
+    monkeypatch.setattr(thresholds, "_COARSE_GRID", 9)
+    opts = PhaseAverageOptions(domain=6.0)
     value, argmax, hit_cap = _maximize(lambda Ra, Rb: Ra + Rb, opts)
     assert hit_cap
     assert max(argmax) > 6.0 - 1e-3
     assert BOUNDARY_WARNING  # exported, non-empty message
+
+
+def test_maximize_on_box_scans_in_grid_order_and_keeps_first_tie():
+    calls = []
+
+    def flat(x, y):
+        calls.append((x, y))
+        return 1.0
+
+    value, argmax = maximize_on_box(flat, [(0.0, 1.0), (2.0, 3.0)], 3, 1, maxiter=5)
+    assert calls[:9] == [(x, y) for x in (0.0, 0.5, 1.0) for y in (2.0, 2.5, 3.0)]
+    assert (value, argmax) == (1.0, (0.0, 2.0))
+
+
+def test_maximize_on_box_refines_each_start():
+    # the grid ranks the lower peak's neighbour first; only a second
+    # start reaches the higher peak at x = 0.2
+    def peaks(x):
+        return math.exp(-((x - 0.2) ** 2) / 0.01) + 0.99 * math.exp(-((x - 0.73) ** 2) / 0.01)
+
+    one = maximize_on_box(peaks, [(0.0, 1.0)], 5, 1, xatol=1e-8, fatol=1e-12)
+    two = maximize_on_box(peaks, [(0.0, 1.0)], 5, 2, xatol=1e-8, fatol=1e-12)
+    assert one[1][0] == pytest.approx(0.73, abs=1e-4) and one[0] < 0.995
+    assert two[1][0] == pytest.approx(0.2, abs=1e-4) and two[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_interior_optimum_not_flagged():
