@@ -25,7 +25,6 @@ from .sweep import (
     run_sweep,
 )
 from .thresholds import (
-    PhaseAverageOptions,
     find_crossing,
     input_threshold,
     output_threshold,
@@ -39,7 +38,6 @@ __all__ = [
     "InputSpec",
     "NumericalDomainError",
     "PRESETS",
-    "PhaseAverageOptions",
     "QND_11_ARGMAX",
     "SweepConfig",
     "SweepConfigError",

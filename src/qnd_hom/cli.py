@@ -17,13 +17,13 @@ Each subcommand accepts only the keys it uses; any other key is an
 error, with a hint when it looks like a misspelling.  Sweeps take their
 gate's parameters and the sweep controls (``sweep``, ``start``, ``stop``,
 ``points``, ``scale``, ``p``, ``input_threshold``, ``output_threshold``,
-``phase_samples``, ``domain``, ``out``, ``format``, ``jobs``);
-``threshold`` takes the gate parameters, ``phase_samples``, ``domain``
+``out``, ``format``, ``jobs``); ``threshold`` takes the gate parameters
 and ``out``; ``optimum`` takes the fixed gate parameters and ``out``;
-``preset`` takes no file.  Each key is also a flag, except ``domain`` on
-sweeps and the gate parameters on ``optimum`` (use ``--fix``).  A
-``gate`` key may repeat the chosen gate.  Precedence: ``QND_HOM_JOBS``
-(default parallelism) < configuration file < flags.
+``preset`` takes no file.  Each key is also a flag, except the gate
+parameters on ``optimum`` (use ``--fix``).  A ``gate`` key may repeat
+the chosen gate.  The input threshold has no settings: its amplitude
+search and phase-sample schedule are fixed.  Precedence:
+``QND_HOM_JOBS`` (default parallelism) < configuration file < flags.
 
 Exit codes: 0 success, 1 configuration error, 2 fatal numerical
 failure, 3 output I/O error.
@@ -52,7 +52,7 @@ from .sweep import (
     run_sweep,
     write_text,
 )
-from .thresholds import PhaseAverageOptions, input_threshold, output_threshold
+from .thresholds import input_threshold, output_threshold
 
 
 def _bool(text: str) -> bool:
@@ -71,8 +71,7 @@ _PARAMS = tuple(sorted({name for names in _GATE_PARAMS.values() for name in name
 # every setting's value type, shared by config files, flags and QND_HOM_JOBS
 _TYPES = {
     "gate": str, "sweep": str, "scale": str, "out": str, "format": str,
-    "start": float, "stop": float, "domain": float,
-    "points": int, "jobs": int, "phase_samples": int,
+    "start": float, "stop": float, "points": int, "jobs": int,
     "p": _floats, "input_threshold": _bool, "output_threshold": _bool,
     **dict.fromkeys(_PARAMS, float),
 }
@@ -82,8 +81,6 @@ _HELP = {
     "p": "comma-separated input fractions",
     "out": "output path (default: stdout)",
     "jobs": "parallel worker processes",
-    "phase_samples": "phase-average sample count",
-    "domain": "amplitude search bound",
 }
 
 # setting -> the SweepConfig field it sets
@@ -94,13 +91,13 @@ _FIELDS = {
 }
 
 _SWEEP = ("sweep", "start", "stop", "points", "scale", "p", "input_threshold", "output_threshold")
-_TABLE = ("out", "format", "jobs", "phase_samples")
+_TABLE = ("out", "format", "jobs")
 
 # subcommand -> (keys set by flag or config file, keys set by config file
 # only); None: no config file
 _KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...] | None]] = {
-    **{gate: (_GATE_PARAMS[gate] + _SWEEP + _TABLE, ("gate", "domain")) for gate in GATE_KINDS},
-    "threshold": (_PARAMS + ("phase_samples", "domain", "out"), ("gate",)),
+    **{gate: (_GATE_PARAMS[gate] + _SWEEP + _TABLE, ("gate",)) for gate in GATE_KINDS},
+    "threshold": (_PARAMS + ("out",), ("gate",)),
     "optimum": (("out",), _PARAMS + ("gate",)),
     "preset": (_TABLE, None),
 }
@@ -160,16 +157,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _phase_options(settings: dict, base: PhaseAverageOptions = PhaseAverageOptions()):
-    try:
-        return replace(base, **{k: settings[k] for k in ("phase_samples", "domain") if k in settings})
-    except ValueError as exc:
-        raise SweepConfigError(str(exc)) from None
-
-
 def _table_config(config: SweepConfig, settings: dict) -> SweepConfig:
     fields = {_FIELDS[k]: v for k, v in settings.items() if k in _FIELDS}
-    return replace(config, **fields, phase_options=_phase_options(settings, config.phase_options))
+    return replace(config, **fields)
 
 
 def _gate_values(settings: dict) -> dict:
@@ -197,7 +187,7 @@ def _cmd_sweep(args: argparse.Namespace, settings: dict) -> int:
 
 def _cmd_threshold(args: argparse.Namespace, settings: dict) -> int:
     model = build_model(args.gate, _gate_values(settings))
-    result = input_threshold(model, _phase_options(settings))
+    result = input_threshold(model)
     record = {
         "gate": args.gate,
         "input_threshold": result.value,

@@ -37,7 +37,7 @@ from .gates import (
     ideal_gate_model,
 )
 from .metrics import InputSpec, hom_element_for_gate, sector_element
-from .thresholds import PhaseAverageOptions, input_threshold, maximize_on_box, output_threshold
+from .thresholds import input_threshold, maximize_on_box, output_threshold
 
 GATE_KINDS = ("ideal", "bs", "atom-light", "optomech", "atom-mech")
 
@@ -84,7 +84,6 @@ class SweepConfig:
     p_values: tuple[float, ...] = (1.0,)
     with_output_threshold: bool = True
     with_input_threshold: bool = False
-    phase_options: PhaseAverageOptions = PhaseAverageOptions()
     out_path: str | None = None
     out_format: str = "csv"
     jobs: int = 1
@@ -93,6 +92,10 @@ class SweepConfig:
         _check_params(self.gate, (self.sweep_param, *self.fixed))
         if self.points < 1:
             raise SweepConfigError("points must be at least 1")
+        if self.points > 1 and not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise SweepConfigError(
+                f"sweep range of {self.sweep_param!r} must be finite, got {self.start}:{self.stop}"
+            )
         if self.scale not in ("linear", "log"):
             raise SweepConfigError("scale must be 'linear' or 'log'")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
@@ -186,7 +189,7 @@ def _evaluate_point(task: tuple[SweepConfig, float]) -> list[SweepRow]:
         in_thr = None
         warnings: list[str] = []
         if config.with_input_threshold:
-            thr = input_threshold(model, config.phase_options)
+            thr = input_threshold(model)
             in_thr = thr.value
             warnings.extend(thr.warnings)
         sectors = metrics.hom_sectors(model)
@@ -322,6 +325,8 @@ def find_optimum(
     if not 1 <= len(names) <= 2:
         raise SweepConfigError("find_optimum needs 1 or 2 free parameters")
     for name, (lo, hi) in free.items():
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise SweepConfigError(f"range of free parameter {name!r} must be finite, got {lo}:{hi}")
         if not hi > lo:
             raise SweepConfigError(f"empty range for free parameter {name!r}")
         if name in fixed:

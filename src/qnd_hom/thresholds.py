@@ -11,10 +11,13 @@ Two classical benchmarks bound what coherent-state inputs can fake:
   through the gate, the element is averaged over both phases (killing
   first-order interference) and then maximized over the amplitudes.
 
-The phase average uses the periodic trapezoid rule (spectrally accurate
-for smooth periodic integrands); the amplitude maximization scans a
-coarse grid and refines with a derivative-free simplex from the best
+The phase average uses the periodic trapezoid rule, which converges
+spectrally for these smooth periodic integrands.  The amplitude search
+has no knobs: it scans a coarse grid of the box [0, 6]² once, at 64
+phase samples, and refines with a derivative-free simplex from the best
 grid cells, since the averaged element can have several local maxima.
+Each doubling of the phase samples (at most two) then re-refines from
+the previous argmax only, until the maximum moves by less than 1e-6.
 The objective is the exact coherent element of :mod:`qnd_hom.metrics`,
 one exp per phase point.
 """
@@ -32,25 +35,13 @@ from .gates import GateModel, as_gate_model
 from .metrics import coherent_coefficient, coherent_jets
 
 _CONVERGENCE_TOL = 1e-6
+_BASE_SAMPLES = 64  # phase samples of the grid scan; doubled at most twice
+_DOMAIN = 6.0  # amplitude cap of both inputs
 _COARSE_GRID = 25  # amplitude grid points per axis
 _SIMPLEX_TOL = 1e-8  # xatol and fatol of each amplitude refinement
 _SIMPLEX_ITERATIONS = 200
 ACCURACY_WARNING = "phase average not converged after two sample doublings"
 BOUNDARY_WARNING = "amplitude optimum hit the search-domain cap"
-
-
-@dataclass(frozen=True)
-class PhaseAverageOptions:
-    """Numerics of the double phase average and amplitude search."""
-
-    phase_samples: int = 64
-    domain: float = 6.0
-
-    def __post_init__(self):
-        if self.phase_samples < 16 or self.phase_samples % 2:
-            raise ValueError("phase_samples must be even and at least 16")
-        if not (math.isfinite(self.domain) and self.domain >= 4.0):
-            raise ValueError("amplitude domain bound must be finite and at least 4")
 
 
 @dataclass(frozen=True)
@@ -117,6 +108,15 @@ def phase_averaged_element(
     return _AveragedElement(as_gate_model(model), phase_samples, phase_offset)(R_a, R_b)
 
 
+def _simplex(objective, x0, box, **simplex) -> tuple[float, tuple[float, ...]]:
+    """Bounded Nelder–Mead maximization of ``objective(*x)`` from x0;
+    returns (max, argmax)."""
+    res = minimize(
+        lambda x: -objective(*x), list(x0), method="Nelder-Mead", bounds=box, options=simplex
+    )
+    return -float(res.fun), tuple(float(x) for x in res.x)
+
+
 def maximize_on_box(objective, box, points: int, starts: int, **simplex):
     """Maximize ``objective(*x)`` over the box [(lo, hi), ...].
 
@@ -131,52 +131,40 @@ def maximize_on_box(objective, box, points: int, starts: int, **simplex):
     )
     best_val, best_arg = scores[0]
     for _, x0 in scores[:starts]:
-        res = minimize(
-            lambda x: -objective(*x), list(x0), method="Nelder-Mead", bounds=box, options=simplex
-        )
-        if -res.fun > best_val:
-            best_val, best_arg = -float(res.fun), tuple(res.x)
+        val, arg = _simplex(objective, x0, box, **simplex)
+        if val > best_val:
+            best_val, best_arg = val, arg
     return float(best_val), tuple(float(x) for x in best_arg)
 
 
-def _maximize(objective, opts: PhaseAverageOptions) -> tuple[float, tuple[float, float], bool]:
-    """Coarse grid + multi-start simplex; returns (max, argmax, hit_cap)."""
-    best_val, best_arg = maximize_on_box(
-        objective, [(0.0, opts.domain)] * 2, _COARSE_GRID, 4,
-        xatol=_SIMPLEX_TOL, fatol=_SIMPLEX_TOL, maxiter=_SIMPLEX_ITERATIONS,
-    )
-    hit_cap = max(best_arg) > opts.domain - 1e-3
-    return best_val, best_arg, hit_cap
-
-
-def input_threshold(
-    model: GateModel | float,
-    opts: PhaseAverageOptions = PhaseAverageOptions(),
-) -> ThresholdResult:
+def input_threshold(model: GateModel | float) -> ThresholdResult:
     """Phase-randomized coherent input threshold of a gate.
 
     Maximizes the double-phase-averaged element over the two input
-    amplitudes.  The phase-sample count is doubled (at most twice)
-    until the maximized value moves by less than 1e-6; failure to
-    converge attaches an accuracy warning instead of raising.  The
-    threshold depends only on the gate, never on the input mixture.
+    amplitudes: one grid scan and multi-start refinement at 64 phase
+    samples, then, per doubling of the samples (at most two), one
+    refinement from the previous argmax, until the maximum moves by
+    less than 1e-6.  Failure to converge attaches an accuracy warning
+    instead of raising.  The threshold depends only on the gate, never
+    on the input mixture.
     """
     gate = as_gate_model(model)
-    samples = opts.phase_samples
-    value, argmax, hit_cap = _maximize(_AveragedElement(gate, samples), opts)
+    box = [(0.0, _DOMAIN)] * 2
+    simplex = dict(xatol=_SIMPLEX_TOL, fatol=_SIMPLEX_TOL, maxiter=_SIMPLEX_ITERATIONS)
+    samples = _BASE_SAMPLES
+    value, argmax = maximize_on_box(_AveragedElement(gate, samples), box, _COARSE_GRID, 4, **simplex)
     converged = False
     for _ in range(2):
         samples *= 2
-        value2, argmax2, hit_cap = _maximize(_AveragedElement(gate, samples), opts)
-        moved = abs(value2 - value)
-        value, argmax = value2, argmax2
-        if moved < _CONVERGENCE_TOL:
+        previous = value
+        value, argmax = _simplex(_AveragedElement(gate, samples), argmax, box, **simplex)
+        if abs(value - previous) < _CONVERGENCE_TOL:
             converged = True
             break
     warnings = []
     if not converged:
         warnings.append(ACCURACY_WARNING)
-    if hit_cap:
+    if max(argmax) > _DOMAIN - 1e-3:
         warnings.append(BOUNDARY_WARNING)
     return ThresholdResult(value, argmax, samples, converged, tuple(warnings))
 
@@ -193,6 +181,8 @@ def find_crossing(
     sign, located by scan plus bisection to xtol; None when the
     difference never changes sign on the scan grid.  ``threshold`` may
     be a constant or a callable evaluated alongside the curve."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"crossing range bounds must be finite, got [{lo}, {hi}]")
     if not (hi > lo):
         raise ValueError("need hi > lo")
     xs = np.linspace(lo, hi, scan_points)

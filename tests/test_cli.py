@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,8 @@ def test_misspelled_config_key_rejected_with_hint(tmp_path, capsys):
         (("threshold", "--gate", "ideal", "--G", "0.9"), "coarse_grid = 3\n"),
         (("threshold", "--gate", "ideal", "--G", "0.9"), "jobs = 2\n"),
         (("ideal", "--G", "0.9"), "kappa_tau = 100\n"),
+        (("ideal", "--G", "0.9"), "phase_samples = 64\n"),
+        (("threshold", "--gate", "ideal", "--G", "0.9"), "domain = 6\n"),
     ],
 )
 def test_config_key_unused_by_subcommand_rejected(tmp_path, capsys, command, text):
@@ -210,7 +213,7 @@ def test_config_key_unused_by_subcommand_rejected(tmp_path, capsys, command, tex
     "argv",
     [
         ("optimum", "--gate", "ideal", "--free", "G=0.2:2", "--jobs", "2"),
-        ("optimum", "--gate", "ideal", "--free", "G=0.2:2", "--phase-samples", "16"),
+        ("optimum", "--gate", "ideal", "--free", "G=0.2:2", "--format", "json"),
         ("threshold", "--gate", "ideal", "--G", "0.9", "--format", "csv"),
         ("threshold", "--gate", "ideal", "--G", "0.9", "--jobs", "2"),
     ],
@@ -297,12 +300,19 @@ def test_optimum_parameter_fixed_and_free_rejected(capsys):
     assert "configuration error" in err and "'G'" in err
 
 
-@pytest.mark.parametrize("domain", ["nan", "inf"])
-def test_threshold_non_finite_domain_rejected(capsys, domain):
-    code, out, err = run_cli(capsys, "threshold", "--gate", "ideal", "--G", "0.9", "--domain", domain)
+@pytest.mark.parametrize("argv,where", [
+    (("ideal", "--start", "0", "--stop", "inf", "--points", "3"), "sweep range of 'G'"),
+    (("optimum", "--gate", "ideal", "--free", "G=0:inf"), "range of free parameter 'G'"),
+])
+def test_non_finite_range_rejected_by_name(capsys, argv, where):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "configuration error" in err and "domain" in err
+    assert f"configuration error: {where} must be finite" in err
+    assert "gain" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("argv,name", [

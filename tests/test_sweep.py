@@ -57,6 +57,9 @@ def test_rejects_bad_grid():
         _ideal_config(scale="log", start=0.0)
     with pytest.raises(SweepConfigError):
         _ideal_config(scale="cubic")
+    for start, stop in [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)]:
+        with pytest.raises(SweepConfigError, match="sweep range of 'G' must be finite"):
+            _ideal_config(start=start, stop=stop, points=3)
 
 
 def test_rejects_bad_p():
@@ -282,6 +285,12 @@ def test_find_optimum_rejects_empty_grid_and_fixed_free_overlap():
         find_optimum("ideal", {}, {"G": (0.2, 2.0)}, grid=0)
     with pytest.raises(SweepConfigError, match="'G' is both fixed and free"):
         find_optimum("ideal", {"G": 0.5}, {"G": (0.2, 2.0)}, grid=3)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+def test_find_optimum_rejects_non_finite_range(lo, hi):
+    with pytest.raises(SweepConfigError, match="range of free parameter 'G' must be finite"):
+        find_optimum("ideal", {}, {"G": (lo, hi)}, grid=3)
 
 
 # ----------------------------------------------------------------------
