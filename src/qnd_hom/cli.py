@@ -173,6 +173,8 @@ def _cmd_sweep(args: argparse.Namespace, settings: dict) -> int:
     points = settings.get("points", 80)
     if start is None and stop is None and sweep_param in fixed:
         # single-point evaluation at the fixed value
+        if "points" in settings:
+            raise SweepConfigError("points needs a sweep range (--start/--stop)")
         start = stop = fixed[sweep_param]
         points = 1
     if start is None or stop is None:
@@ -202,12 +204,15 @@ def _cmd_threshold(args: argparse.Namespace, settings: dict) -> int:
 
 
 def _assignments(specs: list[str], flag: str, form: str, parse) -> dict:
-    """``NAME=VALUE`` strings → {NAME: parse(VALUE)}."""
+    """``NAME=VALUE`` strings → {NAME: parse(VALUE)}; a name may appear once."""
     parsed = {}
     for spec in specs:
         name, _, value = spec.partition("=")
+        name = name.strip()
+        if name in parsed:
+            raise SweepConfigError(f"{flag} names {name!r} more than once")
         try:
-            parsed[name.strip()] = parse(value)
+            parsed[name] = parse(value)
         except ValueError:
             raise SweepConfigError(f"bad {flag} {spec!r}; expected {form}") from None
     return parsed

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-_UNITARITY_TOL = 1e-8
+_TRUNCATION_TOL = 1e-8
 
 
 class TruncationError(RuntimeError):
@@ -115,37 +115,36 @@ def default_cutoff(G: float) -> int:
     return 40 if abs(G) <= 1.5 else 80
 
 
-def _low_subspace_columns(N: int) -> np.ndarray:
-    n = np.arange(N)
-    mask = (n[:, None] + n[None, :]).ravel() <= N // 2
-    return np.flatnonzero(mask)
+def _qnd_factors(G: float, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    a = destroy(N)
+    lx, Sx = np.linalg.eigh(a + a.T)
+    lp, Sp = np.linalg.eigh(1j * (a.T - a))
+    return Sx, Sp, np.exp(-0.5j * G * np.outer(lx, lp))
 
 
-def _check_low_subspace_unitarity(op: TruncatedOperator, G: float) -> None:
+def _check_truncation(op: TruncatedOperator, G: float) -> None:
+    """U is unitary at any cutoff, so its truncation error shows only
+    against a larger one: compare the n + m ≤ 2 block at N and 3N/2."""
     N = op.basis.cutoff
-    cols = _low_subspace_columns(N)
-    probe = np.zeros((N * N, cols.size), dtype=complex)
-    probe[cols, np.arange(cols.size)] = 1.0
-    image = op.apply(probe)
-    gram = image.conj().T @ image       # = (U†U) restricted to the low subspace
-    err = float(np.linalg.norm(gram - np.eye(cols.size), ord=2))
-    if err > _UNITARITY_TOL:
+
+    def low_block(Sx, Sp, phase):
+        rows = np.stack([np.outer(Sx[n], Sp[m]).ravel() for n in range(3) for m in range(3 - n)])
+        return rows @ (phase.ravel()[:, None] * rows.conj().T)
+
+    err = float(np.linalg.norm(
+        low_block(*op._factors) - low_block(*_qnd_factors(G, N + N // 2)), ord=2
+    ))
+    if err > _TRUNCATION_TOL:
         raise TruncationError(
-            f"cutoff N={N} too small for G={G}: low-subspace unitarity "
-            f"residual {err:.2e}; retry with N≈{int(N * 1.5)}"
+            f"cutoff N={N} too small for G={G}: the n+m<=2 block moves by "
+            f"{err:.2e} at N={N + N // 2}; retry with N≈{int(N * 1.5)}"
         )
 
 
 @lru_cache(maxsize=32)
 def _qnd_cached(G: float, N: int) -> TruncatedOperator:
-    a = destroy(N)
-    X = a + a.T
-    P = 1j * (a.T - a)
-    lx, Sx = np.linalg.eigh(X)
-    lp, Sp = np.linalg.eigh(P)
-    phase = np.exp(-0.5j * G * np.outer(lx, lp))
-    op = TruncatedOperator(FockBasisSpec(N), _factors=(Sx, Sp, phase))
-    _check_low_subspace_unitarity(op, G)
+    op = TruncatedOperator(FockBasisSpec(N), _factors=_qnd_factors(G, N))
+    _check_truncation(op, G)
     return op
 
 

@@ -189,6 +189,8 @@ class GateModel:
 
     ``output_matrix`` rows are (X_a, P_a, X_b, P_b).  The z entries of
     the two input systems occupy the first four latent slots unchanged.
+    Construction is the one physicality check of the vacuum output
+    covariance; everything that reads a model relies on it.
     """
 
     output_matrix: np.ndarray
@@ -217,11 +219,15 @@ class GateModel:
         return self.latent_map @ self.latent_map.T
 
 
+def signal_gate_model(matrix: np.ndarray, gains: Mapping[str, float]) -> GateModel:
+    """Noiseless gate: a 4 × 4 map of the two signal modes alone."""
+    basis = NoiseModeBasis(("X_a0", "P_a0", "X_b0", "P_b0"), np.eye(4), np.eye(4))
+    return GateModel(matrix, basis, gains)
+
+
 def ideal_gate_model(G: float) -> GateModel:
     """Noiseless QND gate with a single gain G (no extra modes)."""
-    labels = ("X_a0", "P_a0", "X_b0", "P_b0")
-    basis = NoiseModeBasis(labels, np.eye(4), np.eye(4))
-    return GateModel(qnd_matrix(G), basis, {"G": float(G)})
+    return signal_gate_model(qnd_matrix(G), {"G": float(G)})
 
 
 def as_gate_model(model: GateModel | float) -> GateModel:
@@ -337,12 +343,10 @@ def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
         ("X_in", "X_in_f"): c.K2 * c.K5 * c.K7,
         ("zeta_XM", "zeta_XMf"): c.K3 * c.K4 / math.sqrt(tau),
     }
-    basis = orthogonalize_noise_modes(
-        _ATOM_MECH_LABELS,
-        overlaps,
-        mediator_x=("X_in", "X_in_f"),
-        mediator_p=("P_in",),
+    basis = apply_squeezing(
+        orthogonalize_noise_modes(_ATOM_MECH_LABELS, overlaps),
+        params.squeezing_db,
+        anti_squeezed=("X_in", "X_in_f"),
+        squeezed=("P_in",),
     )
-    if params.squeezing_db > 0.0:
-        basis = apply_squeezing(basis, params.squeezing_db)
     return GateModel(A, basis, {"gain": gain, "K_f": Kf})

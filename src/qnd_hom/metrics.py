@@ -6,7 +6,8 @@ element is the bilinear p-combination of four sectors E_ij, the element
 for input |i⟩⟨i| ⊗ |j⟩⟨j|.  All four are read off one generating-function
 jet (:func:`qnd_hom.gaussian.hom_jet`): they are exact, with no
 occupation parameter and no extrapolation.  Coherent inputs go through
-the same jet with the projector variables alone.
+the same jet with the projector variables alone.  A model's physicality
+was checked when it was built, so it is not checked again here.
 
 For the atom-light and optomech gates the second subsystem is the
 outgoing pulse mode; for the atom-mechanical gate both subsystems are
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import HOM_BS, NumericalDomainError, check_physical, hom_jet
+from .gaussian import HOM_BS, NumericalDomainError, hom_jet
 from .gates import GateModel, as_gate_model, ideal_gate_model
 
 # Accepted and ignored: the element is the exact n → 0 limit.
@@ -66,10 +67,8 @@ def _probability(value: float) -> float:
 
 def hom_sectors(model: GateModel) -> np.ndarray:
     """E[i, j] = ⟨HOM|ρ_out|HOM⟩ for input |i⟩⟨i| ⊗ |j⟩⟨j|, i, j ∈ {0, 1}."""
-    cov = model.vacuum_output_cov
-    check_physical(cov, tol=1e-9)
     signal = model.latent_map[:, :4]
-    jet = hom_jet(cov, (signal[:, :2], signal[:, 2:]))
+    jet = hom_jet(model.vacuum_output_cov, (signal[:, :2], signal[:, 2:]))
     return jet[12:].reshape(2, 2).T  # component 12 + i + 2j is E[i, j]
 
 
@@ -110,7 +109,6 @@ def coherent_jets(model: GateModel) -> tuple[np.ndarray, np.ndarray]:
     the jet (q₀, q_a, q_b, q_ab) of dᵀS(y)⁻¹d, d the output mean.
     """
     cov = model.vacuum_output_cov
-    check_physical(cov, tol=1e-9)
     W = model.latent_map[:, :4]
     Si = np.linalg.inv(cov + np.eye(4))
     Ba, Bb = HOM_BS[:, :2], HOM_BS[:, 2:]

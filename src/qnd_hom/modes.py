@@ -12,9 +12,9 @@ the flat-top mode (coefficient = the stated overlap) plus an
 orthogonal remainder, so downstream covariances can be assembled over
 independent unit-variance latent modes.
 
-Broadband mediator squeezing rescales the variances — and, by the same
-factor, the co-quadrature cross-correlations — of the mediator-derived
-temporal modes only.  Loss vacua, intracavity initial quadratures and
+Broadband mediator squeezing rescales only the temporal modes the
+caller names, by a positive diagonal D: Σ₀ → DΣ₀D and C → D·C, so each
+basis is factored once.  Loss vacua, intracavity initials and
 thermal-force modes always stay at vacuum variance.
 """
 
@@ -104,24 +104,14 @@ class NoiseModeBasis:
     ``transform`` is the lower-triangular C with sigma0 = C Cᵀ, mapping
     independent unit-variance latents to the physical (correlated)
     modes: a coefficient row A over z becomes à = A·C over latents.
-    ``mediator_x`` / ``mediator_p`` mark the mediator-derived temporal
-    modes eligible for broadband squeezing, by quadrature family.
     """
 
     labels: tuple[str, ...]
     sigma0: np.ndarray
     transform: np.ndarray
-    mediator_x: tuple[str, ...] = ()
-    mediator_p: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        for name in ("mediator_x", "mediator_p"):
-            group = tuple(getattr(self, name))
-            unknown = set(group) - set(self.labels)
-            if unknown:
-                raise ValueError(f"{name} references unknown labels {sorted(unknown)}")
-            object.__setattr__(self, name, group)
         sig = np.asarray(self.sigma0, dtype=float)
         n = len(self.labels)
         if sig.shape != (n, n):
@@ -138,10 +128,7 @@ class NoiseModeBasis:
 
 
 def orthogonalize_noise_modes(
-    labels: Sequence[str],
-    overlaps: Mapping[tuple[str, str], float],
-    mediator_x: Iterable[str] = (),
-    mediator_p: Iterable[str] = (),
+    labels: Sequence[str], overlaps: Mapping[tuple[str, str], float]
 ) -> NoiseModeBasis:
     """Build a NoiseModeBasis from stated pairwise overlaps.
 
@@ -150,14 +137,7 @@ def orthogonalize_noise_modes(
     :class:`OverlapConsistencyError` naming the offending pair.
     """
     gram = build_gram(labels, overlaps)
-    C = gram_cholesky(gram, labels)
-    return NoiseModeBasis(
-        labels=tuple(labels),
-        sigma0=gram,
-        transform=C,
-        mediator_x=tuple(mediator_x),
-        mediator_p=tuple(mediator_p),
-    )
+    return NoiseModeBasis(tuple(labels), gram, gram_cholesky(gram, labels))
 
 
 def squeezing_factor(squeezing_db: float) -> float:
@@ -166,27 +146,35 @@ def squeezing_factor(squeezing_db: float) -> float:
     return math.exp(-2.0 * r)
 
 
-def apply_squeezing(basis: NoiseModeBasis, squeezing_db: float) -> NoiseModeBasis:
+def apply_squeezing(
+    basis: NoiseModeBasis,
+    squeezing_db: float,
+    anti_squeezed: Iterable[str],
+    squeezed: Iterable[str],
+) -> NoiseModeBasis:
     """Broadband squeezing of the mediator input pulse.
 
-    Scales the variance of every mediator-derived temporal mode by
-    e^{-2r} on the P family and e^{+2r} on the X family,
-    r = squeezing_db·ln(10)/20; co-quadrature cross-correlations scale
-    by the same factor (frequency-flat squeezing over the pulse band).
-    Squeezing P is the assignment under which mediator squeezing
-    improves the bunching element.  Loss vacua, intracavity initials
-    and thermal-force modes are never squeezed.
+    Rescales the modes ``squeezed`` by e^{-r} and ``anti_squeezed`` by
+    e^{+r}, r = squeezing_db·ln(10)/20, so variances and co-quadrature
+    cross-correlations scale by e^{∓2r} (frequency-flat squeezing over
+    the pulse band); every other mode keeps vacuum variance.  With D
+    that diagonal, sigma0 becomes DΣ₀D and the transform D·C, still
+    lower-triangular with (DC)(DC)ᵀ = DΣ₀D: no second factorization, and
+    the degeneracy decisions made on the stated overlaps stand.
     """
     if squeezing_db < 0.0:
         raise ValueError("squeezing_db must be non-negative")
-    if squeezing_db == 0.0:
-        return basis
     fp = squeezing_factor(squeezing_db)  # e^{-2r}
     scale = np.ones(basis.n_modes)
-    for lab in basis.mediator_x:
-        scale[basis.index(lab)] = math.sqrt(1.0 / fp)
-    for lab in basis.mediator_p:
-        scale[basis.index(lab)] = math.sqrt(fp)
-    sigma = scale[:, None] * basis.sigma0 * scale[None, :]
-    C = gram_cholesky(sigma, basis.labels)
-    return replace(basis, sigma0=sigma, transform=C)
+    for labels, factor in ((anti_squeezed, math.sqrt(1.0 / fp)), (squeezed, math.sqrt(fp))):
+        for lab in labels:
+            if lab not in basis.labels:
+                raise ValueError(f"cannot squeeze unknown mode {lab!r}")
+            scale[basis.index(lab)] = factor
+    if squeezing_db == 0.0:
+        return basis
+    return replace(
+        basis,
+        sigma0=scale[:, None] * basis.sigma0 * scale[None, :],
+        transform=scale[:, None] * basis.transform,
+    )

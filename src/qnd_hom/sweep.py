@@ -35,6 +35,7 @@ from .gates import (
     build_atom_mech_gate,
     build_optomech_gate,
     ideal_gate_model,
+    signal_gate_model,
 )
 from .metrics import InputSpec, hom_element_for_gate, sector_element
 from .thresholds import input_threshold, maximize_on_box, output_threshold
@@ -144,9 +145,8 @@ def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
         if gate == "ideal":
             return ideal_gate_model(values["G"])
         if gate == "bs":
-            # the ideal gate's two signal modes under the beam-splitter map
             T = values["T"]
-            return replace(ideal_gate_model(0.0), output_matrix=bs_matrix(T), gains={"T": T})
+            return signal_gate_model(bs_matrix(T), {"T": T})
         if gate == "atom-light":
             return build_atom_light_gate(
                 AtomLightParams(values["g"], values["kappa_tau"], values.get("eta", 1.0))
@@ -333,6 +333,8 @@ def find_optimum(
             raise SweepConfigError(f"parameter {name!r} is both fixed and free")
     if grid < 1:
         raise SweepConfigError("grid must be at least 1")
+    if not 0.0 <= p <= 1.0:
+        raise SweepConfigError(f"input fraction p must lie in [0, 1], got {p}")
 
     def objective(*point: float) -> float:
         values = dict(fixed)

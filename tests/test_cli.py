@@ -300,6 +300,35 @@ def test_optimum_parameter_fixed_and_free_rejected(capsys):
     assert "configuration error" in err and "'G'" in err
 
 
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+def test_optimum_input_fraction_outside_unit_interval_rejected(capsys, p):
+    code, out, err = run_cli(capsys, "optimum", "--gate", "ideal", "--free", "G=0.2:2", "--p", p)
+    assert code == 1
+    assert out == ""
+    assert "configuration error" in err and "p must lie in [0, 1]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flag,name", [
+    (("--free", "G=0.2:2", "--free", "G=0.1:1"), "--free", "G"),
+    (("--free", "G=0.2:2", "--fix", "kappa_tau=100", "--fix", "kappa_tau=90"), "--fix", "kappa_tau"),
+])
+def test_optimum_repeated_name_rejected(capsys, argv, flag, name):
+    gate = "ideal" if flag == "--free" else "atom-light"
+    code, out, err = run_cli(capsys, "optimum", "--gate", gate, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"configuration error: {flag} names {name!r} more than once" in err
+
+
+@pytest.mark.parametrize("points", ["5", "0"])
+def test_single_point_sweep_rejects_points(capsys, points):
+    code, out, err = run_cli(capsys, "ideal", "--G", "1", "--points", points)
+    assert code == 1
+    assert out == ""
+    assert "configuration error" in err and "points" in err
+
+
 @pytest.mark.parametrize("argv,where", [
     (("ideal", "--start", "0", "--stop", "inf", "--points", "3"), "sweep range of 'G'"),
     (("optimum", "--gate", "ideal", "--free", "G=0:inf"), "range of free parameter 'G'"),

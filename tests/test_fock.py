@@ -7,7 +7,6 @@ import scipy.linalg
 from qnd_hom.fock import (
     FockBasisSpec,
     QND_11_ARGMAX,
-    TruncatedOperator,
     TruncationError,
     build_bs_unitary,
     build_qnd_unitary,
@@ -134,13 +133,12 @@ def test_occupation_outside_basis():
         fock_state(basis, 8, 0)
 
 
-def test_truncation_check_fires_on_non_unitary():
-    from qnd_hom.fock import _check_low_subspace_unitarity
-
+def test_truncation_check_fires_on_small_cutoff():
+    # at N = 8 the |1,1⟩ element is 7.3e-3 off the closed form; U is
+    # still unitary there, so only a larger cutoff reveals the error
     basis = FockBasisSpec(8)
-    op = TruncatedOperator(basis, _dense=0.5 * np.eye(basis.dim, dtype=complex))
-    with pytest.raises(TruncationError):
-        _check_low_subspace_unitarity(op, G=0.0)
+    with pytest.raises(TruncationError, match="N=8"):
+        build_qnd_unitary(3.0, basis)
 
 
 def test_hom_state_normalized():

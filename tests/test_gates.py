@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import qnd_hom.gaussian
+import qnd_hom.modes
 from qnd_hom.gates import (
     AtomLightParams,
     AtomMechConstants,
@@ -20,6 +22,9 @@ from qnd_hom.gates import (
     ideal_gate_model,
 )
 from qnd_hom.gaussian import min_physicality_eig, qnd_matrix
+from qnd_hom.metrics import coherent_jets, hom_sectors
+from qnd_hom.modes import gram_cholesky, squeezing_factor
+from qnd_hom.sweep import PRESETS, build_model
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 
@@ -230,3 +235,57 @@ def test_non_finite_parameter_rejected_by_name(cls, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         cls(*args)
 
+
+
+# ----------------------------------------------------------------------
+# One factorization and one physicality check per model
+# ----------------------------------------------------------------------
+
+_ONE_OF_EACH = [
+    ("ideal", {"G": 0.9}),
+    ("bs", {"T": 0.4}),
+    ("atom-light", {"g": 0.06, "kappa_tau": 100.0, "eta": 0.9}),
+    ("optomech", {"g": 0.06, "kappa_tau": 100.0, "eta": 0.9, "Gamma": 1e-3}),
+    ("atom-mech", {"g": 0.07, "kappa_tau": 90.0, "eta": 0.9, "Gamma": 1e-4, "S": 0.0}),
+    ("atom-mech", {"g": 0.07, "kappa_tau": 90.0, "eta": 0.9, "Gamma": 1e-4, "S": 7.0}),
+]
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("gate,values", _ONE_OF_EACH)
+def test_each_build_factors_its_gram_matrix_at_most_once(monkeypatch, gate, values):
+    calls = _counted(monkeypatch, qnd_hom.modes, "gram_cholesky")
+    build_model(gate, values)
+    assert len(calls) == (1 if gate in ("atom-light", "optomech", "atom-mech") else 0)
+
+
+@pytest.mark.parametrize("gate,values", _ONE_OF_EACH)
+def test_physicality_checked_once_per_model(monkeypatch, gate, values):
+    calls = _counted(monkeypatch, qnd_hom.gaussian, "min_physicality_eig")
+    model = build_model(gate, values)
+    hom_sectors(model)
+    coherent_jets(model)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("preset", ["fig3a", "fig3b"])
+def test_squeezed_factor_is_the_rescaled_unsqueezed_factor(preset):
+    # D·C is exactly the product, and it is gram_cholesky(DΣ₀D) to roundoff
+    config = PRESETS[preset]
+    r = math.sqrt(squeezing_factor(config.fixed["S"]))
+    for value in config.grid():
+        values = {**config.fixed, config.sweep_param: float(value)}
+        squeezed = build_model("atom-mech", values).basis
+        plain = build_model("atom-mech", {**values, "S": 0.0}).basis
+        d = np.ones(squeezed.n_modes)
+        d[[squeezed.index("X_in"), squeezed.index("X_in_f")]] = 1.0 / r
+        d[squeezed.index("P_in")] = r
+        assert np.array_equal(squeezed.transform, d[:, None] * plain.transform)
+        refactored = gram_cholesky(squeezed.sigma0, squeezed.labels)
+        assert np.abs(squeezed.transform - refactored).max() <= 1e-14, value

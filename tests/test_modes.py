@@ -74,10 +74,8 @@ def test_squeezing_factor_values():
 
 def test_apply_squeezing_scales_mediator_families():
     labels = ("X_m", "P_m", "other")
-    basis = orthogonalize_noise_modes(
-        labels, {}, mediator_x=("X_m",), mediator_p=("P_m",)
-    )
-    squeezed = apply_squeezing(basis, 7.0)
+    basis = orthogonalize_noise_modes(labels, {})
+    squeezed = apply_squeezing(basis, 7.0, anti_squeezed=("X_m",), squeezed=("P_m",))
     f = squeezing_factor(7.0)
     ix, ip, io = (squeezed.index(l) for l in labels)
     assert squeezed.sigma0[ip, ip] == pytest.approx(f, abs=1e-12)
@@ -86,8 +84,8 @@ def test_apply_squeezing_scales_mediator_families():
 
 
 def test_zero_squeezing_is_identity():
-    basis = orthogonalize_noise_modes(("X_m", "P_m"), {}, mediator_x=("X_m",), mediator_p=("P_m",))
-    same = apply_squeezing(basis, 0.0)
+    basis = orthogonalize_noise_modes(("X_m", "P_m"), {})
+    same = apply_squeezing(basis, 0.0, anti_squeezed=("X_m",), squeezed=("P_m",))
     assert np.allclose(same.sigma0, basis.sigma0, atol=0.0)
 
 
@@ -95,10 +93,8 @@ def test_squeezing_preserves_correlated_structure():
     # squeezing a correlated X-family keeps the normalized correlation
     labels = ("X_m", "X_mf", "P_m")
     overlaps = {("X_m", "X_mf"): 0.6}
-    basis = orthogonalize_noise_modes(
-        labels, overlaps, mediator_x=("X_m", "X_mf"), mediator_p=("P_m",)
-    )
-    squeezed = apply_squeezing(basis, 5.0)
+    basis = orthogonalize_noise_modes(labels, overlaps)
+    squeezed = apply_squeezing(basis, 5.0, anti_squeezed=("X_m", "X_mf"), squeezed=("P_m",))
     f = squeezing_factor(5.0)
     i, j = squeezed.index("X_m"), squeezed.index("X_mf")
     # covariance scaled by 1/f uniformly on the X block
@@ -107,3 +103,10 @@ def test_squeezing_preserves_correlated_structure():
     gram = squeezed.transform @ squeezed.transform.T
     assert np.allclose(gram, squeezed.sigma0, atol=1e-12)
     assert corr[i, j] / np.sqrt(corr[i, i] * corr[j, j]) == pytest.approx(0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("squeezing_db", [0.0, 3.0])
+def test_squeezing_rejects_unknown_label(squeezing_db):
+    basis = orthogonalize_noise_modes(("X_m", "P_m"), {})
+    with pytest.raises(ValueError, match="'Y_m'"):
+        apply_squeezing(basis, squeezing_db, anti_squeezed=("Y_m",), squeezed=("P_m",))

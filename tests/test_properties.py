@@ -87,7 +87,7 @@ def test_atom_mech_output_physical(g, kappa_tau, eta, Gamma, S):
 @_slow
 @given(st.floats(0.0, 2.0))
 def test_parity_forbids_odd_totals(G):
-    basis = FockBasisSpec(20)
+    basis = FockBasisSpec(30)
     U = build_qnd_unitary(G, basis)
     assert hom_element_exact(U, fock_state(basis, 1, 0)) < 1e-20
     assert hom_element_exact(U, fock_state(basis, 0, 1)) < 1e-20
@@ -96,7 +96,7 @@ def test_parity_forbids_odd_totals(G):
 @_slow
 @given(st.floats(0.0, 2.0))
 def test_symmetric_hom_state_stays_empty(G):
-    basis = FockBasisSpec(20)
+    basis = FockBasisSpec(30)
     U = build_qnd_unitary(G, basis)
     assert hom_element_exact(U, fock_state(basis, 1, 1), sign=+1.0) < 1e-18
 
