@@ -22,7 +22,7 @@ and ``out``; ``optimum`` takes the fixed gate parameters and ``out``;
 ``preset`` takes no file.  Each key is also a flag, except the gate
 parameters on ``optimum`` (use ``--fix``).  A ``gate`` key may repeat
 the chosen gate.  The input threshold has no settings: its amplitude
-search and phase-sample schedule are fixed.  Precedence:
+search and its 64 phase samples are fixed.  Precedence:
 ``QND_HOM_JOBS`` (default parallelism) < configuration file < flags.
 
 Exit codes: 0 success, 1 configuration error, 2 fatal numerical
@@ -175,13 +175,12 @@ def _cmd_sweep(args: argparse.Namespace, settings: dict) -> int:
         # single-point evaluation at the fixed value
         if "points" in settings:
             raise SweepConfigError("points needs a sweep range (--start/--stop)")
-        start = stop = fixed[sweep_param]
+        start = stop = fixed.pop(sweep_param)
         points = 1
     if start is None or stop is None:
         raise SweepConfigError(
             f"no sweep range: give --start/--stop or fix --{sweep_param.replace('_', '-')}"
         )
-    fixed.pop(sweep_param, None)
     config = _table_config(SweepConfig(args.gate, sweep_param, start, stop, points, fixed), settings)
     emit(run_sweep(config), config.out_format, config.out_path)
     return 0

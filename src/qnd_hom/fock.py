@@ -50,11 +50,6 @@ class FockBasisSpec:
 @dataclass(frozen=True)
 class TruncatedState:
     amplitudes: np.ndarray
-    label: str = ""
-
-    @property
-    def truncation_deficit(self) -> float:
-        return float(abs(1.0 - np.linalg.norm(self.amplitudes) ** 2))
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ def fock_state(basis: FockBasisSpec, n_a: int, n_b: int) -> TruncatedState:
         raise ValueError("occupation outside the basis")
     vec = np.zeros(basis.dim, dtype=complex)
     vec[basis.index(n_a, n_b)] = 1.0
-    return TruncatedState(vec, label=f"|{n_a},{n_b}>")
+    return TruncatedState(vec)
 
 
 def hom_state(basis: FockBasisSpec, sign: float = -1.0) -> TruncatedState:
@@ -108,7 +103,7 @@ def hom_state(basis: FockBasisSpec, sign: float = -1.0) -> TruncatedState:
     vec = np.zeros(basis.dim, dtype=complex)
     vec[basis.index(0, 2)] = 1.0 / np.sqrt(2.0)
     vec[basis.index(2, 0)] = sign / np.sqrt(2.0)
-    return TruncatedState(vec, label="|HOM>" if sign < 0 else "|HOM+>")
+    return TruncatedState(vec)
 
 
 def default_cutoff(G: float) -> int:

@@ -91,6 +91,8 @@ class SweepConfig:
 
     def __post_init__(self):
         _check_params(self.gate, (self.sweep_param, *self.fixed))
+        if self.sweep_param in self.fixed:
+            raise SweepConfigError(f"parameter {self.sweep_param!r} is both fixed and swept")
         if self.points < 1:
             raise SweepConfigError("points must be at least 1")
         if self.points > 1 and not (math.isfinite(self.start) and math.isfinite(self.stop)):

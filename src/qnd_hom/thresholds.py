@@ -12,14 +12,15 @@ Two classical benchmarks bound what coherent-state inputs can fake:
   first-order interference) and then maximized over the amplitudes.
 
 The phase average uses the periodic trapezoid rule, which converges
-spectrally for these smooth periodic integrands.  The amplitude search
-has no knobs: it scans a coarse grid of the box [0, 6]² once, at 64
-phase samples, and refines with a derivative-free simplex from the best
-grid cells, since the averaged element can have several local maxima.
-Each doubling of the phase samples (at most two) then re-refines from
-the previous argmax only, until the maximum moves by less than 1e-6.
-The objective is the exact coherent element of :mod:`qnd_hom.metrics`,
-one exp per phase point.
+exponentially for these smooth periodic integrands (Trefethen &
+Weideman, SIAM Rev. 56, 385 (2014)).  The amplitude search has no
+knobs: at 64 phase samples per input it scans a coarse grid of the box
+[0, 6]² and refines with a derivative-free simplex from the best grid
+cells, since the averaged element can have several local maxima.  The
+even nodes of the 64-point rule form the 32-point rule, so the same
+phase-grid values at the argmax certify the average: it is converged
+when the two rules agree to 1e-6.  The objective is the exact coherent
+element of :mod:`qnd_hom.metrics`, one exp per phase point.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from .gates import GateModel, as_gate_model
 from .metrics import coherent_coefficient, coherent_jets
 
 _CONVERGENCE_TOL = 1e-6
-_BASE_SAMPLES = 64  # phase samples of the grid scan; doubled at most twice
+_PHASE_SAMPLES = 64  # trapezoid nodes per input phase
 _DOMAIN = 6.0  # amplitude cap of both inputs
 _COARSE_GRID = 25  # amplitude grid points per axis
 _SIMPLEX_TOL = 1e-8  # xatol and fatol of each amplitude refinement
 _SIMPLEX_ITERATIONS = 200
-ACCURACY_WARNING = "phase average not converged after two sample doublings"
+ACCURACY_WARNING = "phase average not converged"
 BOUNDARY_WARNING = "amplitude optimum hit the search-domain cap"
 
 
@@ -90,11 +91,15 @@ class _AveragedElement:
         self.w = circle @ Q[:, :2, 2:] @ circle.T
         self.q = np.empty_like(self.w)  # reused: a fresh one per call can page-fault
 
-    def __call__(self, R_a: float, R_b: float) -> float:
+    def values(self, R_a: float, R_b: float) -> np.ndarray:
+        """The coherent element on the phase grid (φ_a rows, φ_b columns)."""
         q = np.multiply(2.0 * R_a * R_b, self.w, out=self.q)
         q += (R_a * R_a) * self.u
         q += (R_b * R_b) * self.v
-        return float(coherent_coefficient(self.c, *q).mean())
+        return coherent_coefficient(self.c, *q)
+
+    def __call__(self, R_a: float, R_b: float) -> float:
+        return float(self.values(R_a, R_b).mean())
 
 
 def phase_averaged_element(
@@ -106,15 +111,6 @@ def phase_averaged_element(
 ) -> float:
     """M^av at one amplitude pair; exposed for convergence diagnostics."""
     return _AveragedElement(as_gate_model(model), phase_samples, phase_offset)(R_a, R_b)
-
-
-def _simplex(objective, x0, box, **simplex) -> tuple[float, tuple[float, ...]]:
-    """Bounded Nelder–Mead maximization of ``objective(*x)`` from x0;
-    returns (max, argmax)."""
-    res = minimize(
-        lambda x: -objective(*x), list(x0), method="Nelder-Mead", bounds=box, options=simplex
-    )
-    return -float(res.fun), tuple(float(x) for x in res.x)
 
 
 def maximize_on_box(objective, box, points: int, starts: int, **simplex):
@@ -130,10 +126,11 @@ def maximize_on_box(objective, box, points: int, starts: int, **simplex):
         ((objective(*x), x) for x in itertools.product(*axes)), key=lambda t: -t[0]
     )
     best_val, best_arg = scores[0]
+    negated = lambda x: -objective(*x)
     for _, x0 in scores[:starts]:
-        val, arg = _simplex(objective, x0, box, **simplex)
-        if val > best_val:
-            best_val, best_arg = val, arg
+        res = minimize(negated, list(x0), method="Nelder-Mead", bounds=box, options=simplex)
+        if -res.fun > best_val:
+            best_val, best_arg = -res.fun, res.x
     return float(best_val), tuple(float(x) for x in best_arg)
 
 
@@ -142,36 +139,29 @@ def input_threshold(model: GateModel | float) -> ThresholdResult:
 
     Maximizes the double-phase-averaged element over the two input
     amplitudes: one grid scan and multi-start refinement at 64 phase
-    samples, then, per doubling of the samples (at most two), one
-    refinement from the previous argmax, until the maximum moves by
-    less than 1e-6.  Failure to converge attaches an accuracy warning
-    instead of raising.  The threshold depends only on the gate, never
-    on the input mixture.
+    samples.  The average at the argmax is certified by the 32-sample
+    rule on the same phase-grid values; a difference of 1e-6 or more
+    attaches an accuracy warning instead of raising.  The threshold
+    depends only on the gate, never on the input mixture.
     """
-    gate = as_gate_model(model)
-    box = [(0.0, _DOMAIN)] * 2
-    simplex = dict(xatol=_SIMPLEX_TOL, fatol=_SIMPLEX_TOL, maxiter=_SIMPLEX_ITERATIONS)
-    samples = _BASE_SAMPLES
-    value, argmax = maximize_on_box(_AveragedElement(gate, samples), box, _COARSE_GRID, 4, **simplex)
-    converged = False
-    for _ in range(2):
-        samples *= 2
-        previous = value
-        value, argmax = _simplex(_AveragedElement(gate, samples), argmax, box, **simplex)
-        if abs(value - previous) < _CONVERGENCE_TOL:
-            converged = True
-            break
+    objective = _AveragedElement(as_gate_model(model), _PHASE_SAMPLES)
+    value, argmax = maximize_on_box(
+        objective, [(0.0, _DOMAIN)] * 2, _COARSE_GRID, 4,
+        xatol=_SIMPLEX_TOL, fatol=_SIMPLEX_TOL, maxiter=_SIMPLEX_ITERATIONS,
+    )
+    half_rule = float(objective.values(*argmax)[::2, ::2].mean())
+    converged = abs(value - half_rule) < _CONVERGENCE_TOL
     warnings = []
     if not converged:
         warnings.append(ACCURACY_WARNING)
     if max(argmax) > _DOMAIN - 1e-3:
         warnings.append(BOUNDARY_WARNING)
-    return ThresholdResult(value, argmax, samples, converged, tuple(warnings))
+    return ThresholdResult(value, argmax, _PHASE_SAMPLES, converged, tuple(warnings))
 
 
 def find_crossing(
     curve,
-    threshold,
+    threshold: float,
     lo: float,
     hi: float,
     xtol: float = 1e-4,
@@ -179,15 +169,14 @@ def find_crossing(
 ) -> float | None:
     """First parameter in [lo, hi] where curve(x) − threshold changes
     sign, located by scan plus bisection to xtol; None when the
-    difference never changes sign on the scan grid.  ``threshold`` may
-    be a constant or a callable evaluated alongside the curve."""
+    difference never changes sign on the scan grid.  ``threshold`` is a
+    number."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"crossing range bounds must be finite, got [{lo}, {hi}]")
     if not (hi > lo):
         raise ValueError("need hi > lo")
     xs = np.linspace(lo, hi, scan_points)
-    level = threshold if callable(threshold) else (lambda _x: threshold)
-    diff = lambda x: curve(x) - level(x)
+    diff = lambda x: curve(x) - threshold
     prev_x, prev_d = xs[0], diff(xs[0])
     bracket = None
     for x in xs[1:]:

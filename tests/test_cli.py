@@ -119,6 +119,22 @@ def test_io_error_exit_code(tmp_path, capsys):
 # Config files
 # ----------------------------------------------------------------------
 
+def test_swept_parameter_also_fixed_by_flag_rejected(capsys):
+    code, out, err = run_cli(capsys, "ideal", "--G", "1", "--start", "0", "--stop", "2", "--points", "3")
+    assert code == 1
+    assert out == ""
+    assert "configuration error" in err and "'G' is both fixed and swept" in err
+
+
+def test_swept_parameter_also_fixed_by_config_rejected(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("g = 0.06\nkappa_tau = 100\nsweep = kappa_tau\nstart = 50\nstop = 150\n")
+    code, out, err = run_cli(capsys, "atom-light", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "configuration error" in err and "'kappa_tau' is both fixed and swept" in err
+
+
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -269,6 +285,7 @@ def test_threshold_subcommand(capsys):
     assert abs(record["input_threshold"] - 0.06856) < 2e-4
     assert abs(record["output_threshold"] - 0.1353352832366127) < 1e-12
     assert record["converged"] is True
+    assert record["phase_samples"] == 64
 
 
 def test_optimum_subcommand(capsys):

@@ -50,6 +50,11 @@ def test_rejects_unknown_parameter():
         _ideal_config(fixed={"eta": 1.0})
 
 
+def test_rejects_swept_parameter_that_is_also_fixed():
+    with pytest.raises(SweepConfigError, match="'G' is both fixed and swept"):
+        _ideal_config(fixed={"G": 1.0})
+
+
 def test_rejects_bad_grid():
     with pytest.raises(SweepConfigError):
         _ideal_config(points=0)

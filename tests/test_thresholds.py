@@ -7,7 +7,14 @@ import pytest
 
 from qnd_hom import thresholds
 from qnd_hom.fock import QND_11_ARGMAX, closed_form_qnd_11, hom_element_mixture_ideal
-from qnd_hom.gates import build_optomech_gate, OptomechParams, ideal_gate_model
+from qnd_hom.gates import (
+    AtomLightParams,
+    AtomMechParams,
+    OptomechParams,
+    build_atom_light_gate,
+    build_atom_mech_gate,
+    build_optomech_gate,
+)
 from qnd_hom.thresholds import (
     ACCURACY_WARNING,
     BOUNDARY_WARNING,
@@ -83,22 +90,24 @@ def test_determinism_bit_identical():
 
 
 def _record_objective(monkeypatch, surface=None):
-    """Log every objective call as (phase samples, R_a, R_b); ``surface``,
-    when given, stands in for the averaged element."""
-    log = []
-    averaged = thresholds._AveragedElement
+    """Log the phase samples of every objective built and the (R_a, R_b)
+    of every phase-grid evaluation; ``surface``, when given, stands in
+    for the averaged element."""
+    builds, calls = [], []
 
-    def build(model, phase_samples):
-        element = surface or averaged(model, phase_samples)
+    class Recorded(thresholds._AveragedElement):
+        def __init__(self, model, phase_samples):
+            builds.append(phase_samples)
+            super().__init__(model, phase_samples)
 
-        def call(R_a, R_b):
-            log.append((phase_samples, R_a, R_b))
-            return element(R_a, R_b)
+        def values(self, R_a, R_b):
+            calls.append((R_a, R_b))
+            if surface is None:
+                return super().values(R_a, R_b)
+            return np.asarray(surface(R_a, R_b), dtype=float) * np.ones((2, 2))
 
-        return call
-
-    monkeypatch.setattr(thresholds, "_AveragedElement", build)
-    return log
+    monkeypatch.setattr(thresholds, "_AveragedElement", Recorded)
+    return builds, calls
 
 
 def test_cap_detection_on_monotone_objective(monkeypatch):
@@ -113,28 +122,43 @@ def test_cap_detection_on_monotone_objective(monkeypatch):
 
 
 def test_amplitude_grid_scanned_once(monkeypatch):
-    # the 25 × 25 grid is evaluated at the base sample count only; each
-    # doubling refines from the previous argmax
-    log = _record_objective(monkeypatch)
+    # one objective at 64 phase samples: the 25 × 25 grid in grid order,
+    # then the refinements and the half-rule check at the argmax
+    builds, calls = _record_objective(monkeypatch)
     res = input_threshold(0.8)
-    axis = np.linspace(0.0, 6.0, 25)
-    grid = {(float(a), float(b)) for a in axis for b in axis}
-    scans = [
-        ns for ns in sorted({ns for ns, _, _ in log})
-        if grid <= {(float(a), float(b)) for n, a, b in log if n == ns}
-    ]
-    assert scans == [64]
-    assert [(float(a), float(b)) for _, a, b in log[:625]] == sorted(grid)
-    assert res.converged and res.phase_samples == 128
-    assert len(log) <= 1200
+    axis = [float(x) for x in np.linspace(0.0, 6.0, 25)]
+    assert builds == [64]
+    assert [(float(a), float(b)) for a, b in calls[:625]] == [(a, b) for a in axis for b in axis]
+    assert len(calls) <= 1100
+    assert res.converged and res.phase_samples == 64
+
+
+def test_half_rule_decides_convergence(monkeypatch):
+    # the odd phase nodes carry 1e-3 that the even-node (half-size)
+    # rule misses: the two averages differ by 7.5e-4
+    _record_objective(monkeypatch, lambda R_a, R_b: [[0.0, 1e-3], [1e-3, 1e-3]])
+    res = input_threshold(0.9)
+    assert res.converged is False
+    assert res.warnings == (ACCURACY_WARNING,)
 
 
 def test_unconverged_average_warns(monkeypatch):
     monkeypatch.setattr(thresholds, "_CONVERGENCE_TOL", 0.0)
     res = input_threshold(0.9)
     assert res.converged is False
-    assert res.phase_samples == 256
+    assert res.phase_samples == 64
     assert res.warnings == (ACCURACY_WARNING,)
+
+
+@pytest.mark.parametrize("model", [
+    QND_11_ARGMAX,
+    build_atom_light_gate(AtomLightParams(0.06, 100.0, 0.9)),
+    build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 7.0)),
+], ids=["ideal", "atom-light", "atom-mech"])
+def test_threshold_is_the_average_at_its_argmax(model):
+    res = input_threshold(model)
+    assert res.converged and not res.warnings
+    assert phase_averaged_element(model, *res.argmax, phase_samples=res.phase_samples) == res.value
 
 
 def test_maximize_on_box_scans_in_grid_order_and_keeps_first_tie():
