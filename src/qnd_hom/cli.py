@@ -16,10 +16,13 @@ one assignment per line, ``#`` starts a comment, blank lines ignored.
 Each subcommand accepts only the keys it uses; any other key is an
 error, with a hint when it looks like a misspelling.  Sweeps take their
 gate's parameters and the sweep controls (``sweep``, ``start``, ``stop``,
-``points``, ``scale``, ``p``, ``input_threshold``, ``output_threshold``,
-``out``, ``format``, ``jobs``); ``threshold`` takes the gate parameters
-and ``out``; ``optimum`` takes the fixed gate parameters and ``out``;
-``preset`` takes no file.  Each key is also a flag, except the gate
+``points``, ``scale``, ``p``, ``input_threshold``, ``out``, ``format``,
+``jobs``); ``threshold`` takes the gate parameters and ``out``;
+``optimum`` takes the fixed gate parameters and ``out``; ``preset``
+takes no file.  The gate parameters are the fields of the params
+dataclasses of :mod:`qnd_hom.gates`, plus ``G`` (ideal), ``T`` (bs) and
+atom-mech's ``g``, which sets both couplings; a value out of range is
+an error that names it.  Each key is also a flag, except the gate
 parameters on ``optimum`` (use ``--fix``).  A ``gate`` key may repeat
 the chosen gate.  The input threshold has no settings: its amplitude
 search and its 64 phase samples are fixed.  Precedence:
@@ -72,7 +75,7 @@ _PARAMS = tuple(sorted({name for names in _GATE_PARAMS.values() for name in name
 _TYPES = {
     "gate": str, "sweep": str, "scale": str, "out": str, "format": str,
     "start": float, "stop": float, "points": int, "jobs": int,
-    "p": _floats, "input_threshold": _bool, "output_threshold": _bool,
+    "p": _floats, "input_threshold": _bool,
     **dict.fromkeys(_PARAMS, float),
 }
 _CHOICES = {"scale": ("linear", "log"), "format": ("csv", "json")}
@@ -86,11 +89,10 @@ _HELP = {
 # setting -> the SweepConfig field it sets
 _FIELDS = {
     "scale": "scale", "p": "p_values", "input_threshold": "with_input_threshold",
-    "output_threshold": "with_output_threshold", "out": "out_path", "format": "out_format",
-    "jobs": "jobs",
+    "out": "out_path", "format": "out_format", "jobs": "jobs",
 }
 
-_SWEEP = ("sweep", "start", "stop", "points", "scale", "p", "input_threshold", "output_threshold")
+_SWEEP = ("sweep", "start", "stop", "points", "scale", "p", "input_threshold")
 _TABLE = ("out", "format", "jobs")
 
 # subcommand -> (keys set by flag or config file, keys set by config file
@@ -248,8 +250,7 @@ def _add_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]):
         flag = "--" + key.replace("_", "-")
         if _TYPES[key] is _bool:
             group = parser.add_mutually_exclusive_group()
-            if key == "input_threshold":  # the output threshold is on by default
-                group.add_argument(flag, dest=key, action="store_true", default=None)
+            group.add_argument(flag, dest=key, action="store_true", default=None)
             group.add_argument("--no-" + flag[2:], dest=key, action="store_false", default=None)
         else:
             parser.add_argument(

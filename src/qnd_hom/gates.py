@@ -20,7 +20,9 @@ auxiliary modes of its family, the first four latent slots always
 coincide with the physical signal quadratures.
 
 All rates are in units of the cavity decay κ (κ_A = κ_M = κ = 1) and
-times in units of 1/κ; ``kappa_tau`` is the dimensionless pulse length.
+times in units of 1/κ; ``kappa_tau`` is the dimensionless pulse length
+and ``S`` the mediator squeezing in dB.  Each params field carries the
+name that the command line and the configuration files use.
 """
 
 from __future__ import annotations
@@ -40,61 +42,61 @@ from .modes import NoiseModeBasis, apply_squeezing, orthogonalize_noise_modes
 # Parameter sets
 # ----------------------------------------------------------------------
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+_POSITIVE = ("must be positive", lambda x: x > 0)
+
+# the range rule of every gate parameter, by the name the user types
+_RULES = {
+    "g": _POSITIVE,
+    "gA": _POSITIVE,
+    "gM": _POSITIVE,
+    "kappa_tau": _POSITIVE,
+    "eta": ("must lie in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    "Gamma": ("must be non-negative", lambda x: x >= 0),
+    "S": ("must lie in [0, 20]", lambda x: 0.0 <= x <= 20.0),
+}
 
 
-def _require_finite(params) -> None:
-    for f in fields(params):
-        _require(math.isfinite(getattr(params, f.name)), f"{f.name} must be finite")
+def _check(name: str, value: float) -> None:
+    """Raise ValueError, naming the parameter, unless the value is finite
+    and within its range rule."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    rule, holds = _RULES[name]
+    if not holds(value):
+        raise ValueError(f"{name} {rule}")
+
+
+class _Params:
+    """Checks every field of a params dataclass against its rule."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
-class AtomLightParams:
-    g_over_kappa: float
+class AtomLightParams(_Params):
+    g: float
     kappa_tau: float
     eta: float = 1.0
-
-    def __post_init__(self):
-        _require_finite(self)
-        _require(self.g_over_kappa > 0, "g_over_kappa must be positive")
-        _require(self.kappa_tau > 0, "kappa_tau must be positive")
-        _require(0.0 < self.eta <= 1.0, "eta must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
-class OptomechParams:
-    g_over_kappa: float
+class OptomechParams(_Params):
+    g: float
     kappa_tau: float
     eta: float = 1.0
-    Gamma_over_kappa: float = 0.0
-
-    def __post_init__(self):
-        _require_finite(self)
-        _require(self.g_over_kappa > 0, "g_over_kappa must be positive")
-        _require(self.kappa_tau > 0, "kappa_tau must be positive")
-        _require(0.0 < self.eta <= 1.0, "eta must lie in (0, 1]")
-        _require(self.Gamma_over_kappa >= 0, "Gamma_over_kappa must be non-negative")
+    Gamma: float = 0.0
 
 
 @dataclass(frozen=True)
-class AtomMechParams:
-    gA_over_kappa: float
-    gM_over_kappa: float
+class AtomMechParams(_Params):
+    gA: float
+    gM: float
     kappa_tau: float
     eta: float = 1.0
-    Gamma_over_kappa: float = 0.0
-    squeezing_db: float = 0.0
-
-    def __post_init__(self):
-        _require_finite(self)
-        _require(self.gA_over_kappa > 0, "gA_over_kappa must be positive")
-        _require(self.gM_over_kappa > 0, "gM_over_kappa must be positive")
-        _require(self.kappa_tau > 0, "kappa_tau must be positive")
-        _require(0.0 < self.eta <= 1.0, "eta must lie in (0, 1]")
-        _require(self.Gamma_over_kappa >= 0, "Gamma_over_kappa must be non-negative")
-        _require(0.0 <= self.squeezing_db <= 20.0, "squeezing_db must lie in [0, 20]")
+    Gamma: float = 0.0
+    S: float = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +148,7 @@ class AtomMechConstants:
 
 def atom_light_constants(kappa_tau: float) -> PulseGateConstants:
     """Closed-form temporal-mode constants for the pulsed readout."""
-    _require(kappa_tau > 0, "kappa_tau must be positive")
+    _check("kappa_tau", kappa_tau)
     tau = float(kappa_tau)
     em, em2 = math.exp(-tau), math.exp(-2.0 * tau)
     K1 = math.sqrt((1.0 - em2) / 2.0)
@@ -165,7 +167,7 @@ def atom_light_constants(kappa_tau: float) -> PulseGateConstants:
 
 def atom_mech_constants(kappa_tau: float) -> AtomMechConstants:
     """Closed-form constants of the cascaded atom-mechanical gate."""
-    _require(kappa_tau > 0, "kappa_tau must be positive")
+    _check("kappa_tau", kappa_tau)
     tau = float(kappa_tau)
     em, em2 = math.exp(-tau), math.exp(-2.0 * tau)
     K1 = math.sqrt(1.0 / (tau - 2.0 + 4.0 * em - 2.0 * em2))
@@ -221,7 +223,7 @@ class GateModel:
 
 def signal_gate_model(matrix: np.ndarray, gains: Mapping[str, float]) -> GateModel:
     """Noiseless gate: a 4 × 4 map of the two signal modes alone."""
-    basis = NoiseModeBasis(("X_a0", "P_a0", "X_b0", "P_b0"), np.eye(4), np.eye(4))
+    basis = NoiseModeBasis(("X_a0", "P_a0", "X_b0", "P_b0"), np.eye(4))
     return GateModel(matrix, basis, gains)
 
 
@@ -244,7 +246,7 @@ _PULSE_LABELS = (
 def build_atom_light_gate(params: AtomLightParams) -> GateModel:
     """Atomic ensemble (mode a) entangled with a traveling pulse (mode b):
     the pulse gate of :func:`build_optomech_gate` at Γ = 0."""
-    return build_optomech_gate(OptomechParams(params.g_over_kappa, params.kappa_tau, params.eta))
+    return build_optomech_gate(OptomechParams(params.g, params.kappa_tau, params.eta))
 
 
 def build_optomech_gate(params: OptomechParams) -> GateModel:
@@ -254,9 +256,7 @@ def build_optomech_gate(params: OptomechParams) -> GateModel:
     z: X_a0, P_a0, X_L0, Y_L0, X_0f1, Y_0k, Y_0f1, x_c, p_c, x_v, p_v,
     zeta_XM, zeta_PM, zeta_XMf.
     """
-    g, tau, eta, Gamma = (
-        params.g_over_kappa, params.kappa_tau, params.eta, params.Gamma_over_kappa,
-    )
+    g, tau, eta, Gamma = params.g, params.kappa_tau, params.eta, params.Gamma
     c = atom_light_constants(tau)
     em = math.exp(-tau)
     GA = g * math.sqrt(2.0 * tau)
@@ -313,8 +313,8 @@ def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
     carry the initial squeezing (P_in squeezed, X_in, X_in_f
     anti-squeezed).
     """
-    gA, gM = params.gA_over_kappa, params.gM_over_kappa
-    tau, eta, Gamma = params.kappa_tau, params.eta, params.Gamma_over_kappa
+    gA, gM = params.gA, params.gM
+    tau, eta, Gamma = params.kappa_tau, params.eta, params.Gamma
     c = atom_mech_constants(tau)
     em = math.exp(-tau)
     gain = 2.0 * gA * gM * math.sqrt(eta) * c.E
@@ -345,7 +345,7 @@ def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
     }
     basis = apply_squeezing(
         orthogonalize_noise_modes(_ATOM_MECH_LABELS, overlaps),
-        params.squeezing_db,
+        params.S,
         anti_squeezed=("X_in", "X_in_f"),
         squeezed=("P_in",),
     )

@@ -13,8 +13,8 @@ orthogonal remainder, so downstream covariances can be assembled over
 independent unit-variance latent modes.
 
 Broadband mediator squeezing rescales only the temporal modes the
-caller names, by a positive diagonal D: Σ₀ → DΣ₀D and C → D·C, so each
-basis is factored once.  Loss vacua, intracavity initials and
+caller names, by a positive diagonal D: C → D·C (so Σ₀ → DΣ₀D), and
+each basis is factored once.  Loss vacua, intracavity initials and
 thermal-force modes always stay at vacuum variance.
 """
 
@@ -101,23 +101,21 @@ def gram_cholesky(gram: np.ndarray, labels: Sequence[str]) -> np.ndarray:
 class NoiseModeBasis:
     """Ordered quadrature variables z with their correlation structure.
 
-    ``transform`` is the lower-triangular C with sigma0 = C Cᵀ, mapping
+    ``transform`` is the lower-triangular C with Σ₀ = C Cᵀ, mapping
     independent unit-variance latents to the physical (correlated)
     modes: a coefficient row A over z becomes à = A·C over latents.
     """
 
     labels: tuple[str, ...]
-    sigma0: np.ndarray
     transform: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        sig = np.asarray(self.sigma0, dtype=float)
+        C = np.asarray(self.transform, dtype=float)
         n = len(self.labels)
-        if sig.shape != (n, n):
-            raise ValueError("sigma0 shape does not match labels")
-        object.__setattr__(self, "sigma0", sig)
-        object.__setattr__(self, "transform", np.asarray(self.transform, dtype=float))
+        if C.shape != (n, n):
+            raise ValueError("transform shape does not match labels")
+        object.__setattr__(self, "transform", C)
 
     @property
     def n_modes(self) -> int:
@@ -136,8 +134,7 @@ def orthogonalize_noise_modes(
     returned transform (C Cᵀ = Σ₀); impossible overlap sets raise
     :class:`OverlapConsistencyError` naming the offending pair.
     """
-    gram = build_gram(labels, overlaps)
-    return NoiseModeBasis(tuple(labels), gram, gram_cholesky(gram, labels))
+    return NoiseModeBasis(tuple(labels), gram_cholesky(build_gram(labels, overlaps), labels))
 
 
 def squeezing_factor(squeezing_db: float) -> float:
@@ -158,9 +155,9 @@ def apply_squeezing(
     e^{+r}, r = squeezing_db·ln(10)/20, so variances and co-quadrature
     cross-correlations scale by e^{∓2r} (frequency-flat squeezing over
     the pulse band); every other mode keeps vacuum variance.  With D
-    that diagonal, sigma0 becomes DΣ₀D and the transform D·C, still
-    lower-triangular with (DC)(DC)ᵀ = DΣ₀D: no second factorization, and
-    the degeneracy decisions made on the stated overlaps stand.
+    that diagonal, the transform becomes D·C, still lower-triangular with
+    (DC)(DC)ᵀ = DΣ₀D: no second factorization, and the degeneracy
+    decisions made on the stated overlaps stand.
     """
     if squeezing_db < 0.0:
         raise ValueError("squeezing_db must be non-negative")
@@ -173,8 +170,4 @@ def apply_squeezing(
             scale[basis.index(lab)] = factor
     if squeezing_db == 0.0:
         return basis
-    return replace(
-        basis,
-        sigma0=scale[:, None] * basis.sigma0 * scale[None, :],
-        transform=scale[:, None] * basis.transform,
-    )
+    return replace(basis, transform=scale[:, None] * basis.transform)

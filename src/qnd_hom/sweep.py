@@ -3,10 +3,11 @@
 A sweep is: one gate kind, fixed parameters, one swept parameter over a
 grid, and a list of input fractions p.  Every grid point yields one row
 per p with the bunching element, its error estimate (0: the element is
-exact), and the requested thresholds.  The input threshold and the
-element's four input sectors are computed once per grid point and
-shared across the p rows: the threshold depends only on the gate, and
-each p row is a bilinear combination of the sectors.
+exact), the output threshold and, when requested, the input threshold.
+The input threshold and the element's four input sectors are computed
+once per grid point and shared across the p rows: the threshold depends
+only on the gate, and each p row is a bilinear combination of the
+sectors.
 
 Grid points are independent; with ``jobs > 1`` they are evaluated by a
 process pool and reassembled in grid order, so the emitted file is
@@ -19,7 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -42,14 +43,21 @@ from .thresholds import input_threshold, maximize_on_box, output_threshold
 
 GATE_KINDS = ("ideal", "bs", "atom-light", "optomech", "atom-mech")
 
-# parameter vocabulary per gate kind; "g" on atom-mech sets both couplings
+# gate kind -> (params dataclass, builder) of the pulse gates
+_PULSE_GATES = {
+    "atom-light": (AtomLightParams, build_atom_light_gate),
+    "optomech": (OptomechParams, build_optomech_gate),
+    "atom-mech": (AtomMechParams, build_atom_mech_gate),
+}
+
+# parameter vocabulary per gate kind: the params fields, plus atom-mech's
+# "g", which sets both couplings (gA and gM override it)
 _GATE_PARAMS: dict[str, tuple[str, ...]] = {
     "ideal": ("G",),
     "bs": ("T",),
-    "atom-light": ("g", "kappa_tau", "eta"),
-    "optomech": ("g", "kappa_tau", "eta", "Gamma"),
-    "atom-mech": ("g", "gA", "gM", "kappa_tau", "eta", "Gamma", "S"),
+    **{gate: tuple(f.name for f in fields(params)) for gate, (params, _) in _PULSE_GATES.items()},
 }
+_GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
 
 CSV_HEADER = "param,value,p,hom,hom_err,input_threshold,output_threshold,warnings"
 _ROW_KEYS = tuple(CSV_HEADER.split(","))
@@ -83,7 +91,6 @@ class SweepConfig:
     fixed: Mapping[str, float] = field(default_factory=dict)
     scale: str = "linear"
     p_values: tuple[float, ...] = (1.0,)
-    with_output_threshold: bool = True
     with_input_threshold: bool = False
     out_path: str | None = None
     out_format: str = "csv"
@@ -143,40 +150,25 @@ class SweepRow:
 def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
     """Gate model from a flat parameter mapping (CLI vocabulary)."""
     _check_params(gate, values)
+    values = dict(values)
+    if gate == "atom-mech" and "g" in values:
+        g = values.pop("g")
+        values = {"gA": g, "gM": g, **values}
+    if gate in _PULSE_GATES:
+        params, builder = _PULSE_GATES[gate]
+        required = [f.name for f in fields(params) if f.default is MISSING]
+    else:
+        required = _GATE_PARAMS[gate]
+    for name in required:
+        if name not in values:
+            raise SweepConfigError(f"gate {gate!r} is missing parameter {name!r}")
     try:
         if gate == "ideal":
             return ideal_gate_model(values["G"])
         if gate == "bs":
-            T = values["T"]
-            return signal_gate_model(bs_matrix(T), {"T": T})
-        if gate == "atom-light":
-            return build_atom_light_gate(
-                AtomLightParams(values["g"], values["kappa_tau"], values.get("eta", 1.0))
-            )
-        if gate == "optomech":
-            return build_optomech_gate(
-                OptomechParams(
-                    values["g"], values["kappa_tau"],
-                    values.get("eta", 1.0), values.get("Gamma", 0.0),
-                )
-            )
-        # atom-mech, the last gate kind _check_params admits
-        gA = values.get("gA", values.get("g"))
-        gM = values.get("gM", values.get("g"))
-        if gA is None or gM is None:
-            raise SweepConfigError("atom-mech needs g (or both gA and gM)")
-        return build_atom_mech_gate(
-            AtomMechParams(
-                gA, gM, values["kappa_tau"],
-                values.get("eta", 1.0), values.get("Gamma", 0.0),
-                values.get("S", 0.0),
-            )
-        )
-    except KeyError as exc:
-        raise SweepConfigError(f"gate {gate!r} is missing parameter {exc.args[0]!r}") from None
+            return signal_gate_model(bs_matrix(values["T"]), {"T": values["T"]})
+        return builder(params(**values))
     except ValueError as exc:
-        if isinstance(exc, SweepConfigError):
-            raise
         raise SweepConfigError(str(exc)) from None
 
 
@@ -185,7 +177,7 @@ def _evaluate_point(task: tuple[SweepConfig, float]) -> list[SweepRow]:
     config, value = task
     values = dict(config.fixed)
     values[config.sweep_param] = value
-    out_thr = output_threshold() if config.with_output_threshold else None
+    out_thr = output_threshold()
     try:
         model = build_model(config.gate, values)
         in_thr = None
@@ -234,7 +226,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """
     tasks = [(config, float(v)) for v in config.grid()]
     if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # the pool starts all its workers at once: never more than there are points
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
             groups = list(pool.map(_evaluate_point, tasks, chunksize=1))
     else:
         groups = [_evaluate_point(t) for t in tasks]
@@ -248,25 +241,16 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 # Emission
 # ----------------------------------------------------------------------
 
-def _fmt(x: float | None) -> str:
+def _cell(x: str | float | None) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     return format(float(x), ".17g")
 
 
 def render_csv(rows: Iterable[SweepRow]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join([
-            row.param,
-            _fmt(row.value),
-            _fmt(row.p),
-            _fmt(row.hom),
-            _fmt(row.hom_err),
-            _fmt(row.input_threshold),
-            _fmt(row.output_threshold),
-            row.warnings,
-        ]))
+    lines = [CSV_HEADER, *(",".join(map(_cell, row.as_dict().values())) for row in rows)]
     return "\n".join(lines) + "\n"
 
 

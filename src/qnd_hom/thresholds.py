@@ -82,9 +82,9 @@ class _AveragedElement:
     point at evaluation time.
     """
 
-    def __init__(self, model: GateModel, phase_samples: int, phase_offset: float = 0.0):
+    def __init__(self, model: GateModel, phase_samples: int):
         self.c, Q = coherent_jets(model)
-        theta = phase_offset + 2.0 * np.pi * np.arange(phase_samples) / phase_samples
+        theta = 2.0 * np.pi * np.arange(phase_samples) / phase_samples
         circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (ns, 2)
         self.u = np.einsum("ik,qkl,il->qi", circle, Q[:, :2, :2], circle)[:, :, None]
         self.v = np.einsum("ik,qkl,il->qi", circle, Q[:, 2:, 2:], circle)[:, None, :]
@@ -107,10 +107,9 @@ def phase_averaged_element(
     R_a: float,
     R_b: float,
     phase_samples: int = 64,
-    phase_offset: float = 0.0,
 ) -> float:
     """M^av at one amplitude pair; exposed for convergence diagnostics."""
-    return _AveragedElement(as_gate_model(model), phase_samples, phase_offset)(R_a, R_b)
+    return _AveragedElement(as_gate_model(model), phase_samples)(R_a, R_b)
 
 
 def maximize_on_box(objective, box, points: int, starts: int, **simplex):

@@ -214,6 +214,7 @@ def test_misspelled_config_key_rejected_with_hint(tmp_path, capsys):
         (("ideal", "--G", "0.9"), "kappa_tau = 100\n"),
         (("ideal", "--G", "0.9"), "phase_samples = 64\n"),
         (("threshold", "--gate", "ideal", "--G", "0.9"), "domain = 6\n"),
+        (("ideal", "--G", "0.9"), "output_threshold = no\n"),
     ],
 )
 def test_config_key_unused_by_subcommand_rejected(tmp_path, capsys, command, text):
@@ -363,15 +364,27 @@ def test_non_finite_range_rejected_by_name(capsys, argv, where):
 
 @pytest.mark.parametrize("argv,name", [
     (("atom-light", "--g", "0.06", "--kappa-tau", "inf", "--eta", "0.9"), "kappa_tau"),
-    (("atom-light", "--g", "inf", "--kappa-tau", "100"), "g_over_kappa"),
+    (("atom-light", "--g", "inf", "--kappa-tau", "100"), "g"),
     (("atom-mech", "--g", "0.07", "--kappa-tau", "inf"), "kappa_tau"),
-    (("optomech", "--g", "0.06", "--kappa-tau", "100", "--Gamma", "inf"), "Gamma_over_kappa"),
+    (("optomech", "--g", "0.06", "--kappa-tau", "100", "--Gamma", "inf"), "Gamma"),
 ])
 def test_non_finite_gate_parameter_is_config_error(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert f"configuration error: {name} must be finite" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("atom-light", "--g", "-1", "--kappa-tau", "100"), "g must be positive"),
+    (("atom-mech", "--g", "0.07", "--kappa-tau", "90", "--S", "25"), "S must lie in [0, 20]"),
+    (("optomech", "--g", "0.06", "--kappa-tau", "100", "--Gamma", "-0.001"), "Gamma must be non-negative"),
+])
+def test_out_of_range_gate_parameter_named_as_typed(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"configuration error: {message}\n" in err
 
 
 def test_cli_import_does_not_load_scipy_integrate():

@@ -220,16 +220,16 @@ def test_parameter_validation():
 
 
 @pytest.mark.parametrize("cls,args,name", [
-    (AtomLightParams, (math.inf, 100.0, 0.9), "g_over_kappa"),
+    (AtomLightParams, (math.inf, 100.0, 0.9), "g"),
     (AtomLightParams, (0.06, math.inf, 0.9), "kappa_tau"),
-    (OptomechParams, (math.inf, 100.0, 0.9, 1e-3), "g_over_kappa"),
+    (OptomechParams, (math.inf, 100.0, 0.9, 1e-3), "g"),
     (OptomechParams, (0.06, math.inf, 0.9, 1e-3), "kappa_tau"),
-    (OptomechParams, (0.06, 100.0, 0.9, math.inf), "Gamma_over_kappa"),
-    (OptomechParams, (0.06, 100.0, 0.9, math.nan), "Gamma_over_kappa"),
-    (AtomMechParams, (math.inf, 0.07, 90.0, 0.9, 1e-4, 7.0), "gA_over_kappa"),
-    (AtomMechParams, (0.07, math.inf, 90.0, 0.9, 1e-4, 7.0), "gM_over_kappa"),
+    (OptomechParams, (0.06, 100.0, 0.9, math.inf), "Gamma"),
+    (OptomechParams, (0.06, 100.0, 0.9, math.nan), "Gamma"),
+    (AtomMechParams, (math.inf, 0.07, 90.0, 0.9, 1e-4, 7.0), "gA"),
+    (AtomMechParams, (0.07, math.inf, 90.0, 0.9, 1e-4, 7.0), "gM"),
     (AtomMechParams, (0.07, 0.07, math.inf, 0.9, 1e-4, 7.0), "kappa_tau"),
-    (AtomMechParams, (0.07, 0.07, 90.0, 0.9, math.inf, 7.0), "Gamma_over_kappa"),
+    (AtomMechParams, (0.07, 0.07, 90.0, 0.9, math.inf, 7.0), "Gamma"),
 ])
 def test_non_finite_parameter_rejected_by_name(cls, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
@@ -287,5 +287,5 @@ def test_squeezed_factor_is_the_rescaled_unsqueezed_factor(preset):
         d[[squeezed.index("X_in"), squeezed.index("X_in_f")]] = 1.0 / r
         d[squeezed.index("P_in")] = r
         assert np.array_equal(squeezed.transform, d[:, None] * plain.transform)
-        refactored = gram_cholesky(squeezed.sigma0, squeezed.labels)
+        refactored = gram_cholesky(squeezed.transform @ squeezed.transform.T, squeezed.labels)
         assert np.abs(squeezed.transform - refactored).max() <= 1e-14, value

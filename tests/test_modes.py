@@ -1,5 +1,7 @@
 """Non-orthogonal temporal modes: Gram factorization and squeezing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -61,8 +63,13 @@ def test_orthogonalize_round_trip():
     corr = basis.transform @ basis.transform.T
     assert corr[basis.index("m1"), basis.index("m2")] == pytest.approx(0.4, abs=1e-12)
     assert corr[basis.index("m2"), basis.index("m3")] == pytest.approx(0.25, abs=1e-12)
-    assert basis.sigma0[basis.index("m1"), basis.index("m3")] == pytest.approx(0.0, abs=1e-12)
+    assert corr[basis.index("m1"), basis.index("m3")] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(np.diag(corr), 1.0, atol=1e-12)
+
+
+def test_basis_rejects_transform_of_wrong_shape():
+    with pytest.raises(ValueError, match="transform shape does not match labels"):
+        NoiseModeBasis(("m1", "m2"), np.eye(3))
 
 
 def test_squeezing_factor_values():
@@ -78,15 +85,16 @@ def test_apply_squeezing_scales_mediator_families():
     squeezed = apply_squeezing(basis, 7.0, anti_squeezed=("X_m",), squeezed=("P_m",))
     f = squeezing_factor(7.0)
     ix, ip, io = (squeezed.index(l) for l in labels)
-    assert squeezed.sigma0[ip, ip] == pytest.approx(f, abs=1e-12)
-    assert squeezed.sigma0[ix, ix] == pytest.approx(1.0 / f, abs=1e-12)
-    assert squeezed.sigma0[io, io] == pytest.approx(1.0, abs=1e-12)
+    sigma = squeezed.transform @ squeezed.transform.T
+    assert sigma[ip, ip] == pytest.approx(f, abs=1e-12)
+    assert sigma[ix, ix] == pytest.approx(1.0 / f, abs=1e-12)
+    assert sigma[io, io] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_squeezing_is_identity():
     basis = orthogonalize_noise_modes(("X_m", "P_m"), {})
     same = apply_squeezing(basis, 0.0, anti_squeezed=("X_m",), squeezed=("P_m",))
-    assert np.allclose(same.sigma0, basis.sigma0, atol=0.0)
+    assert np.allclose(same.transform @ same.transform.T, basis.transform @ basis.transform.T, atol=0.0)
 
 
 def test_squeezing_preserves_correlated_structure():
@@ -97,11 +105,11 @@ def test_squeezing_preserves_correlated_structure():
     squeezed = apply_squeezing(basis, 5.0, anti_squeezed=("X_m", "X_mf"), squeezed=("P_m",))
     f = squeezing_factor(5.0)
     i, j = squeezed.index("X_m"), squeezed.index("X_mf")
-    # covariance scaled by 1/f uniformly on the X block
-    assert squeezed.sigma0[i, j] == pytest.approx(0.6 / f, abs=1e-12)
     corr = squeezed.transform @ squeezed.transform.T
-    gram = squeezed.transform @ squeezed.transform.T
-    assert np.allclose(gram, squeezed.sigma0, atol=1e-12)
+    # covariance scaled by 1/f uniformly on the X block
+    assert corr[i, j] == pytest.approx(0.6 / f, abs=1e-12)
+    d = np.diag([1.0 / math.sqrt(f), 1.0 / math.sqrt(f), math.sqrt(f)])
+    assert np.allclose(corr, d @ build_gram(labels, overlaps) @ d, atol=1e-12)
     assert corr[i, j] / np.sqrt(corr[i, i] * corr[j, j]) == pytest.approx(0.6, abs=1e-12)
 
 

@@ -9,6 +9,7 @@ import pytest
 import qnd_hom.metrics
 import qnd_hom.sweep
 from qnd_hom.fock import QND_11_ARGMAX, closed_form_qnd_11
+from qnd_hom.gates import AtomMechParams, build_atom_mech_gate
 from qnd_hom.metrics import InputSpec, hom_element_for_gate
 from qnd_hom.sweep import (
     CSV_HEADER,
@@ -75,8 +76,29 @@ def test_rejects_bad_p():
 
 
 def test_missing_required_parameter():
-    with pytest.raises(SweepConfigError):
-        build_model("atom-light", {"g": 0.06})  # no kappa_tau
+    with pytest.raises(SweepConfigError, match="^gate 'atom-light' is missing parameter 'kappa_tau'$"):
+        build_model("atom-light", {"g": 0.06})
+    with pytest.raises(SweepConfigError, match="^gate 'atom-mech' is missing parameter 'gM'$"):
+        build_model("atom-mech", {"gA": 0.07, "kappa_tau": 90.0})
+
+
+def test_gate_vocabulary_is_the_params_fields():
+    # flags, config keys and the default swept parameter (the first name)
+    assert qnd_hom.sweep._GATE_PARAMS == {
+        "ideal": ("G",),
+        "bs": ("T",),
+        "atom-light": ("g", "kappa_tau", "eta"),
+        "optomech": ("g", "kappa_tau", "eta", "Gamma"),
+        "atom-mech": ("g", "gA", "gM", "kappa_tau", "eta", "Gamma", "S"),
+    }
+
+
+def test_atom_mech_couplings_override_g():
+    values = {"g": 0.07, "gA": 0.05, "kappa_tau": 90.0, "eta": 0.9, "Gamma": 1e-4, "S": 7.0}
+    direct = build_atom_mech_gate(AtomMechParams(0.05, 0.07, 90.0, 0.9, 1e-4, 7.0))
+    aliased = build_model("atom-mech", values)
+    assert np.array_equal(aliased.output_matrix, direct.output_matrix)
+    assert np.array_equal(aliased.basis.transform, direct.basis.transform)
 
 
 def test_build_model_rejects_foreign_parameter():
@@ -150,6 +172,37 @@ def test_bs_sweep():
     mid = rows[2]
     assert mid.value == 0.5
     assert mid.hom == pytest.approx(1.0, abs=5e-3)
+
+
+def test_pool_never_larger_than_the_grid(monkeypatch):
+    # a process pool starts all its workers at once, so jobs beyond the
+    # number of grid points would only start idle processes
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(qnd_hom.sweep, "ProcessPoolExecutor", SerialPool)
+    rows = run_sweep(_ideal_config(points=4, jobs=5000))
+    assert started == [4]
+    assert render_csv(rows) == render_csv(run_sweep(_ideal_config(points=4)))
+    run_sweep(_ideal_config(points=4, jobs=3))
+    assert started == [4, 3]
+
+
+def test_output_threshold_column_is_always_e_minus_2():
+    rows = run_sweep(_ideal_config(points=2, p_values=(1.0, 0.5)))
+    assert [row.output_threshold for row in rows] == [math.exp(-2.0)] * 4
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +394,6 @@ def test_preset_fidelity(name):
     assert dict(config.fixed) == fixed
     assert config.p_values == p_values
     assert config.with_input_threshold
-    assert config.with_output_threshold
 
 
 def test_preset_config_overrides():

@@ -69,12 +69,6 @@ def test_phase_average_convergence_64_to_128():
         assert abs(v64 - v128) < 1e-6, G
 
 
-def test_phase_offset_invariance():
-    v0 = phase_averaged_element(0.9, 1.4, 1.2, phase_offset=0.0)
-    v1 = phase_averaged_element(0.9, 1.4, 1.2, phase_offset=0.37)
-    assert v0 == pytest.approx(v1, abs=1e-9)
-
-
 def test_phase_average_accepts_gate_models():
     model = build_optomech_gate(OptomechParams(0.06, 100.0, 1.0, 0.02))
     res = input_threshold(model)
