@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the headline quantitative landmarks of the simulator.
 
-Runs in about a minute; every number here is also pinned (with
+Runs in a few seconds; every number here is also pinned (with
 tolerances) in the test suite.
 """
 

@@ -37,7 +37,7 @@ def main():
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
-        config = preset_config(name, jobs=args.jobs, out_format=args.format)
+        config = preset_config(name, jobs=args.jobs)
         path = out_dir / f"{name}.{args.format}"
         start = time.time()
         rows = run_sweep(config)

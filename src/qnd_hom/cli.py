@@ -20,13 +20,15 @@ gate's parameters and the sweep controls (``sweep``, ``start``, ``stop``,
 ``jobs``); ``threshold`` takes the gate parameters and ``out``;
 ``optimum`` takes the fixed gate parameters and ``out``; ``preset``
 takes no file.  The gate parameters are the fields of the params
-dataclasses of :mod:`qnd_hom.gates`, plus ``G`` (ideal), ``T`` (bs) and
-atom-mech's ``g``, which sets both couplings; a value out of range is
-an error that names it.  Each key is also a flag, except the gate
-parameters on ``optimum`` (use ``--fix``).  A ``gate`` key may repeat
-the chosen gate.  The input threshold has no settings: its amplitude
-search and its 64 phase samples are fixed.  Precedence:
-``QND_HOM_JOBS`` (default parallelism) < configuration file < flags.
+dataclasses in :data:`qnd_hom.gates.GATES`, plus atom-mech's ``g``,
+which sets both couplings; a value out of range is an error that names
+it.  Each key is also a flag, except the gate parameters on ``optimum``
+(use ``--fix``).  A ``gate`` key may repeat the chosen gate, and a
+``format`` or ``scale`` value outside its choices is an error when the
+file is read.  A negative value may be written ``-1e-3``.  The input
+threshold has no settings: its amplitude search and its 64 phase
+samples are fixed.  Precedence: ``QND_HOM_JOBS`` (default parallelism)
+< configuration file < flags; each must give at least 1 job.
 
 Exit codes: 0 success, 1 configuration error, 2 fatal numerical
 failure, 3 output I/O error.
@@ -38,6 +40,7 @@ import argparse
 import difflib
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -87,10 +90,7 @@ _HELP = {
 }
 
 # setting -> the SweepConfig field it sets
-_FIELDS = {
-    "scale": "scale", "p": "p_values", "input_threshold": "with_input_threshold",
-    "out": "out_path", "format": "out_format", "jobs": "jobs",
-}
+_FIELDS = {"scale": "scale", "p": "p_values", "input_threshold": "with_input_threshold", "jobs": "jobs"}
 
 _SWEEP = ("sweep", "start", "stop", "points", "scale", "p", "input_threshold")
 _TABLE = ("out", "format", "jobs")
@@ -106,7 +106,13 @@ _KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...] | None]] = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems via exit code 1."""
+    """argparse that reports usage problems via exit code 1 and takes a
+    negative number in exponent form, such as ``-1e-3``, as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern only knows -1 and -0.5 forms
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise SweepConfigError(message)
@@ -114,9 +120,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _coerce(key: str, value: str, where: str):
     try:
-        return _TYPES[key](value)
+        typed = _TYPES[key](value)
     except ValueError as exc:
         raise SweepConfigError(f"{where}: bad value for {key!r}: {exc}") from None
+    choices = _CHOICES.get(key)
+    if choices and typed not in choices:
+        raise SweepConfigError(f"{where}: bad value for {key!r}: choose from {choices}")
+    return typed
 
 
 def parse_config_file(path: str, keys=tuple(_TYPES), command: str = "qnd-hom") -> dict:
@@ -149,7 +159,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     settings: dict = {}
     env = os.environ.get("QND_HOM_JOBS")
     if env and "jobs" in flagged:
-        settings["jobs"] = max(1, _coerce("jobs", env, "QND_HOM_JOBS"))
+        settings["jobs"] = _coerce("jobs", env, "QND_HOM_JOBS")
     if getattr(args, "config", None):
         settings.update(parse_config_file(args.config, flagged + file_only, args.command))
     settings.update({k: getattr(args, k) for k in flagged if getattr(args, k) is not None})
@@ -159,9 +169,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _table_config(config: SweepConfig, settings: dict) -> SweepConfig:
-    fields = {_FIELDS[k]: v for k, v in settings.items() if k in _FIELDS}
-    return replace(config, **fields)
+def _run_table(config: SweepConfig, settings: dict) -> int:
+    """Run a sweep under the table settings and emit its rows."""
+    config = replace(config, **{_FIELDS[k]: v for k, v in settings.items() if k in _FIELDS})
+    emit(run_sweep(config), settings.get("format", "csv"), settings.get("out"))
+    return 0
 
 
 def _gate_values(settings: dict) -> dict:
@@ -183,9 +195,7 @@ def _cmd_sweep(args: argparse.Namespace, settings: dict) -> int:
         raise SweepConfigError(
             f"no sweep range: give --start/--stop or fix --{sweep_param.replace('_', '-')}"
         )
-    config = _table_config(SweepConfig(args.gate, sweep_param, start, stop, points, fixed), settings)
-    emit(run_sweep(config), config.out_format, config.out_path)
-    return 0
+    return _run_table(SweepConfig(args.gate, sweep_param, start, stop, points, fixed), settings)
 
 
 def _cmd_threshold(args: argparse.Namespace, settings: dict) -> int:
@@ -240,9 +250,7 @@ def _cmd_optimum(args: argparse.Namespace, settings: dict) -> int:
 
 
 def _cmd_preset(args: argparse.Namespace, settings: dict) -> int:
-    config = _table_config(PRESETS[args.name], settings)
-    emit(run_sweep(config), config.out_format, config.out_path)
-    return 0
+    return _run_table(PRESETS[args.name], settings)
 
 
 def _add_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]):

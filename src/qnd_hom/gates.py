@@ -1,12 +1,14 @@
-"""Noisy QND gate models over correlated noise modes.
+"""The five gate models: two noiseless references and three noisy pulse gates.
 
-Three physical realizations of a QND-type entangling map with added
-Gaussian noise: an atomic ensemble coupled to a traveling light pulse,
-a mechanical oscillator read out by the same kind of pulse, and the
-cascaded atom-mechanical gate where the pulse mediates an effective
-direct interaction between the two matter systems (feedforward makes
-the two gains equal by construction).  The atom-light gate is the
-optomechanical pulse gate without rethermalization (Γ = 0).
+The references are the ideal QND gate and the beam splitter.  The
+pulse gates are three physical realizations of a QND-type entangling
+map with added Gaussian noise: an atomic ensemble coupled to a
+traveling light pulse, a mechanical oscillator read out by the same
+kind of pulse, and the cascaded atom-mechanical gate where the pulse
+mediates an effective direct interaction between the two matter
+systems (feedforward makes the two gains equal by construction).  The
+atom-light gate is the optomechanical pulse gate without
+rethermalization (Γ = 0).
 
 Each builder expresses the output quadratures (X_a, P_a, X_b, P_b) as
 rows of a coefficient matrix A over a vector z of scalar quadrature
@@ -22,7 +24,8 @@ coincide with the physical signal quadratures.
 All rates are in units of the cavity decay κ (κ_A = κ_M = κ = 1) and
 times in units of 1/κ; ``kappa_tau`` is the dimensionless pulse length
 and ``S`` the mediator squeezing in dB.  Each params field carries the
-name that the command line and the configuration files use.
+name that the command line and the configuration files use, and
+:data:`GATES` maps every gate kind to its params class and builder.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gaussian import check_physical, qnd_matrix
+from .gaussian import bs_matrix, check_physical, qnd_matrix
 from .modes import NoiseModeBasis, apply_squeezing, orthogonalize_noise_modes
 
 
@@ -46,6 +49,8 @@ _POSITIVE = ("must be positive", lambda x: x > 0)
 
 # the range rule of every gate parameter, by the name the user types
 _RULES = {
+    "G": ("must be finite", math.isfinite),  # a gain of either sign
+    "T": ("must lie in [0, 1]", lambda x: 0.0 <= x <= 1.0),
     "g": _POSITIVE,
     "gA": _POSITIVE,
     "gM": _POSITIVE,
@@ -72,6 +77,16 @@ class _Params:
     def __post_init__(self):
         for f in fields(self):
             _check(f.name, getattr(self, f.name))
+
+
+@dataclass(frozen=True)
+class IdealParams(_Params):
+    G: float
+
+
+@dataclass(frozen=True)
+class BeamSplitterParams(_Params):
+    T: float
 
 
 @dataclass(frozen=True)
@@ -232,6 +247,14 @@ def ideal_gate_model(G: float) -> GateModel:
     return signal_gate_model(qnd_matrix(G), {"G": float(G)})
 
 
+def build_ideal_gate(params: IdealParams) -> GateModel:
+    return ideal_gate_model(params.G)
+
+
+def build_bs_gate(params: BeamSplitterParams) -> GateModel:
+    return signal_gate_model(bs_matrix(params.T), {"T": params.T})
+
+
 def as_gate_model(model: GateModel | float) -> GateModel:
     """A gate model as given; a bare number denotes the ideal gate with that gain."""
     return model if isinstance(model, GateModel) else ideal_gate_model(float(model))
@@ -350,3 +373,13 @@ def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
         squeezed=("P_in",),
     )
     return GateModel(A, basis, {"gain": gain, "K_f": Kf})
+
+
+# gate kind -> (params dataclass, builder), in the order the command line lists them
+GATES = {
+    "ideal": (IdealParams, build_ideal_gate),
+    "bs": (BeamSplitterParams, build_bs_gate),
+    "atom-light": (AtomLightParams, build_atom_light_gate),
+    "optomech": (OptomechParams, build_optomech_gate),
+    "atom-mech": (AtomMechParams, build_atom_mech_gate),
+}

@@ -26,37 +26,16 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import metrics  # hom_sectors is looked up here, where tests substitute it
-from .gaussian import NumericalDomainError, bs_matrix
-from .gates import (
-    AtomLightParams,
-    AtomMechParams,
-    GateModel,
-    OptomechParams,
-    build_atom_light_gate,
-    build_atom_mech_gate,
-    build_optomech_gate,
-    ideal_gate_model,
-    signal_gate_model,
-)
+from .gates import GATES, GateModel
+from .gaussian import NumericalDomainError
 from .metrics import InputSpec, hom_element_for_gate, sector_element
 from .thresholds import input_threshold, maximize_on_box, output_threshold
 
-GATE_KINDS = ("ideal", "bs", "atom-light", "optomech", "atom-mech")
-
-# gate kind -> (params dataclass, builder) of the pulse gates
-_PULSE_GATES = {
-    "atom-light": (AtomLightParams, build_atom_light_gate),
-    "optomech": (OptomechParams, build_optomech_gate),
-    "atom-mech": (AtomMechParams, build_atom_mech_gate),
-}
+GATE_KINDS = tuple(GATES)
 
 # parameter vocabulary per gate kind: the params fields, plus atom-mech's
 # "g", which sets both couplings (gA and gM override it)
-_GATE_PARAMS: dict[str, tuple[str, ...]] = {
-    "ideal": ("G",),
-    "bs": ("T",),
-    **{gate: tuple(f.name for f in fields(params)) for gate, (params, _) in _PULSE_GATES.items()},
-}
+_GATE_PARAMS = {gate: tuple(f.name for f in fields(params)) for gate, (params, _) in GATES.items()}
 _GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
 
 CSV_HEADER = "param,value,p,hom,hom_err,input_threshold,output_threshold,warnings"
@@ -92,8 +71,6 @@ class SweepConfig:
     scale: str = "linear"
     p_values: tuple[float, ...] = (1.0,)
     with_input_threshold: bool = False
-    out_path: str | None = None
-    out_format: str = "csv"
     jobs: int = 1
 
     def __post_init__(self):
@@ -115,8 +92,6 @@ class SweepConfig:
         for p in self.p_values:
             if not 0.0 <= p <= 1.0:
                 raise SweepConfigError(f"p value {p} outside [0, 1]")
-        if self.out_format not in ("csv", "json"):
-            raise SweepConfigError("format must be 'csv' or 'json'")
         if self.jobs < 1:
             raise SweepConfigError("jobs must be at least 1")
         object.__setattr__(self, "fixed", dict(self.fixed))
@@ -154,19 +129,11 @@ def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
     if gate == "atom-mech" and "g" in values:
         g = values.pop("g")
         values = {"gA": g, "gM": g, **values}
-    if gate in _PULSE_GATES:
-        params, builder = _PULSE_GATES[gate]
-        required = [f.name for f in fields(params) if f.default is MISSING]
-    else:
-        required = _GATE_PARAMS[gate]
-    for name in required:
-        if name not in values:
-            raise SweepConfigError(f"gate {gate!r} is missing parameter {name!r}")
+    params, builder = GATES[gate]
+    for f in fields(params):
+        if f.default is MISSING and f.name not in values:
+            raise SweepConfigError(f"gate {gate!r} is missing parameter {f.name!r}")
     try:
-        if gate == "ideal":
-            return ideal_gate_model(values["G"])
-        if gate == "bs":
-            return signal_gate_model(bs_matrix(values["T"]), {"T": values["T"]})
         return builder(params(**values))
     except ValueError as exc:
         raise SweepConfigError(str(exc)) from None
@@ -175,46 +142,23 @@ def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
 def _evaluate_point(task: tuple[SweepConfig, float]) -> list[SweepRow]:
     """All rows of one grid point (runs inside pool workers)."""
     config, value = task
-    values = dict(config.fixed)
-    values[config.sweep_param] = value
-    out_thr = output_threshold()
+    in_thr, warnings = None, ""
     try:
-        model = build_model(config.gate, values)
-        in_thr = None
-        warnings: list[str] = []
+        model = build_model(config.gate, {**config.fixed, config.sweep_param: value})
         if config.with_input_threshold:
             thr = input_threshold(model)
-            in_thr = thr.value
-            warnings.extend(thr.warnings)
+            in_thr, warnings = thr.value, ";".join(thr.warnings)
         sectors = metrics.hom_sectors(model)
-        rows = []
-        for p in config.p_values:
-            res = sector_element(sectors, InputSpec(p, p))
-            rows.append(SweepRow(
-                param=config.sweep_param,
-                value=float(value),
-                p=p,
-                hom=res.value,
-                hom_err=res.error_estimate,
-                input_threshold=in_thr,
-                output_threshold=out_thr,
-                warnings=";".join(warnings),
-            ))
-        return rows
+        results = [sector_element(sectors, InputSpec(p, p)) for p in config.p_values]
+        elements = [(res.value, res.error_estimate) for res in results]
     except NumericalDomainError as exc:
-        return [
-            SweepRow(
-                param=config.sweep_param,
-                value=float(value),
-                p=p,
-                hom=math.nan,
-                hom_err=None,
-                input_threshold=None,
-                output_threshold=out_thr,
-                warnings=f"numerical-domain failure: {exc}",
-            )
-            for p in config.p_values
-        ]
+        in_thr, warnings = None, f"numerical-domain failure: {exc}"
+        elements = [(math.nan, None)] * len(config.p_values)
+    out_thr = output_threshold()
+    return [
+        SweepRow(config.sweep_param, float(value), p, hom, hom_err, in_thr, out_thr, warnings)
+        for p, (hom, hom_err) in zip(config.p_values, elements)
+    ]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:

@@ -367,6 +367,7 @@ def test_non_finite_range_rejected_by_name(capsys, argv, where):
     (("atom-light", "--g", "inf", "--kappa-tau", "100"), "g"),
     (("atom-mech", "--g", "0.07", "--kappa-tau", "inf"), "kappa_tau"),
     (("optomech", "--g", "0.06", "--kappa-tau", "100", "--Gamma", "inf"), "Gamma"),
+    (("ideal", "--G", "inf"), "G"),
 ])
 def test_non_finite_gate_parameter_is_config_error(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
@@ -379,12 +380,37 @@ def test_non_finite_gate_parameter_is_config_error(capsys, argv, name):
     (("atom-light", "--g", "-1", "--kappa-tau", "100"), "g must be positive"),
     (("atom-mech", "--g", "0.07", "--kappa-tau", "90", "--S", "25"), "S must lie in [0, 20]"),
     (("optomech", "--g", "0.06", "--kappa-tau", "100", "--Gamma", "-0.001"), "Gamma must be non-negative"),
+    (("bs", "--T", "1.5"), "T must lie in [0, 1]"),
+    (("optomech", "--g", "0.06", "--kappa-tau", "100", "--Gamma", "-1e-3"), "Gamma must be non-negative"),
 ])
 def test_out_of_range_gate_parameter_named_as_typed(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert f"configuration error: {message}\n" in err
+
+
+def test_negative_number_in_exponent_form_is_a_value(capsys):
+    code, out, _ = run_cli(capsys, "ideal", "--G", "-1e-3")
+    assert code == 0
+    assert out.split("\n")[1].startswith("G,-0.001,1,")
+    code, out, _ = run_cli(capsys, "ideal", "--sweep", "G", "--start", "-1e-3", "--stop", "1", "--points", "2")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 3
+
+
+def test_config_file_choice_checked_before_any_point(tmp_path, monkeypatch, capsys):
+    def never_run(config):
+        raise AssertionError("run_sweep called")
+
+    monkeypatch.setattr(qnd_hom.cli, "run_sweep", never_run)
+    cfg = tmp_path / "sweep.cfg"
+    for text, key in (("format = xml\n", "format"), ("scale = cubic\n", "scale")):
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "ideal", "--start", "0.1", "--stop", "1", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert f"bad value for {key!r}" in err
 
 
 def test_cli_import_does_not_load_scipy_integrate():
@@ -410,6 +436,16 @@ def test_env_jobs_fallback(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "ideal", "--start", "0.4", "--stop", "0.8", "--points", "2")
     assert code == 0
     assert len(out.strip().split("\n")) == 3
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_env_jobs_below_one_rejected(monkeypatch, capsys, jobs):
+    # QND_HOM_JOBS meets the same rule as --jobs and the jobs key
+    monkeypatch.setenv("QND_HOM_JOBS", jobs)
+    code, out, err = run_cli(capsys, "ideal", "--G", "1")
+    assert code == 1
+    assert out == ""
+    assert "jobs must be at least 1" in err
 
 
 def test_env_jobs_invalid(monkeypatch, capsys):

@@ -1,0 +1,58 @@
+"""The scripts under scripts/ run against the current library API."""
+
+import dataclasses
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qnd_hom
+from qnd_hom.sweep import CSV_HEADER
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run_presets(monkeypatch, *argv):
+    monkeypatch.setattr(sys, "argv", ["run_presets.py", *argv])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "run_presets.py"), run_name="__main__")
+    assert done.value.code == 0
+
+
+def test_run_presets_writes_one_table(tmp_path, monkeypatch, capsys):
+    # the preset runs on a 2-point grid without thresholds, so the check
+    # covers the script's calls, not the cost of the full table
+    seen = []
+    real = qnd_hom.run_sweep
+
+    def small_sweep(config):
+        seen.append(config)
+        return real(dataclasses.replace(config, points=2, with_input_threshold=False))
+
+    monkeypatch.setattr(qnd_hom, "run_sweep", small_sweep)
+    _run_presets(monkeypatch, "--out-dir", str(tmp_path), "--jobs", "2", "--format", "json", "fig2a")
+    assert [(c.gate, c.jobs) for c in seen] == [("atom-light", 2)]
+    text = (tmp_path / "fig2a.json").read_text()
+    assert text.startswith("[") and text.count('"param": "g"') == 2 * 3
+    assert "fig2a: 6 rows" in capsys.readouterr().out
+
+
+def test_run_presets_csv_header(tmp_path, monkeypatch):
+    monkeypatch.setattr(qnd_hom, "run_sweep", lambda config: [])
+    _run_presets(monkeypatch, "--out-dir", str(tmp_path), "fig3b")
+    assert (tmp_path / "fig3b.csv").read_text() == CSV_HEADER + "\n"
+
+
+def test_landmarks_runs():
+    src = Path(qnd_hom.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "landmarks.py")], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "== hybrid gate" in done.stdout
+    assert "input threshold" in done.stdout.splitlines()[-1]

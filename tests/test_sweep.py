@@ -1,5 +1,6 @@
 """Sweep engine: grid order, emission formats, presets, optima."""
 
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ import pytest
 import qnd_hom.metrics
 import qnd_hom.sweep
 from qnd_hom.fock import QND_11_ARGMAX, closed_form_qnd_11
-from qnd_hom.gates import AtomMechParams, build_atom_mech_gate
+from qnd_hom.gates import GATES, AtomMechParams, build_atom_mech_gate
 from qnd_hom.metrics import InputSpec, hom_element_for_gate
 from qnd_hom.sweep import (
     CSV_HEADER,
@@ -24,6 +25,7 @@ from qnd_hom.sweep import (
     render_json,
     run_sweep,
 )
+from qnd_hom.thresholds import ThresholdResult
 
 
 def _ideal_config(**kw):
@@ -91,6 +93,16 @@ def test_gate_vocabulary_is_the_params_fields():
         "optomech": ("g", "kappa_tau", "eta", "Gamma"),
         "atom-mech": ("g", "gA", "gM", "kappa_tau", "eta", "Gamma", "S"),
     }
+
+
+def test_gate_kinds_are_the_gate_table():
+    assert qnd_hom.sweep.GATE_KINDS == tuple(GATES)
+
+
+def test_sweep_config_holds_only_what_run_sweep_reads():
+    # the output path and format go to emit, not into the config
+    names = {f.name for f in dataclasses.fields(SweepConfig)}
+    assert not names & {"out_path", "out_format"}
 
 
 def test_atom_mech_couplings_override_g():
@@ -238,6 +250,28 @@ def test_hom_err_is_zero_and_empty_on_failure_rows(monkeypatch):
     assert math.isnan(bad.hom) and bad.hom_err is None
     assert "outside [0, 1]" in bad.warnings
     assert render_csv([bad]).split("\n")[1].split(",")[4] == ""
+
+
+def test_failure_row_drops_the_point_threshold(monkeypatch):
+    # a point that fails after its input threshold was found keeps only
+    # the failure: no threshold and no threshold warnings in its rows
+    found = ThresholdResult(0.2, (1.0, 1.0), 64, False, ("unconverged",))
+    monkeypatch.setattr(qnd_hom.sweep, "input_threshold", lambda model: found)
+    real = qnd_hom.metrics.hom_sectors
+
+    def sectors(model):
+        return np.full((2, 2), 768.0) if model.gains["G"] == 2.0 else real(model)
+
+    monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", sectors)
+    rows = run_sweep(_ideal_config(points=2, start=1.0, p_values=(1.0, 0.5), with_input_threshold=True))
+    good, bad = rows[:2], rows[2:]
+    for row in good:
+        assert (row.input_threshold, row.warnings) == (0.2, "unconverged")
+    for row, p in zip(bad, (1.0, 0.5)):
+        assert (row.param, row.value, row.p) == ("G", 2.0, p)
+        assert math.isnan(row.hom) and row.hom_err is None and row.input_threshold is None
+        assert row.output_threshold == math.exp(-2.0)
+        assert row.warnings.startswith("numerical-domain failure: ")
 
 
 def test_sectors_computed_once_per_grid_point(monkeypatch):
