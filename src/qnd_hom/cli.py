@@ -106,13 +106,14 @@ _KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...] | None]] = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems via exit code 1 and takes a
-    negative number in exponent form, such as ``-1e-3``, as a value."""
+    """argparse that reports usage problems via exit code 1 and takes every
+    negative number float() reads, such as ``-1e-3`` or ``-inf``, as a value."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse's own pattern only knows -1 and -0.5 forms
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise SweepConfigError(message)

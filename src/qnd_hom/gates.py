@@ -15,11 +15,12 @@ rows of a coefficient matrix A over a vector z of scalar quadrature
 variables: signal quadratures first, then auxiliary temporal modes of
 the traveling field, intracavity initials, loss vacua and thermal-force
 modes.  Distinct temporal modes of one field overlap; the stated
-pairwise overlaps go through :func:`qnd_hom.modes.orthogonalize_noise_modes`
-so that covariances are assembled over independent unit-variance
-latents.  Because every flat-top signal/mediator mode precedes the
-auxiliary modes of its family, the first four latent slots always
-coincide with the physical signal quadratures.
+pairwise overlaps form the Gram matrix Σ of z, checked by
+:func:`qnd_hom.modes.orthogonalize_noise_modes`, and the vacuum output
+covariance is AΣAᵀ.  The four signal quadratures lead z and are
+uncorrelated with one another, so a signal input reaches the output
+through AΣ[:, :4]: every mode of z carries its overlap with the signal
+quadratures.
 
 All rates are in units of the cavity decay κ (κ_A = κ_M = κ = 1) and
 times in units of 1/κ; ``kappa_tau`` is the dimensionless pulse length
@@ -204,10 +205,10 @@ def atom_mech_constants(kappa_tau: float) -> AtomMechConstants:
 class GateModel:
     """Linear output map of one gate over its correlated mode vector z.
 
-    ``output_matrix`` rows are (X_a, P_a, X_b, P_b).  The z entries of
-    the two input systems occupy the first four latent slots unchanged.
-    Construction is the one physicality check of the vacuum output
-    covariance; everything that reads a model relies on it.
+    ``output_matrix`` rows are (X_a, P_a, X_b, P_b).  The quadratures of
+    the two input systems are the first four entries of z, with a unit
+    Gram block.  Construction is the one physicality check of the vacuum
+    output covariance; everything that reads a model relies on it.
     """
 
     output_matrix: np.ndarray
@@ -219,21 +220,19 @@ class GateModel:
         if A.shape != (4, self.basis.n_modes):
             raise ValueError("output matrix must be 4 × n_modes")
         object.__setattr__(self, "output_matrix", A)
-        for i in range(4):
-            row = self.basis.transform[i]
-            if abs(row[i] - 1.0) > 1e-12 or np.any(np.abs(np.delete(row, i)) > 1e-12):
-                raise ValueError("signal quadratures must be uncorrelated leading modes")
+        if np.any(np.abs(self.basis.gram[:4, :4] - np.eye(4)) > 1e-12):
+            raise ValueError("signal quadratures must be uncorrelated leading modes")
         check_physical(self.vacuum_output_cov, tol=1e-9)
 
     @cached_property
-    def latent_map(self) -> np.ndarray:
-        """Output map à = A·C over independent unit-variance latents."""
-        return self.output_matrix @ self.basis.transform
+    def signal_map(self) -> np.ndarray:
+        """A·Σ[:, :4], the map of the four signal quadratures to the output."""
+        return self.output_matrix @ self.basis.gram[:, :4]
 
     @cached_property
     def vacuum_output_cov(self) -> np.ndarray:
-        """A Σ Aᵀ with every latent in vacuum."""
-        return self.latent_map @ self.latent_map.T
+        """A Σ Aᵀ with every mode in vacuum."""
+        return self.output_matrix @ self.basis.gram @ self.output_matrix.T
 
 
 def signal_gate_model(matrix: np.ndarray, gains: Mapping[str, float]) -> GateModel:

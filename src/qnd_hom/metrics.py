@@ -67,7 +67,7 @@ def _probability(value: float) -> float:
 
 def hom_sectors(model: GateModel) -> np.ndarray:
     """E[i, j] = ⟨HOM|ρ_out|HOM⟩ for input |i⟩⟨i| ⊗ |j⟩⟨j|, i, j ∈ {0, 1}."""
-    signal = model.latent_map[:, :4]
+    signal = model.signal_map
     jet = hom_jet(model.vacuum_output_cov, (signal[:, :2], signal[:, 2:]))
     return jet[12:].reshape(2, 2).T  # component 12 + i + 2j is E[i, j]
 
@@ -109,7 +109,7 @@ def coherent_jets(model: GateModel) -> tuple[np.ndarray, np.ndarray]:
     the jet (q₀, q_a, q_b, q_ab) of dᵀS(y)⁻¹d, d the output mean.
     """
     cov = model.vacuum_output_cov
-    W = model.latent_map[:, :4]
+    W = model.signal_map
     Si = np.linalg.inv(cov + np.eye(4))
     Ba, Bb = HOM_BS[:, :2], HOM_BS[:, 2:]
     Ua, Ub = Ba.T @ Si @ W, Bb.T @ Si @ W

@@ -4,17 +4,11 @@ Gate outputs are linear combinations of scalar quadrature variables z:
 signal quadratures first, then intracavity initials, loss vacua,
 auxiliary temporal modes of the mediator field, and thermal-force
 modes.  Distinct temporal modes of the same traveling field are in
-general *not* orthogonal; their vacuum-normalized overlaps form a Gram
-matrix Σ₀ with unit diagonal.  This module turns the stated pairwise
-overlaps into an explicit lower-triangular transform C with Σ₀ = C Cᵀ:
-each auxiliary mode is decomposed sequentially into its component along
-the flat-top mode (coefficient = the stated overlap) plus an
-orthogonal remainder, so downstream covariances can be assembled over
-independent unit-variance latent modes.
-
-Broadband mediator squeezing rescales only the temporal modes the
-caller names, by a positive diagonal D: C → D·C (so Σ₀ → DΣ₀D), and
-each basis is factored once.  Loss vacua, intracavity initials and
+general *not* orthogonal; their vacuum-normalized overlaps form the
+Gram matrix Σ₀ (unit diagonal) that a basis holds.  Building a basis
+checks the stated overlaps by factoring the modes they name.
+Broadband mediator squeezing rescales the modes the caller names by a
+positive diagonal D, Σ₀ → DΣ₀D; loss vacua, intracavity initials and
 thermal-force modes always stay at vacuum variance.
 """
 
@@ -22,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -84,38 +79,40 @@ def gram_cholesky(gram: np.ndarray, labels: Sequence[str]) -> np.ndarray:
             )
         pivot = math.sqrt(d) if d > _DEGENERACY_TOL else 0.0
         L[k, k] = pivot
-        for i in range(k + 1, n):
-            off = gram[i, k] - float(np.dot(L[i, :k], row))
-            if pivot > 0.0:
-                L[i, k] = off / pivot
-            elif abs(off) > _PSD_TOL:
-                raise OverlapConsistencyError(
-                    f"mode {labels[k]!r} is fully determined by earlier modes, "
-                    f"yet a further overlap with {labels[i]!r} is stated; the "
-                    f"({labels[k]!r}, {labels[i]!r}) pair is inconsistent"
-                )
+        off = gram[k + 1:, k] - L[k + 1:, :k] @ row
+        if pivot > 0.0:
+            L[k + 1:, k] = off / pivot
+        elif (bad := np.flatnonzero(np.abs(off) > _PSD_TOL)).size:
+            i = k + 1 + int(bad[0])
+            raise OverlapConsistencyError(
+                f"mode {labels[k]!r} is fully determined by earlier modes, "
+                f"yet a further overlap with {labels[i]!r} is stated; the "
+                f"({labels[k]!r}, {labels[i]!r}) pair is inconsistent"
+            )
     return L
 
 
 @dataclass(frozen=True)
 class NoiseModeBasis:
-    """Ordered quadrature variables z with their correlation structure.
+    """Ordered quadrature variables z with their vacuum Gram matrix Σ₀.
 
-    ``transform`` is the lower-triangular C with Σ₀ = C Cᵀ, mapping
-    independent unit-variance latents to the physical (correlated)
-    modes: a coefficient row A over z becomes à = A·C over latents.
+    ``transform`` is the lower-triangular C with Σ₀ = C Cᵀ, factored on
+    first read: a coefficient row A over z becomes A·C over independent
+    unit-variance modes.
     """
 
     labels: tuple[str, ...]
-    transform: np.ndarray
+    gram: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        C = np.asarray(self.transform, dtype=float)
-        n = len(self.labels)
-        if C.shape != (n, n):
-            raise ValueError("transform shape does not match labels")
-        object.__setattr__(self, "transform", C)
+        object.__setattr__(self, "gram", np.asarray(self.gram, dtype=float))
+        if self.gram.shape != (self.n_modes, self.n_modes):
+            raise ValueError("gram shape does not match labels")
+
+    @cached_property
+    def transform(self) -> np.ndarray:
+        return gram_cholesky(self.gram, self.labels)
 
     @property
     def n_modes(self) -> int:
@@ -130,11 +127,14 @@ def orthogonalize_noise_modes(
 ) -> NoiseModeBasis:
     """Build a NoiseModeBasis from stated pairwise overlaps.
 
-    Every appendix-style cross-correlation is reproduced exactly by the
-    returned transform (C Cᵀ = Σ₀); impossible overlap sets raise
-    :class:`OverlapConsistencyError` naming the offending pair.
+    The modes the overlaps name are factored in label order, so an
+    impossible set raises :class:`OverlapConsistencyError` naming the
+    offending pair; any other mode would only add a unit pivot and zeros.
     """
-    return NoiseModeBasis(tuple(labels), gram_cholesky(build_gram(labels, overlaps), labels))
+    gram = build_gram(labels, overlaps)
+    named = [i for i, lab in enumerate(labels) if any(lab in pair for pair in overlaps)]
+    gram_cholesky(gram[np.ix_(named, named)], [labels[i] for i in named])
+    return NoiseModeBasis(tuple(labels), gram)
 
 
 def squeezing_factor(squeezing_db: float) -> float:
@@ -155,9 +155,8 @@ def apply_squeezing(
     e^{+r}, r = squeezing_db·ln(10)/20, so variances and co-quadrature
     cross-correlations scale by e^{∓2r} (frequency-flat squeezing over
     the pulse band); every other mode keeps vacuum variance.  With D
-    that diagonal, the transform becomes D·C, still lower-triangular with
-    (DC)(DC)ᵀ = DΣ₀D: no second factorization, and the degeneracy
-    decisions made on the stated overlaps stand.
+    that diagonal, the Gram matrix becomes DΣ₀D; the overlaps were
+    checked as stated.
     """
     if squeezing_db < 0.0:
         raise ValueError("squeezing_db must be non-negative")
@@ -170,4 +169,4 @@ def apply_squeezing(
             scale[basis.index(lab)] = factor
     if squeezing_db == 0.0:
         return basis
-    return replace(basis, transform=scale[:, None] * basis.transform)
+    return replace(basis, gram=scale[:, None] * basis.gram * scale)

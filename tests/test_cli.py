@@ -350,6 +350,8 @@ def test_single_point_sweep_rejects_points(capsys, points):
 @pytest.mark.parametrize("argv,where", [
     (("ideal", "--start", "0", "--stop", "inf", "--points", "3"), "sweep range of 'G'"),
     (("optimum", "--gate", "ideal", "--free", "G=0:inf"), "range of free parameter 'G'"),
+    (("ideal", "--start", "-inf", "--stop", "1", "--points", "3"), "sweep range of 'G'"),
+    (("ideal", "--start", "-Infinity", "--stop", "1", "--points", "3"), "sweep range of 'G'"),
 ])
 def test_non_finite_range_rejected_by_name(capsys, argv, where):
     with warnings.catch_warnings(record=True) as caught:
@@ -368,6 +370,8 @@ def test_non_finite_range_rejected_by_name(capsys, argv, where):
     (("atom-mech", "--g", "0.07", "--kappa-tau", "inf"), "kappa_tau"),
     (("optomech", "--g", "0.06", "--kappa-tau", "100", "--Gamma", "inf"), "Gamma"),
     (("ideal", "--G", "inf"), "G"),
+    (("optomech", "--g", "0.06", "--kappa-tau", "100", "--Gamma", "-inf"), "Gamma"),
+    (("ideal", "--G", "-NaN"), "G"),
 ])
 def test_non_finite_gate_parameter_is_config_error(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)

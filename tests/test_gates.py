@@ -23,7 +23,7 @@ from qnd_hom.gates import (
 )
 from qnd_hom.gaussian import min_physicality_eig, qnd_matrix
 from qnd_hom.metrics import coherent_jets, hom_sectors
-from qnd_hom.modes import gram_cholesky, squeezing_factor
+from qnd_hom.modes import squeezing_factor
 from qnd_hom.sweep import PRESETS, build_model
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
@@ -136,7 +136,7 @@ def _ideal_faraday_map(G):
 def _ideal_limit_deviation(kappa_tau):
     g = 0.6 / np.sqrt(2.0 * kappa_tau)  # G_A = 0.6
     model = build_atom_light_gate(AtomLightParams(g, kappa_tau, 1.0))
-    signal = model.latent_map[:, :4]
+    signal = model.signal_map
     return np.abs(signal - _ideal_faraday_map(model.gains["G_A"])).max()
 
 
@@ -172,7 +172,7 @@ def test_atom_mech_gain_symmetry():
     # feedforward symmetrizes the hybrid gate: the signal block is an
     # exact QND map with a single gain
     model = build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 7.0))
-    signal = model.latent_map[:, :4]
+    signal = model.signal_map
     G = model.gains["gain"]
     assert signal[0, 2] == pytest.approx(G, abs=1e-12)
     assert signal[3, 1] == pytest.approx(-G, abs=1e-12)
@@ -254,15 +254,32 @@ _ONE_OF_EACH = [
 def _counted(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
     return calls
+
+
+# modes the stated overlaps name, per pulse gate
+_NAMED = {"atom-light": 7, "optomech": 7, "atom-mech": 4}
 
 
 @pytest.mark.parametrize("gate,values", _ONE_OF_EACH)
 def test_each_build_factors_its_gram_matrix_at_most_once(monkeypatch, gate, values):
+    # a build factors only the modes its overlaps name; the element and
+    # the coherent jets factor nothing
     calls = _counted(monkeypatch, qnd_hom.modes, "gram_cholesky")
-    build_model(gate, values)
-    assert len(calls) == (1 if gate in ("atom-light", "optomech", "atom-mech") else 0)
+    model = build_model(gate, values)
+    hom_sectors(model)
+    coherent_jets(model)
+    assert [len(labels) for _, labels in calls] == ([_NAMED[gate]] if gate in _NAMED else [])
+
+
+@pytest.mark.parametrize("gate,values", _ONE_OF_EACH)
+def test_transform_is_factored_once_when_read(monkeypatch, gate, values):
+    model = build_model(gate, values)
+    calls = _counted(monkeypatch, qnd_hom.modes, "gram_cholesky")
+    C = model.basis.transform
+    assert model.basis.transform is C
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("gate,values", _ONE_OF_EACH)
@@ -276,7 +293,7 @@ def test_physicality_checked_once_per_model(monkeypatch, gate, values):
 
 @pytest.mark.parametrize("preset", ["fig3a", "fig3b"])
 def test_squeezed_factor_is_the_rescaled_unsqueezed_factor(preset):
-    # D·C is exactly the product, and it is gram_cholesky(DΣ₀D) to roundoff
+    # the squeezed Gram matrix is exactly DΣ₀D, and its factor reconstructs it
     config = PRESETS[preset]
     r = math.sqrt(squeezing_factor(config.fixed["S"]))
     for value in config.grid():
@@ -286,6 +303,18 @@ def test_squeezed_factor_is_the_rescaled_unsqueezed_factor(preset):
         d = np.ones(squeezed.n_modes)
         d[[squeezed.index("X_in"), squeezed.index("X_in_f")]] = 1.0 / r
         d[squeezed.index("P_in")] = r
-        assert np.array_equal(squeezed.transform, d[:, None] * plain.transform)
-        refactored = gram_cholesky(squeezed.transform @ squeezed.transform.T, squeezed.labels)
-        assert np.abs(squeezed.transform - refactored).max() <= 1e-14, value
+        assert np.array_equal(squeezed.gram, d[:, None] * plain.gram * d)
+        C = squeezed.transform
+        assert np.abs(C @ C.T - squeezed.gram).max() <= 1e-12, value
+
+
+@pytest.mark.parametrize("preset", [name for name, config in PRESETS.items() if config.gate != "ideal"])
+def test_factor_free_model_matches_the_factored_one(preset):
+    # AΣ[:, :4] and AΣAᵀ against the maps over independent modes, A·C
+    config = PRESETS[preset]
+    for value in config.grid():
+        model = build_model(config.gate, {**config.fixed, config.sweep_param: float(value)})
+        AC = model.output_matrix @ model.basis.transform
+        V = model.vacuum_output_cov
+        assert np.array_equal(model.signal_map, AC[:, :4]), value
+        assert np.abs(V - AC @ AC.T).max() <= 1e-14 * np.abs(V).max(), value

@@ -67,9 +67,29 @@ def test_orthogonalize_round_trip():
     assert np.allclose(np.diag(corr), 1.0, atol=1e-12)
 
 
-def test_basis_rejects_transform_of_wrong_shape():
-    with pytest.raises(ValueError, match="transform shape does not match labels"):
+def test_basis_rejects_gram_of_wrong_shape():
+    with pytest.raises(ValueError, match="gram shape does not match labels"):
         NoiseModeBasis(("m1", "m2"), np.eye(3))
+
+
+@pytest.mark.parametrize("overlaps,pair", [
+    # |⟨a|b⟩| = |⟨a|c⟩| = 0.9 forces ⟨b|c⟩ ≥ 0.62; claiming −0.9 is impossible
+    ({("a", "b"): 0.9, ("a", "c"): 0.9, ("b", "c"): -0.9}, "('b', 'c')"),
+    # b is a, yet b overlaps c and a does not; the Gram matrix's smallest
+    # eigenvalue is only about −5e-13
+    ({("a", "b"): 1.0, ("b", "c"): 1e-6}, "('b', 'c')"),
+])
+def test_orthogonalize_names_the_pair_the_whole_factorization_names(overlaps, pair):
+    # uncorrelated modes around and between the correlated ones change nothing
+    labels = ("u0", "a", "u1", "u2", "b", "u3", "c", "u4")
+    gram = build_gram(labels, overlaps)
+    assert np.linalg.eigvalsh(gram).min() < 0.0
+    with pytest.raises(OverlapConsistencyError) as whole:
+        gram_cholesky(gram, labels)
+    with pytest.raises(OverlapConsistencyError) as named:
+        orthogonalize_noise_modes(labels, overlaps)
+    assert str(named.value) == str(whole.value)
+    assert pair in str(named.value)
 
 
 def test_squeezing_factor_values():

@@ -4,8 +4,10 @@ Each single quantum is written as the thermal-minus-vacuum combination
 ((n+1)/n)·ρ_th(n) − (1/n)·ρ_vac, which equals |1⟩⟨1| up to O(n).  The
 element is then a signed sum of zero-mean two-mode overlaps
 4/√det(V₁+V₂) whose terms reach 1/n⁴, so it is summed in mpmath at 50
-digits from the package's float64 latent map.  Three occupations n, n/2,
-n/4 and Richardson extrapolation remove the O(n) and O(n²) biases.
+digits from the float64 map A·C over independent modes, with C the
+Cholesky factor of the Gram matrix, which the element itself never
+reads.  Three occupations n, n/2, n/4 and Richardson extrapolation
+remove the O(n) and O(n²) biases.
 """
 
 import mpmath
@@ -25,7 +27,7 @@ def _terms(p, n):
 
 
 def _signed_sum(model, p, n):
-    A = mpmath.matrix(model.latent_map.tolist())
+    A = mpmath.matrix((model.output_matrix @ model.basis.transform).tolist())
     B = mpmath.matrix(bs_matrix(0.5).tolist())
     vacuum = [mpmath.mpf(1)] * (model.basis.n_modes - 4)
     projector = [
