@@ -63,7 +63,7 @@ def gram_cholesky(gram: np.ndarray, labels: Sequence[str]) -> np.ndarray:
     gram = np.asarray(gram, dtype=float)
     if gram.shape != (n, n):
         raise ValueError("Gram matrix shape does not match the label list")
-    if not np.allclose(gram, gram.T, atol=1e-12):
+    if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12):
         raise OverlapConsistencyError("overlap matrix is not symmetric")
     L = np.zeros((n, n))
     for k in range(n):

@@ -55,6 +55,12 @@ def test_cholesky_rejects_inconsistent_overlaps():
     assert "c" in str(err.value)
 
 
+def test_cholesky_rejects_asymmetric_gram():
+    # 4e-6 of asymmetry is far above roundoff, whatever the entries' size
+    with pytest.raises(OverlapConsistencyError, match="not symmetric"):
+        gram_cholesky(np.array([[1.0, 0.5], [0.500004, 1.0]]), ("a", "b"))
+
+
 def test_orthogonalize_round_trip():
     labels = ("m1", "m2", "m3")
     overlaps = {("m1", "m2"): 0.4, ("m2", "m3"): 0.25}

@@ -1,5 +1,7 @@
 """Property-based invariants across the whole stack."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,3 +180,13 @@ def _sweep_csv(jobs: int) -> str:
 
 def test_sweep_byte_identical_across_jobs():
     assert _sweep_csv(1) == _sweep_csv(8)
+
+
+def test_thresholds_byte_identical_across_jobs():
+    # the search itself must not depend on the process it runs in
+    config = SweepConfig(
+        gate="atom-light", sweep_param="g", start=0.02, stop=0.12, points=4,
+        fixed={"kappa_tau": 100.0, "eta": 0.9}, with_input_threshold=True,
+    )
+    serial = render_csv(run_sweep(config))
+    assert render_csv(run_sweep(dataclasses.replace(config, jobs=2))) == serial
