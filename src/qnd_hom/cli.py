@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import errno
 import json
 import os
 import re
@@ -173,7 +174,12 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _run_table(config: SweepConfig, settings: dict) -> int:
     """Run a sweep under the table settings and emit its rows."""
     config = replace(config, **{_FIELDS[k]: v for k, v in settings.items() if k in _FIELDS})
-    emit(run_sweep(config), settings.get("format", "csv"), settings.get("out"))
+    out = settings.get("out")
+    # fail as open() would, but before any point is computed; the file
+    # itself is only opened, and truncated, once the table is ready
+    if out is not None and not os.path.exists(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    emit(run_sweep(config), settings.get("format", "csv"), out)
     return 0
 
 

@@ -29,7 +29,7 @@ from . import metrics  # hom_sectors is looked up here, where tests substitute i
 from .gates import GATES, GateModel
 from .gaussian import NumericalDomainError
 from .metrics import InputSpec, hom_element_for_gate, sector_element
-from .thresholds import input_threshold, maximize_on_box, output_threshold
+from .thresholds import input_threshold, load_minimize, maximize_on_box, output_threshold
 
 GATE_KINDS = tuple(GATES)
 
@@ -83,6 +83,8 @@ class SweepConfig:
             raise SweepConfigError(
                 f"sweep range of {self.sweep_param!r} must be finite, got {self.start}:{self.stop}"
             )
+        if self.points > 1 and self.start == self.stop:
+            raise SweepConfigError(f"empty range for swept parameter {self.sweep_param!r}")
         if self.scale not in ("linear", "log"):
             raise SweepConfigError("scale must be 'linear' or 'log'")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
@@ -170,6 +172,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """
     tasks = [(config, float(v)) for v in config.grid()]
     if config.jobs > 1 and len(tasks) > 1:
+        if config.with_input_threshold:
+            # forked workers inherit this process's modules; without this,
+            # each would import scipy again, at its first threshold
+            load_minimize()
         # the pool starts all its workers at once: never more than there are points
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
             groups = list(pool.map(_evaluate_point, tasks, chunksize=1))

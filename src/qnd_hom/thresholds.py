@@ -24,7 +24,9 @@ exact gradient.  The even nodes of the 64-point rule form the 32-point
 rule, so the same phase-grid values at the argmax certify the average:
 it is converged when the two rules agree to 1e-6.  The objective is
 the exact coherent element of :mod:`qnd_hom.metrics`, one exp per phase
-point.
+point.  scipy is imported by :func:`load_minimize` at the first search,
+not with this module, and :func:`qnd_hom.sweep.run_sweep` calls it once
+before forking its pool, so the workers inherit the import.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gates import GateModel, as_gate_model
 from .metrics import coherent_coefficient, coherent_jets
@@ -155,6 +156,14 @@ def phase_averaged_element(
     return _AveragedElement(as_gate_model(model), phase_samples)(R_a, R_b)
 
 
+def load_minimize():
+    """scipy's ``minimize``, imported on the first call: element
+    evaluations and plain sweeps never load scipy."""
+    from scipy.optimize import minimize
+
+    return minimize
+
+
 def maximize_on_box(objective, box, points: int, starts: int, **simplex):
     """Maximize ``objective(*x)`` over the box [(lo, hi), ...].
 
@@ -169,6 +178,7 @@ def maximize_on_box(objective, box, points: int, starts: int, **simplex):
     )
     best_val, best_arg = scores[0]
     negated = lambda x: -objective(*x)
+    minimize = load_minimize()
     for _, x0 in scores[:starts]:
         res = minimize(negated, list(x0), method="Nelder-Mead", bounds=box, options=simplex)
         if -res.fun > best_val:
@@ -191,6 +201,7 @@ def input_threshold(model: GateModel | float) -> ThresholdResult:
     axis = np.linspace(0.0, _DOMAIN, _COARSE_GRID)
     scores = objective.scan(axis).ravel()
     negated = lambda x: tuple(-t for t in objective.value_and_grad(*x))
+    minimize = load_minimize()
     value, argmax = -math.inf, None
     # equal scores keep grid order, and a later optimum must be strictly better
     for cell in np.argsort(-scores, kind="stable")[:_STARTS]:

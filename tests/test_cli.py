@@ -13,7 +13,7 @@ import pytest
 import qnd_hom.cli
 import qnd_hom.metrics
 from qnd_hom.cli import build_parser, main, parse_config_file
-from qnd_hom.sweep import CSV_HEADER, SweepConfigError
+from qnd_hom.sweep import CSV_HEADER, SweepConfigError, SweepNumericalError
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +113,31 @@ def test_io_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "missing-dir" / "out.csv"
     code, _, err = run_cli(capsys, "ideal", "--G", "0.5", "--out", str(bad))
     assert code == 3
+
+
+def test_missing_output_directory_fails_before_any_point(tmp_path, monkeypatch, capsys):
+    def never_run(config):
+        raise AssertionError("run_sweep called")
+
+    monkeypatch.setattr(qnd_hom.cli, "run_sweep", never_run)
+    bad = tmp_path / "missing-dir" / "x.csv"
+    with pytest.raises(FileNotFoundError) as opened:
+        open(bad, "w")
+    code, out, err = run_cli(capsys, "preset", "fig2a", "--out", str(bad))
+    assert code == 3
+    assert out == ""
+    assert err == f"qnd-hom: I/O error: {opened.value}\n"
+
+    # an existing file keeps its bytes until its table is ready
+    def fail(config):
+        raise SweepNumericalError("every grid point failed numerically")
+
+    monkeypatch.setattr(qnd_hom.cli, "run_sweep", fail)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    code, _, _ = run_cli(capsys, "preset", "fig2a", "--out", str(kept))
+    assert code == 2
+    assert kept.read_text() == "old\n"
 
 
 # ----------------------------------------------------------------------
@@ -425,6 +450,21 @@ def test_cli_import_does_not_load_scipy_integrate():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_paths_without_a_search_never_load_scipy():
+    src = Path(qnd_hom.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "\n".join([
+        "import sys, qnd_hom, qnd_hom.cli",
+        "assert qnd_hom.cli.main(['atom-light', '--g', '0.06', '--kappa-tau', '100', '--eta', '0.9']) == 0",
+        "assert qnd_hom.cli.main(['ideal', '--start', '0.2', '--stop', '1', '--points', '3', '--jobs', '2']) == 0",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_preset_known_names(capsys):

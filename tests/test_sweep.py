@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,9 @@ def test_rejects_bad_grid():
     for start, stop in [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)]:
         with pytest.raises(SweepConfigError, match="sweep range of 'G' must be finite"):
             _ideal_config(start=start, stop=stop, points=3)
+    with pytest.raises(SweepConfigError, match="empty range for swept parameter 'G'"):
+        _ideal_config(start=1.0, stop=1.0, points=3)
+    assert _ideal_config(start=2.0, stop=1.0, points=3).grid().tolist() == [2.0, 1.5, 1.0]
 
 
 def test_rejects_bad_p():
@@ -210,6 +217,38 @@ def test_pool_never_larger_than_the_grid(monkeypatch):
     assert render_csv(rows) == render_csv(run_sweep(_ideal_config(points=4)))
     run_sweep(_ideal_config(points=4, jobs=3))
     assert started == [4, 3]
+
+
+_INHERIT_PROBE = """
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+import qnd_hom.sweep
+from qnd_hom.sweep import SweepConfig, run_sweep
+
+loaded = []
+
+class Pool(ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        loaded.append("scipy.optimize" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+qnd_hom.sweep.ProcessPoolExecutor = Pool
+config = SweepConfig("ideal", "G", 0.4, 0.8, 2, with_input_threshold=True, jobs=2)
+pooled = run_sweep(config)  # first, while this process has no scipy yet
+print(loaded, pooled == run_sweep(replace(config, jobs=1)))
+"""
+
+
+def test_pool_workers_inherit_scipy():
+    # a worker that has to import scipy itself pays for it at its first
+    # threshold, in every pool run_sweep starts
+    src = Path(qnd_hom.sweep.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _INHERIT_PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[True] True"
 
 
 def test_output_threshold_column_is_always_e_minus_2():
