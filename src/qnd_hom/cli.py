@@ -31,7 +31,7 @@ samples are fixed.  Precedence: ``QND_HOM_JOBS`` (default parallelism)
 < configuration file < flags; each must give at least 1 job.
 
 Exit codes: 0 success, 1 configuration error, 2 fatal numerical
-failure, 3 output I/O error.
+failure, 3 output I/O error (for a bad ``out`` path, before any work).
 """
 
 from __future__ import annotations
@@ -174,13 +174,22 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _run_table(config: SweepConfig, settings: dict) -> int:
     """Run a sweep under the table settings and emit its rows."""
     config = replace(config, **{_FIELDS[k]: v for k, v in settings.items() if k in _FIELDS})
-    out = settings.get("out")
-    # fail as open() would, but before any point is computed; the file
-    # itself is only opened, and truncated, once the table is ready
-    if out is not None and not os.path.exists(os.path.dirname(out) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
-    emit(run_sweep(config), settings.get("format", "csv"), out)
+    emit(run_sweep(config), settings.get("format", "csv"), settings.get("out"))
     return 0
+
+
+def _check_out(out: str | None):
+    """Fail as ``open(out, "w")`` would if ``out`` or its directory is not
+    usable; the file itself is truncated only once its output is ready."""
+    if out is None:
+        return
+    try:
+        # the trailing separator makes a regular file fail with ENOTDIR
+        os.stat(os.path.join(os.path.dirname(out) or ".", ""))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
+    if os.path.isdir(out):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
 
 
 def _gate_values(settings: dict) -> dict:
@@ -311,7 +320,9 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.run(args, _resolve(args))
+        settings = _resolve(args)
+        _check_out(settings.get("out"))
+        return args.run(args, settings)
     except SweepConfigError as exc:
         print(f"qnd-hom: configuration error: {exc}", file=sys.stderr)
         return 1

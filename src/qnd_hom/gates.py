@@ -10,12 +10,15 @@ systems (feedforward makes the two gains equal by construction).  The
 atom-light gate is the optomechanical pulse gate without
 rethermalization (Γ = 0).
 
-Each builder expresses the output quadratures (X_a, P_a, X_b, P_b) as
-rows of a coefficient matrix A over a vector z of scalar quadrature
-variables: signal quadratures first, then auxiliary temporal modes of
-the traveling field, intracavity initials, loss vacua and thermal-force
-modes.  Distinct temporal modes of one field overlap; the stated
-pairwise overlaps form the Gram matrix Σ of z, checked by
+Each pulse builder writes the output quadratures (X_a, P_a, X_b, P_b)
+over a vector z of scalar quadrature variables, named by the labels of
+its mode tuple: signal quadratures first, then auxiliary temporal modes
+of the traveling field, intracavity initials, loss vacua and
+thermal-force modes.  Each output is one ``{mode label: coefficient}``
+row, and :func:`_gate_model` places the rows by label into the
+coefficient matrix A; a label outside the basis is an error.  Distinct
+temporal modes of one field overlap; the stated pairwise overlaps form
+the Gram matrix Σ of z, checked by
 :func:`qnd_hom.modes.orthogonalize_noise_modes`, and the vacuum output
 covariance is AΣAᵀ.  The four signal quadratures lead z and are
 uncorrelated with one another, so a signal input reaches the output
@@ -259,6 +262,19 @@ def as_gate_model(model: GateModel | float) -> GateModel:
     return model if isinstance(model, GateModel) else ideal_gate_model(float(model))
 
 
+def _gate_model(basis: NoiseModeBasis, rows: tuple[dict, ...], gains: Mapping[str, float]) -> GateModel:
+    """Gate model whose outputs (X_a, P_a, X_b, P_b) are the given
+    ``{mode label: coefficient}`` rows; a mode a row omits has coefficient 0."""
+    column = {label: j for j, label in enumerate(basis.labels)}
+    A = np.zeros((len(rows), basis.n_modes))
+    for i, row in enumerate(rows):
+        for label, coefficient in row.items():
+            if label not in column:
+                raise ValueError(f"output row {i} names mode {label!r}, which is not in the basis")
+            A[i, column[label]] = coefficient
+    return GateModel(A, basis, gains)
+
+
 _PULSE_LABELS = (
     "X_a0", "P_a0", "X_L0", "Y_L0", "X_0f1", "Y_0k", "Y_0f1",
     "x_c", "p_c", "x_v", "p_v", "zeta_XM", "zeta_PM", "zeta_XMf",
@@ -273,11 +289,7 @@ def build_atom_light_gate(params: AtomLightParams) -> GateModel:
 
 def build_optomech_gate(params: OptomechParams) -> GateModel:
     """Mechanical oscillator (mode a) entangled with a traveling pulse
-    (mode b), with rethermalization forces at rate Γ = γ·n_th.
-
-    z: X_a0, P_a0, X_L0, Y_L0, X_0f1, Y_0k, Y_0f1, x_c, p_c, x_v, p_v,
-    zeta_XM, zeta_PM, zeta_XMf.
-    """
+    (mode b), with rethermalization forces at rate Γ = γ·n_th."""
     g, tau, eta, Gamma = params.g, params.kappa_tau, params.eta, params.Gamma
     c = atom_light_constants(tau)
     em = math.exp(-tau)
@@ -287,24 +299,8 @@ def build_optomech_gate(params: OptomechParams) -> GateModel:
     theta = g * c.theta
     s_cav = math.sqrt(2.0 * eta) * (1.0 - em) / math.sqrt(tau)
     s_loss = math.sqrt(1.0 - eta)
-    A = np.zeros((4, 14))
-    A[0, 0] = 1.0
-    A[0, 11] = math.sqrt(2.0 * Gamma * tau)
-    A[1, 1] = 1.0
-    A[1, 3] = -GA
-    A[1, 8] = -theta
-    A[1, 5] = GA * c.K1 / math.sqrt(tau)
-    A[1, 12] = math.sqrt(2.0 * Gamma * tau)
-    A[2, 2] = TL
-    A[2, 0] = GL
-    A[2, 9] = s_loss
-    A[2, 7] = s_cav
-    A[2, 4] = math.sqrt(eta) * c.L * c.L1
-    A[2, 13] = math.sqrt(eta) * math.sqrt(2.0 * Gamma) * g * c.M
-    A[3, 3] = TL
-    A[3, 10] = s_loss
-    A[3, 8] = s_cav
-    A[3, 6] = math.sqrt(eta) * c.L * c.L1
+    s_aux = math.sqrt(eta) * c.L * c.L1
+    thermal = math.sqrt(2.0 * Gamma * tau)
     overlaps = {
         ("X_L0", "X_0f1"): c.Kf1 / c.L1,
         ("Y_L0", "Y_0k"): c.Kf / c.K1,
@@ -313,7 +309,14 @@ def build_optomech_gate(params: OptomechParams) -> GateModel:
         ("zeta_XM", "zeta_XMf"): c.M1 / (math.sqrt(tau) * c.M),
     }
     basis = orthogonalize_noise_modes(_PULSE_LABELS, overlaps)
-    return GateModel(A, basis, {"G_A": GA, "G_L": GL, "T_L": TL, "theta": theta})
+    rows = (  # X_a, P_a, X_b, P_b
+        {"X_a0": 1.0, "zeta_XM": thermal},
+        {"P_a0": 1.0, "Y_L0": -GA, "p_c": -theta, "Y_0k": GA * c.K1 / math.sqrt(tau), "zeta_PM": thermal},
+        {"X_L0": TL, "X_a0": GL, "x_v": s_loss, "x_c": s_cav, "X_0f1": s_aux,
+         "zeta_XMf": math.sqrt(eta) * math.sqrt(2.0 * Gamma) * g * c.M},
+        {"Y_L0": TL, "p_v": s_loss, "p_c": s_cav, "Y_0f1": s_aux},
+    )
+    return _gate_model(basis, rows, {"G_A": GA, "G_L": GL, "T_L": TL, "theta": theta})
 
 
 _ATOM_MECH_LABELS = (
@@ -342,25 +345,6 @@ def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
     gain = 2.0 * gA * gM * math.sqrt(eta) * c.E
     # feedforward gain; gA makes the two signal gains exactly equal
     Kf = math.sqrt(2.0 * eta * tau) * gA * c.E / (tau - 1.0 + em)
-    A = np.zeros((4, 16))
-    A[0, 0] = 1.0
-    A[0, 2] = gain
-    A[0, 4] = -math.sqrt(2.0) * gA / c.K2
-    A[0, 5] = (Kf / c.K5) * math.sqrt(eta / tau)
-    A[0, 7] = (Kf / c.K1) * math.sqrt((1.0 - eta) / tau)
-    A[0, 9] = Kf * math.sqrt(2.0 * eta / tau) * (1.0 - em * (2.0 * tau + 1.0)) - gA * (1.0 - em)
-    A[0, 11] = Kf * math.sqrt(2.0 / tau) * (1.0 - em)
-    A[0, 15] = (gM * Kf / c.K3) * math.sqrt(4.0 * Gamma / tau)
-    A[1, 1] = 1.0
-    A[2, 2] = 1.0
-    A[2, 13] = math.sqrt(2.0 * Gamma * tau)
-    A[3, 3] = 1.0
-    A[3, 1] = -gain
-    A[3, 6] = -math.sqrt(2.0 * eta) * gM / c.K6
-    A[3, 8] = -gM * math.sqrt(2.0 * (1.0 - eta)) / c.K2
-    A[3, 10] = -2.0 * math.sqrt(eta) * gM * (1.0 - em * (1.0 + tau))
-    A[3, 12] = -gM * (1.0 - em)
-    A[3, 14] = math.sqrt(2.0 * Gamma * tau)
     overlaps = {
         ("X_in", "X_in_f"): c.K2 * c.K5 * c.K7,
         ("zeta_XM", "zeta_XMf"): c.K3 * c.K4 / math.sqrt(tau),
@@ -371,7 +355,22 @@ def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
         anti_squeezed=("X_in", "X_in_f"),
         squeezed=("P_in",),
     )
-    return GateModel(A, basis, {"gain": gain, "K_f": Kf})
+    thermal = math.sqrt(2.0 * Gamma * tau)
+    rows = (  # X_a, P_a, X_b, P_b
+        {"X_A0": 1.0, "X_M0": gain, "X_in": -math.sqrt(2.0) * gA / c.K2,
+         "X_in_f": (Kf / c.K5) * math.sqrt(eta / tau),
+         "x_vac": (Kf / c.K1) * math.sqrt((1.0 - eta) / tau),
+         "x_c": Kf * math.sqrt(2.0 * eta / tau) * (1.0 - em * (2.0 * tau + 1.0)) - gA * (1.0 - em),
+         "x_cp": Kf * math.sqrt(2.0 / tau) * (1.0 - em),
+         "zeta_XMf": (gM * Kf / c.K3) * math.sqrt(4.0 * Gamma / tau)},
+        {"P_A0": 1.0},
+        {"X_M0": 1.0, "zeta_XM": thermal},
+        {"P_M0": 1.0, "P_A0": -gain, "P_in": -math.sqrt(2.0 * eta) * gM / c.K6,
+         "p_vac": -gM * math.sqrt(2.0 * (1.0 - eta)) / c.K2,
+         "p_c": -2.0 * math.sqrt(eta) * gM * (1.0 - em * (1.0 + tau)),
+         "p_cp": -gM * (1.0 - em), "zeta_PM": thermal},
+    )
+    return _gate_model(basis, rows, {"gain": gain, "K_f": Kf})
 
 
 # gate kind -> (params dataclass, builder), in the order the command line lists them

@@ -16,6 +16,7 @@ byte-identical at any parallelism degree.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from . import metrics  # hom_sectors is looked up here, where tests substitute i
 from .gates import GATES, GateModel
 from .gaussian import NumericalDomainError
 from .metrics import InputSpec, hom_element_for_gate, sector_element
-from .thresholds import input_threshold, load_minimize, maximize_on_box, output_threshold
+from .thresholds import input_threshold, load_minimize, output_threshold
 
 GATE_KINDS = tuple(GATES)
 
@@ -40,6 +41,7 @@ _GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
 
 CSV_HEADER = "param,value,p,hom,hom_err,input_threshold,output_threshold,warnings"
 _ROW_KEYS = tuple(CSV_HEADER.split(","))
+_SIMPLEX = {"xatol": 1e-5, "fatol": 1e-10, "maxiter": 400}  # find_optimum's Nelder–Mead options
 
 
 class SweepConfigError(ValueError):
@@ -254,8 +256,10 @@ def find_optimum(
 ) -> OptimumResult:
     """Maximize the p-input bunching element over 1–2 free parameters.
 
-    Coarse grid then simplex refinement; a boundary optimum is flagged
-    (``interior=False``), never fatal.
+    Scores ``grid`` evenly spaced values per free parameter (the first
+    outermost), then runs one bounded Nelder–Mead from the best grid
+    point; equal grid values keep grid order.  A boundary optimum is
+    flagged (``interior=False``), never fatal.
     """
     names = list(free)
     if not 1 <= len(names) <= 2:
@@ -279,9 +283,15 @@ def find_optimum(
         model = build_model(gate, values)
         return hom_element_for_gate(model, InputSpec(p, p)).value
 
-    best_val, best_pt = maximize_on_box(
-        objective, [free[k] for k in names], grid, 1, xatol=1e-5, fatol=1e-10, maxiter=400
+    box = [free[k] for k in names]
+    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+    best_val, best_pt = max(((objective(*x), x) for x in itertools.product(*axes)), key=lambda t: t[0])
+    res = load_minimize()(
+        lambda x: -objective(*x), list(best_pt), method="Nelder-Mead", bounds=box, options=_SIMPLEX
     )
+    if -res.fun > best_val:
+        best_val, best_pt = -res.fun, res.x
+    best_val, best_pt = float(best_val), tuple(float(x) for x in best_pt)
     at_boundary = []
     for name, x in zip(names, best_pt):
         lo, hi = free[name]

@@ -31,7 +31,6 @@ before forking its pool, so the workers inherit the import.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -162,28 +161,6 @@ def load_minimize():
     from scipy.optimize import minimize
 
     return minimize
-
-
-def maximize_on_box(objective, box, points: int, starts: int, **simplex):
-    """Maximize ``objective(*x)`` over the box [(lo, hi), ...].
-
-    Scans ``points`` evenly spaced values per axis (first axis
-    outermost), then runs a bounded Nelder–Mead, with ``simplex`` as its
-    options, from each of the ``starts`` best grid points; equal grid
-    values keep grid order.  Returns (max, argmax).
-    """
-    axes = [np.linspace(lo, hi, points) for lo, hi in box]
-    scores = sorted(
-        ((objective(*x), x) for x in itertools.product(*axes)), key=lambda t: -t[0]
-    )
-    best_val, best_arg = scores[0]
-    negated = lambda x: -objective(*x)
-    minimize = load_minimize()
-    for _, x0 in scores[:starts]:
-        res = minimize(negated, list(x0), method="Nelder-Mead", bounds=box, options=simplex)
-        if -res.fun > best_val:
-            best_val, best_arg = -res.fun, res.x
-    return float(best_val), tuple(float(x) for x in best_arg)
 
 
 def input_threshold(model: GateModel | float) -> ThresholdResult:

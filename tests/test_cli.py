@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, config files, exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -116,17 +117,29 @@ def test_io_error_exit_code(tmp_path, capsys):
 
 
 def test_missing_output_directory_fails_before_any_point(tmp_path, monkeypatch, capsys):
-    def never_run(config):
-        raise AssertionError("run_sweep called")
+    def never_run(*args, **kwargs):
+        raise AssertionError("computation ran before the output path was checked")
 
-    monkeypatch.setattr(qnd_hom.cli, "run_sweep", never_run)
-    bad = tmp_path / "missing-dir" / "x.csv"
-    with pytest.raises(FileNotFoundError) as opened:
-        open(bad, "w")
-    code, out, err = run_cli(capsys, "preset", "fig2a", "--out", str(bad))
-    assert code == 3
-    assert out == ""
-    assert err == f"qnd-hom: I/O error: {opened.value}\n"
+    for name in ("run_sweep", "input_threshold", "find_optimum"):
+        monkeypatch.setattr(qnd_hom.cli, name, never_run)
+    plain = tmp_path / "plain.txt"
+    plain.write_text("a file\n")
+    commands = [
+        ("ideal", "--start", "0", "--stop", "1", "--points", "3"),
+        ("preset", "fig2a"),
+        ("threshold", "--gate", "ideal", "--G", "1"),
+        ("optimum", "--gate", "ideal", "--free", "G=0.2:2"),
+    ]
+    # a missing directory, a path component that is a regular file, a directory
+    for bad, errno_ in ((tmp_path / "missing-dir" / "x.csv", errno.ENOENT),
+                        (plain / "x.csv", errno.ENOTDIR), (tmp_path, errno.EISDIR)):
+        with pytest.raises(OSError) as opened:
+            open(bad, "w")
+        assert opened.value.errno == errno_
+        for argv in commands:
+            code, out, err = run_cli(capsys, *argv, "--out", str(bad))
+            assert (code, out, err) == (3, "", f"qnd-hom: I/O error: {opened.value}\n"), argv
+    assert plain.read_text() == "a file\n"
 
     # an existing file keeps its bytes until its table is ready
     def fail(config):

@@ -9,11 +9,13 @@ from scipy.integrate import quad
 import qnd_hom.gaussian
 import qnd_hom.modes
 from qnd_hom.gates import (
+    GATES,
     AtomLightParams,
     AtomMechConstants,
     AtomMechParams,
     OptomechParams,
     PulseGateConstants,
+    _gate_model,
     atom_light_constants,
     atom_mech_constants,
     build_atom_light_gate,
@@ -23,7 +25,7 @@ from qnd_hom.gates import (
 )
 from qnd_hom.gaussian import min_physicality_eig, qnd_matrix
 from qnd_hom.metrics import coherent_jets, hom_sectors
-from qnd_hom.modes import squeezing_factor
+from qnd_hom.modes import orthogonalize_noise_modes, squeezing_factor
 from qnd_hom.sweep import PRESETS, build_model
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
@@ -120,6 +122,60 @@ def test_atom_light_gain_asymmetry():
 def test_vacuum_output_physical(kind, build, params):
     model = build(params)
     assert min_physicality_eig(model.vacuum_output_cov) > -1e-9
+
+
+# Each output row (X_a, P_a, X_b, P_b) by mode label, at one point per
+# pulse gate.  A coefficient moved between two uncorrelated vacuum modes,
+# say x_v and x_c, changes no covariance, element or threshold, so only
+# the labels themselves show it.
+_ROWS = {
+    "atom-light": (AtomLightParams(0.06, 100.0, 0.9), (
+        {"X_a0": 1.0},
+        {"P_a0": 1.0, "Y_L0": -0.848528137423857, "Y_0k": 0.06000000000000001, "p_c": -0.06},
+        {"X_a0": 0.796934627180925, "X_L0": 0.9343992811265122, "X_0f1": 0.1328984304199682,
+         "x_c": 0.1341640786499874, "x_v": 0.3162277660168379},
+        {"Y_L0": 0.9343992811265122, "Y_0f1": 0.1328984304199682, "p_c": 0.1341640786499874,
+         "p_v": 0.3162277660168379},
+    )),
+    "optomech": (OptomechParams(0.06, 100.0, 0.9, 1e-4), (
+        {"X_a0": 1.0, "zeta_XM": 0.1414213562373095},
+        {"P_a0": 1.0, "Y_L0": -0.848528137423857, "Y_0k": 0.06000000000000001, "p_c": -0.06,
+         "zeta_PM": 0.1414213562373095},
+        {"X_a0": 0.796934627180925, "X_L0": 0.9343992811265122, "X_0f1": 0.1328984304199682,
+         "x_c": 0.1341640786499874, "x_v": 0.3162277660168379, "zeta_XMf": 0.06474335857831287},
+        {"Y_L0": 0.9343992811265122, "Y_0f1": 0.1328984304199682, "p_c": 0.1341640786499874,
+         "p_v": 0.3162277660168379},
+    )),
+    "atom-mech": (AtomMechParams(0.07, 0.05, 90.0, 0.9, 1e-4, 7.0), (
+        {"X_A0": 1.0, "X_M0": 0.5843889115991165, "X_in": -0.9312894286955051,
+         "X_in_f": 0.8169536894096696, "x_vac": 0.2754661848349115, "x_c": 0.05458426966292136,
+         "x_cp": 0.1313233509211498, "zeta_XMf": 0.04501446684966262},
+        {"P_A0": 1.0},
+        {"X_M0": 1.0, "zeta_XM": 0.1341640786499874},
+        {"P_A0": -0.5843889115991165, "P_M0": 1.0, "P_in": -0.6238990302925627,
+         "p_vac": -0.21035683967962626, "p_c": -0.09486832980505139, "p_cp": -0.05,
+         "zeta_PM": 0.1341640786499874},
+    )),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(_ROWS))
+def test_output_rows_by_mode_label(gate):
+    params, expected = _ROWS[gate]
+    model = GATES[gate][1](params)
+    labels = model.basis.labels
+    rows = [{lab: c for lab, c in zip(labels, row) if c != 0.0} for row in model.output_matrix]
+    for row, want in zip(rows, expected, strict=True):
+        assert sorted(row) == sorted(want)
+        for label, value in want.items():
+            assert row[label] == pytest.approx(value, rel=1e-15, abs=0.0), label
+
+
+def test_output_row_with_an_unknown_mode_is_rejected():
+    basis = orthogonalize_noise_modes(("X_a0", "P_a0", "X_b0", "P_b0", "x_v"), {})
+    rows = ({"X_a0": 1.0}, {"P_a0": 1.0}, {"X_b0": 1.0, "x_w": 0.5}, {"P_b0": 1.0})
+    with pytest.raises(ValueError, match="'x_w'"):
+        _gate_model(basis, rows, {})
 
 
 def _ideal_faraday_map(G):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -395,6 +396,22 @@ def test_find_optimum_converges_without_stalling(monkeypatch):
     assert len(calls) <= 300
     assert abs(res.value - closed_form_qnd_11(QND_11_ARGMAX)) <= 1e-10
     assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-5
+
+
+def test_find_optimum_scans_in_grid_order_and_keeps_first_tie(monkeypatch):
+    # a flat element: the grid is scanned first parameter outermost, and
+    # of equal values the first grid point is kept
+    calls = []
+
+    def recorded(gate, values):
+        calls.append((values["g"], values["kappa_tau"]))
+        return values
+
+    monkeypatch.setattr(qnd_hom.sweep, "build_model", recorded)
+    monkeypatch.setattr(qnd_hom.sweep, "hom_element_for_gate", lambda model, spec: SimpleNamespace(value=1.0))
+    res = find_optimum("atom-light", {"eta": 0.9}, {"g": (0.0, 1.0), "kappa_tau": (2.0, 3.0)}, grid=3)
+    assert calls[:9] == [(x, y) for x in (0.0, 0.5, 1.0) for y in (2.0, 2.5, 3.0)]
+    assert (res.value, res.argmax) == (1.0, {"g": 0.0, "kappa_tau": 2.0})
 
 
 def test_find_optimum_flags_boundary():

@@ -27,7 +27,6 @@ from qnd_hom.thresholds import (
     ThresholdResult,
     find_crossing,
     input_threshold,
-    maximize_on_box,
     output_threshold,
     phase_averaged_element,
     verify_output_threshold,
@@ -249,30 +248,6 @@ def test_threshold_is_the_average_at_its_argmax(model):
     res = input_threshold(model)
     assert res.converged and not res.warnings
     assert phase_averaged_element(model, *res.argmax, phase_samples=res.phase_samples) == res.value
-
-
-def test_maximize_on_box_scans_in_grid_order_and_keeps_first_tie():
-    calls = []
-
-    def flat(x, y):
-        calls.append((x, y))
-        return 1.0
-
-    value, argmax = maximize_on_box(flat, [(0.0, 1.0), (2.0, 3.0)], 3, 1, maxiter=5)
-    assert calls[:9] == [(x, y) for x in (0.0, 0.5, 1.0) for y in (2.0, 2.5, 3.0)]
-    assert (value, argmax) == (1.0, (0.0, 2.0))
-
-
-def test_maximize_on_box_refines_each_start():
-    # the grid ranks the lower peak's neighbour first; only a second
-    # start reaches the higher peak at x = 0.2
-    def peaks(x):
-        return math.exp(-((x - 0.2) ** 2) / 0.01) + 0.99 * math.exp(-((x - 0.73) ** 2) / 0.01)
-
-    one = maximize_on_box(peaks, [(0.0, 1.0)], 5, 1, xatol=1e-8, fatol=1e-12)
-    two = maximize_on_box(peaks, [(0.0, 1.0)], 5, 2, xatol=1e-8, fatol=1e-12)
-    assert one[1][0] == pytest.approx(0.73, abs=1e-4) and one[0] < 0.995
-    assert two[1][0] == pytest.approx(0.2, abs=1e-4) and two[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_interior_optimum_not_flagged():
