@@ -183,6 +183,8 @@ def _check_out(out: str | None):
     usable; the file itself is truncated only once its output is ready."""
     if out is None:
         return
+    if not out:
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     try:
         # the trailing separator makes a regular file fail with ENOTDIR
         os.stat(os.path.join(os.path.dirname(out) or ".", ""))

@@ -30,7 +30,7 @@ from . import metrics  # hom_sectors is looked up here, where tests substitute i
 from .gates import GATES, GateModel
 from .gaussian import NumericalDomainError
 from .metrics import InputSpec, hom_element_for_gate, sector_element
-from .thresholds import input_threshold, load_minimize, output_threshold
+from .thresholds import ascend, input_threshold, output_threshold
 
 GATE_KINDS = tuple(GATES)
 
@@ -41,7 +41,6 @@ _GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
 
 CSV_HEADER = "param,value,p,hom,hom_err,input_threshold,output_threshold,warnings"
 _ROW_KEYS = tuple(CSV_HEADER.split(","))
-_SIMPLEX = {"xatol": 1e-5, "fatol": 1e-10, "maxiter": 400}  # find_optimum's Nelder–Mead options
 
 
 class SweepConfigError(ValueError):
@@ -174,10 +173,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """
     tasks = [(config, float(v)) for v in config.grid()]
     if config.jobs > 1 and len(tasks) > 1:
-        if config.with_input_threshold:
-            # forked workers inherit this process's modules; without this,
-            # each would import scipy again, at its first threshold
-            load_minimize()
         # the pool starts all its workers at once: never more than there are points
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
             groups = list(pool.map(_evaluate_point, tasks, chunksize=1))
@@ -257,9 +252,11 @@ def find_optimum(
     """Maximize the p-input bunching element over 1–2 free parameters.
 
     Scores ``grid`` evenly spaced values per free parameter (the first
-    outermost), then runs one bounded Nelder–Mead from the best grid
-    point; equal grid values keep grid order.  A boundary optimum is
-    flagged (``interior=False``), never fatal.
+    outermost; equal values keep grid order), then climbs from the best
+    grid point with :func:`~qnd_hom.thresholds.ascend` on the box of
+    ranges, by central differences at 1e-4 of each range, clipped to the
+    box.  A boundary optimum is flagged (``interior=False``), never
+    fatal.
     """
     names = list(free)
     if not 1 <= len(names) <= 2:
@@ -283,26 +280,25 @@ def find_optimum(
         model = build_model(gate, values)
         return hom_element_for_gate(model, InputSpec(p, p)).value
 
-    box = [free[k] for k in names]
-    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
-    best_val, best_pt = max(((objective(*x), x) for x in itertools.product(*axes)), key=lambda t: t[0])
-    res = load_minimize()(
-        lambda x: -objective(*x), list(best_pt), method="Nelder-Mead", bounds=box, options=_SIMPLEX
-    )
-    if -res.fun > best_val:
-        best_val, best_pt = -res.fun, res.x
-    best_val, best_pt = float(best_val), tuple(float(x) for x in best_pt)
-    at_boundary = []
-    for name, x in zip(names, best_pt):
-        lo, hi = free[name]
-        margin = 5e-3 * (hi - lo)
-        if x - lo < margin or hi - x < margin:
-            at_boundary.append(name)
+    lo, hi = np.array([free[k] for k in names]).T
+    axes = [np.linspace(a, b, grid) for a, b in zip(lo, hi)]
+    best_pt = max(((objective(*x), x) for x in itertools.product(*axes)), key=lambda t: t[0])[1]
+    at = lambda x: np.clip(lo + x * (hi - lo), lo, hi)  # unit box → parameters
+
+    def fg(x):
+        grad = np.empty(x.size)
+        for i, e in enumerate(1e-4 * np.eye(x.size)):
+            up, down = np.minimum(x + e, 1.0), np.maximum(x - e, 0.0)
+            grad[i] = (objective(*at(up)) - objective(*at(down))) / (up[i] - down[i])
+        return objective(*at(x)), grad
+
+    x, value = ascend(fg, (np.array(best_pt) - lo) / (hi - lo), 1.0 / max(grid - 1, 1))
+    at_boundary = tuple(name for name, u in zip(names, x) if min(u, 1.0 - u) < 5e-3)
     return OptimumResult(
-        argmax=dict(zip(names, best_pt)),
-        value=best_val,
+        argmax=dict(zip(names, map(float, at(x)))),
+        value=float(value),
         interior=not at_boundary,
-        boundary_params=tuple(at_boundary),
+        boundary_params=at_boundary,
     )
 
 

@@ -16,17 +16,16 @@ exponentially for these smooth periodic integrands (Trefethen &
 Weideman, SIAM Rev. 56, 385 (2014)).  The amplitude search has no
 knobs.  The averaged element can have several local maxima, so it first
 scores a coarse grid of the box [0, 6]² in one tensor scan on the
-16-node sub-rule (every 4th node of the 64-node grid), then refines
-from the 4 best cells with a bounded truncated-Newton search (Nash,
-SIAM J. Numer. Anal. 21, 770 (1984)) on the 64-node average.  Each
-quadratic form is R_a²u + R_b²v + 2R_aR_b·w, so that search gets the
-exact gradient.  The even nodes of the 64-point rule form the 32-point
-rule, so the same phase-grid values at the argmax certify the average:
-it is converged when the two rules agree to 1e-6.  The objective is
-the exact coherent element of :mod:`qnd_hom.metrics`, one exp per phase
-point.  scipy is imported by :func:`load_minimize` at the first search,
-not with this module, and :func:`qnd_hom.sweep.run_sweep` calls it once
-before forking its pool, so the workers inherit the import.
+16-node sub-rule (every 4th node of the 64-node grid), then climbs from
+the 4 best cells with :func:`ascend`, a projected BFGS ascent on the
+box (Nocedal & Wright, Numerical Optimization, 2nd ed. (2006), ch. 3
+and 6), on the 64-node average.  Each quadratic form is
+R_a²u + R_b²v + 2R_aR_b·w, so the ascent gets the exact gradient, and
+the value it returns is the 64-node average at its argmax.  The even
+nodes of the 64-point rule form the 32-point rule, so the same
+phase-grid values at the argmax certify the average: it is converged
+when the two rules agree to 1e-6.  The objective is the exact coherent
+element of :mod:`qnd_hom.metrics`, one exp per phase point.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ _PHASE_SAMPLES = 64  # trapezoid nodes per input phase
 _DOMAIN = 6.0  # amplitude cap of both inputs
 _COARSE_GRID = 25  # amplitude grid points per axis
 _SCAN_STRIDE = 4  # the coarse grid is scored on every 4th phase node
-_STARTS = 4  # refinements, from the best grid cells
-_REFINE = {"ftol": 1e-15, "gtol": 1e-12, "xtol": 1e-12, "maxfun": 200}  # TNC options
+_STARTS = 4  # ascents, from the best grid cells
+_MAX_EVALS = 200  # evaluations of f per ascent
 ACCURACY_WARNING = "phase average not converged"
 BOUNDARY_WARNING = "amplitude optimum hit the search-domain cap"
 
@@ -155,41 +154,68 @@ def phase_averaged_element(
     return _AveragedElement(as_gate_model(model), phase_samples)(R_a, R_b)
 
 
-def load_minimize():
-    """scipy's ``minimize``, imported on the first call: element
-    evaluations and plain sweeps never load scipy."""
-    from scipy.optimize import minimize
-
-    return minimize
+def ascend(fg, x, step: float) -> tuple[np.ndarray, float]:
+    """Maximize f on the unit box [0, 1]ⁿ from ``x`` by projected BFGS;
+    ``fg(x)`` returns f and its gradient.  A coordinate on a face that its
+    gradient points out of is held there.  The first step has length
+    ``step``, and each step halves until f rises by 1e-4 of its
+    first-order gain (Armijo).  Stops when the quadratic model predicts a
+    gain below the roundoff of f, when a step no longer moves x, or at 200
+    evaluations of f; returns the last accepted x and f there."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    (f, g), evals, H = fg(x), 1, None
+    while evals < _MAX_EVALS:
+        free = ((x > 0.0) | (g > 0.0)) & ((x < 1.0) | (g < 0.0))
+        g_free = np.where(free, g, 0.0)
+        if not g_free.any():
+            break
+        if H is None:
+            H = np.eye(x.size) * (step / math.hypot(*g_free))
+        d = np.where(free, H @ g_free, 0.0)
+        if 0.5 * (g_free @ d) <= math.ulp(f):
+            break
+        for t in 0.5 ** np.arange(_MAX_EVALS - evals):  # backtracking
+            x_new = np.clip(x + t * d, 0.0, 1.0)
+            if not (s := x_new - x).any():
+                return x, f
+            (f_new, g_new), evals = fg(x_new), evals + 1
+            if f_new - f >= 1e-4 * abs(g @ s):
+                break
+        else:
+            return x, f
+        y = g - g_new  # the change in the gradient of −f
+        if (sy := s @ y) > 0.0:  # the BFGS update of the inverse Hessian
+            V = np.eye(x.size) - np.outer(y, s) / sy
+            H = V.T @ H @ V + np.outer(s, s) / sy
+        x, f, g = x_new, f_new, g_new
+    return x, f
 
 
 def input_threshold(model: GateModel | float) -> ThresholdResult:
     """Phase-randomized coherent input threshold of a gate.
 
     Maximizes the double-phase-averaged element over the two input
-    amplitudes: one grid scan on the 16-node sub-rule, then multi-start
-    gradient refinement at 64 phase samples.  The average at the argmax
-    is certified by the 32-sample rule on the same phase-grid values; a
-    difference of 1e-6 or more attaches an accuracy warning instead of
-    raising.  The threshold depends only on the gate, never on the input
-    mixture.
+    amplitudes: one grid scan on the 16-node sub-rule, then an ascent
+    from each of the 4 best cells at 64 phase samples.  The average at
+    the argmax is certified by the 32-sample rule on the same phase-grid
+    values; a difference of 1e-6 or more attaches an accuracy warning
+    instead of raising.  The threshold depends only on the gate, never on
+    the input mixture.
     """
     objective = _AveragedElement(as_gate_model(model), _PHASE_SAMPLES)
     axis = np.linspace(0.0, _DOMAIN, _COARSE_GRID)
     scores = objective.scan(axis).ravel()
-    negated = lambda x: tuple(-t for t in objective.value_and_grad(*x))
-    minimize = load_minimize()
+
+    def fg(x):  # on the unit box: R = _DOMAIN·x
+        f, grad = objective.value_and_grad(*(_DOMAIN * x))
+        return f, _DOMAIN * grad
+
     value, argmax = -math.inf, None
     # equal scores keep grid order, and a later optimum must be strictly better
     for cell in np.argsort(-scores, kind="stable")[:_STARTS]:
-        x0 = [axis[cell // axis.size], axis[cell % axis.size]]
-        # TNC, not L-BFGS-B: that one wakes a BLAS helper thread, which
-        # then spins on a second core
-        res = minimize(negated, x0, jac=True, method="TNC",
-                       bounds=[(0.0, _DOMAIN)] * 2, options=_REFINE)
-        refined = objective(*res.x)
-        if refined > value:
-            value, argmax = refined, (float(res.x[0]), float(res.x[1]))
+        x, top = ascend(fg, np.array(divmod(cell, axis.size)) / (axis.size - 1), 1 / (axis.size - 1))
+        if top > value:
+            value, argmax = top, (float(_DOMAIN * x[0]), float(_DOMAIN * x[1]))
     half_rule = float(objective.values(*argmax)[::2, ::2].mean())
     converged = abs(value - half_rule) < _CONVERGENCE_TOL
     warnings = []

@@ -130,9 +130,10 @@ def test_missing_output_directory_fails_before_any_point(tmp_path, monkeypatch, 
         ("threshold", "--gate", "ideal", "--G", "1"),
         ("optimum", "--gate", "ideal", "--free", "G=0.2:2"),
     ]
-    # a missing directory, a path component that is a regular file, a directory
+    # a missing directory, a path component that is a regular file, a
+    # directory, an empty path
     for bad, errno_ in ((tmp_path / "missing-dir" / "x.csv", errno.ENOENT),
-                        (plain / "x.csv", errno.ENOTDIR), (tmp_path, errno.EISDIR)):
+                        (plain / "x.csv", errno.ENOTDIR), (tmp_path, errno.EISDIR), ("", errno.ENOENT)):
         with pytest.raises(OSError) as opened:
             open(bad, "w")
         assert opened.value.errno == errno_
@@ -466,12 +467,22 @@ def test_cli_import_does_not_load_scipy_integrate():
 
 
 def test_paths_without_a_search_never_load_scipy():
+    # every path, the searches too: an element, plain and pooled sweeps,
+    # a threshold and 1-D and 2-D optima run without scipy
     src = Path(qnd_hom.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
+    runs = [
+        ["atom-light", "--g", "0.06", "--kappa-tau", "100", "--eta", "0.9"],
+        ["ideal", "--start", "0.2", "--stop", "1", "--points", "3", "--jobs", "2"],
+        ["ideal", "--start", "0.2", "--stop", "1", "--points", "2", "--jobs", "2", "--input-threshold"],
+        ["threshold", "--gate", "atom-light", "--g", "0.06", "--kappa-tau", "100", "--eta", "0.9"],
+        ["optimum", "--gate", "ideal", "--free", "G=0.2:2"],
+        ["optimum", "--gate", "atom-light", "--fix", "eta=0.9", "--free", "g=0.02:0.15",
+         "--free", "kappa_tau=50:150", "--grid", "3"],
+    ]
     probe = "\n".join([
         "import sys, qnd_hom, qnd_hom.cli",
-        "assert qnd_hom.cli.main(['atom-light', '--g', '0.06', '--kappa-tau', '100', '--eta', '0.9']) == 0",
-        "assert qnd_hom.cli.main(['ideal', '--start', '0.2', '--stop', '1', '--points', '3', '--jobs', '2']) == 0",
+        *(f"assert qnd_hom.cli.main({argv!r}) == 0" for argv in runs),
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
     ])
     out = subprocess.run(

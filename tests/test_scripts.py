@@ -56,3 +56,27 @@ def test_landmarks_runs():
     assert done.returncode == 0, done.stderr
     assert "== hybrid gate" in done.stdout
     assert "input threshold" in done.stdout.splitlines()[-1]
+
+
+def test_reference_presets_writes_every_preset(tmp_path, monkeypatch):
+    # each preset on a 2-point grid without thresholds: the check covers
+    # the script's table layout, not the cost of the reference run
+    seen = []
+    real = qnd_hom.sweep.run_sweep
+
+    def small_sweep(config):
+        seen.append(config.points)
+        return real(dataclasses.replace(config, points=2, with_input_threshold=False))
+
+    monkeypatch.setattr(qnd_hom.sweep, "run_sweep", small_sweep)
+    out = tmp_path / "reference.csv"
+    monkeypatch.setattr(sys, "argv", ["reference_presets.py", "--out", str(out)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "reference_presets.py"), run_name="__main__")
+    assert done.value.code == 0
+    assert seen == [10] * len(qnd_hom.PRESETS)
+    lines = out.read_text().splitlines()
+    assert lines[0] == f"preset,{CSV_HEADER}"
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        name for name, config in qnd_hom.PRESETS.items() for _ in range(2 * len(config.p_values))
+    ]

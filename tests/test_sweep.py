@@ -3,10 +3,6 @@
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,38 +216,6 @@ def test_pool_never_larger_than_the_grid(monkeypatch):
     assert started == [4, 3]
 
 
-_INHERIT_PROBE = """
-import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
-import qnd_hom.sweep
-from qnd_hom.sweep import SweepConfig, run_sweep
-
-loaded = []
-
-class Pool(ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        loaded.append("scipy.optimize" in sys.modules)
-        super().__init__(*args, **kwargs)
-
-qnd_hom.sweep.ProcessPoolExecutor = Pool
-config = SweepConfig("ideal", "G", 0.4, 0.8, 2, with_input_threshold=True, jobs=2)
-pooled = run_sweep(config)  # first, while this process has no scipy yet
-print(loaded, pooled == run_sweep(replace(config, jobs=1)))
-"""
-
-
-def test_pool_workers_inherit_scipy():
-    # a worker that has to import scipy itself pays for it at its first
-    # threshold, in every pool run_sweep starts
-    src = Path(qnd_hom.sweep.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-c", _INHERIT_PROBE], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[True] True"
-
-
 def test_output_threshold_column_is_always_e_minus_2():
     rows = run_sweep(_ideal_config(points=2, p_values=(1.0, 0.5)))
     assert [row.output_threshold for row in rows] == [math.exp(-2.0)] * 4
@@ -381,9 +345,7 @@ def test_find_optimum_recovers_ideal_maximum():
     assert res.interior
 
 
-def test_find_optimum_converges_without_stalling(monkeypatch):
-    # on a range whose simplex once ran on to maxiter (1,193 element calls),
-    # the exact element lets the search stop at its tolerances
+def _count_elements(monkeypatch) -> list:
     calls = []
     element = qnd_hom.sweep.hom_element_for_gate
 
@@ -392,10 +354,28 @@ def test_find_optimum_converges_without_stalling(monkeypatch):
         return element(*args, **kwargs)
 
     monkeypatch.setattr(qnd_hom.sweep, "hom_element_for_gate", counted)
+    return calls
+
+
+def test_find_optimum_converges_without_stalling(monkeypatch):
+    # on a range whose simplex once ran on to maxiter (1,193 element calls),
+    # the exact element lets the search stop at its tolerances
+    calls = _count_elements(monkeypatch)
     res = find_optimum("ideal", {}, {"G": (0.3288957047183011, 2.028895704718301)}, grid=15)
     assert len(calls) <= 300
     assert abs(res.value - closed_form_qnd_11(QND_11_ARGMAX)) <= 1e-10
     assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-5
+
+
+@pytest.mark.parametrize("G_range", [(0.3, 2.0), (0.3288957047183011, 2.028895704718301)])
+def test_find_optimum_lands_on_the_ideal_maximum(monkeypatch, G_range):
+    # the ideal ranges of the benchmark's optimum searches: 15 grid
+    # points, then an ascent to G* = √(11 − √105) at roundoff of E₁₁
+    calls = _count_elements(monkeypatch)
+    res = find_optimum("ideal", {}, {"G": G_range}, grid=15)
+    assert len(calls) <= 45
+    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-7
+    assert abs(res.value - closed_form_qnd_11(QND_11_ARGMAX)) <= 1e-15
 
 
 def test_find_optimum_scans_in_grid_order_and_keeps_first_tie(monkeypatch):

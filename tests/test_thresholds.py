@@ -25,6 +25,7 @@ from qnd_hom.thresholds import (
     ACCURACY_WARNING,
     BOUNDARY_WARNING,
     ThresholdResult,
+    ascend,
     find_crossing,
     input_threshold,
     output_threshold,
@@ -88,11 +89,57 @@ def test_determinism_bit_identical():
     assert a.phase_samples == b.phase_samples
 
 
+def _quadratic(center, evals):
+    """f = −(x − c)ᵀA(x − c) with a coupled A, logging each evaluation."""
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+    def fg(x):
+        evals.append(x.copy())
+        r = x - center
+        return -float(r @ A @ r), -2.0 * (A @ r)
+
+    return fg
+
+
+@pytest.mark.parametrize("center,argmax,tol", [
+    ((0.3, 0.6), (0.3, 0.6), 1e-10),  # interior: BFGS ends on an exact quadratic
+    # beyond the face x₀ = 1: the free coordinate stops once the model
+    # gain is below roundoff of f, within √(roundoff) of its optimum
+    ((1.4, 0.3), (1.0, 0.5), 1e-7),
+    ((1.5, -0.5), (1.0, 0.0), 0.0),  # beyond the corner (1, 0)
+], ids=["interior", "face", "corner"])
+def test_ascent_reaches_the_box_maximum(center, argmax, tol):
+    evals = []
+    x, f = ascend(_quadratic(np.array(center), evals), [0.5, 0.5], 1 / 24)
+    assert np.allclose(x, argmax, rtol=0, atol=tol)
+    assert f == _quadratic(np.array(center), [])(x)[0]
+    for i, face in enumerate(argmax):
+        if face in (0.0, 1.0):  # a coordinate held on its face sits exactly there
+            assert x[i] == face
+    assert len(evals) < 20
+
+
+def test_ascent_on_a_flat_function_stays_at_its_start():
+    evals = []
+    x, f = ascend(lambda x: (evals.append(1) or 0.25, np.zeros(2)), [0.2, 0.7], 1 / 24)
+    assert (x.tolist(), f, len(evals)) == ([0.2, 0.7], 0.25, 1)
+
+
+def test_ascent_stops_after_200_evaluations():
+    # f = x₀ rises one step of 1e-3 per evaluation: the cap, not the
+    # face at 1, ends the ascent
+    evals = []
+    x, f = ascend(lambda x: (evals.append(1) or float(x[0]), np.array([1.0, 0.0])), [0.0, 0.5], 1e-3)
+    assert len(evals) == 200
+    assert x[0] == f == pytest.approx(0.199, abs=1e-12)
+    assert x[1] == 0.5
+
+
 def _record_objective(monkeypatch, surface=None):
     """Log the phase samples of every objective built, the axis of every
     grid scan and the (R_a, R_b) of every phase-grid evaluation at the
     full sample count; ``surface``, when given, stands in for the
-    averaged element in the scan, the refinement and the re-evaluation."""
+    averaged element in the scan and the ascents."""
     builds, scans, calls = [], [], []
 
     def mean(R_a, R_b):
@@ -141,8 +188,8 @@ def test_cap_detection_on_monotone_objective(monkeypatch):
 
 def test_amplitude_grid_scanned_once(monkeypatch):
     # one objective at 64 phase samples; one scan of the 25 × 25 grid,
-    # then from each of the 4 best cells at most 200 value-and-gradient
-    # evaluations and one re-evaluation, and the half-rule check
+    # then from each of the 4 best cells an ascent of at most 200
+    # value-and-gradient evaluations, and the half-rule check
     builds, scans, calls = _record_objective(monkeypatch)
     res = input_threshold(0.8)
     assert builds == [64]
