@@ -23,7 +23,9 @@ the Gram matrix Σ of z, checked by
 covariance is AΣAᵀ.  The four signal quadratures lead z and are
 uncorrelated with one another, so a signal input reaches the output
 through AΣ[:, :4]: every mode of z carries its overlap with the signal
-quadratures.
+quadratures.  Σ is the unit-diagonal vacuum Gram matrix at every
+setting: squeezing the mediator pulse by a diagonal D is a factor on
+the coefficients of its modes, since (AD)Σ(AD)ᵀ = A(DΣD)Aᵀ.
 
 All rates are in units of the cavity decay κ (κ_A = κ_M = κ = 1) and
 times in units of 1/κ; ``kappa_tau`` is the dimensionless pulse length
@@ -37,12 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
 from .gaussian import bs_matrix, check_physical, qnd_matrix
-from .modes import NoiseModeBasis, apply_squeezing, orthogonalize_noise_modes
+from .modes import NoiseModeBasis, orthogonalize_noise_modes
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +217,6 @@ class GateModel:
 
     output_matrix: np.ndarray
     basis: NoiseModeBasis
-    gains: Mapping[str, float]
 
     def __post_init__(self):
         A = np.asarray(self.output_matrix, dtype=float)
@@ -238,15 +238,14 @@ class GateModel:
         return self.output_matrix @ self.basis.gram @ self.output_matrix.T
 
 
-def signal_gate_model(matrix: np.ndarray, gains: Mapping[str, float]) -> GateModel:
+def signal_gate_model(matrix: np.ndarray) -> GateModel:
     """Noiseless gate: a 4 × 4 map of the two signal modes alone."""
-    basis = NoiseModeBasis(("X_a0", "P_a0", "X_b0", "P_b0"), np.eye(4))
-    return GateModel(matrix, basis, gains)
+    return GateModel(matrix, NoiseModeBasis(("X_a0", "P_a0", "X_b0", "P_b0"), np.eye(4)))
 
 
 def ideal_gate_model(G: float) -> GateModel:
     """Noiseless QND gate with a single gain G (no extra modes)."""
-    return signal_gate_model(qnd_matrix(G), {"G": float(G)})
+    return signal_gate_model(qnd_matrix(G))
 
 
 def build_ideal_gate(params: IdealParams) -> GateModel:
@@ -254,7 +253,7 @@ def build_ideal_gate(params: IdealParams) -> GateModel:
 
 
 def build_bs_gate(params: BeamSplitterParams) -> GateModel:
-    return signal_gate_model(bs_matrix(params.T), {"T": params.T})
+    return signal_gate_model(bs_matrix(params.T))
 
 
 def as_gate_model(model: GateModel | float) -> GateModel:
@@ -262,7 +261,7 @@ def as_gate_model(model: GateModel | float) -> GateModel:
     return model if isinstance(model, GateModel) else ideal_gate_model(float(model))
 
 
-def _gate_model(basis: NoiseModeBasis, rows: tuple[dict, ...], gains: Mapping[str, float]) -> GateModel:
+def _gate_model(basis: NoiseModeBasis, rows: tuple[dict, ...]) -> GateModel:
     """Gate model whose outputs (X_a, P_a, X_b, P_b) are the given
     ``{mode label: coefficient}`` rows; a mode a row omits has coefficient 0."""
     column = {label: j for j, label in enumerate(basis.labels)}
@@ -272,7 +271,7 @@ def _gate_model(basis: NoiseModeBasis, rows: tuple[dict, ...], gains: Mapping[st
             if label not in column:
                 raise ValueError(f"output row {i} names mode {label!r}, which is not in the basis")
             A[i, column[label]] = coefficient
-    return GateModel(A, basis, gains)
+    return GateModel(A, basis)
 
 
 _PULSE_LABELS = (
@@ -297,7 +296,7 @@ def build_optomech_gate(params: OptomechParams) -> GateModel:
     GL = GA * math.sqrt(eta) * (1.0 - (1.0 - em) / tau)
     TL = math.sqrt(eta) * (c.L - 1.0)
     theta = g * c.theta
-    s_cav = math.sqrt(2.0 * eta) * (1.0 - em) / math.sqrt(tau)
+    s_cav = math.sqrt(2.0 * eta) * c.Kf
     s_loss = math.sqrt(1.0 - eta)
     s_aux = math.sqrt(eta) * c.L * c.L1
     thermal = math.sqrt(2.0 * Gamma * tau)
@@ -316,7 +315,7 @@ def build_optomech_gate(params: OptomechParams) -> GateModel:
          "zeta_XMf": math.sqrt(eta) * math.sqrt(2.0 * Gamma) * g * c.M},
         {"Y_L0": TL, "p_v": s_loss, "p_c": s_cav, "Y_0f1": s_aux},
     )
-    return _gate_model(basis, rows, {"G_A": GA, "G_L": GL, "T_L": TL, "theta": theta})
+    return _gate_model(basis, rows)
 
 
 _ATOM_MECH_LABELS = (
@@ -334,9 +333,9 @@ def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
     Subsystem a is the atomic ensemble, b the mechanical oscillator;
     after feedforward both cross gains equal 𝔊 = 2·gA·gM·√η·E(τ)
     (equivalently gA·gM·√η·τ·[1+e^{-τ}-(2/τ)(1-e^{-τ})]).  The mediator
-    pulse enters through the temporal modes X_in, X_in_f, P_in, which
-    carry the initial squeezing (P_in squeezed, X_in, X_in_f
-    anti-squeezed).
+    pulse enters through the temporal modes X_in, X_in_f, P_in.  Its
+    broadband squeezing of S dB, r = S·ln10/20, scales their coefficients:
+    P_in squeezed by e^{-r}, X_in and X_in_f anti-squeezed by e^{r}.
     """
     gA, gM = params.gA, params.gM
     tau, eta, Gamma = params.kappa_tau, params.eta, params.Gamma
@@ -349,28 +348,24 @@ def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
         ("X_in", "X_in_f"): c.K2 * c.K5 * c.K7,
         ("zeta_XM", "zeta_XMf"): c.K3 * c.K4 / math.sqrt(tau),
     }
-    basis = apply_squeezing(
-        orthogonalize_noise_modes(_ATOM_MECH_LABELS, overlaps),
-        params.S,
-        anti_squeezed=("X_in", "X_in_f"),
-        squeezed=("P_in",),
-    )
+    basis = orthogonalize_noise_modes(_ATOM_MECH_LABELS, overlaps)
+    r = params.S * math.log(10.0) / 20.0
     thermal = math.sqrt(2.0 * Gamma * tau)
     rows = (  # X_a, P_a, X_b, P_b
-        {"X_A0": 1.0, "X_M0": gain, "X_in": -math.sqrt(2.0) * gA / c.K2,
-         "X_in_f": (Kf / c.K5) * math.sqrt(eta / tau),
+        {"X_A0": 1.0, "X_M0": gain, "X_in": -math.sqrt(2.0) * gA / c.K2 * math.exp(r),
+         "X_in_f": (Kf / c.K5) * math.sqrt(eta / tau) * math.exp(r),
          "x_vac": (Kf / c.K1) * math.sqrt((1.0 - eta) / tau),
          "x_c": Kf * math.sqrt(2.0 * eta / tau) * (1.0 - em * (2.0 * tau + 1.0)) - gA * (1.0 - em),
          "x_cp": Kf * math.sqrt(2.0 / tau) * (1.0 - em),
          "zeta_XMf": (gM * Kf / c.K3) * math.sqrt(4.0 * Gamma / tau)},
         {"P_A0": 1.0},
         {"X_M0": 1.0, "zeta_XM": thermal},
-        {"P_M0": 1.0, "P_A0": -gain, "P_in": -math.sqrt(2.0 * eta) * gM / c.K6,
+        {"P_M0": 1.0, "P_A0": -gain, "P_in": -math.sqrt(2.0 * eta) * gM / c.K6 * math.exp(-r),
          "p_vac": -gM * math.sqrt(2.0 * (1.0 - eta)) / c.K2,
          "p_c": -2.0 * math.sqrt(eta) * gM * (1.0 - em * (1.0 + tau)),
          "p_cp": -gM * (1.0 - em), "zeta_PM": thermal},
     )
-    return _gate_model(basis, rows, {"gain": gain, "K_f": Kf})
+    return _gate_model(basis, rows)
 
 
 # gate kind -> (params dataclass, builder), in the order the command line lists them

@@ -6,18 +6,17 @@ auxiliary temporal modes of the mediator field, and thermal-force
 modes.  Distinct temporal modes of the same traveling field are in
 general *not* orthogonal; their vacuum-normalized overlaps form the
 Gram matrix Σ₀ (unit diagonal) that a basis holds.  Building a basis
-checks the stated overlaps by factoring the modes they name.
-Broadband mediator squeezing rescales the modes the caller names by a
-positive diagonal D, Σ₀ → DΣ₀D; loss vacua, intracavity initials and
-thermal-force modes always stay at vacuum variance.
+checks the stated overlaps by factoring the modes they name.  Every
+mode is at vacuum variance; a gate that squeezes a mode scales that
+mode's output coefficients instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -118,9 +117,6 @@ class NoiseModeBasis:
     def n_modes(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 def orthogonalize_noise_modes(
     labels: Sequence[str], overlaps: Mapping[tuple[str, str], float]
@@ -135,38 +131,3 @@ def orthogonalize_noise_modes(
     named = [i for i, lab in enumerate(labels) if any(lab in pair for pair in overlaps)]
     gram_cholesky(gram[np.ix_(named, named)], [labels[i] for i in named])
     return NoiseModeBasis(tuple(labels), gram)
-
-
-def squeezing_factor(squeezing_db: float) -> float:
-    """Variance factor e^{-2r} on the squeezed quadrature family."""
-    r = squeezing_db * math.log(10.0) / 20.0
-    return math.exp(-2.0 * r)
-
-
-def apply_squeezing(
-    basis: NoiseModeBasis,
-    squeezing_db: float,
-    anti_squeezed: Iterable[str],
-    squeezed: Iterable[str],
-) -> NoiseModeBasis:
-    """Broadband squeezing of the mediator input pulse.
-
-    Rescales the modes ``squeezed`` by e^{-r} and ``anti_squeezed`` by
-    e^{+r}, r = squeezing_db·ln(10)/20, so variances and co-quadrature
-    cross-correlations scale by e^{∓2r} (frequency-flat squeezing over
-    the pulse band); every other mode keeps vacuum variance.  With D
-    that diagonal, the Gram matrix becomes DΣ₀D; the overlaps were
-    checked as stated.
-    """
-    if squeezing_db < 0.0:
-        raise ValueError("squeezing_db must be non-negative")
-    fp = squeezing_factor(squeezing_db)  # e^{-2r}
-    scale = np.ones(basis.n_modes)
-    for labels, factor in ((anti_squeezed, math.sqrt(1.0 / fp)), (squeezed, math.sqrt(fp))):
-        for lab in labels:
-            if lab not in basis.labels:
-                raise ValueError(f"cannot squeeze unknown mode {lab!r}")
-            scale[basis.index(lab)] = factor
-    if squeezing_db == 0.0:
-        return basis
-    return replace(basis, gram=scale[:, None] * basis.gram * scale)

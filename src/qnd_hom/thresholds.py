@@ -69,11 +69,8 @@ def verify_output_threshold(grid_points: int = 200, amplitude_max: float = 4.0) 
     with the optimal phase choice α = a real, β = ib imaginary, where it
     is ¼(a² + b²)²·e^{−a²−b²}."""
     amps = np.linspace(0.0, amplitude_max, grid_points)
-    best = 0.0
-    for a in amps:
-        vals = 0.25 * np.exp(-a * a - amps * amps) * (a * a + amps * amps) ** 2
-        best = max(best, float(vals.max()))
-    return best
+    s = (amps * amps)[:, None] + amps * amps  # a² + b² on the grid
+    return float((0.25 * np.exp(-s) * s**2).max(initial=0.0))
 
 
 class _AveragedElement:
@@ -148,7 +145,7 @@ def phase_averaged_element(
     model: GateModel | float,
     R_a: float,
     R_b: float,
-    phase_samples: int = 64,
+    phase_samples: int = _PHASE_SAMPLES,
 ) -> float:
     """M^av at one amplitude pair; exposed for convergence diagnostics."""
     return _AveragedElement(as_gate_model(model), phase_samples)(R_a, R_b)

@@ -25,7 +25,7 @@ from qnd_hom.gates import (
 )
 from qnd_hom.gaussian import min_physicality_eig, qnd_matrix
 from qnd_hom.metrics import coherent_jets, hom_sectors
-from qnd_hom.modes import orthogonalize_noise_modes, squeezing_factor
+from qnd_hom.modes import orthogonalize_noise_modes
 from qnd_hom.sweep import PRESETS, build_model
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
@@ -95,6 +95,11 @@ def test_atom_mech_constants_match_quadrature(kappa_tau):
 # Gate models
 # ----------------------------------------------------------------------
 
+def _coefficient(model, row, label):
+    """The coefficient of mode ``label`` in output row ``row`` (X_a, P_a, X_b, P_b)."""
+    return model.output_matrix[row, model.basis.labels.index(label)]
+
+
 def test_ideal_gate_is_qnd_matrix():
     model = ideal_gate_model(0.8)
     assert np.allclose(model.output_matrix, qnd_matrix(0.8), atol=0.0)
@@ -102,16 +107,17 @@ def test_ideal_gate_is_qnd_matrix():
 
 
 def test_atom_light_gains():
+    # G_A is the light's gain on P_a, G_L the atoms' on X_b, T_L the light's transmission
     model = build_atom_light_gate(AtomLightParams(0.06, 100.0, 0.9))
-    assert model.gains["G_A"] == pytest.approx(0.848528137423857, abs=1e-12)
-    assert model.gains["G_L"] == pytest.approx(0.796934627180925, abs=1e-12)
-    assert model.gains["T_L"] == pytest.approx(0.9343992811265122, abs=1e-12)
+    assert -_coefficient(model, 1, "Y_L0") == pytest.approx(0.848528137423857, abs=1e-12)
+    assert _coefficient(model, 2, "X_a0") == pytest.approx(0.796934627180925, abs=1e-12)
+    assert _coefficient(model, 2, "X_L0") == pytest.approx(0.9343992811265122, abs=1e-12)
 
 
 def test_atom_light_gain_asymmetry():
     # the light-side gain is strictly smaller: G_L = G_A·√η·(1−(1−e^{−κτ})/κτ)
     model = build_atom_light_gate(AtomLightParams(0.06, 100.0, 1.0))
-    assert model.gains["G_L"] < model.gains["G_A"]
+    assert _coefficient(model, 2, "X_a0") < -_coefficient(model, 1, "Y_L0")
 
 
 @pytest.mark.parametrize("kind,build,params", [
@@ -147,12 +153,12 @@ _ROWS = {
          "p_v": 0.3162277660168379},
     )),
     "atom-mech": (AtomMechParams(0.07, 0.05, 90.0, 0.9, 1e-4, 7.0), (
-        {"X_A0": 1.0, "X_M0": 0.5843889115991165, "X_in": -0.9312894286955051,
-         "X_in_f": 0.8169536894096696, "x_vac": 0.2754661848349115, "x_c": 0.05458426966292136,
+        {"X_A0": 1.0, "X_M0": 0.5843889115991165, "X_in": -0.9312894286955051 * 10 ** (7 / 20),
+         "X_in_f": 0.8169536894096696 * 10 ** (7 / 20), "x_vac": 0.2754661848349115, "x_c": 0.05458426966292136,
          "x_cp": 0.1313233509211498, "zeta_XMf": 0.04501446684966262},
         {"P_A0": 1.0},
         {"X_M0": 1.0, "zeta_XM": 0.1341640786499874},
-        {"P_A0": -0.5843889115991165, "P_M0": 1.0, "P_in": -0.6238990302925627,
+        {"P_A0": -0.5843889115991165, "P_M0": 1.0, "P_in": -0.6238990302925627 * 10 ** (-7 / 20),
          "p_vac": -0.21035683967962626, "p_c": -0.09486832980505139, "p_cp": -0.05,
          "zeta_PM": 0.1341640786499874},
     )),
@@ -175,7 +181,7 @@ def test_output_row_with_an_unknown_mode_is_rejected():
     basis = orthogonalize_noise_modes(("X_a0", "P_a0", "X_b0", "P_b0", "x_v"), {})
     rows = ({"X_a0": 1.0}, {"P_a0": 1.0}, {"X_b0": 1.0, "x_w": 0.5}, {"P_b0": 1.0})
     with pytest.raises(ValueError, match="'x_w'"):
-        _gate_model(basis, rows, {})
+        _gate_model(basis, rows)
 
 
 def _ideal_faraday_map(G):
@@ -193,7 +199,7 @@ def _ideal_limit_deviation(kappa_tau):
     g = 0.6 / np.sqrt(2.0 * kappa_tau)  # G_A = 0.6
     model = build_atom_light_gate(AtomLightParams(g, kappa_tau, 1.0))
     signal = model.signal_map
-    return np.abs(signal - _ideal_faraday_map(model.gains["G_A"])).max()
+    return np.abs(signal - _ideal_faraday_map(-_coefficient(model, 1, "Y_L0"))).max()
 
 
 @pytest.mark.parametrize("kappa_tau", [2.5e3, 1e4])
@@ -229,7 +235,7 @@ def test_atom_mech_gain_symmetry():
     # exact QND map with a single gain
     model = build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 7.0))
     signal = model.signal_map
-    G = model.gains["gain"]
+    G = _coefficient(model, 0, "X_M0")
     assert signal[0, 2] == pytest.approx(G, abs=1e-12)
     assert signal[3, 1] == pytest.approx(-G, abs=1e-12)
     for i in range(4):
@@ -239,7 +245,7 @@ def test_atom_mech_gain_symmetry():
 
 def test_atom_mech_gain_anchor():
     model = build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 7.0))
-    assert model.gains["gain"] == pytest.approx(0.8181444762387632, abs=1e-12)
+    assert _coefficient(model, 0, "X_M0") == pytest.approx(0.8181444762387632, abs=1e-12)
 
 
 @pytest.mark.parametrize("kappa_tau", [1.0, 10.0, 90.0])
@@ -254,13 +260,13 @@ def test_atom_mech_gain_identity(kappa_tau):
 def test_atom_mech_zero_pulse_limit():
     # κτ → 0: no interaction accumulates (E ~ (κτ)³/6), the gain vanishes
     model = build_atom_mech_gate(AtomMechParams(0.07, 0.07, 0.01, 1.0, 0.0, 0.0))
-    assert abs(model.gains["gain"]) < 1e-6
+    assert abs(_coefficient(model, 0, "X_M0")) < 1e-6
 
 
 def test_squeezing_affects_covariance_not_map():
     plain = build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 0.0))
     squeezed = build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 7.0))
-    assert np.allclose(plain.output_matrix, squeezed.output_matrix, atol=0.0)
+    assert np.array_equal(plain.signal_map, squeezed.signal_map)
     assert not np.allclose(plain.vacuum_output_cov, squeezed.vacuum_output_cov)
 
 
@@ -347,21 +353,33 @@ def test_physicality_checked_once_per_model(monkeypatch, gate, values):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("preset", ["fig3a", "fig3b"])
-def test_squeezed_factor_is_the_rescaled_unsqueezed_factor(preset):
-    # the squeezed Gram matrix is exactly DΣ₀D, and its factor reconstructs it
+# the sign of each mediator mode's squeezing exponent: 10^{±S/20} on its coefficients
+_MEDIATOR = {"X_in": 1.0, "X_in_f": 1.0, "P_in": -1.0}
+
+
+@pytest.mark.parametrize("preset", ["fig3a", "fig3b", "app-atommech-squeezing"])
+def test_squeezing_scales_the_mediator_rows(preset):
+    # squeezing is a factor on the mediator's coefficients: Σ stays the
+    # unsqueezed Gram matrix, and the signal map does not move
     config = PRESETS[preset]
-    r = math.sqrt(squeezing_factor(config.fixed["S"]))
     for value in config.grid():
         values = {**config.fixed, config.sweep_param: float(value)}
-        squeezed = build_model("atom-mech", values).basis
-        plain = build_model("atom-mech", {**values, "S": 0.0}).basis
-        d = np.ones(squeezed.n_modes)
-        d[[squeezed.index("X_in"), squeezed.index("X_in_f")]] = 1.0 / r
-        d[squeezed.index("P_in")] = r
-        assert np.array_equal(squeezed.gram, d[:, None] * plain.gram * d)
-        C = squeezed.transform
-        assert np.abs(C @ C.T - squeezed.gram).max() <= 1e-12, value
+        squeezed = build_model("atom-mech", values)
+        plain = build_model("atom-mech", {**values, "S": 0.0})
+        gram = squeezed.basis.gram
+        assert np.array_equal(gram, plain.basis.gram), value
+        assert np.array_equal(np.diag(gram), np.ones(len(gram))), value
+        C = squeezed.basis.transform
+        assert np.abs(C @ C.T - gram).max() <= 1e-12, value
+        mediator = [squeezed.basis.labels.index(lab) for lab in _MEDIATOR]
+        others = np.setdiff1d(np.arange(squeezed.basis.n_modes), mediator)
+        scale = np.array([10.0 ** (sign * values["S"] / 20.0) for sign in _MEDIATOR.values()])
+        A, A0 = squeezed.output_matrix, plain.output_matrix
+        assert np.array_equal(A[:, others], A0[:, others]), value
+        np.testing.assert_allclose(A[:, mediator], A0[:, mediator] * scale, rtol=1e-15, atol=0.0)
+        assert np.array_equal(squeezed.signal_map, plain.signal_map), value
+        moved = not np.array_equal(squeezed.vacuum_output_cov, plain.vacuum_output_cov)
+        assert moved == (values["S"] > 0.0), value
 
 
 @pytest.mark.parametrize("preset", [name for name, config in PRESETS.items() if config.gate != "ideal"])

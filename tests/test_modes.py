@@ -1,6 +1,4 @@
-"""Non-orthogonal temporal modes: Gram factorization and squeezing."""
-
-import math
+"""Non-orthogonal temporal modes: Gram assembly and factorization."""
 
 import numpy as np
 import pytest
@@ -8,11 +6,9 @@ import pytest
 from qnd_hom.modes import (
     NoiseModeBasis,
     OverlapConsistencyError,
-    apply_squeezing,
     build_gram,
     gram_cholesky,
     orthogonalize_noise_modes,
-    squeezing_factor,
 )
 
 
@@ -67,9 +63,9 @@ def test_orthogonalize_round_trip():
     basis = orthogonalize_noise_modes(labels, overlaps)
     assert basis.n_modes == 3
     corr = basis.transform @ basis.transform.T
-    assert corr[basis.index("m1"), basis.index("m2")] == pytest.approx(0.4, abs=1e-12)
-    assert corr[basis.index("m2"), basis.index("m3")] == pytest.approx(0.25, abs=1e-12)
-    assert corr[basis.index("m1"), basis.index("m3")] == pytest.approx(0.0, abs=1e-12)
+    assert corr[basis.labels.index("m1"), basis.labels.index("m2")] == pytest.approx(0.4, abs=1e-12)
+    assert corr[basis.labels.index("m2"), basis.labels.index("m3")] == pytest.approx(0.25, abs=1e-12)
+    assert corr[basis.labels.index("m1"), basis.labels.index("m3")] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(np.diag(corr), 1.0, atol=1e-12)
 
 
@@ -96,51 +92,3 @@ def test_orthogonalize_names_the_pair_the_whole_factorization_names(overlaps, pa
         orthogonalize_noise_modes(labels, overlaps)
     assert str(named.value) == str(whole.value)
     assert pair in str(named.value)
-
-
-def test_squeezing_factor_values():
-    assert squeezing_factor(0.0) == pytest.approx(1.0)
-    # 7 dB: e^{−2r} with r = 7·ln10/20
-    assert squeezing_factor(7.0) == pytest.approx(10.0 ** (-0.7), abs=1e-12)
-    assert squeezing_factor(7.0) == pytest.approx(0.19952623149688797, abs=1e-12)
-
-
-def test_apply_squeezing_scales_mediator_families():
-    labels = ("X_m", "P_m", "other")
-    basis = orthogonalize_noise_modes(labels, {})
-    squeezed = apply_squeezing(basis, 7.0, anti_squeezed=("X_m",), squeezed=("P_m",))
-    f = squeezing_factor(7.0)
-    ix, ip, io = (squeezed.index(l) for l in labels)
-    sigma = squeezed.transform @ squeezed.transform.T
-    assert sigma[ip, ip] == pytest.approx(f, abs=1e-12)
-    assert sigma[ix, ix] == pytest.approx(1.0 / f, abs=1e-12)
-    assert sigma[io, io] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_zero_squeezing_is_identity():
-    basis = orthogonalize_noise_modes(("X_m", "P_m"), {})
-    same = apply_squeezing(basis, 0.0, anti_squeezed=("X_m",), squeezed=("P_m",))
-    assert np.allclose(same.transform @ same.transform.T, basis.transform @ basis.transform.T, atol=0.0)
-
-
-def test_squeezing_preserves_correlated_structure():
-    # squeezing a correlated X-family keeps the normalized correlation
-    labels = ("X_m", "X_mf", "P_m")
-    overlaps = {("X_m", "X_mf"): 0.6}
-    basis = orthogonalize_noise_modes(labels, overlaps)
-    squeezed = apply_squeezing(basis, 5.0, anti_squeezed=("X_m", "X_mf"), squeezed=("P_m",))
-    f = squeezing_factor(5.0)
-    i, j = squeezed.index("X_m"), squeezed.index("X_mf")
-    corr = squeezed.transform @ squeezed.transform.T
-    # covariance scaled by 1/f uniformly on the X block
-    assert corr[i, j] == pytest.approx(0.6 / f, abs=1e-12)
-    d = np.diag([1.0 / math.sqrt(f), 1.0 / math.sqrt(f), math.sqrt(f)])
-    assert np.allclose(corr, d @ build_gram(labels, overlaps) @ d, atol=1e-12)
-    assert corr[i, j] / np.sqrt(corr[i, i] * corr[j, j]) == pytest.approx(0.6, abs=1e-12)
-
-
-@pytest.mark.parametrize("squeezing_db", [0.0, 3.0])
-def test_squeezing_rejects_unknown_label(squeezing_db):
-    basis = orthogonalize_noise_modes(("X_m", "P_m"), {})
-    with pytest.raises(ValueError, match="'Y_m'"):
-        apply_squeezing(basis, squeezing_db, anti_squeezed=("Y_m",), squeezed=("P_m",))

@@ -236,6 +236,11 @@ def test_csv_header_and_shape():
     assert "\r" not in text
 
 
+def _ideal_gain(model):
+    """G of an ideal gate: the X_b0 coefficient of its X_a row."""
+    return model.output_matrix[0, model.basis.labels.index("X_b0")]
+
+
 def test_hom_err_is_zero_and_empty_on_failure_rows(monkeypatch):
     # the element is exact, so hom_err is 0; a point whose element leaves
     # [0, 1] becomes a warning row with an empty hom_err field
@@ -246,7 +251,7 @@ def test_hom_err_is_zero_and_empty_on_failure_rows(monkeypatch):
     real = qnd_hom.metrics.hom_sectors
 
     def sectors(model):
-        return np.full((2, 2), 768.0) if model.gains["G"] == 2.0 else real(model)
+        return np.full((2, 2), 768.0) if _ideal_gain(model) == 2.0 else real(model)
 
     monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", sectors)
     good, bad = run_sweep(_ideal_config(points=2, start=1.0))
@@ -264,7 +269,7 @@ def test_failure_row_drops_the_point_threshold(monkeypatch):
     real = qnd_hom.metrics.hom_sectors
 
     def sectors(model):
-        return np.full((2, 2), 768.0) if model.gains["G"] == 2.0 else real(model)
+        return np.full((2, 2), 768.0) if _ideal_gain(model) == 2.0 else real(model)
 
     monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", sectors)
     rows = run_sweep(_ideal_config(points=2, start=1.0, p_values=(1.0, 0.5), with_input_threshold=True))
