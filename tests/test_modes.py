@@ -1,8 +1,12 @@
-"""Non-orthogonal temporal modes: Gram assembly and factorization."""
+"""Non-orthogonal temporal modes: Gram assembly, factorization and
+the squeezing of the atom-mech mediator modes."""
+
+import math
 
 import numpy as np
 import pytest
 
+from qnd_hom.gates import AtomMechParams, _gate_model, build_atom_mech_gate
 from qnd_hom.modes import (
     NoiseModeBasis,
     OverlapConsistencyError,
@@ -92,3 +96,89 @@ def test_orthogonalize_names_the_pair_the_whole_factorization_names(overlaps, pa
         orthogonalize_noise_modes(labels, overlaps)
     assert str(named.value) == str(whole.value)
     assert pair in str(named.value)
+
+
+# squeezing of S dB scales the mediator's coefficients by 10^{±S/20}: the
+# anti-squeezed X family by +, the squeezed P_in by −; the variance factor
+# of the squeezed quadrature is f = 10^{−S/10} = e^{−2r}
+_MEDIATOR = {"X_in": 1.0, "X_in_f": 1.0, "P_in": -1.0}
+
+
+def _atom_mech(S):
+    return build_atom_mech_gate(AtomMechParams(0.07, 0.05, 90.0, 0.9, 1e-4, S))
+
+
+def _column_scale(squeezed, plain):
+    """Per mode, the ratio of the squeezed to the unsqueezed coefficients,
+    which must be one number across the four output rows."""
+    A, A0 = squeezed.output_matrix, plain.output_matrix
+    scale = {}
+    for j, label in enumerate(squeezed.basis.labels):
+        rows = np.flatnonzero(A0[:, j])
+        assert np.array_equal(np.flatnonzero(A[:, j]), rows), label
+        ratios = A[rows, j] / A0[rows, j]
+        assert np.ptp(ratios) <= 1e-15 * np.abs(ratios).max(), label
+        scale[label] = ratios[0]
+    return scale
+
+
+def test_squeezing_factor_values():
+    plain = _atom_mech(0.0)
+    assert _column_scale(_atom_mech(0.0), plain)["P_in"] == 1.0
+    # 7 dB: e^{−2r} with r = 7·ln10/20
+    f = _column_scale(_atom_mech(7.0), plain)["P_in"] ** 2
+    assert f == pytest.approx(10.0 ** (-0.7), abs=1e-12)
+    assert f == pytest.approx(0.19952623149688797, abs=1e-12)
+
+
+def test_apply_squeezing_scales_mediator_families():
+    scale = _column_scale(_atom_mech(7.0), _atom_mech(0.0))
+    f = 10.0 ** (-0.7)
+    assert scale["P_in"] ** 2 == pytest.approx(f, abs=1e-12)
+    assert scale["X_in"] ** 2 == pytest.approx(1.0 / f, abs=1e-12)
+    assert scale["X_in_f"] ** 2 == pytest.approx(1.0 / f, abs=1e-12)
+    for label in set(scale) - set(_MEDIATOR):
+        assert scale[label] == 1.0, label
+
+
+def test_zero_squeezing_is_identity():
+    # undoing 7 dB on the mediator's coefficients gives back the S = 0 gate
+    plain, squeezed = _atom_mech(0.0), _atom_mech(7.0)
+    assert np.array_equal(plain.basis.gram, squeezed.basis.gram)
+    undo = np.ones(squeezed.basis.n_modes)
+    for label, sign in _MEDIATOR.items():
+        undo[squeezed.basis.labels.index(label)] = 10.0 ** (-sign * 7.0 / 20.0)
+    A = squeezed.output_matrix * undo
+    np.testing.assert_allclose(A, plain.output_matrix, rtol=1e-15, atol=0.0)
+    gram = plain.basis.gram
+    assert np.allclose(A @ gram @ A.T, plain.vacuum_output_cov, rtol=1e-14, atol=0.0)
+
+
+def test_squeezing_preserves_correlated_structure():
+    # squeezing the correlated X family (X_in, X_in_f) scales their
+    # covariance uniformly and keeps their normalized correlation
+    plain, squeezed = _atom_mech(0.0), _atom_mech(5.0)
+    labels = squeezed.basis.labels
+    i, j = labels.index("X_in"), labels.index("X_in_f")
+    gram = squeezed.basis.gram
+    overlap = gram[i, j]
+    assert 0.0 < overlap < 1.0
+    f = 10.0 ** (-0.5)
+    d = np.ones(len(labels))
+    for label, sign in _MEDIATOR.items():
+        d[labels.index(label)] = 10.0 ** (sign * 5.0 / 20.0)
+    sigma = d[:, None] * gram * d  # the squeezed mediator's covariance DΣD
+    assert sigma[i, j] == pytest.approx(overlap / f, abs=1e-12)
+    assert sigma[i, j] / math.sqrt(sigma[i, i] * sigma[j, j]) == pytest.approx(overlap, abs=1e-12)
+    A0 = plain.output_matrix
+    assert np.allclose(squeezed.vacuum_output_cov, A0 @ sigma @ A0.T, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("squeezing_db", [0.0, 3.0])
+def test_squeezing_rejects_unknown_label(squeezing_db):
+    # a squeezed coefficient placed on a mode the basis lacks is rejected
+    r = squeezing_db * math.log(10.0) / 20.0
+    basis = orthogonalize_noise_modes(("X_m", "P_m"), {})
+    rows = ({"X_m": 1.0}, {"P_m": 1.0}, {"Y_m": math.exp(r)}, {"P_m": math.exp(-r)})
+    with pytest.raises(ValueError, match="'Y_m'"):
+        _gate_model(basis, rows)
