@@ -27,6 +27,12 @@ quadratures.  Σ is the unit-diagonal vacuum Gram matrix at every
 setting: squeezing the mediator pulse by a diagonal D is a factor on
 the coefficients of its modes, since (AD)Σ(AD)ᵀ = A(DΣD)Aᵀ.
 
+The constants, the overlaps and the checked basis depend on the pulse
+length alone, so each pulse family builds them once per ``kappa_tau``
+and keeps the last :data:`_KAPPA_TAU_CACHE` of them; a build at a pulse
+length already seen writes only its rows.  Every model at that pulse
+length shares the basis, whose Gram matrix and factor are read-only.
+
 All rates are in units of the cavity decay κ (κ_A = κ_M = κ = 1) and
 times in units of 1/κ; ``kappa_tau`` is the dimensionless pulse length
 and ``S`` the mediator squeezing in dB.  Each params field carries the
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -274,6 +280,10 @@ def _gate_model(basis: NoiseModeBasis, rows: tuple[dict, ...]) -> GateModel:
     return GateModel(A, basis)
 
 
+# pulse lengths whose constants and checked basis each pulse family keeps;
+# a figure sweep holds κτ fixed, and a 2-D optimum search visits about 50
+_KAPPA_TAU_CACHE = 128
+
 _PULSE_LABELS = (
     "X_a0", "P_a0", "X_L0", "Y_L0", "X_0f1", "Y_0k", "Y_0f1",
     "x_c", "p_c", "x_v", "p_v", "zeta_XM", "zeta_PM", "zeta_XMf",
@@ -286,11 +296,25 @@ def build_atom_light_gate(params: AtomLightParams) -> GateModel:
     return build_optomech_gate(OptomechParams(params.g, params.kappa_tau, params.eta))
 
 
+@lru_cache(maxsize=_KAPPA_TAU_CACHE)
+def _pulse_part(kappa_tau: float) -> tuple[PulseGateConstants, NoiseModeBasis]:
+    """Constants and checked basis of the atom-light / optomech pulse at κτ."""
+    c = atom_light_constants(kappa_tau)
+    overlaps = {
+        ("X_L0", "X_0f1"): c.Kf1 / c.L1,
+        ("Y_L0", "Y_0k"): c.Kf / c.K1,
+        ("Y_L0", "Y_0f1"): c.Kf1 / c.L1,
+        ("Y_0k", "Y_0f1"): c.Kff1 / (c.L1 * c.K1),
+        ("zeta_XM", "zeta_XMf"): c.M1 / (math.sqrt(kappa_tau) * c.M),
+    }
+    return c, orthogonalize_noise_modes(_PULSE_LABELS, overlaps)
+
+
 def build_optomech_gate(params: OptomechParams) -> GateModel:
     """Mechanical oscillator (mode a) entangled with a traveling pulse
     (mode b), with rethermalization forces at rate Γ = γ·n_th."""
     g, tau, eta, Gamma = params.g, params.kappa_tau, params.eta, params.Gamma
-    c = atom_light_constants(tau)
+    c, basis = _pulse_part(tau)
     em = math.exp(-tau)
     GA = g * math.sqrt(2.0 * tau)
     GL = GA * math.sqrt(eta) * (1.0 - (1.0 - em) / tau)
@@ -300,14 +324,6 @@ def build_optomech_gate(params: OptomechParams) -> GateModel:
     s_loss = math.sqrt(1.0 - eta)
     s_aux = math.sqrt(eta) * c.L * c.L1
     thermal = math.sqrt(2.0 * Gamma * tau)
-    overlaps = {
-        ("X_L0", "X_0f1"): c.Kf1 / c.L1,
-        ("Y_L0", "Y_0k"): c.Kf / c.K1,
-        ("Y_L0", "Y_0f1"): c.Kf1 / c.L1,
-        ("Y_0k", "Y_0f1"): c.Kff1 / (c.L1 * c.K1),
-        ("zeta_XM", "zeta_XMf"): c.M1 / (math.sqrt(tau) * c.M),
-    }
-    basis = orthogonalize_noise_modes(_PULSE_LABELS, overlaps)
     rows = (  # X_a, P_a, X_b, P_b
         {"X_a0": 1.0, "zeta_XM": thermal},
         {"P_a0": 1.0, "Y_L0": -GA, "p_c": -theta, "Y_0k": GA * c.K1 / math.sqrt(tau), "zeta_PM": thermal},
@@ -327,6 +343,17 @@ _ATOM_MECH_LABELS = (
 )
 
 
+@lru_cache(maxsize=_KAPPA_TAU_CACHE)
+def _atom_mech_part(kappa_tau: float) -> tuple[AtomMechConstants, NoiseModeBasis]:
+    """Constants and checked basis of the cascaded gate's pulse at κτ."""
+    c = atom_mech_constants(kappa_tau)
+    overlaps = {
+        ("X_in", "X_in_f"): c.K2 * c.K5 * c.K7,
+        ("zeta_XM", "zeta_XMf"): c.K3 * c.K4 / math.sqrt(kappa_tau),
+    }
+    return c, orthogonalize_noise_modes(_ATOM_MECH_LABELS, overlaps)
+
+
 def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
     """Symmetric atom-mechanical gate mediated by a light pulse.
 
@@ -339,16 +366,11 @@ def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
     """
     gA, gM = params.gA, params.gM
     tau, eta, Gamma = params.kappa_tau, params.eta, params.Gamma
-    c = atom_mech_constants(tau)
+    c, basis = _atom_mech_part(tau)
     em = math.exp(-tau)
     gain = 2.0 * gA * gM * math.sqrt(eta) * c.E
     # feedforward gain; gA makes the two signal gains exactly equal
     Kf = math.sqrt(2.0 * eta * tau) * gA * c.E / (tau - 1.0 + em)
-    overlaps = {
-        ("X_in", "X_in_f"): c.K2 * c.K5 * c.K7,
-        ("zeta_XM", "zeta_XMf"): c.K3 * c.K4 / math.sqrt(tau),
-    }
-    basis = orthogonalize_noise_modes(_ATOM_MECH_LABELS, overlaps)
     r = params.S * math.log(10.0) / 20.0
     thermal = math.sqrt(2.0 * Gamma * tau)
     rows = (  # X_a, P_a, X_b, P_b

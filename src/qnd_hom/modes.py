@@ -62,7 +62,9 @@ def gram_cholesky(gram: np.ndarray, labels: Sequence[str]) -> np.ndarray:
     gram = np.asarray(gram, dtype=float)
     if gram.shape != (n, n):
         raise ValueError("Gram matrix shape does not match the label list")
-    if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12):
+    with np.errstate(invalid="ignore"):  # inf - inf; equal infinities are symmetric
+        symmetric = np.all((np.abs(gram - gram.T) <= 1e-12) | (gram == gram.T))
+    if not symmetric:
         raise OverlapConsistencyError("overlap matrix is not symmetric")
     L = np.zeros((n, n))
     for k in range(n):
@@ -96,8 +98,8 @@ class NoiseModeBasis:
     """Ordered quadrature variables z with their vacuum Gram matrix Σ₀.
 
     ``transform`` is the lower-triangular C with Σ₀ = C Cᵀ, factored on
-    first read: a coefficient row A over z becomes A·C over independent
-    unit-variance modes.
+    first read and read-only: a coefficient row A over z becomes A·C
+    over independent unit-variance modes.
     """
 
     labels: tuple[str, ...]
@@ -111,7 +113,9 @@ class NoiseModeBasis:
 
     @cached_property
     def transform(self) -> np.ndarray:
-        return gram_cholesky(self.gram, self.labels)
+        C = gram_cholesky(self.gram, self.labels)
+        C.flags.writeable = False
+        return C
 
     @property
     def n_modes(self) -> int:
@@ -126,8 +130,10 @@ def orthogonalize_noise_modes(
     The modes the overlaps name are factored in label order, so an
     impossible set raises :class:`OverlapConsistencyError` naming the
     offending pair; any other mode would only add a unit pivot and zeros.
+    The Gram matrix is read-only, since many gate models may share it.
     """
     gram = build_gram(labels, overlaps)
+    gram.flags.writeable = False
     named = [i for i, lab in enumerate(labels) if any(lab in pair for pair in overlaps)]
     gram_cholesky(gram[np.ix_(named, named)], [labels[i] for i in named])
     return NoiseModeBasis(tuple(labels), gram)

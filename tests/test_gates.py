@@ -15,7 +15,9 @@ from qnd_hom.gates import (
     AtomMechParams,
     OptomechParams,
     PulseGateConstants,
+    _atom_mech_part,
     _gate_model,
+    _pulse_part,
     atom_light_constants,
     atom_mech_constants,
     build_atom_light_gate,
@@ -25,8 +27,8 @@ from qnd_hom.gates import (
 )
 from qnd_hom.gaussian import min_physicality_eig, qnd_matrix
 from qnd_hom.metrics import coherent_jets, hom_sectors
-from qnd_hom.modes import orthogonalize_noise_modes
-from qnd_hom.sweep import PRESETS, build_model
+from qnd_hom.modes import OverlapConsistencyError, orthogonalize_noise_modes
+from qnd_hom.sweep import PRESETS, SweepConfig, build_model, find_optimum, run_sweep
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 
@@ -351,6 +353,81 @@ def test_physicality_checked_once_per_model(monkeypatch, gate, values):
     hom_sectors(model)
     coherent_jets(model)
     assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# One κτ part per pulse length
+# ----------------------------------------------------------------------
+
+# the pulse points of _ONE_OF_EACH and the middle point of each pulse preset
+_PULSE_POINTS = [(gate, values) for gate, values in _ONE_OF_EACH if "kappa_tau" in values] + [
+    (config.gate, {**config.fixed, config.sweep_param: float(config.grid()[config.points // 2])})
+    for config in PRESETS.values() if config.gate != "ideal"
+]
+
+# every parameter but the pulse length, moved
+_MOVE = {"g": lambda g: 1.25 * g, "eta": lambda eta: 0.9 * eta,
+         "Gamma": lambda Gamma: Gamma + 1e-4, "S": lambda S: S + 3.0}
+
+
+def _clear_pulse_caches():
+    _pulse_part.cache_clear()
+    _atom_mech_part.cache_clear()
+
+
+@pytest.mark.parametrize("gate,values", _PULSE_POINTS)
+def test_a_second_build_at_one_pulse_length_reuses_its_basis(monkeypatch, gate, values):
+    other = {name: _MOVE[name](v) if name in _MOVE else v for name, v in values.items()}
+    fresh = build_model(gate, other)
+    _clear_pulse_caches()
+    first = build_model(gate, values)
+    calls = _counted(monkeypatch, qnd_hom.modes, "gram_cholesky")
+    second = build_model(gate, other)
+    assert second.basis is first.basis
+    assert calls == []
+    assert second.basis.gram.tobytes() == fresh.basis.gram.tobytes()
+    for name in ("output_matrix", "vacuum_output_cov", "signal_map"):
+        assert getattr(second, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+def test_a_one_dimensional_optimum_factors_the_gram_once(monkeypatch):
+    calls = _counted(monkeypatch, qnd_hom.modes, "gram_cholesky")
+    find_optimum("atom-light", {"kappa_tau": 100.0, "eta": 0.9}, {"g": (0.02, 0.15)})
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("gate,fixed", [
+    ("atom-light", {"kappa_tau": 100.0, "eta": 0.9}),
+    ("atom-mech", {"kappa_tau": 90.0, "eta": 0.9, "Gamma": 1e-4, "S": 7.0}),
+])
+def test_a_coupling_sweep_factors_the_gram_once(monkeypatch, gate, fixed):
+    calls = _counted(monkeypatch, qnd_hom.modes, "gram_cholesky")
+    run_sweep(SweepConfig(gate, "g", 0.02, 0.15, 6, fixed, jobs=1))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kappa_tau,error,message", [
+    (1e-5, ValueError, "^math domain error$"),  # a configuration error today: the κτ brackets cancel
+    (1e-6, OverlapConsistencyError, r"the \('Y_0k', 'Y_0f1'\) pair is inconsistent"),
+])
+def test_a_failing_pulse_length_is_never_cached(kappa_tau, error, message):
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error, match=message) as err:
+            build_atom_light_gate(AtomLightParams(0.06, kappa_tau, 0.9))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert _pulse_part.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("gate,values", _PULSE_POINTS[:3])
+def test_a_shared_basis_is_read_only(gate, values):
+    basis = build_model(gate, values).basis
+    with pytest.raises(ValueError, match="read-only"):
+        basis.gram[0, 1] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        basis.transform[1, 0] = 0.5
+    assert build_model(gate, values).basis.gram[0, 1] == 0.0
 
 
 # the sign of each mediator mode's squeezing exponent: 10^{±S/20} on its coefficients

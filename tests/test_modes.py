@@ -2,6 +2,7 @@
 the squeezing of the atom-mech mediator modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,44 @@ def test_cholesky_rejects_asymmetric_gram():
     # 4e-6 of asymmetry is far above roundoff, whatever the entries' size
     with pytest.raises(OverlapConsistencyError, match="not symmetric"):
         gram_cholesky(np.array([[1.0, 0.5], [0.500004, 1.0]]), ("a", "b"))
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("gram,symmetric", [
+    ([[1.0, 0.5], [0.5, 1.0]], True),
+    ([[1.0, 0.5], [0.5 + 1e-13, 1.0]], True),
+    ([[1.0, 0.5], [0.500004, 1.0]], False),
+    ([[1.0, _INF], [_INF, 1.0]], True),
+    ([[1.0, -_INF], [-_INF, 1.0]], True),
+    ([[_INF, 0.0], [0.0, 1.0]], True),
+    ([[1.0, _INF], [-_INF, 1.0]], False),
+    ([[1.0, _INF], [0.5, 1.0]], False),
+    ([[1.0, _NAN], [_NAN, 1.0]], False),
+    ([[_NAN, 0.0], [0.0, 1.0]], False),
+])
+def test_symmetry_check_decides_as_allclose_and_warns_nothing(gram, symmetric):
+    # the same decision as np.allclose(gram, gram.T, rtol=0, atol=1e-12)
+    gram = np.array(gram)
+    assert np.allclose(gram, gram.T, rtol=0.0, atol=1e-12) == symmetric
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            gram_cholesky(gram, ("a", "b"))
+        except OverlapConsistencyError as err:
+            assert ("not symmetric" in str(err)) != symmetric
+        else:
+            assert symmetric
+
+
+def test_orthogonalize_freezes_the_gram_it_builds_only():
+    gram = np.eye(2)
+    basis = NoiseModeBasis(("a", "b"), gram)
+    assert basis.gram is gram and gram.flags.writeable
+    assert not basis.transform.flags.writeable
+    built = orthogonalize_noise_modes(("a", "b"), {("a", "b"): 0.3})
+    assert not built.gram.flags.writeable
 
 
 def test_orthogonalize_round_trip():
