@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import errno
+import functools
 import json
 import os
 import re
@@ -284,6 +285,7 @@ def _add_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]):
             )
 
 
+@functools.lru_cache(maxsize=1)  # parse_args leaves the parser as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="qnd-hom", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,15 +13,19 @@ Two classical benchmarks bound what coherent-state inputs can fake:
 
 The phase average uses the periodic trapezoid rule, which converges
 exponentially for these smooth periodic integrands (Trefethen &
-Weideman, SIAM Rev. 56, 385 (2014)).  The amplitude search has no
-knobs.  The averaged element can have several local maxima, so it first
-scores a coarse grid of the box [0, 6]² in one tensor scan on the
-16-node sub-rule (every 4th node of the 64-node grid), then climbs from
-the 4 best cells with :func:`ascend`, a projected BFGS ascent on the
-box (Nocedal & Wright, Numerical Optimization, 2nd ed. (2006), ch. 3
-and 6), on the 64-node average.  Each quadratic form is
-R_a²u + R_b²v + 2R_aR_b·w, so the ascent gets the exact gradient, and
-the value it returns is the 64-node average at its argmax.  The even
+Weideman, SIAM Rev. 56, 385 (2014)).  Every quadratic form is even
+under (φ_a, φ_b) → (φ_a + π, φ_b + π), so the 64 × 64 grid is two copies
+of its φ_a ∈ [0, π) half, and the average is taken on that half alone;
+so are its 32- and 16-node sub-rules, since π is a node of each.  The
+amplitude search has no knobs.  The averaged element can have several
+local maxima, so it first scores a coarse grid of the box [0, 6]² in one
+tensor scan on the 16-node sub-rule (every 4th node of the 64-node
+grid), then climbs from the 4 best cells with :func:`ascend`, a
+projected BFGS ascent on the box (Nocedal & Wright, Numerical
+Optimization, 2nd ed. (2006), ch. 3 and 6), on the 64-node average.
+Each quadratic form is R_a²u + R_b²v + 2R_aR_b·w, so the ascent gets
+the exact gradient, and the value it returns is the 64-node average at
+its argmax.  The even
 nodes of the 64-point rule form the 32-point rule, so the same
 phase-grid values at the argmax certify the average: it is converged
 when the two rules agree to 1e-6.  The objective is the exact coherent
@@ -31,12 +35,13 @@ element of :mod:`qnd_hom.metrics`, one exp per phase point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import GateModel, as_gate_model
-from .metrics import coherent_coefficient, coherent_jets
+from .metrics import coherent_coefficient, coherent_jets, coherent_polynomial
 
 _CONVERGENCE_TOL = 1e-6
 _PHASE_SAMPLES = 64  # trapezoid nodes per input phase
@@ -80,24 +85,35 @@ class _AveragedElement:
     so each quadratic form RᵀQR of :func:`coherent_jets` splits into
     R_a²·u(φ_a) + R_b²·v(φ_b) + 2R_aR_b·w(φ_a,φ_b); u, v, w only depend
     on the phase grid and are precomputed, leaving one exp per grid
-    point at evaluation time.
+    point at evaluation time.  A shift of both phases by π flips the
+    sign of both means and leaves every form unchanged, so only the
+    φ_a ∈ [0, π) rows are kept.  ``phase_samples`` must be a positive
+    even integer, else ValueError.
     """
 
     def __init__(self, model: GateModel, phase_samples: int):
+        if not (isinstance(phase_samples, numbers.Integral) and phase_samples > 0 and phase_samples % 2 == 0):
+            raise ValueError(f"phase_samples must be a positive even integer, got {phase_samples!r}")
         self.c, Q = coherent_jets(model)
         theta = 2.0 * np.pi * np.arange(phase_samples) / phase_samples
         circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (ns, 2)
-        self.u = np.einsum("ik,qkl,il->qi", circle, Q[:, :2, :2], circle)[:, :, None]
+        half = circle[: phase_samples // 2]  # φ_a ∈ [0, π)
+        self.u = np.einsum("ik,qkl,il->qi", half, Q[:, :2, :2], half)[:, :, None]
         self.v = np.einsum("ik,qkl,il->qi", circle, Q[:, 2:, 2:], circle)[:, None, :]
-        self.w = circle @ Q[:, :2, 2:] @ circle.T
-        self.q = np.empty_like(self.w)  # reused: a fresh one per call can page-fault
+        self.w = half @ Q[:, :2, 2:] @ circle.T
+        # reused: a fresh one per call can page-fault
+        self.q = np.empty_like(self.w)
+        self.e = np.empty_like(self.w[0])
 
     def values(self, R_a: float, R_b: float) -> np.ndarray:
-        """The coherent element on the phase grid (φ_a rows, φ_b columns)."""
+        """The coherent element on the half phase grid: φ_a ∈ [0, π) rows,
+        φ_b ∈ [0, 2π) columns.  Its mean is the full-grid average, and the
+        mean of its even rows and columns is the half-size rule's."""
         q = np.multiply(2.0 * R_a * R_b, self.w, out=self.q)
         q += (R_a * R_a) * self.u
         q += (R_b * R_b) * self.v
-        return coherent_coefficient(self.c, *q)
+        e = np.exp(-0.5 * q[0], out=self.e)
+        return e * coherent_polynomial(self.c, *q[1:])
 
     def __call__(self, R_a: float, R_b: float) -> float:
         return float(self.values(R_a, R_b).mean())
@@ -106,14 +122,14 @@ class _AveragedElement:
         """M^av and its exact gradient in (R_a, R_b).
 
         With f = e·P, e = exp(−q₀/2) and P the jet polynomial of
-        :func:`coherent_coefficient`, the partials ∂f/∂q_k are closed
+        :func:`coherent_polynomial`, the partials ∂f/∂q_k are closed
         forms, and ∂q_k/∂R_a = 2R_a·u_k + 2R_b·w_k, ∂q_k/∂R_b = 2R_b·v_k +
         2R_a·w_k.
         """
         f = self.values(R_a, R_b)
-        q0, qa, qb, _ = self.q  # the forms that values() just filled in
-        c = self.c
-        e = np.exp(-0.5 * q0)
+        # the forms and exp(−q₀/2) that values() just filled in
+        _, qa, qb, _ = self.q
+        c, e = self.c, self.e
         df = np.stack([  # ∂f/∂q_k on the phase grid
             -0.5 * f,
             e * (0.25 * c[0] * qb - 0.5 * c[2]),
@@ -147,7 +163,9 @@ def phase_averaged_element(
     R_b: float,
     phase_samples: int = _PHASE_SAMPLES,
 ) -> float:
-    """M^av at one amplitude pair; exposed for convergence diagnostics."""
+    """M^av at one amplitude pair; exposed for convergence diagnostics.
+    ``phase_samples`` must be a positive even integer (ValueError
+    otherwise): the average is taken on the φ_a ∈ [0, π) half grid."""
     return _AveragedElement(as_gate_model(model), phase_samples)(R_a, R_b)
 
 

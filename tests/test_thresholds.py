@@ -224,13 +224,23 @@ def test_gradient_matches_central_differences(point):
 def test_search_stays_on_one_core():
     # the refinement must not wake BLAS helper threads: CPU time beyond
     # wall time means a second core spins.  Machine load only lowers the
-    # ratio, so noise cannot fail this check.
+    # ratio, so noise cannot fail this check.  The BLAS threads that
+    # ``import numpy`` starts may still spin for a while after it, so the
+    # window opens once every other thread has stayed idle for 50 ms.
     code = (
         "import time\n"
         "from qnd_hom.gates import AtomLightParams, build_atom_light_gate\n"
         "from qnd_hom.thresholds import input_threshold\n"
         "model = build_atom_light_gate(AtomLightParams(0.06, 100.0, 0.9))\n"
         "input_threshold(model)\n"
+        "def others():  # CPU seconds of every thread but this one\n"
+        "    return time.process_time() - time.thread_time()\n"
+        "busy = others()\n"
+        "for _ in range(100):\n"
+        "    time.sleep(0.05)\n"
+        "    busy, last = others(), busy\n"
+        "    if busy - last < 1e-3:\n"
+        "        break\n"
         "cpu, wall = time.process_time(), time.perf_counter()\n"
         "for _ in range(4):\n"
         "    input_threshold(model)\n"
@@ -242,24 +252,36 @@ def test_search_stays_on_one_core():
     assert cpu <= 1.3 * wall, (cpu, wall)
 
 
-@pytest.mark.parametrize("model", [
+_FIVE_GATES = pytest.mark.parametrize("model", [
     QND_11_ARGMAX,
     0.0,
     build_atom_light_gate(AtomLightParams(0.06, 100.0, 0.9)),
     build_optomech_gate(OptomechParams(0.06, 100.0, 0.9, 1e-4)),
     build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 7.0)),
 ], ids=["ideal", "zero-gain", "atom-light", "optomech", "atom-mech"])
+
+
+def _full_grid(model, phase_samples):
+    """The coherent jets and the forms u (4, n, 1), v (4, 1, n) and
+    w (4, n, n) on the whole n × n phase grid, built straight from
+    :func:`coherent_jets`: each form is R_a²·u(φ_a) + R_b²·v(φ_b) +
+    2R_aR_b·w(φ_a, φ_b) for the input means (R_a cosφ_a, R_a sinφ_a,
+    R_b cosφ_b, R_b sinφ_b)."""
+    c, Q = coherent_jets(as_gate_model(model))
+    theta = 2.0 * np.pi * np.arange(phase_samples) / phase_samples
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    u = np.einsum("ik,qkl,il->qi", circle, Q[:, :2, :2], circle)[:, :, None]
+    v = np.einsum("ik,qkl,il->qi", circle, Q[:, 2:, 2:], circle)[:, None, :]
+    w = np.einsum("ik,qkl,jl->qij", circle, Q[:, :2, 2:], circle)
+    return c, u, v, w
+
+
+@_FIVE_GATES
 def test_no_dense_grid_point_beats_the_threshold(model):
     # the 64-node average on a 61 × 61 grid of [0, 6]², evaluated here
     # straight from the coherent jets, never exceeds the reported maximum
-    c, Q = coherent_jets(as_gate_model(model))
-    theta = 2.0 * np.pi * np.arange(64) / 64
-    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    # input means (R_a cosφ_a, R_a sinφ_a, R_b cosφ_b, R_b sinφ_b): each form
-    # is R_a²·u(φ_a) + R_b²·v(φ_b) + 2R_aR_b·w(φ_a, φ_b)
-    u = np.einsum("ik,qkl,il->qi", circle, Q[:, :2, :2], circle)[:, None, :, None]
-    v = np.einsum("ik,qkl,il->qi", circle, Q[:, 2:, 2:], circle)[:, None, None, :]
-    w = np.einsum("ik,qkl,jl->qij", circle, Q[:, :2, 2:], circle)[:, None]
+    c, u, v, w = _full_grid(model, 64)
+    u, v, w = u[:, None], v[:, None], w[:, None]
     axis = np.linspace(0.0, 6.0, 61)
     R_b = axis[:, None, None]
     best = max(
@@ -267,6 +289,36 @@ def test_no_dense_grid_point_beats_the_threshold(model):
         for R_a in axis
     )
     assert best <= input_threshold(model).value + 1e-12
+
+
+@_FIVE_GATES
+@pytest.mark.parametrize("point", [(1.3, 2.1), (0.0, 1.4), (3.0, 0.5), (6.0, 6.0)])
+def test_half_grid_average_is_the_full_grid_average(model, point):
+    # every form is even under (φ_a, φ_b) → (φ_a + π, φ_b + π), so the
+    # φ_a ∈ [0, π) rows average to the whole grid's average, and their
+    # even rows and columns to the whole 32-node grid's
+    def full_average(phase_samples):
+        c, u, v, w = _full_grid(model, phase_samples)
+        R_a, R_b = point
+        return float(coherent_coefficient(c, *(R_a**2 * u + R_b**2 * v + 2 * R_a * R_b * w)).mean())
+
+    objective = thresholds._AveragedElement(as_gate_model(model), 64)
+    assert objective.values(*point).shape == (32, 64)
+    assert objective(*point) == pytest.approx(full_average(64), rel=0, abs=1e-16)
+    half_rule = float(objective.values(*point)[::2, ::2].mean())
+    assert half_rule == pytest.approx(full_average(32), rel=0, abs=1e-16)
+
+
+@pytest.mark.parametrize("phase_samples", [0, -2, 63])
+def test_phase_count_that_cannot_fold_is_rejected(phase_samples):
+    with pytest.raises(ValueError, match="phase_samples"):
+        phase_averaged_element(1.0, 1, 1, phase_samples=phase_samples)
+
+
+@pytest.mark.parametrize("phase_samples", [16, 64, 128, 256])
+def test_even_phase_counts_are_accepted(phase_samples):
+    value = phase_averaged_element(1.0, 1, 1, phase_samples=phase_samples)
+    assert value == pytest.approx(phase_averaged_element(1.0, 1, 1, phase_samples=512), rel=0, abs=1e-6)
 
 
 def test_half_rule_decides_convergence(monkeypatch):
