@@ -88,7 +88,7 @@ _HELP = {
     "sweep": "name of the swept parameter",
     "p": "comma-separated input fractions",
     "out": "output path (default: stdout)",
-    "jobs": "parallel worker processes",
+    "jobs": "at most this many processes, the calling one included",
 }
 
 # setting -> the SweepConfig field it sets

@@ -9,9 +9,13 @@ once per grid point and shared across the p rows: the threshold depends
 only on the gate, and each p row is a bilinear combination of the
 sectors.
 
-Grid points are independent; with ``jobs > 1`` they are evaluated by a
-process pool and reassembled in grid order, so the emitted file is
-byte-identical at any parallelism degree.
+Grid points are independent.  ``jobs`` bounds the number of processes a
+sweep uses, the calling process included: a threshold table forks only
+when it has at least 8 points, and an element-only table always runs in
+the calling process.  The grid is cut into strided slices, the caller
+computes the first and each forked worker one other, and the rows are
+reassembled in grid order, so the emitted file (and the message of a
+configuration error) is byte-identical at any ``jobs``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,16 @@ GATE_KINDS = tuple(GATES)
 # "g", which sets both couplings (gA and gM override it)
 _GATE_PARAMS = {gate: tuple(f.name for f in fields(params)) for gate, (params, _) in GATES.items()}
 _GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
+
+# Threshold points a sweep needs per process before it forks one (2-core
+# box, Python 3.11.7, numpy 2.4.6).  A threshold takes ~8-16 ms; a bare fork
+# and join cost 4 ms, the executor's start and stop 8 ms, and copy-on-write
+# ~5 ms on a worker's first point, so a second process pays from about 4
+# points each: atom-mech tables of 4 and 8 points took 43 and 76 ms in one
+# process against 43 and 67 ms through a pool.  An element point takes
+# ~0.35 ms and a worker never paid for itself: 1,280 element-only atom-mech
+# points took 308 ms in one process against 344 ms on two.
+POINTS_PER_PROCESS = 4
 
 CSV_HEADER = "param,value,p,hom,hom_err,input_threshold,output_threshold,warnings"
 _ROW_KEYS = tuple(CSV_HEADER.split(","))
@@ -143,7 +157,7 @@ def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
 
 
 def _evaluate_point(task: tuple[SweepConfig, float]) -> list[SweepRow]:
-    """All rows of one grid point (runs inside pool workers)."""
+    """All rows of one grid point."""
     config, value = task
     in_thr, warnings = None, ""
     try:
@@ -164,20 +178,45 @@ def _evaluate_point(task: tuple[SweepConfig, float]) -> list[SweepRow]:
     ]
 
 
+def _evaluate_slice(tasks: Sequence[tuple[SweepConfig, float]]):
+    """Row groups of a slice's grid points, up to its first configuration error."""
+    groups = []
+    for task in tasks:
+        try:
+            groups.append(_evaluate_point(task))
+        except SweepConfigError as exc:
+            return groups, exc
+    return groups, None
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate the whole grid, in grid order.
 
-    Per-point numerical failures become warning rows with NaN elements;
-    the sweep only raises :class:`SweepNumericalError` when every grid
-    point failed.
+    The sweep uses ``n = min(jobs, points // POINTS_PER_PROCESS)``
+    processes for a threshold table and only the calling process for an
+    element-only one.  Slice k is every n-th grid point from point k; the
+    caller computes slice 0 while ``n - 1`` forked workers compute one
+    slice each, and every worker is joined before this returns or raises.
+    A configuration error raises the one earliest in grid order, as at
+    ``jobs=1``.  Per-point numerical failures become warning rows with
+    NaN elements; the sweep only raises :class:`SweepNumericalError`
+    when every grid point failed.
     """
     tasks = [(config, float(v)) for v in config.grid()]
-    if config.jobs > 1 and len(tasks) > 1:
-        # the pool starts all its workers at once: never more than there are points
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
-            groups = list(pool.map(_evaluate_point, tasks, chunksize=1))
-    else:
+    n = min(config.jobs, len(tasks) // POINTS_PER_PROCESS) if config.with_input_threshold else 1
+    if n <= 1:
         groups = [_evaluate_point(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=n - 1) as pool:
+            futures = [pool.submit(_evaluate_slice, tasks[k::n]) for k in range(1, n)]
+            slices = [_evaluate_slice(tasks[::n]), *(f.result() for f in futures)]
+        # slice k failed at its next grid point, k + n * len(part)
+        errors = [(k + n * len(part), exc) for k, (part, exc) in enumerate(slices) if exc]
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
+        groups = [None] * len(tasks)
+        for k, (part, _) in enumerate(slices):
+            groups[k::n] = part
     rows = [row for group in groups for row in group]
     if rows and all(math.isnan(row.hom) for row in rows):
         raise SweepNumericalError("every grid point failed numerically")

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -467,14 +468,14 @@ def test_cli_import_does_not_load_scipy_integrate():
 
 
 def test_paths_without_a_search_never_load_scipy():
-    # every path, the searches too: an element, plain and pooled sweeps,
-    # a threshold and 1-D and 2-D optima run without scipy
+    # every path, the searches too: an element, an in-process and a
+    # forked sweep, a threshold and 1-D and 2-D optima run without scipy
     src = Path(qnd_hom.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     runs = [
         ["atom-light", "--g", "0.06", "--kappa-tau", "100", "--eta", "0.9"],
         ["ideal", "--start", "0.2", "--stop", "1", "--points", "3", "--jobs", "2"],
-        ["ideal", "--start", "0.2", "--stop", "1", "--points", "2", "--jobs", "2", "--input-threshold"],
+        ["ideal", "--start", "0.2", "--stop", "1", "--points", "8", "--jobs", "2", "--input-threshold"],
         ["threshold", "--gate", "atom-light", "--g", "0.06", "--kappa-tau", "100", "--eta", "0.9"],
         ["optimum", "--gate", "ideal", "--free", "G=0.2:2"],
         ["optimum", "--gate", "atom-light", "--fix", "eta=0.9", "--free", "g=0.02:0.15",
@@ -497,6 +498,17 @@ def test_preset_known_names(capsys):
     assert args.name == "fig2a"
     with pytest.raises(SweepConfigError):
         parser.parse_args(["preset", "not-a-preset"])
+
+
+def test_configuration_error_in_a_forked_slice_exits_1(capsys):
+    # the last of 8 descending κτ points, 1e-5, is in the forked worker's
+    # slice at --jobs 2 and fails to build; no worker outlives the run
+    argv = ("atom-light", "--sweep", "kappa_tau", "--start", "0.07001", "--stop", "1e-5",
+            "--points", "8", "--g", "0.06", "--eta", "0.9", "--input-threshold")
+    serial = run_cli(capsys, *argv, "--jobs", "1")
+    assert serial[:2] == (1, "") and "math domain error" in serial[2]
+    assert run_cli(capsys, *argv, "--jobs", "2") == serial
+    assert multiprocessing.active_children() == []
 
 
 def test_env_jobs_fallback(monkeypatch, capsys):

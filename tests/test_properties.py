@@ -183,10 +183,12 @@ def test_sweep_byte_identical_across_jobs():
 
 
 def test_thresholds_byte_identical_across_jobs():
-    # the search itself must not depend on the process it runs in
+    # the search itself must not depend on the process it runs in; 13
+    # points fork one worker at jobs=2 and two at jobs=3
     config = SweepConfig(
-        gate="atom-light", sweep_param="g", start=0.02, stop=0.12, points=4,
+        gate="atom-light", sweep_param="g", start=0.02, stop=0.12, points=13,
         fixed={"kappa_tau": 100.0, "eta": 0.9}, with_input_threshold=True,
     )
     serial = render_csv(run_sweep(config))
-    assert render_csv(run_sweep(dataclasses.replace(config, jobs=2))) == serial
+    for jobs in (2, 3):
+        assert render_csv(run_sweep(dataclasses.replace(config, jobs=jobs))) == serial

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -191,8 +194,9 @@ def test_bs_sweep():
 
 
 def test_pool_never_larger_than_the_grid(monkeypatch):
-    # a process pool starts all its workers at once, so jobs beyond the
-    # number of grid points would only start idle processes
+    # a process must have POINTS_PER_PROCESS threshold points before the
+    # sweep forks it, an element-only table never forks, and jobs counts
+    # the calling process: it bounds the pool, which has jobs - 1 workers
     started = []
 
     class SerialPool:
@@ -205,15 +209,87 @@ def test_pool_never_larger_than_the_grid(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(qnd_hom.sweep, "ProcessPoolExecutor", SerialPool)
-    rows = run_sweep(_ideal_config(points=4, jobs=5000))
-    assert started == [4]
-    assert render_csv(rows) == render_csv(run_sweep(_ideal_config(points=4)))
-    run_sweep(_ideal_config(points=4, jobs=3))
-    assert started == [4, 3]
+    for points, jobs, with_input_threshold, workers in [
+        (4, 5000, True, []),
+        (7, 2, True, []),
+        (8, 2, True, [1]),
+        (12, 3, True, [2]),
+        (40, 5000, True, [9]),
+        (40, 5000, False, []),
+        (1280, 2, False, []),
+    ]:
+        started.clear()
+        config = _ideal_config(points=points, jobs=jobs, with_input_threshold=with_input_threshold)
+        rows = run_sweep(config)
+        assert started == workers
+        if workers:
+            assert render_csv(rows) == render_csv(run_sweep(dataclasses.replace(config, jobs=1)))
+
+
+def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
+    # the caller computes every n-th grid point from point 0, forked
+    # workers the rest, and the rows come back in grid order
+    config = _ideal_config(points=13, with_input_threshold=True)
+    serial = render_csv(run_sweep(config))
+    grid = [float(v) for v in config.grid()]
+    log = tmp_path / "points"
+    real = qnd_hom.sweep.build_model
+
+    def logged(gate, values):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {values['G']!r}\n")
+        return real(gate, values)
+
+    monkeypatch.setattr(qnd_hom.sweep, "build_model", logged)
+    for jobs in (2, 3):  # 13 points: slices of unequal length
+        log.write_text("")
+        assert render_csv(run_sweep(dataclasses.replace(config, jobs=jobs))) == serial
+        assert multiprocessing.active_children() == []
+        by_pid = {}
+        for line in log.read_text().splitlines():
+            pid, value = line.split()
+            by_pid.setdefault(int(pid), []).append(float(value))
+        assert by_pid.pop(os.getpid()) == grid[::jobs]
+        assert by_pid  # a forked worker ran
+        assert sorted(v for values in by_pid.values() for v in values) == sorted(
+            v for k in range(1, jobs) for v in grid[k::jobs]
+        )
+
+
+def test_numerical_failure_in_a_forked_slice_fails_only_its_rows(monkeypatch):
+    # forked workers inherit the substituted sectors; point 3 is in the
+    # worker's slice
+    real = qnd_hom.metrics.hom_sectors
+
+    def sectors(model):
+        return np.full((2, 2), 768.0) if _ideal_gain(model) == 0.75 else real(model)
+
+    monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", sectors)
+    config = _ideal_config(points=9, with_input_threshold=True)
+    serial = run_sweep(config)
+    assert [row.value for row in serial if row.warnings] == [0.75]
+    assert render_csv(run_sweep(dataclasses.replace(config, jobs=2))) == render_csv(serial)
+    assert multiprocessing.active_children() == []
+
+
+def test_earliest_configuration_error_in_grid_order_is_raised():
+    # κτ = 1e-8 is a numerical failure row, 1e-7 and 1e-6 configuration
+    # errors with different messages; at jobs=2 the caller's slice fails
+    # at point 2 and the worker's at point 1, the one jobs=1 reports
+    config = SweepConfig(
+        "atom-light", "kappa_tau", 1e-8, 0.1, 8, {"g": 0.06, "eta": 0.9},
+        scale="log", with_input_threshold=True,
+    )
+    for jobs in (1, 2):
+        with pytest.raises(SweepConfigError, match="^math domain error$"):
+            run_sweep(dataclasses.replace(config, jobs=jobs))
+        assert multiprocessing.active_children() == []
 
 
 def test_output_threshold_column_is_always_e_minus_2():
