@@ -283,6 +283,8 @@ def _gate_model(basis: NoiseModeBasis, rows: tuple[dict, ...]) -> GateModel:
 # pulse lengths whose constants and checked basis each pulse family keeps;
 # a figure sweep holds κτ fixed, and a 2-D optimum search visits about 50
 _KAPPA_TAU_CACHE = 128
+# the closed forms cancel or divide by zero for a very short pulse
+_SHORT_PULSE = "kappa_tau={!r} is too short for the pulse constants ({})"
 
 _PULSE_LABELS = (
     "X_a0", "P_a0", "X_L0", "Y_L0", "X_0f1", "Y_0k", "Y_0f1",
@@ -299,15 +301,18 @@ def build_atom_light_gate(params: AtomLightParams) -> GateModel:
 @lru_cache(maxsize=_KAPPA_TAU_CACHE)
 def _pulse_part(kappa_tau: float) -> tuple[PulseGateConstants, NoiseModeBasis]:
     """Constants and checked basis of the atom-light / optomech pulse at κτ."""
-    c = atom_light_constants(kappa_tau)
-    overlaps = {
-        ("X_L0", "X_0f1"): c.Kf1 / c.L1,
-        ("Y_L0", "Y_0k"): c.Kf / c.K1,
-        ("Y_L0", "Y_0f1"): c.Kf1 / c.L1,
-        ("Y_0k", "Y_0f1"): c.Kff1 / (c.L1 * c.K1),
-        ("zeta_XM", "zeta_XMf"): c.M1 / (math.sqrt(kappa_tau) * c.M),
-    }
-    return c, orthogonalize_noise_modes(_PULSE_LABELS, overlaps)
+    try:
+        c = atom_light_constants(kappa_tau)
+        overlaps = {
+            ("X_L0", "X_0f1"): c.Kf1 / c.L1,
+            ("Y_L0", "Y_0k"): c.Kf / c.K1,
+            ("Y_L0", "Y_0f1"): c.Kf1 / c.L1,
+            ("Y_0k", "Y_0f1"): c.Kff1 / (c.L1 * c.K1),
+            ("zeta_XM", "zeta_XMf"): c.M1 / (math.sqrt(kappa_tau) * c.M),
+        }
+        return c, orthogonalize_noise_modes(_PULSE_LABELS, overlaps)
+    except (ZeroDivisionError, ValueError) as exc:
+        raise ValueError(_SHORT_PULSE.format(kappa_tau, exc)) from None
 
 
 def build_optomech_gate(params: OptomechParams) -> GateModel:
@@ -346,12 +351,15 @@ _ATOM_MECH_LABELS = (
 @lru_cache(maxsize=_KAPPA_TAU_CACHE)
 def _atom_mech_part(kappa_tau: float) -> tuple[AtomMechConstants, NoiseModeBasis]:
     """Constants and checked basis of the cascaded gate's pulse at κτ."""
-    c = atom_mech_constants(kappa_tau)
-    overlaps = {
-        ("X_in", "X_in_f"): c.K2 * c.K5 * c.K7,
-        ("zeta_XM", "zeta_XMf"): c.K3 * c.K4 / math.sqrt(kappa_tau),
-    }
-    return c, orthogonalize_noise_modes(_ATOM_MECH_LABELS, overlaps)
+    try:
+        c = atom_mech_constants(kappa_tau)
+        overlaps = {
+            ("X_in", "X_in_f"): c.K2 * c.K5 * c.K7,
+            ("zeta_XM", "zeta_XMf"): c.K3 * c.K4 / math.sqrt(kappa_tau),
+        }
+        return c, orthogonalize_noise_modes(_ATOM_MECH_LABELS, overlaps)
+    except (ZeroDivisionError, ValueError) as exc:
+        raise ValueError(_SHORT_PULSE.format(kappa_tau, exc)) from None
 
 
 def build_atom_mech_gate(params: AtomMechParams) -> GateModel:

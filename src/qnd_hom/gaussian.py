@@ -16,7 +16,10 @@ Tr ρ₁ρ₂ = 4/√det(V₁+V₂).  Keeping only first order in every variable
 covariance I + 2ε·I.  Every element ⟨HOM|ρ_out|HOM⟩ of this package is
 therefore an exact multilinear Taylor coefficient, which :func:`hom_jet`
 evaluates in plain float64 with 2^k-component jets (truncated Taylor
-arithmetic) — no term of it is larger than O(1).
+arithmetic) — no term of it is larger than O(1).  No map of this package
+mixes X and P, so the jet is read off one scalar kernel per quadrature;
+a map that mixes them (a detuned cavity, a rotated homodyne) is outside
+this scope, and :func:`hom_jet` rejects it.
 """
 
 from __future__ import annotations
@@ -89,29 +92,21 @@ HOM_BS = bs_matrix(0.5)
 
 @lru_cache(maxsize=None)
 def _cycles(k: int) -> tuple:
-    """Cycles of the log-det expansion over k variables, by length L.
-
-    Each entry holds the (row, column) block indices of every cycle that
-    visits a nonempty variable set once, starting at its smallest member,
-    the bit mask of that set, and the sign (−1)^(L+1).
-    """
-    by_length: dict[int, list] = {}
+    """(steps, mask, coefficient) of every cycle of the log-det expansion over
+    k variables, by length L, then by mask: the (i, j) steps visit the set
+    ``mask`` once from its smallest member, and the trace enters with −(−1)^(L+1)/2."""
+    cycles = []
     for mask in range(1, 1 << k):
-        members = [i for i in range(k) if mask >> i & 1]
-        for rest in permutations(members[1:]):
-            by_length.setdefault(len(members), []).append(((members[0],) + rest, mask))
-    out = []
-    for length, items in sorted(by_length.items()):
-        rows = np.array([cycle for cycle, _ in items])
-        masks = np.array([mask for _, mask in items])
-        out.append((rows, np.roll(rows, -1, axis=1), masks, (-1.0) ** (length + 1)))
-    return tuple(out)
+        first, *rest = [i for i in range(k) if mask >> i & 1]
+        cycles += [((first, *order), mask) for order in permutations(rest)]
+    cycles.sort(key=lambda item: len(item[0]))
+    return tuple((tuple(zip(c, c[1:] + c[:1])), mask, 0.5 * (-1.0) ** len(c)) for c, mask in cycles)
 
 
-def _jet_exp(u: np.ndarray) -> np.ndarray:
+def _jet_exp(u) -> np.ndarray:
     """exp of a multilinear jet: since every εᵢ² = 0, component m is the
     sum over set partitions of m of the products of u over the parts."""
-    u = u.tolist()
+    u = np.asarray(u, dtype=float).tolist()
     e = [math.exp(u[0])] + [0.0] * (len(u) - 1)
     for m in range(1, len(u)):
         low = m & -m
@@ -124,16 +119,29 @@ def _jet_exp(u: np.ndarray) -> np.ndarray:
     return np.array(e)
 
 
+def _kernel(r0: list, r1: list) -> list:
+    """2VᵀS⁻¹V of one quadrature from its two rows (S | V) of (S₀ | P); S⁻¹ = adj S / det S."""
+    (a, b, *v0), (c, d, *v1) = r0, r1
+    det = a * d - b * c
+    w = [((d * x - b * y) / det, (a * y - c * x) / det) for x, y in zip(v0, v1)]
+    return [[2.0 * (x * s + y * t) for s, t in w] for x, y in zip(v0, v1)]
+
+
 def hom_jet(cov: np.ndarray, inputs: tuple[np.ndarray, ...] = ()) -> np.ndarray:
     """Multilinear jet of Πᵢ(1+εᵢ)·4/√det S(ε), S(ε) = cov + I + Σᵢ 2εᵢPᵢPᵢᵀ.
 
-    ``inputs`` are 4×2 column blocks Pᵢ, one per input variable; the two
-    column blocks of the balanced beam splitter follow as the last two
-    variables (the HOM projector).  Component m multiplies the product
-    of the variables whose bits are set in m.  The multilinear part of
-    log det S(ε) = log det S₀ + log det(I + D_ε K), K = 2PᵀS₀⁻¹P
-    (Sylvester), is a sum of block-trace cycles with coefficient
-    (−1)^(L+1)/L, and the L rotations of a cycle share one trace.
+    ``inputs`` are 4×2 column blocks Pᵢ, the (x, p) columns of one input
+    mode each; the two column blocks of the balanced beam splitter follow
+    as the last two variables (the HOM projector).  Component m multiplies
+    the product of the variables whose bits are set in m.  The multilinear
+    part of log det S(ε) = log det S₀ + log det(I + D_ε K), K = 2PᵀS₀⁻¹P
+    (Sylvester), is a sum of cycles with coefficient (−1)^(L+1)/L, and the
+    L rotations of a cycle share one trace.  With S₀ = Sx ⊕ Sp and x (p)
+    columns of P on x (p) rows alone, K = Kx ⊕ Kp for the k × k kernels
+    Kx = 2VxᵀSx⁻¹Vx and Kp = 2VpᵀSp⁻¹Vp, so a cycle's trace is its product
+    over Kx plus its product over Kp.  ValueError names the first nonzero
+    entry of (S₀ | P), row by row, that joins an x to a p.  det S₀ comes
+    from the Cholesky factor, which also checks that S₀ is positive definite.
     """
     S0 = np.asarray(cov, dtype=float) + np.eye(4)
     try:
@@ -142,14 +150,18 @@ def hom_jet(cov: np.ndarray, inputs: tuple[np.ndarray, ...] = ()) -> np.ndarray:
         det = math.nan
     if not math.isfinite(det):
         raise NumericalDomainError("overlap matrix is not positive definite")
-    P = np.hstack(list(inputs) + [HOM_BS[:, :2], HOM_BS[:, 2:]])
-    k = P.shape[1] // 2
-    blocks = (2.0 * P.T @ np.linalg.solve(S0, P)).reshape(k, 2, k, 2).transpose(0, 2, 1, 3)
-    u = np.zeros(1 << k)
-    for rows, cols, masks, sign in _cycles(k):
-        M = blocks[rows[:, 0], cols[:, 0]]
-        for j in range(1, rows.shape[1]):
-            M = M @ blocks[rows[:, j], cols[:, j]]
-        np.add.at(u, masks, -0.5 * sign * np.trace(M, axis1=1, axis2=2))
-    u[1 << np.arange(k)] += 1.0  # the weights 1 + εᵢ
+    rows = np.hstack([S0, *inputs, HOM_BS]).tolist()  # (S₀ | P), rows x_a, p_a, x_b, p_b
+    for i, row in enumerate(rows):
+        for j in range(1 - i % 2, len(row), 2):  # the other quadrature's columns
+            if row[j]:
+                where = f"S0[{i}, {j}]" if j < 4 else f"input block {(j - 4) // 2} entry [{i}, {j % 2}]"
+                raise ValueError(f"{where} = {row[j]!r} mixes X and P, which the jet engine keeps apart")
+    Kx, Kp = (_kernel(rows[q][q::2], rows[q + 2][q::2]) for q in (0, 1))
+    u = [float(m > 0 and m & (m - 1) == 0) for m in range(1 << len(Kx))]  # the weights 1 + εᵢ
+    for steps, mask, coefficient in _cycles(len(Kx)):
+        x = p = 1.0
+        for i, j in steps:
+            x *= Kx[i][j]
+            p *= Kp[i][j]
+        u[mask] += coefficient * (x + p)
     return 4.0 / math.sqrt(det) * _jet_exp(u)

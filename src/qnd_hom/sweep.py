@@ -48,9 +48,10 @@ _GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
 # and join cost 4 ms, the executor's start and stop 8 ms, and copy-on-write
 # ~5 ms on a worker's first point, so a second process pays from about 4
 # points each: atom-mech tables of 4 and 8 points took 43 and 76 ms in one
-# process against 43 and 67 ms through a pool.  An element point takes
-# ~0.35 ms and a worker never paid for itself: 1,280 element-only atom-mech
-# points took 308 ms in one process against 344 ms on two.
+# process against 43 and 67 ms through a pool.  Element points never paid
+# for a worker: 1,280 element-only atom-mech points took 308 ms in one
+# process against 344 ms on two, at ~0.35 ms a point (~0.29 ms since the
+# element reads two scalar kernels).
 POINTS_PER_PROCESS = 4
 
 CSV_HEADER = "param,value,p,hom,hom_err,input_threshold,output_threshold,warnings"

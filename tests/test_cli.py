@@ -511,6 +511,19 @@ def test_configuration_error_in_a_forked_slice_exits_1(capsys):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("gate,kappa_tau", [
+    ("atom-light", "1e-12"), ("atom-light", "1e-5"), ("atom-light", "5e-6"), ("atom-light", "1e-4"),
+    ("atom-mech", "1e-4"),
+])
+def test_too_short_pulse_is_a_configuration_error(capsys, gate, kappa_tau):
+    # the closed-form pulse constants cancel or divide by zero; the error
+    # names the pulse length instead of ending in a traceback
+    code, out, err = run_cli(capsys, gate, "--g", "0.06", "--kappa-tau", kappa_tau, "--eta", "0.9")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"qnd-hom: configuration error: kappa_tau={float(kappa_tau)!r} ")
+    assert "Traceback" not in err
+
+
 def test_env_jobs_fallback(monkeypatch, capsys):
     monkeypatch.setenv("QND_HOM_JOBS", "2")
     code, out, _ = run_cli(capsys, "ideal", "--start", "0.4", "--stop", "0.8", "--points", "2")

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from block_engine import block_hom_jet
 
+from qnd_hom.fock import closed_form_qnd_11
+from qnd_hom.gates import ideal_gate_model
 from qnd_hom.gaussian import (
     HOM_BS,
     NumericalDomainError,
@@ -18,6 +21,8 @@ from qnd_hom.gaussian import (
     omega,
     qnd_matrix,
 )
+from qnd_hom.metrics import hom_sectors
+from qnd_hom.sweep import PRESETS, build_model
 
 
 def test_omega_blocks():
@@ -136,3 +141,46 @@ def test_singular_overlap_rejected():
     for diag in ([-3.0, 1.0, 1.0, 1.0], [-3.0, -3.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0]):
         with pytest.raises(NumericalDomainError):
             hom_jet(np.diag(diag))
+
+
+def _preset_models():
+    for config in PRESETS.values():
+        for value in config.grid():
+            yield build_model(config.gate, {**config.fixed, config.sweep_param: float(value)})
+
+
+def test_split_kernels_match_the_block_engine_at_every_preset_point():
+    # the four sectors (k = 4) and the coherent projector jet (k = 2) of
+    # all 720 preset points, against the general 2 × 2-block engine
+    worst = 0.0
+    for model in _preset_models():
+        cov, signal = model.vacuum_output_cov, model.signal_map
+        inputs = (signal[:, :2], signal[:, 2:])
+        worst = max(
+            worst,
+            np.abs(hom_jet(cov, inputs) - block_hom_jet(cov, inputs)).max(),
+            np.abs(hom_jet(cov) - block_hom_jet(cov)).max(),
+        )
+    assert worst <= 5e-16
+
+
+def test_ideal_11_sector_matches_the_closed_form_to_roundoff():
+    errors = [abs(hom_sectors(ideal_gate_model(G))[1, 1] - closed_form_qnd_11(G)) for G in np.linspace(0.0, 3.0, 61)]
+    assert max(errors) <= 3e-16
+
+
+def test_an_xp_entry_of_the_overlap_matrix_is_rejected():
+    # a gate that mixes X and P is outside the split engine; the first
+    # X–P entry of S₀ is named
+    cov = np.eye(4)
+    cov[1, 2] = cov[2, 1] = 0.25
+    with pytest.raises(ValueError, match=r"^S0\[1, 2\] = 0\.25 mixes X and P"):
+        hom_jet(cov)
+
+
+def test_an_xp_entry_of_an_input_block_is_rejected():
+    eye = np.eye(4)
+    second = eye[:, 2:].copy()
+    second[0, 1] = -0.5  # the p column of input 1 reads x_a
+    with pytest.raises(ValueError, match=r"^input block 1 entry \[0, 1\] = -0\.5 mixes X and P"):
+        hom_jet(eye, (eye[:, :2], second))

@@ -80,3 +80,44 @@ def test_reference_presets_writes_every_preset(tmp_path, monkeypatch):
     assert [line.split(",")[0] for line in lines[1:]] == [
         name for name, config in qnd_hom.PRESETS.items() for _ in range(2 * len(config.p_values))
     ]
+
+
+def test_reference_presets_diff_reports_the_largest_move(tmp_path, monkeypatch, capsys):
+    # a 2-point table without thresholds stands in for the reference run;
+    # one hom cell of fig3a is moved by 3e-16 and one warnings cell changed
+    real = qnd_hom.sweep.run_sweep
+    monkeypatch.setattr(qnd_hom.sweep, "run_sweep", lambda config: real(
+        dataclasses.replace(config, points=2, with_input_threshold=False)))
+    table = tmp_path / "reference.csv"
+
+    def run(*argv):
+        monkeypatch.setattr(sys, "argv", ["reference_presets.py", "--out", str(table), *argv])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(SCRIPTS / "reference_presets.py"), run_name="__main__")
+        assert done.value.code == 0
+
+    run()
+    lines = table.read_text().splitlines()
+    header = lines[0].split(",")
+    moved = next(i for i, line in enumerate(lines) if line.startswith("fig3a,"))
+    cells = lines[moved].split(",")
+    hom = float(cells[header.index("hom")])
+    cells[header.index("hom")] = repr(hom + 3e-16)
+    cells[header.index("warnings")] = "stale"
+    lines[moved] = ",".join(cells)
+    stored = "\n".join(lines) + "\n"
+    table.write_text(stored)
+    capsys.readouterr()
+    run("--diff")
+    assert table.read_text() == stored  # --diff writes nothing
+    report = {line[:24].strip(): line[24:].split() for line in capsys.readouterr().out.splitlines()}
+    columns = report.pop("preset")
+    assert columns == CSV_HEADER.split(",")
+    assert list(report) == [*qnd_hom.PRESETS, "all presets"]
+    for name in ("fig3a", "all presets"):
+        row = dict(zip(columns, report[name]))
+        assert row.pop("hom") == f"{hom + 3e-16 - hom:.1e}"
+        assert row.pop("warnings") == "differs"
+        assert set(row.values()) == {"0"}
+    for name in set(qnd_hom.PRESETS) - {"fig3a"}:
+        assert set(report[name]) == {"0"}
