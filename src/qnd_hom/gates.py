@@ -231,7 +231,7 @@ class GateModel:
         object.__setattr__(self, "output_matrix", A)
         if np.any(np.abs(self.basis.gram[:4, :4] - np.eye(4)) > 1e-12):
             raise ValueError("signal quadratures must be uncorrelated leading modes")
-        check_physical(self.vacuum_output_cov, tol=1e-9)
+        check_physical(self.vacuum_output_cov)
 
     @cached_property
     def signal_map(self) -> np.ndarray:

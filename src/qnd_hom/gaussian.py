@@ -17,9 +17,10 @@ covariance I + 2ε·I.  Every element ⟨HOM|ρ_out|HOM⟩ of this package is
 therefore an exact multilinear Taylor coefficient, which :func:`hom_jet`
 evaluates in plain float64 with 2^k-component jets (truncated Taylor
 arithmetic) — no term of it is larger than O(1).  No map of this package
-mixes X and P, so the jet is read off one scalar kernel per quadrature;
-a map that mixes them (a detuned cavity, a rotated homodyne) is outside
-this scope, and :func:`hom_jet` rejects it.
+mixes X and P, so the element and the coherent forms are read off one
+scalar kernel per quadrature; a map that mixes them (a detuned cavity, a
+rotated homodyne) is outside this scope, and :func:`split_kernels`
+rejects it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class NumericalDomainError(ArithmeticError):
     """A covariance or an element left its physical domain."""
 
 
-def omega(n_modes: int = 2) -> np.ndarray:
+def omega(n_modes: int) -> np.ndarray:
     """Symplectic form: block-diagonal [[0,1],[-1,0]] per mode."""
     om = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
@@ -67,9 +68,9 @@ def bs_matrix(transmittance: float) -> np.ndarray:
     return out
 
 
-def is_symplectic(T: np.ndarray, tol: float = 1e-12) -> bool:
+def is_symplectic(T: np.ndarray) -> bool:
     om = omega(T.shape[0] // 2)
-    return bool(np.max(np.abs(T @ om @ T.T - om)) <= tol)
+    return bool(np.max(np.abs(T @ om @ T.T - om)) <= 1e-12)
 
 
 def min_physicality_eig(cov: np.ndarray) -> float:
@@ -78,12 +79,10 @@ def min_physicality_eig(cov: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(cov.astype(complex) + 1j * omega(n)).min())
 
 
-def check_physical(cov: np.ndarray, tol: float = 1e-9) -> None:
+def check_physical(cov: np.ndarray) -> None:
     ev = min_physicality_eig(cov)
-    if ev < -tol:
-        raise NumericalDomainError(
-            f"covariance violates the uncertainty bound: min eig(V+iΩ) = {ev:.3e}"
-        )
+    if ev < -1e-9:
+        raise NumericalDomainError(f"covariance violates the uncertainty bound: min eig(V+iΩ) = {ev:.3e}")
 
 
 # |HOM⟩ = B|1,1⟩ with B the balanced beam splitter
@@ -127,22 +126,13 @@ def _kernel(r0: list, r1: list) -> list:
     return [[2.0 * (x * s + y * t) for s, t in w] for x, y in zip(v0, v1)]
 
 
-def hom_jet(cov: np.ndarray, inputs: tuple[np.ndarray, ...] = ()) -> np.ndarray:
-    """Multilinear jet of Πᵢ(1+εᵢ)·4/√det S(ε), S(ε) = cov + I + Σᵢ 2εᵢPᵢPᵢᵀ.
-
-    ``inputs`` are 4×2 column blocks Pᵢ, the (x, p) columns of one input
-    mode each; the two column blocks of the balanced beam splitter follow
-    as the last two variables (the HOM projector).  Component m multiplies
-    the product of the variables whose bits are set in m.  The multilinear
-    part of log det S(ε) = log det S₀ + log det(I + D_ε K), K = 2PᵀS₀⁻¹P
-    (Sylvester), is a sum of cycles with coefficient (−1)^(L+1)/L, and the
-    L rotations of a cycle share one trace.  With S₀ = Sx ⊕ Sp and x (p)
-    columns of P on x (p) rows alone, K = Kx ⊕ Kp for the k × k kernels
-    Kx = 2VxᵀSx⁻¹Vx and Kp = 2VpᵀSp⁻¹Vp, so a cycle's trace is its product
-    over Kx plus its product over Kp.  ValueError names the first nonzero
-    entry of (S₀ | P), row by row, that joins an x to a p.  det S₀ comes
-    from the Cholesky factor, which also checks that S₀ is positive definite.
-    """
+def split_kernels(cov: np.ndarray, columns: np.ndarray) -> tuple[float, list, list]:
+    """det S₀ (S₀ = cov + I) and the kernels Kx, Kp of K = 2PᵀS₀⁻¹P, P the (x, p)
+    column pairs of ``columns`` (4 × 2m, one input mode each), then of the HOM
+    projector's beam splitter.  As S₀ = Sx ⊕ Sp and x (p) columns sit on x (p)
+    rows alone, K = Kx ⊕ Kp with Kx = 2VxᵀSx⁻¹Vx, Kp = 2VpᵀSp⁻¹Vp; ValueError
+    names the first nonzero entry of (S₀ | P), row by row, that joins an x to a
+    p.  det S₀ comes from the Cholesky factor, which also checks S₀ > 0."""
     S0 = np.asarray(cov, dtype=float) + np.eye(4)
     try:
         det = float(np.prod(np.diag(np.linalg.cholesky(S0)))) ** 2
@@ -150,13 +140,20 @@ def hom_jet(cov: np.ndarray, inputs: tuple[np.ndarray, ...] = ()) -> np.ndarray:
         det = math.nan
     if not math.isfinite(det):
         raise NumericalDomainError("overlap matrix is not positive definite")
-    rows = np.hstack([S0, *inputs, HOM_BS]).tolist()  # (S₀ | P), rows x_a, p_a, x_b, p_b
+    rows = np.hstack([S0, columns, HOM_BS]).tolist()  # (S₀ | P), rows x_a, p_a, x_b, p_b
     for i, row in enumerate(rows):
         for j in range(1 - i % 2, len(row), 2):  # the other quadrature's columns
             if row[j]:
                 where = f"S0[{i}, {j}]" if j < 4 else f"input block {(j - 4) // 2} entry [{i}, {j % 2}]"
                 raise ValueError(f"{where} = {row[j]!r} mixes X and P, which the jet engine keeps apart")
-    Kx, Kp = (_kernel(rows[q][q::2], rows[q + 2][q::2]) for q in (0, 1))
+    return det, _kernel(rows[0][0::2], rows[2][0::2]), _kernel(rows[1][1::2], rows[3][1::2])
+
+
+def hom_jet(det: float, Kx: list, Kp: list) -> np.ndarray:
+    """Multilinear jet of Πᵢ(1+εᵢ)·4/√det S(ε), S(ε) = S₀ + Σᵢ 2εᵢPᵢPᵢᵀ, from :func:`split_kernels`;
+    component m multiplies the variables (kernel columns) whose bits are set in m.  The multilinear part
+    of log det S(ε) = log det S₀ + log det(I + D_ε K) (Sylvester) is a sum of cycles with coefficient
+    (−1)^(L+1)/L, and a cycle's trace is its product over Kx plus its product over Kp."""
     u = [float(m > 0 and m & (m - 1) == 0) for m in range(1 << len(Kx))]  # the weights 1 + εᵢ
     for steps, mask, coefficient in _cycles(len(Kx)):
         x = p = 1.0

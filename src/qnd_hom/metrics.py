@@ -6,7 +6,7 @@ element is the bilinear p-combination of four sectors E_ij, the element
 for input |i⟩⟨i| ⊗ |j⟩⟨j|.  All four are read off one generating-function
 jet (:func:`qnd_hom.gaussian.hom_jet`): they are exact, with no
 occupation parameter and no extrapolation.  Coherent inputs go through
-the same jet with the projector variables alone.  A model's physicality
+the element's kernels, so both accept the same gates.  A model's physicality
 was checked when it was built, so it is not checked again here.
 
 For the atom-light and optomech gates the second subsystem is the
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import HOM_BS, NumericalDomainError, hom_jet
+from .gaussian import NumericalDomainError, hom_jet, split_kernels
 from .gates import GateModel, as_gate_model, ideal_gate_model
 
 # Accepted and ignored: the element is the exact n → 0 limit.
@@ -67,8 +67,7 @@ def _probability(value: float) -> float:
 
 def hom_sectors(model: GateModel) -> np.ndarray:
     """E[i, j] = ⟨HOM|ρ_out|HOM⟩ for input |i⟩⟨i| ⊗ |j⟩⟨j|, i, j ∈ {0, 1}."""
-    signal = model.signal_map
-    jet = hom_jet(model.vacuum_output_cov, (signal[:, :2], signal[:, 2:]))
+    jet = hom_jet(*split_kernels(model.vacuum_output_cov, model.signal_map))
     return jet[12:].reshape(2, 2).T  # component 12 + i + 2j is E[i, j]
 
 
@@ -101,23 +100,24 @@ def hom_element_ideal_via_wigner(
 
 
 def coherent_jets(model: GateModel) -> tuple[np.ndarray, np.ndarray]:
-    """Projector jets of a gate for coherent signal inputs.
+    """Projector jets of a gate for coherent signal inputs, off the element's kernels.
 
     Returns ``c``, the jet (c₀, c_a, c_b, c_ab) of (1+y_a)(1+y_b)·4/√det S(y)
-    with S(y) = V_vac + I + 2y_a B_aB_aᵀ + 2y_b B_bB_bᵀ, and ``Q`` (4, 4, 4),
-    the quadratic forms over the input quadrature means whose values are
-    the jet (q₀, q_a, q_b, q_ab) of dᵀS(y)⁻¹d, d the output mean.
+    with S(y) = V_vac + I + 2y_a B_aB_aᵀ + 2y_b B_bB_bᵀ (the element's jet at
+    zero signal variables), and ``Q`` (4, 4, 4), the quadratic forms over the
+    input quadrature means whose values are the jet (q₀, q_a, q_b, q_ab) of
+    dᵀS(y)⁻¹d, d the output mean.
     """
-    cov = model.vacuum_output_cov
-    W = model.signal_map
-    Si = np.linalg.inv(cov + np.eye(4))
-    Ba, Bb = HOM_BS[:, :2], HOM_BS[:, 2:]
-    Ua, Ub = Ba.T @ Si @ W, Bb.T @ Si @ W
-    # S(y)⁻¹ to first order in each y: Si − 2y_a Si A Si − 2y_b Si B Si
-    # + 4y_a y_b (Si A Si B Si + Si B Si A Si), A = B_aB_aᵀ, B = B_bB_bᵀ
-    cross = Ua.T @ (Ba.T @ Si @ Bb) @ Ub
-    Q = np.stack([W.T @ Si @ W, -2.0 * Ua.T @ Ua, -2.0 * Ub.T @ Ub, 4.0 * (cross + cross.T)])
-    return hom_jet(cov), Q
+    det, Kx, Kp = split_kernels(model.vacuum_output_cov, model.signal_map)
+    c = hom_jet(det, [row[2:] for row in Kx[2:]], [row[2:] for row in Kp[2:]])
+    # S(y)⁻¹ to first order: S₀⁻¹ − 2y_a S₀⁻¹AS₀⁻¹ − 2y_b S₀⁻¹BS₀⁻¹ + 4y_a y_b (S₀⁻¹AS₀⁻¹BS₀⁻¹ + S₀⁻¹BS₀⁻¹AS₀⁻¹),
+    # A = B_aB_aᵀ, B = B_bB_bᵀ; per quadrature, k = K/2 over (signal a, signal b, B_a, B_b) holds each factor
+    k = 0.5 * np.array([Kx, Kp])
+    aa, bb, ab = (k[:, i, :2, None] * k[:, j, None, :2] for i, j in ((2, 2), (3, 3), (2, 3)))
+    forms = (k[:, :2, :2], -2.0 * aa, -2.0 * bb, 4.0 * k[:, 2, 3, None, None] * (ab + ab.transpose(0, 2, 1)))
+    Q = np.zeros((4, 2, 2, 2, 2))  # (form, mode, quadrature, mode, quadrature)
+    Q[:, :, [0, 1], :, [0, 1]] = np.stack(forms, axis=1)
+    return c, Q.reshape(4, 4, 4)
 
 
 def coherent_polynomial(c: np.ndarray, qa, qb, qab):

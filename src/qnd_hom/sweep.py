@@ -346,10 +346,10 @@ def find_optimum(
 # Figure presets
 # ----------------------------------------------------------------------
 
-def _preset(gate, sweep, start, stop, fixed, p_values, points=80, **kw) -> SweepConfig:
+def _preset(gate, sweep, start, stop, fixed, p_values) -> SweepConfig:
     return SweepConfig(
-        gate=gate, sweep_param=sweep, start=start, stop=stop, points=points,
-        fixed=fixed, p_values=p_values, with_input_threshold=True, **kw,
+        gate=gate, sweep_param=sweep, start=start, stop=stop, points=80,
+        fixed=fixed, p_values=p_values, with_input_threshold=True,
     )
 
 

@@ -1,10 +1,12 @@
-"""The general 2 × 2-block jet engine, kept as the reference that the
-split-kernel :func:`qnd_hom.gaussian.hom_jet` is tested against.
+"""The general 2 × 2-block jet engine and the general coherent forms, kept
+as the references that the split kernels of :mod:`qnd_hom.gaussian` are
+tested against.
 
-It makes no assumption about X and P: every (i, j) block of
+Neither makes an assumption about X and P: every (i, j) block of
 K = 2PᵀS₀⁻¹P is a full 2 × 2 matrix and a cycle's term is the trace of
-their product.  On gates that keep X and P apart its blocks are
-diagonal, and it must agree with the package engine to float64 roundoff.
+their product, and the coherent forms come from the full 4 × 4 S₀⁻¹.  On
+gates that keep X and P apart the blocks are diagonal, and both must
+agree with the package to float64 roundoff.
 """
 
 import math
@@ -53,3 +55,16 @@ def block_hom_jet(cov: np.ndarray, inputs: tuple[np.ndarray, ...] = ()) -> np.nd
         np.add.at(u, masks, -0.5 * sign * np.trace(M, axis1=1, axis2=2))
     u[1 << np.arange(k)] += 1.0  # the weights 1 + εᵢ
     return 4.0 / math.sqrt(det) * _jet_exp(u)
+
+
+def block_coherent_jets(cov: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``c`` and ``Q`` of :func:`qnd_hom.metrics.coherent_jets` for output
+    covariance ``cov`` and signal map ``W``, through the full S₀⁻¹."""
+    Si = np.linalg.inv(cov + np.eye(4))
+    Ba, Bb = HOM_BS[:, :2], HOM_BS[:, 2:]
+    Ua, Ub = Ba.T @ Si @ W, Bb.T @ Si @ W
+    # S(y)⁻¹ to first order in each y: Si − 2y_a Si A Si − 2y_b Si B Si
+    # + 4y_a y_b (Si A Si B Si + Si B Si A Si), A = B_aB_aᵀ, B = B_bB_bᵀ
+    cross = Ua.T @ (Ba.T @ Si @ Bb) @ Ub
+    Q = np.stack([W.T @ Si @ W, -2.0 * Ua.T @ Ua, -2.0 * Ub.T @ Ub, 4.0 * (cross + cross.T)])
+    return block_hom_jet(cov), Q

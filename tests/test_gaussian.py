@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from block_engine import block_hom_jet
+from block_engine import block_coherent_jets, block_hom_jet
 
 from qnd_hom.fock import closed_form_qnd_11
-from qnd_hom.gates import ideal_gate_model
+from qnd_hom.gates import ideal_gate_model, signal_gate_model
 from qnd_hom.gaussian import (
     HOM_BS,
     NumericalDomainError,
@@ -20,9 +20,13 @@ from qnd_hom.gaussian import (
     min_physicality_eig,
     omega,
     qnd_matrix,
+    split_kernels,
 )
-from qnd_hom.metrics import hom_sectors
+from qnd_hom.metrics import coherent_jets, hom_sectors
 from qnd_hom.sweep import PRESETS, build_model
+from qnd_hom.thresholds import input_threshold
+
+NO_INPUTS = np.empty((4, 0))  # k = 2: the projector variables alone
 
 
 def test_omega_blocks():
@@ -74,7 +78,7 @@ def test_thermal_is_physical():
 def test_vacuum_jet_is_projector_statistics():
     # no input variables: the vacuum output projected on B(Σ y^k|k⟩⟨k|)B†
     # has weight 1 on |0,0⟩ and nothing on one or two photons
-    jet = hom_jet(np.eye(4))
+    jet = hom_jet(*split_kernels(np.eye(4), NO_INPUTS))
     assert jet == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
 
 
@@ -82,7 +86,7 @@ def test_identity_jet_is_beam_splitter_photon_statistics():
     # identity channel: component (i, j, k, l) is |⟨i,j|B|k,l⟩|² for the
     # balanced beam splitter B — the HOM dip makes (1, 1, 1, 1) vanish
     eye = np.eye(4)
-    jet = hom_jet(eye, (eye[:, :2], eye[:, 2:]))
+    jet = hom_jet(*split_kernels(eye, eye))
     for i, j, k, l in itertools.product((0, 1), repeat=4):
         mask = i | j << 1 | k << 2 | l << 3
         if i + j != k + l:
@@ -97,7 +101,7 @@ def test_identity_jet_is_beam_splitter_photon_statistics():
 def test_projector_normalization():
     # |1,1⟩ sent through the balanced beam splitter is |HOM⟩ itself: the
     # projector reads exactly 1 on it and nothing on the other inputs
-    jet = hom_jet(np.eye(4), (HOM_BS[:, :2], HOM_BS[:, 2:]))
+    jet = hom_jet(*split_kernels(np.eye(4), HOM_BS))
     assert abs(jet[0b1111] - 1.0) <= 1e-14
     assert np.abs(jet[0b1100:0b1111]).max() <= 1e-15
 
@@ -105,7 +109,7 @@ def test_projector_normalization():
 def test_identity_gate_produces_no_bunching():
     # G=0: photons never swap modes, so no input sector reaches |HOM⟩
     T = qnd_matrix(0.0)
-    jet = hom_jet(T @ T.T, (T[:, :2], T[:, 2:]))
+    jet = hom_jet(*split_kernels(T @ T.T, T))
     assert np.abs(jet[0b1100:]).max() <= 1e-15
 
 
@@ -137,10 +141,10 @@ def test_singular_overlap_rejected():
     # V + I must be positive definite; a singular or indefinite one is
     # outside the physical domain
     with pytest.raises(NumericalDomainError):
-        hom_jet(np.diag([-1.0, 1.0, 1.0, 1.0]))
+        hom_jet(*split_kernels(np.diag([-1.0, 1.0, 1.0, 1.0]), NO_INPUTS))
     for diag in ([-3.0, 1.0, 1.0, 1.0], [-3.0, -3.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0]):
         with pytest.raises(NumericalDomainError):
-            hom_jet(np.diag(diag))
+            hom_jet(*split_kernels(np.diag(diag), NO_INPUTS))
 
 
 def _preset_models():
@@ -150,16 +154,21 @@ def _preset_models():
 
 
 def test_split_kernels_match_the_block_engine_at_every_preset_point():
-    # the four sectors (k = 4) and the coherent projector jet (k = 2) of
-    # all 720 preset points, against the general 2 × 2-block engine
+    # the four sectors (k = 4), the projector jet (k = 2) and coherent_jets'
+    # c and Q of all 720 preset points, against the general 2 × 2-block
+    # engine and the general coherent forms
     worst = 0.0
     for model in _preset_models():
         cov, signal = model.vacuum_output_cov, model.signal_map
         inputs = (signal[:, :2], signal[:, 2:])
+        c, Q = coherent_jets(model)
+        block_c, block_Q = block_coherent_jets(cov, signal)
         worst = max(
             worst,
-            np.abs(hom_jet(cov, inputs) - block_hom_jet(cov, inputs)).max(),
-            np.abs(hom_jet(cov) - block_hom_jet(cov)).max(),
+            np.abs(hom_jet(*split_kernels(cov, signal)) - block_hom_jet(cov, inputs)).max(),
+            np.abs(hom_jet(*split_kernels(cov, NO_INPUTS)) - block_hom_jet(cov)).max(),
+            np.abs(c - block_c).max(),
+            np.abs(Q - block_Q).max(),
         )
     assert worst <= 5e-16
 
@@ -175,7 +184,7 @@ def test_an_xp_entry_of_the_overlap_matrix_is_rejected():
     cov = np.eye(4)
     cov[1, 2] = cov[2, 1] = 0.25
     with pytest.raises(ValueError, match=r"^S0\[1, 2\] = 0\.25 mixes X and P"):
-        hom_jet(cov)
+        hom_jet(*split_kernels(cov, NO_INPUTS))
 
 
 def test_an_xp_entry_of_an_input_block_is_rejected():
@@ -183,4 +192,18 @@ def test_an_xp_entry_of_an_input_block_is_rejected():
     second = eye[:, 2:].copy()
     second[0, 1] = -0.5  # the p column of input 1 reads x_a
     with pytest.raises(ValueError, match=r"^input block 1 entry \[0, 1\] = -0\.5 mixes X and P"):
-        hom_jet(eye, (eye[:, :2], second))
+        hom_jet(*split_kernels(eye, np.hstack([eye[:, :2], second])))
+
+
+def test_element_coherent_forms_and_threshold_share_one_scope():
+    # a quarter turn of mode a (X_a → −P_a, P_a → X_a) keeps the covariance
+    # exactly split but its signal map joins an x row to a p column: the
+    # element, the coherent forms and the input threshold all reject it
+    turn = np.eye(4)
+    turn[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+    model = signal_gate_model(turn)
+    assert np.array_equal(model.vacuum_output_cov, np.eye(4))
+    message = r"^input block 0 entry \[0, 1\] = 1\.0 mixes X and P"
+    for evaluate in (hom_sectors, coherent_jets, input_threshold):
+        with pytest.raises(ValueError, match=message):
+            evaluate(model)
