@@ -44,14 +44,15 @@ _GATE_PARAMS = {gate: tuple(f.name for f in fields(params)) for gate, (params, _
 _GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
 
 # Threshold points a sweep needs per process before it forks one (2-core
-# box, Python 3.11.7, numpy 2.4.6).  A threshold takes ~8-16 ms; a bare fork
+# box, Python 3.11.7, numpy 2.4.6).  A threshold takes ~5-9 ms; a bare fork
 # and join cost 4 ms, the executor's start and stop 8 ms, and copy-on-write
 # ~5 ms on a worker's first point, so a second process pays from about 4
-# points each: atom-mech tables of 4 and 8 points took 43 and 76 ms in one
-# process against 43 and 67 ms through a pool.  Element points never paid
-# for a worker: 1,280 element-only atom-mech points took 308 ms in one
-# process against 344 ms on two, at ~0.35 ms a point (~0.29 ms since the
-# element reads two scalar kernels).
+# points each: atom-mech tables of 8 and 12 points took 50 and 78 ms in one
+# process against 45 and 62 ms through a pool (medians of 40 alternated
+# pairs, the pool faster in 25-33 and 32-34 of them).  Element points
+# never paid for a worker: 1,280 element-only atom-mech points took 308 ms
+# in one process against 344 ms on two, at ~0.35 ms a point (~0.29 ms
+# since the element reads two scalar kernels).
 POINTS_PER_PROCESS = 4
 
 CSV_HEADER = "param,value,p,hom,hom_err,input_threshold,output_threshold,warnings"

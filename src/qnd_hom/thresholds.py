@@ -15,21 +15,24 @@ The phase average uses the periodic trapezoid rule, which converges
 exponentially for these smooth periodic integrands (Trefethen &
 Weideman, SIAM Rev. 56, 385 (2014)).  Every quadratic form is even
 under (φ_a, φ_b) → (φ_a + π, φ_b + π), so the 64 × 64 grid is two copies
-of its φ_a ∈ [0, π) half, and the average is taken on that half alone;
-so are its 32- and 16-node sub-rules, since π is a node of each.  The
-amplitude search has no knobs.  The averaged element can have several
-local maxima, so it first scores a coarse grid of the box [0, 6]² in one
-tensor scan on the 16-node sub-rule (every 4th node of the 64-node
-grid), then climbs from the 4 best cells with :func:`ascend`, a
-projected BFGS ascent on the box (Nocedal & Wright, Numerical
-Optimization, 2nd ed. (2006), ch. 3 and 6), on the 64-node average.
-Each quadratic form is R_a²u + R_b²v + 2R_aR_b·w, so the ascent gets
-the exact gradient, and the value it returns is the 64-node average at
-its argmax.  The even
-nodes of the 64-point rule form the 32-point rule, so the same
-phase-grid values at the argmax certify the average: it is converged
-when the two rules agree to 1e-6.  The objective is the exact coherent
-element of :mod:`qnd_hom.metrics`, one exp per phase point.
+of its φ_a ∈ [0, π) half.  No gate mixes X and P, so every form is also
+even under (φ_a, φ_b) → (−φ_a, −φ_b): on the half grid, row i holds the
+values of row (32 − i) mod 32 with its columns permuted.  So the average is
+taken on rows 0 … 16 alone, with row weights 1, 2, …, 2, 1, and so are
+its 32- and 16-node sub-rules, whose rows are those rows at strides 2
+and 4.  The amplitude search has no knobs.  The averaged element can
+have several local maxima, so it first scores a coarse grid of the box
+[0, 6]² in one tensor scan on the 16-node sub-rule (every 4th node of
+the 64-node grid), then climbs from the 4 best cells with
+:func:`ascend`, a projected BFGS ascent on the box (Nocedal & Wright,
+Numerical Optimization, 2nd ed. (2006), ch. 3 and 6), on the 64-node
+average.  Each quadratic form is R_a²u + R_b²v + 2R_aR_b·w, so the
+ascent gets the exact gradient, and the value it returns is the 64-node
+average at its argmax.  The even nodes of the 64-point rule form the
+32-point rule, so the same phase-grid values at the argmax certify the
+average: it is converged when the two rules agree to 1e-6.  The
+objective is the exact coherent element of :mod:`qnd_hom.metrics`, one
+exp per phase point.
 """
 
 from __future__ import annotations
@@ -78,6 +81,16 @@ def verify_output_threshold(grid_points: int = 200, amplitude_max: float = 4.0) 
     return float((0.25 * np.exp(-s) * s**2).max(initial=0.0))
 
 
+def _row_weights(phase_samples: int) -> np.ndarray:
+    """Weights of rows 0 … ⌊ns/4⌋ of the φ_a ∈ [0, π) half grid, normalized
+    so that their weighted row sums are the ns × ns average.  Row i also
+    stands for row (ns/2 − i) mod ns/2, so it counts twice unless the two
+    are one row: row 0 always, row ns/4 when ns ≡ 0 (mod 4)."""
+    half = phase_samples // 2
+    rows = np.arange(half // 2 + 1)
+    return np.where((rows == 0) | (2 * rows == half), 1.0, 2.0) / (half * phase_samples)
+
+
 class _AveragedElement:
     """Phase-averaged coherent element M^av(R_a, R_b) for one model.
 
@@ -86,9 +99,10 @@ class _AveragedElement:
     R_a²·u(φ_a) + R_b²·v(φ_b) + 2R_aR_b·w(φ_a,φ_b); u, v, w only depend
     on the phase grid and are precomputed, leaving one exp per grid
     point at evaluation time.  A shift of both phases by π flips the
-    sign of both means and leaves every form unchanged, so only the
-    φ_a ∈ [0, π) rows are kept.  ``phase_samples`` must be a positive
-    even integer, else ValueError.
+    sign of both means and leaves every form unchanged, and so does
+    negating both phases, since no gate mixes X and P: only the rows
+    φ_a ∈ [0, π/2] are kept, weighted by :func:`_row_weights`.
+    ``phase_samples`` must be a positive even integer, else ValueError.
     """
 
     def __init__(self, model: GateModel, phase_samples: int):
@@ -97,26 +111,34 @@ class _AveragedElement:
         self.c, Q = coherent_jets(model)
         theta = 2.0 * np.pi * np.arange(phase_samples) / phase_samples
         circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (ns, 2)
-        half = circle[: phase_samples // 2]  # φ_a ∈ [0, π)
-        self.u = np.einsum("ik,qkl,il->qi", half, Q[:, :2, :2], half)[:, :, None]
+        self.weights = _row_weights(phase_samples)
+        quarter = circle[: self.weights.size]  # φ_a ∈ [0, π/2]
+        self.u = np.einsum("ik,qkl,il->qi", quarter, Q[:, :2, :2], quarter)[:, :, None]
         self.v = np.einsum("ik,qkl,il->qi", circle, Q[:, 2:, 2:], circle)[:, None, :]
-        self.w = half @ Q[:, :2, 2:] @ circle.T
+        self.w = quarter @ Q[:, :2, 2:] @ circle.T
         # reused: a fresh one per call can page-fault
         self.q = np.empty_like(self.w)
         self.e = np.empty_like(self.w[0])
 
     def values(self, R_a: float, R_b: float) -> np.ndarray:
-        """The coherent element on the half phase grid: φ_a ∈ [0, π) rows,
-        φ_b ∈ [0, 2π) columns.  Its mean is the full-grid average, and the
-        mean of its even rows and columns is the half-size rule's."""
+        """The coherent element on the φ_a ∈ [0, π/2] rows of the phase
+        grid, φ_b ∈ [0, 2π) columns; :meth:`average` weighs them."""
         q = np.multiply(2.0 * R_a * R_b, self.w, out=self.q)
         q += (R_a * R_a) * self.u
         q += (R_b * R_b) * self.v
         e = np.exp(-0.5 * q[0], out=self.e)
         return e * coherent_polynomial(self.c, *q[1:])
 
+    def average(self, f: np.ndarray, stride: int = 1) -> float:
+        """The phase average of :meth:`values` output ``f`` on the sub-rule
+        of every ``stride``-th node (ns/stride even): its rows are every
+        ``stride``-th row, with stride² times their weights.  One pairwise
+        sum over every weighted node."""
+        weighted = f[::stride, ::stride] * self.weights[::stride, None]
+        return float(weighted.sum()) * (stride * stride)
+
     def __call__(self, R_a: float, R_b: float) -> float:
-        return float(self.values(R_a, R_b).mean())
+        return self.average(self.values(R_a, R_b))
 
     def value_and_grad(self, R_a: float, R_b: float) -> tuple[float, np.ndarray]:
         """M^av and its exact gradient in (R_a, R_b).
@@ -130,30 +152,36 @@ class _AveragedElement:
         # the forms and exp(−q₀/2) that values() just filled in
         _, qa, qb, _ = self.q
         c, e = self.c, self.e
-        df = np.stack([  # ∂f/∂q_k on the phase grid
+        df = np.stack([  # ∂f/∂q_k on the phase grid, times the row weights
             -0.5 * f,
             e * (0.25 * c[0] * qb - 0.5 * c[2]),
             e * (0.25 * c[0] * qa - 0.5 * c[1]),
             (-0.5 * c[0]) * e,
         ])
-        n = f.size
-        du = float((df.sum(axis=2) * self.u[:, :, 0]).sum()) / n
-        dv = float((df.sum(axis=1) * self.v[:, 0, :]).sum()) / n
-        dw = float((df * self.w).sum()) / n  # not vdot: BLAS would wake its threads
+        df *= self.weights[:, None]
+        du = float((df.sum(axis=2) * self.u[:, :, 0]).sum())
+        dv = float((df.sum(axis=1) * self.v[:, 0, :]).sum())
+        dw = float((df * self.w).sum())  # not vdot: BLAS would wake its threads
         grad = np.array([2.0 * (R_a * du + R_b * dw), 2.0 * (R_b * dv + R_a * dw)])
-        return float(f.mean()), grad
+        return self.average(f), grad
 
     def scan(self, axis: np.ndarray) -> np.ndarray:
         """M^av on the grid axis × axis (R_a rows), each cell averaged on
         the sub-rule of every ``_SCAN_STRIDE``-th phase node; one
-        broadcast per R_a row."""
+        broadcast per R_a row, into one reused buffer."""
         s = _SCAN_STRIDE
-        u, v, w = self.u[:, None, ::s, :], self.v[:, None, :, ::s], self.w[:, None, ::s, ::s]
+        # contiguous copies: strided views slow every broadcast below
+        u, w = (np.ascontiguousarray(x[:, None, ::s, ::s]) for x in (self.u, self.w))
         b = axis[:, None, None]
+        bv = (b * b) * self.v[:, None, :, ::s]
+        weights = self.weights[::s, None] * (s * s)
+        q = np.empty((4, axis.size, *w.shape[2:]))  # (4, R_b, φ_a, φ_b)
         scores = np.empty((axis.size, axis.size))
         for i, a in enumerate(axis):
-            q = (2.0 * a * b) * w + (a * a) * u + (b * b) * v  # (4, R_b, φ_a, φ_b)
-            scores[i] = coherent_coefficient(self.c, *q).mean(axis=(1, 2))
+            np.multiply(2.0 * a * b, w, out=q)
+            q += (a * a) * u
+            q += bv
+            scores[i] = (coherent_coefficient(self.c, *q) * weights).sum(axis=(1, 2))
         return scores
 
 
@@ -165,7 +193,8 @@ def phase_averaged_element(
 ) -> float:
     """M^av at one amplitude pair; exposed for convergence diagnostics.
     ``phase_samples`` must be a positive even integer (ValueError
-    otherwise): the average is taken on the φ_a ∈ [0, π) half grid."""
+    otherwise): the average is taken on the rows φ_a ∈ [0, π/2] of the
+    grid, weighted 1, 2, …, 2, 1 (1, 2, …, 2 when ns ≡ 2 (mod 4))."""
     return _AveragedElement(as_gate_model(model), phase_samples)(R_a, R_b)
 
 
@@ -231,7 +260,7 @@ def input_threshold(model: GateModel | float) -> ThresholdResult:
         x, top = ascend(fg, np.array(divmod(cell, axis.size)) / (axis.size - 1), 1 / (axis.size - 1))
         if top > value:
             value, argmax = top, (float(_DOMAIN * x[0]), float(_DOMAIN * x[1]))
-    half_rule = float(objective.values(*argmax)[::2, ::2].mean())
+    half_rule = objective.average(objective.values(*argmax), 2)
     converged = abs(value - half_rule) < _CONVERGENCE_TOL
     warnings = []
     if not converged:

@@ -139,7 +139,8 @@ def _record_objective(monkeypatch, surface=None):
     """Log the phase samples of every objective built, the axis of every
     grid scan and the (R_a, R_b) of every phase-grid evaluation at the
     full sample count; ``surface``, when given, stands in for the
-    averaged element in the scan and the ascents."""
+    averaged element in the scan and the ascents, and its phase-grid
+    values are averaged with equal weights."""
     builds, scans, calls = [], [], []
 
     def mean(R_a, R_b):
@@ -155,6 +156,11 @@ def _record_objective(monkeypatch, surface=None):
             if surface is None:
                 return super().values(R_a, R_b)
             return np.asarray(surface(R_a, R_b), dtype=float) * np.ones((2, 2))
+
+        def average(self, f, stride=1):
+            if surface is None:
+                return super().average(f, stride)
+            return float(f[::stride, ::stride].mean())
 
         def scan(self, axis):
             scans.append(axis.copy())
@@ -291,22 +297,50 @@ def test_no_dense_grid_point_beats_the_threshold(model):
     assert best <= input_threshold(model).value + 1e-12
 
 
+def _full_average(model, phase_samples, point):
+    """The average of the coherent element over the whole phase grid."""
+    c, u, v, w = _full_grid(model, phase_samples)
+    R_a, R_b = point
+    return float(coherent_coefficient(c, *(R_a**2 * u + R_b**2 * v + 2 * R_a * R_b * w)).mean())
+
+
+@_FIVE_GATES
+def test_forms_are_even_under_negating_both_phases(model):
+    # the fact the quarter grid rests on: on the 64 × 64 grid, node (i, j)
+    # and node (32 − i, 32 − j) (mod 64) hold the same u, v and w, up to
+    # the roundoff of the nodes' cosines and sines.  A node near 2π has
+    # its angle off by up to ulp(2π)/2 = 4.4e-16, and w multiplies a
+    # cosine or sine of each phase, so it is held to 2e-15 (1.6e-15 seen)
+    _, u, v, w = _full_grid(model, 64)
+    mirror = (32 - np.arange(64)) % 64
+    for form, image, tol in ((u, u[:, mirror], 1e-15), (v, v[:, :, mirror], 1e-15),
+                             (w, w[:, mirror][:, :, mirror], 2e-15)):
+        assert np.abs(form - image).max() <= tol * np.abs(form).max()
+
+
 @_FIVE_GATES
 @pytest.mark.parametrize("point", [(1.3, 2.1), (0.0, 1.4), (3.0, 0.5), (6.0, 6.0)])
 def test_half_grid_average_is_the_full_grid_average(model, point):
-    # every form is even under (φ_a, φ_b) → (φ_a + π, φ_b + π), so the
-    # φ_a ∈ [0, π) rows average to the whole grid's average, and their
-    # even rows and columns to the whole 32-node grid's
-    def full_average(phase_samples):
-        c, u, v, w = _full_grid(model, phase_samples)
-        R_a, R_b = point
-        return float(coherent_coefficient(c, *(R_a**2 * u + R_b**2 * v + 2 * R_a * R_b * w)).mean())
-
+    # every form is even under (φ_a, φ_b) → (φ_a + π, φ_b + π) and under
+    # (φ_a, φ_b) → (−φ_a, −φ_b), so the half grid folds onto its rows
+    # φ_a ∈ [0, π/2], weighted 1, 2, …, 2, 1: they average to the whole
+    # grid's average, and their even rows and columns to the whole 32-node
+    # grid's
     objective = thresholds._AveragedElement(as_gate_model(model), 64)
-    assert objective.values(*point).shape == (32, 64)
-    assert objective(*point) == pytest.approx(full_average(64), rel=0, abs=1e-16)
-    half_rule = float(objective.values(*point)[::2, ::2].mean())
-    assert half_rule == pytest.approx(full_average(32), rel=0, abs=1e-16)
+    assert objective(*point) == pytest.approx(_full_average(model, 64, point), rel=0, abs=1e-16)
+    half_rule = objective.average(objective.values(*point), 2)
+    assert half_rule == pytest.approx(_full_average(model, 32, point), rel=0, abs=1e-16)
+
+
+@_FIVE_GATES
+@pytest.mark.parametrize("phase_samples", [6, 10, 18, 30])
+def test_fold_without_a_middle_row_is_the_full_grid_average(model, phase_samples):
+    # at ns ≡ 2 (mod 4) no row of the half grid maps onto itself but row 0:
+    # rows 0 … (ns − 2)/4 carry the sum, weighted 1, 2, …, 2
+    objective = thresholds._AveragedElement(as_gate_model(model), phase_samples)
+    for point in [(1.3, 2.1), (0.0, 1.4), (3.0, 0.5)]:
+        full = _full_average(model, phase_samples, point)
+        assert objective(*point) == pytest.approx(full, rel=0, abs=1e-16)
 
 
 @pytest.mark.parametrize("phase_samples", [0, -2, 63])
