@@ -120,15 +120,11 @@ def coherent_jets(model: GateModel) -> tuple[np.ndarray, np.ndarray]:
     return c, Q.reshape(4, 4, 4)
 
 
-def coherent_polynomial(c: np.ndarray, qa, qb, qab):
-    """The polynomial P of the coherent element exp(−q₀/2)·P."""
-    return c[0] * (0.25 * qa * qb - 0.5 * qab) - 0.5 * (c[1] * qb + c[2] * qa) + c[3]
-
-
 def coherent_coefficient(c: np.ndarray, q0, qa, qb, qab):
     """y_a·y_b coefficient of c(y)·exp(−q(y)/2): the coherent element
+    exp(−q₀/2)·P, P = c₀(q_a q_b/4 − q_ab/2) − (c₁q_b + c₂q_a)/2 + c₃
     (elementwise on arrays of q values)."""
-    return np.exp(-0.5 * q0) * coherent_polynomial(c, qa, qb, qab)
+    return np.exp(-0.5 * q0) * (c[0] * (0.25 * qa * qb - 0.5 * qab) - 0.5 * (c[1] * qb + c[2] * qa) + c[3])
 
 
 def coherent_output_element(model: GateModel | float, means: np.ndarray) -> float:

@@ -22,17 +22,21 @@ taken on rows 0 … 16 alone, with row weights 1, 2, …, 2, 1, and so are
 its 32- and 16-node sub-rules, whose rows are those rows at strides 2
 and 4.  The amplitude search has no knobs.  The averaged element can
 have several local maxima, so it first scores a coarse grid of the box
-[0, 6]² in one tensor scan on the 16-node sub-rule (every 4th node of
-the 64-node grid), then climbs from the 4 best cells with
+[0, 6]² in one scan on the 16-node sub-rule (every 4th node of the
+64-node grid), then climbs from the 4 best cells with
 :func:`ascend`, a projected BFGS ascent on the box (Nocedal & Wright,
 Numerical Optimization, 2nd ed. (2006), ch. 3 and 6), on the 64-node
 average.  Each quadratic form is R_a²u + R_b²v + 2R_aR_b·w, so the
-ascent gets the exact gradient, and the value it returns is the 64-node
-average at its argmax.  The even nodes of the 64-point rule form the
-32-point rule, so the same phase-grid values at the argmax certify the
-average: it is converged when the two rules agree to 1e-6.  The
-objective is the exact coherent element of :mod:`qnd_hom.metrics`, one
-exp per phase point.
+exact coherent element of :mod:`qnd_hom.metrics`, exp(−q₀/2)·P, is
+fixed on the phase grid by 12 node arrays, the coefficients of the
+monomials of R_a and R_b that −q₀/2 and P are linear in.  Two small
+matrix products of the monomials (and their partials) with those arrays
+give the exponent and P on every node, so the ascent gets the exact
+gradient, the scan scores its cells in a few products, and the value
+the ascent returns is the 64-node average at its argmax.  The even
+nodes of the 64-point rule form the 32-point rule, so the same
+phase-grid values at the argmax certify the average: it is converged
+when the two rules agree to 1e-6.
 """
 
 from __future__ import annotations
@@ -44,13 +48,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateModel, as_gate_model
-from .metrics import coherent_coefficient, coherent_jets, coherent_polynomial
+from .metrics import coherent_jets
 
 _CONVERGENCE_TOL = 1e-6
 _PHASE_SAMPLES = 64  # trapezoid nodes per input phase
 _DOMAIN = 6.0  # amplitude cap of both inputs
 _COARSE_GRID = 25  # amplitude grid points per axis
 _SCAN_STRIDE = 4  # the coarse grid is scored on every 4th phase node
+_SCAN_CHUNK = 125  # grid cells per product of the scan: 90k multiply-adds, one BLAS thread
 _STARTS = 4  # ascents, from the best grid cells
 _MAX_EVALS = 200  # evaluations of f per ascent
 ACCURACY_WARNING = "phase average not converged"
@@ -91,98 +96,133 @@ def _row_weights(phase_samples: int) -> np.ndarray:
     return np.where((rows == 0) | (2 * rows == half), 1.0, 2.0) / (half * phase_samples)
 
 
+def _monomials(a, b) -> list:
+    """The monomials that −q₀/2 (the first 3) and P (the other 9) are
+    linear in, at R_a = a and R_b = b: R_a², R_b², R_aR_b, then 1, R_a²,
+    R_b², R_aR_b, R_a⁴, R_b⁴, R_a²R_b², R_a³R_b, R_aR_b³."""
+    aa, bb, ab = a * a, b * b, a * b
+    return [aa, bb, ab, 1.0, aa, bb, ab, aa * aa, bb * bb, aa * bb, aa * ab, ab * bb]
+
+
 class _AveragedElement:
     """Phase-averaged coherent element M^av(R_a, R_b) for one model.
 
     The input means are (R_a cosφ_a, R_a sinφ_a, R_b cosφ_b, R_b sinφ_b),
     so each quadratic form RᵀQR of :func:`coherent_jets` splits into
-    R_a²·u(φ_a) + R_b²·v(φ_b) + 2R_aR_b·w(φ_a,φ_b); u, v, w only depend
-    on the phase grid and are precomputed, leaving one exp per grid
-    point at evaluation time.  A shift of both phases by π flips the
-    sign of both means and leaves every form unchanged, and so does
-    negating both phases, since no gate mixes X and P: only the rows
-    φ_a ∈ [0, π/2] are kept, weighted by :func:`_row_weights`.
-    ``phase_samples`` must be a positive even integer, else ValueError.
+    q_k = R_a²·u_k(φ_a) + R_b²·v_k(φ_b) + 2R_aR_b·w_k(φ_a,φ_b).  In
+    f = exp(−q₀/2)·P, the exponent is then linear in 3 monomials of the
+    amplitudes and P = c₀(q_a q_b/4 − q_ab/2) − (c₁q_b + c₂q_a)/2 + c₃ in
+    9 (:func:`_monomials`).  Their 12 coefficient arrays on the phase
+    grid, ``nodes``, are built once, so every evaluation is a row of
+    monomials times them.  A shift of both phases by π flips the sign of
+    both means and leaves every form unchanged, and so does negating both
+    phases, since no gate mixes X and P: only the rows φ_a ∈ [0, π/2] are
+    kept, weighted by :func:`_row_weights`.  ``phase_samples`` must be a
+    positive even integer, else ValueError.
     """
 
     def __init__(self, model: GateModel, phase_samples: int):
         if not (isinstance(phase_samples, numbers.Integral) and phase_samples > 0 and phase_samples % 2 == 0):
             raise ValueError(f"phase_samples must be a positive even integer, got {phase_samples!r}")
-        self.c, Q = coherent_jets(model)
+        c, Q = coherent_jets(model)
         theta = 2.0 * np.pi * np.arange(phase_samples) / phase_samples
         circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (ns, 2)
-        self.weights = _row_weights(phase_samples)
-        quarter = circle[: self.weights.size]  # φ_a ∈ [0, π/2]
-        self.u = np.einsum("ik,qkl,il->qi", quarter, Q[:, :2, :2], quarter)[:, :, None]
-        self.v = np.einsum("ik,qkl,il->qi", circle, Q[:, 2:, 2:], circle)[:, None, :]
-        self.w = quarter @ Q[:, :2, 2:] @ circle.T
-        # reused: a fresh one per call can page-fault
-        self.q = np.empty_like(self.w)
-        self.e = np.empty_like(self.w[0])
+        row_weights = _row_weights(phase_samples)
+        quarter = circle[: row_weights.size]  # φ_a ∈ [0, π/2]
+        # the forms whose node values the arrays need: −q₀/2, P's linear
+        # part −(c₂q_a + c₁q_b + c₀q_ab)/2, then q_a and q_b
+        forms = np.stack([-0.5 * Q[0], np.einsum("q,qkl->kl", -0.5 * c[2::-1], Q[1:]), Q[1], Q[2]])
+        # their coefficients of R_a², R_b² and R_aR_b on the nodes: u, v and 2w
+        u = np.einsum("ik,qkl,il->qi", quarter, forms[:, :2, :2], quarter)[:, :, None]
+        v = np.einsum("ik,qkl,il->qi", circle, forms[:, 2:, 2:], circle)[:, None, :]
+        w = 2.0 * (quarter @ forms[:, :2, 2:] @ circle.T)
+        n = self.nodes = np.empty((12, *w.shape[1:]))
+        n[0], n[1], n[2] = u[0], v[0], w[0]
+        # P: c₃, the linear part, then c₀q_a q_b/4, whose nine products of
+        # monomials fall on five: (R_aR_b)² is R_a²·R_b².  Filled in place,
+        # one grid-sized temporary at a time: at 256 samples the 12 arrays
+        # alone take 1.6 MB
+        n[3], n[4], n[5], n[6] = c[3], u[1], v[1], w[1]
+        (ua, va, wa), (ub, vb, wb) = (u[2], v[2], w[2]), (u[3], v[3], w[3])
+        n[7], n[8] = ua * ub, va * vb
+        np.multiply(wa, wb, out=n[9])
+        n[9] += ua * vb
+        n[9] += va * ub
+        np.multiply(wa, ub, out=n[10])
+        n[10] += ua * wb
+        np.multiply(wa, vb, out=n[11])
+        n[11] += va * wb
+        n[7:] *= 0.25 * c[0]
+        self.weights = np.repeat(row_weights[:, None], phase_samples, axis=1)  # per node
+
+    def _jets(self, R_a: float, R_b: float) -> tuple[np.ndarray, np.ndarray]:
+        """−q₀/2 and P on the flattened nodes, each above its partials in
+        R_a and R_b: the monomials' jet times the node arrays, in two
+        small products."""
+        a, b = R_a, R_b
+        aa, bb, ab = a * a, b * b, a * b
+        jet = np.array([
+            _monomials(a, b),
+            [2.0 * a, 0.0, b, 0.0, 2.0 * a, 0.0, b, 4.0 * a * aa, 0.0, 2.0 * a * bb, 3.0 * aa * b, b * bb],
+            [0.0, 2.0 * b, a, 0.0, 0.0, 2.0 * b, a, 0.0, 4.0 * b * bb, 2.0 * aa * b, a * aa, 3.0 * a * bb],
+        ], dtype=float)
+        nodes = self.nodes.reshape(12, -1)
+        return jet[:, :3] @ nodes[:3], jet[:, 3:] @ nodes[3:]
 
     def values(self, R_a: float, R_b: float) -> np.ndarray:
         """The coherent element on the φ_a ∈ [0, π/2] rows of the phase
         grid, φ_b ∈ [0, 2π) columns; :meth:`average` weighs them."""
-        q = np.multiply(2.0 * R_a * R_b, self.w, out=self.q)
-        q += (R_a * R_a) * self.u
-        q += (R_b * R_b) * self.v
-        e = np.exp(-0.5 * q[0], out=self.e)
-        return e * coherent_polynomial(self.c, *q[1:])
+        h, p = self._jets(R_a, R_b)
+        f = np.exp(h[0], out=h[0])
+        f *= p[0]
+        return f.reshape(self.nodes.shape[1:])
 
     def average(self, f: np.ndarray, stride: int = 1) -> float:
         """The phase average of :meth:`values` output ``f`` on the sub-rule
         of every ``stride``-th node (ns/stride even): its rows are every
         ``stride``-th row, with stride² times their weights.  One pairwise
         sum over every weighted node."""
-        weighted = f[::stride, ::stride] * self.weights[::stride, None]
+        weighted = f[::stride, ::stride] * self.weights[::stride, ::stride]
         return float(weighted.sum()) * (stride * stride)
 
     def __call__(self, R_a: float, R_b: float) -> float:
         return self.average(self.values(R_a, R_b))
 
     def value_and_grad(self, R_a: float, R_b: float) -> tuple[float, np.ndarray]:
-        """M^av and its exact gradient in (R_a, R_b).
-
-        With f = e·P, e = exp(−q₀/2) and P the jet polynomial of
-        :func:`coherent_polynomial`, the partials ∂f/∂q_k are closed
-        forms, and ∂q_k/∂R_a = 2R_a·u_k + 2R_b·w_k, ∂q_k/∂R_b = 2R_b·v_k +
-        2R_a·w_k.
-        """
-        f = self.values(R_a, R_b)
-        # the forms and exp(−q₀/2) that values() just filled in
-        _, qa, qb, _ = self.q
-        c, e = self.c, self.e
-        df = np.stack([  # ∂f/∂q_k on the phase grid, times the row weights
-            -0.5 * f,
-            e * (0.25 * c[0] * qb - 0.5 * c[2]),
-            e * (0.25 * c[0] * qa - 0.5 * c[1]),
-            (-0.5 * c[0]) * e,
-        ])
-        df *= self.weights[:, None]
-        du = float((df.sum(axis=2) * self.u[:, :, 0]).sum())
-        dv = float((df.sum(axis=1) * self.v[:, 0, :]).sum())
-        dw = float((df * self.w).sum())  # not vdot: BLAS would wake its threads
-        grad = np.array([2.0 * (R_a * du + R_b * dw), 2.0 * (R_b * dv + R_a * dw)])
-        return self.average(f), grad
+        """M^av and its exact gradient in (R_a, R_b).  With e = exp(−q₀/2),
+        f = e·P and ∇f = e·(∇P − ½P·∇q₀); f comes from the products of
+        :meth:`values`, so the value is bit-equal to :meth:`__call__`."""
+        h, p = self._jets(R_a, R_b)
+        e = np.exp(h[0], out=h[0])
+        f = e * p[0]
+        df = h[1:]  # ∇(−q₀/2), then the weighted ∇f
+        df *= p[0]
+        df += p[1:]
+        df *= np.multiply(e, self.weights.ravel(), out=e)
+        return self.average(f.reshape(self.nodes.shape[1:])), df.sum(axis=1)
 
     def scan(self, axis: np.ndarray) -> np.ndarray:
         """M^av on the grid axis × axis (R_a rows), each cell averaged on
-        the sub-rule of every ``_SCAN_STRIDE``-th phase node; one
-        broadcast per R_a row, into one reused buffer."""
+        the sub-rule of every ``_SCAN_STRIDE``-th phase node: the cells'
+        monomials times that sub-rule's node arrays, then exp, a product,
+        and a product with its node weights, ``_SCAN_CHUNK`` cells at a
+        time."""
         s = _SCAN_STRIDE
-        # contiguous copies: strided views slow every broadcast below
-        u, w = (np.ascontiguousarray(x[:, None, ::s, ::s]) for x in (self.u, self.w))
-        b = axis[:, None, None]
-        bv = (b * b) * self.v[:, None, :, ::s]
-        weights = self.weights[::s, None] * (s * s)
-        q = np.empty((4, axis.size, *w.shape[2:]))  # (4, R_b, φ_a, φ_b)
-        scores = np.empty((axis.size, axis.size))
-        for i, a in enumerate(axis):
-            np.multiply(2.0 * a * b, w, out=q)
-            q += (a * a) * u
-            q += bv
-            scores[i] = (coherent_coefficient(self.c, *q) * weights).sum(axis=(1, 2))
-        return scores
+        nodes = np.ascontiguousarray(self.nodes[:, ::s, ::s]).reshape(12, -1)
+        weights = self.weights[::s, ::s].ravel() * (s * s)
+        cells = np.stack(np.broadcast_arrays(*_monomials(axis[:, None], axis)), axis=-1).reshape(-1, 12)
+        scores = np.empty(cells.shape[0])
+        # reused, and at 125 cells × 80 nodes each 80 KB, below glibc's 128 KB
+        # mmap threshold: in one 625-cell block the two 400 KB buffers take
+        # ~160 page faults per scan, and the scan 0.41 ms against 0.19 ms
+        e, p = np.empty((_SCAN_CHUNK, nodes.shape[1])), np.empty((_SCAN_CHUNK, nodes.shape[1]))
+        for i in range(0, cells.shape[0], _SCAN_CHUNK):
+            m = cells[i : i + _SCAN_CHUNK]
+            e_m, p_m = e[: m.shape[0]], p[: m.shape[0]]
+            np.exp(np.matmul(m[:, :3], nodes[:3], out=e_m), out=e_m)
+            e_m *= np.matmul(m[:, 3:], nodes[3:], out=p_m)
+            np.matmul(e_m, weights, out=scores[i : i + m.shape[0]])
+        return scores.reshape(axis.size, axis.size)
 
 
 def phase_averaged_element(

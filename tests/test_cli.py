@@ -475,7 +475,7 @@ def test_paths_without_a_search_never_load_scipy():
     runs = [
         ["atom-light", "--g", "0.06", "--kappa-tau", "100", "--eta", "0.9"],
         ["ideal", "--start", "0.2", "--stop", "1", "--points", "3", "--jobs", "2"],
-        ["ideal", "--start", "0.2", "--stop", "1", "--points", "8", "--jobs", "2", "--input-threshold"],
+        ["ideal", "--start", "0.2", "--stop", "1", "--points", "16", "--jobs", "2", "--input-threshold"],
         ["threshold", "--gate", "atom-light", "--g", "0.06", "--kappa-tau", "100", "--eta", "0.9"],
         ["optimum", "--gate", "ideal", "--free", "G=0.2:2"],
         ["optimum", "--gate", "atom-light", "--fix", "eta=0.9", "--free", "g=0.02:0.15",
@@ -501,10 +501,10 @@ def test_preset_known_names(capsys):
 
 
 def test_configuration_error_in_a_forked_slice_exits_1(capsys):
-    # the last of 8 descending κτ points, 1e-5, is in the forked worker's
+    # the last of 16 descending κτ points, 1e-5, is in the forked worker's
     # slice at --jobs 2 and fails to build; no worker outlives the run
-    argv = ("atom-light", "--sweep", "kappa_tau", "--start", "0.07001", "--stop", "1e-5",
-            "--points", "8", "--g", "0.06", "--eta", "0.9", "--input-threshold")
+    argv = ("atom-light", "--sweep", "kappa_tau", "--start", "0.15001", "--stop", "1e-5",
+            "--points", "16", "--g", "0.06", "--eta", "0.9", "--input-threshold")
     serial = run_cli(capsys, *argv, "--jobs", "1")
     assert serial[:2] == (1, "") and "math domain error" in serial[2]
     assert run_cli(capsys, *argv, "--jobs", "2") == serial

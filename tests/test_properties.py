@@ -183,10 +183,10 @@ def test_sweep_byte_identical_across_jobs():
 
 
 def test_thresholds_byte_identical_across_jobs():
-    # the search itself must not depend on the process it runs in; 13
+    # the search itself must not depend on the process it runs in; 25
     # points fork one worker at jobs=2 and two at jobs=3
     config = SweepConfig(
-        gate="atom-light", sweep_param="g", start=0.02, stop=0.12, points=13,
+        gate="atom-light", sweep_param="g", start=0.02, stop=0.12, points=25,
         fixed={"kappa_tau": 100.0, "eta": 0.9}, with_input_threshold=True,
     )
     serial = render_csv(run_sweep(config))

@@ -215,12 +215,13 @@ def test_pool_never_larger_than_the_grid(monkeypatch):
             return future
 
     monkeypatch.setattr(qnd_hom.sweep, "ProcessPoolExecutor", SerialPool)
+    per_process = qnd_hom.sweep.POINTS_PER_PROCESS
     for points, jobs, with_input_threshold, workers in [
-        (4, 5000, True, []),
-        (7, 2, True, []),
-        (8, 2, True, [1]),
-        (12, 3, True, [2]),
-        (40, 5000, True, [9]),
+        (per_process, 5000, True, []),
+        (2 * per_process - 1, 2, True, []),
+        (2 * per_process, 2, True, [1]),
+        (3 * per_process, 3, True, [2]),
+        (40, 5000, True, [40 // per_process - 1]),
         (40, 5000, False, []),
         (1280, 2, False, []),
     ]:
@@ -235,7 +236,7 @@ def test_pool_never_larger_than_the_grid(monkeypatch):
 def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
     # the caller computes every n-th grid point from point 0, forked
     # workers the rest, and the rows come back in grid order
-    config = _ideal_config(points=13, with_input_threshold=True)
+    config = _ideal_config(points=25, with_input_threshold=True)
     serial = render_csv(run_sweep(config))
     grid = [float(v) for v in config.grid()]
     log = tmp_path / "points"
@@ -247,7 +248,7 @@ def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
         return real(gate, values)
 
     monkeypatch.setattr(qnd_hom.sweep, "build_model", logged)
-    for jobs in (2, 3):  # 13 points: slices of unequal length
+    for jobs in (2, 3):  # 25 points: slices of unequal length
         log.write_text("")
         assert render_csv(run_sweep(dataclasses.replace(config, jobs=jobs))) == serial
         assert multiprocessing.active_children() == []
@@ -263,7 +264,7 @@ def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
 
 
 def test_numerical_failure_in_a_forked_slice_fails_only_its_rows(monkeypatch):
-    # forked workers inherit the substituted sectors; point 3 is in the
+    # forked workers inherit the substituted sectors; point 9 is in the
     # worker's slice
     real = qnd_hom.metrics.hom_sectors
 
@@ -271,7 +272,7 @@ def test_numerical_failure_in_a_forked_slice_fails_only_its_rows(monkeypatch):
         return np.full((2, 2), 768.0) if _ideal_gain(model) == 0.75 else real(model)
 
     monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", sectors)
-    config = _ideal_config(points=9, with_input_threshold=True)
+    config = _ideal_config(points=25, with_input_threshold=True)
     serial = run_sweep(config)
     assert [row.value for row in serial if row.warnings] == [0.75]
     assert render_csv(run_sweep(dataclasses.replace(config, jobs=2))) == render_csv(serial)
@@ -281,9 +282,10 @@ def test_numerical_failure_in_a_forked_slice_fails_only_its_rows(monkeypatch):
 def test_earliest_configuration_error_in_grid_order_is_raised():
     # κτ = 1e-8 is a numerical failure row, 1e-7 and 1e-6 configuration
     # errors with different messages; at jobs=2 the caller's slice fails
-    # at point 2 and the worker's at point 1, the one jobs=1 reports
+    # at point 2 and the worker's at point 1, the one jobs=1 reports; no
+    # slice gets past its first failing point
     config = SweepConfig(
-        "atom-light", "kappa_tau", 1e-8, 0.1, 8, {"g": 0.06, "eta": 0.9},
+        "atom-light", "kappa_tau", 1e-8, 1e7, 16, {"g": 0.06, "eta": 0.9},
         scale="log", with_input_threshold=True,
     )
     for jobs in (1, 2):

@@ -138,9 +138,10 @@ def test_ascent_stops_after_200_evaluations():
 def _record_objective(monkeypatch, surface=None):
     """Log the phase samples of every objective built, the axis of every
     grid scan and the (R_a, R_b) of every phase-grid evaluation at the
-    full sample count; ``surface``, when given, stands in for the
-    averaged element in the scan and the ascents, and its phase-grid
-    values are averaged with equal weights."""
+    full sample count (each ``values`` and ``value_and_grad`` call);
+    ``surface``, when given, stands in for the averaged element in the
+    scan and the ascents, and its phase-grid values are averaged with
+    equal weights."""
     builds, scans, calls = [], [], []
 
     def mean(R_a, R_b):
@@ -169,9 +170,9 @@ def _record_objective(monkeypatch, surface=None):
             return np.array([[mean(a, b) for b in axis] for a in axis])
 
         def value_and_grad(self, R_a, R_b):
+            calls.append((R_a, R_b))
             if surface is None:
                 return super().value_and_grad(R_a, R_b)
-            calls.append((R_a, R_b))
             h = 1e-6
             grad = [(mean(R_a + h, R_b) - mean(R_a - h, R_b)) / (2 * h),
                     (mean(R_a, R_b + h) - mean(R_a, R_b - h)) / (2 * h)]
@@ -302,6 +303,27 @@ def _full_average(model, phase_samples, point):
     c, u, v, w = _full_grid(model, phase_samples)
     R_a, R_b = point
     return float(coherent_coefficient(c, *(R_a**2 * u + R_b**2 * v + 2 * R_a * R_b * w)).mean())
+
+
+@_FIVE_GATES
+def test_node_arrays_expand_the_coherent_element(model):
+    # −q₀/2 and P read off the 12 monomial node arrays give the factored
+    # element of metrics.coherent_coefficient node by node on the kept
+    # rows; a dropped or doubled cross term is off by O(1e-2)
+    c, u, v, w = _full_grid(model, 64)
+    objective = thresholds._AveragedElement(as_gate_model(model), 64)
+    rows = objective.weights.shape[0]
+    for R_a, R_b in [(0.0, 0.0), (0.0, 2.83), (1.3, 2.1), (3.0, 0.5), (6.0, 0.0), (6.0, 6.0)]:
+        forms = (R_a**2 * u + R_b**2 * v + 2 * R_a * R_b * w)[:, :rows]
+        expected = coherent_coefficient(c, *forms)
+        assert np.abs(objective.values(R_a, R_b) - expected).max() <= 5e-16, (R_a, R_b)
+
+
+@_FIVE_GATES
+def test_value_and_grad_value_is_the_average_bit_for_bit(model):
+    objective = thresholds._AveragedElement(as_gate_model(model), 64)
+    for R_a, R_b in np.random.default_rng(7).uniform(0.0, 6.0, (20, 2)):
+        assert objective.value_and_grad(R_a, R_b)[0] == objective(R_a, R_b), (R_a, R_b)
 
 
 @_FIVE_GATES
