@@ -325,19 +325,23 @@ def find_optimum(
     lo, hi = np.array([free[k] for k in names]).T
     axes = [np.linspace(a, b, grid) for a, b in zip(lo, hi)]
     best_pt = max(((objective(*x), x) for x in itertools.product(*axes)), key=lambda t: t[0])[1]
-    at = lambda x: np.clip(lo + x * (hi - lo), lo, hi)  # unit box → parameters
+    box = list(zip(lo.tolist(), hi.tolist()))
+
+    def at(x):  # unit box → parameters
+        return [min(max(a + u * (b - a), a), b) for u, (a, b) in zip(x, box)]
 
     def fg(x):
-        grad = np.empty(x.size)
-        for i, e in enumerate(1e-4 * np.eye(x.size)):
-            up, down = np.minimum(x + e, 1.0), np.maximum(x - e, 0.0)
-            grad[i] = (objective(*at(up)) - objective(*at(down))) / (up[i] - down[i])
+        x, grad = x.tolist(), []
+        for i, u in enumerate(x):
+            up, down = x.copy(), x.copy()
+            up[i], down[i] = min(u + 1e-4, 1.0), max(u - 1e-4, 0.0)
+            grad.append((objective(*at(up)) - objective(*at(down))) / (up[i] - down[i]))
         return objective(*at(x)), grad
 
     x, value = ascend(fg, (np.array(best_pt) - lo) / (hi - lo), 1.0 / max(grid - 1, 1))
     at_boundary = tuple(name for name, u in zip(names, x) if min(u, 1.0 - u) < 5e-3)
     return OptimumResult(
-        argmax=dict(zip(names, map(float, at(x)))),
+        argmax=dict(zip(names, at(x.tolist()))),
         value=float(value),
         interior=not at_boundary,
         boundary_params=at_boundary,

@@ -188,10 +188,11 @@ class _AveragedElement:
     def __call__(self, R_a: float, R_b: float) -> float:
         return self.average(self.values(R_a, R_b))
 
-    def value_and_grad(self, R_a: float, R_b: float) -> tuple[float, np.ndarray]:
-        """M^av and its exact gradient in (R_a, R_b).  With e = exp(−q₀/2),
-        f = e·P and ∇f = e·(∇P − ½P·∇q₀); f comes from the products of
-        :meth:`values`, so the value is bit-equal to :meth:`__call__`."""
+    def value_and_grad(self, R_a: float, R_b: float) -> tuple[float, list[float]]:
+        """M^av and its exact gradient in (R_a, R_b), as two floats.  With
+        e = exp(−q₀/2), f = e·P and ∇f = e·(∇P − ½P·∇q₀); f comes from the
+        products of :meth:`values`, so the value is bit-equal to
+        :meth:`__call__`."""
         h, p = self._jets(R_a, R_b)
         e = np.exp(h[0], out=h[0])
         f = e * p[0]
@@ -199,7 +200,7 @@ class _AveragedElement:
         df *= p[0]
         df += p[1:]
         df *= np.multiply(e, self.weights.ravel(), out=e)
-        return self.average(f.reshape(self.nodes.shape[1:])), df.sum(axis=1)
+        return self.average(f.reshape(self.nodes.shape[1:])), df.sum(axis=1).tolist()
 
     def scan(self, axis: np.ndarray) -> np.ndarray:
         """M^av on the grid axis × axis (R_a rows), each cell averaged on
@@ -239,40 +240,64 @@ def phase_averaged_element(
 
 
 def ascend(fg, x, step: float) -> tuple[np.ndarray, float]:
-    """Maximize f on the unit box [0, 1]ⁿ from ``x`` by projected BFGS;
-    ``fg(x)`` returns f and its gradient.  A coordinate on a face that its
-    gradient points out of is held there.  The first step has length
-    ``step``, and each step halves until f rises by 1e-4 of its
+    """Maximize f on the unit box [0, 1]ⁿ, n = 1 or 2 (else ValueError),
+    from ``x`` by projected BFGS; ``fg(x)`` gets x as a float64 array and
+    returns f and its gradient, a length-n sequence.  A coordinate on a
+    face that its gradient points out of is held there.  The first step
+    has length ``step``, and each step halves until f rises by 1e-4 of its
     first-order gain (Armijo).  Stops when the quadratic model predicts a
     gain below the roundoff of f, when a step no longer moves x, or at 200
-    evaluations of f; returns the last accepted x and f there."""
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    (f, g), evals, H = fg(x), 1, None
+    evaluations of f; returns the last accepted x and f there.  The loop
+    runs on floats: a 1-D box is the 2-D one with x₁ held at 0 by a zero
+    gradient, and the inverse Hessian [[a, b], [b, c]] takes the BFGS
+    update H − (s·Hyᵀ + Hy·sᵀ)/sy + (1 + yᵀHy/sy)·ssᵀ/sy in closed form."""
+    x = np.asarray(x, dtype=float)
+    if x.shape not in ((1,), (2,)):
+        raise ValueError(f"ascend climbs in 1 or 2 dimensions, got a start of n = {x.size} (shape {x.shape})")
+    n = x.size
+
+    def evaluate(x0, x1):
+        f, g = fg(np.array((x0, x1)[:n]))
+        return (f, *g) if n == 2 else (f, g[0], 0.0)
+
+    x0, x1 = (*np.clip(x, 0.0, 1.0).tolist(), 0.0)[:2]
+    (f, g0, g1), evals, a = evaluate(x0, x1), 1, None
     while evals < _MAX_EVALS:
-        free = ((x > 0.0) | (g > 0.0)) & ((x < 1.0) | (g < 0.0))
-        g_free = np.where(free, g, 0.0)
-        if not g_free.any():
+        free0 = (x0 > 0.0 or g0 > 0.0) and (x0 < 1.0 or g0 < 0.0)
+        free1 = (x1 > 0.0 or g1 > 0.0) and (x1 < 1.0 or g1 < 0.0)
+        p0, p1 = (g0 if free0 else 0.0), (g1 if free1 else 0.0)
+        if not (p0 or p1):
             break
-        if H is None:
-            H = np.eye(x.size) * (step / math.hypot(*g_free))
-        d = np.where(free, H @ g_free, 0.0)
-        if 0.5 * (g_free @ d) <= math.ulp(f):
+        if a is None:
+            a = c = step / math.hypot(p0, p1)
+            b = 0.0
+        d0 = a * p0 + b * p1 if free0 else 0.0
+        d1 = b * p0 + c * p1 if free1 else 0.0
+        if 0.5 * (p0 * d0 + p1 * d1) <= math.ulp(f):
             break
-        for t in 0.5 ** np.arange(_MAX_EVALS - evals):  # backtracking
-            x_new = np.clip(x + t * d, 0.0, 1.0)
-            if not (s := x_new - x).any():
-                return x, f
-            (f_new, g_new), evals = fg(x_new), evals + 1
-            if f_new - f >= 1e-4 * abs(g @ s):
+        t = 1.0
+        while True:  # backtracking
+            u, v = min(max(x0 + t * d0, 0.0), 1.0), min(max(x1 + t * d1, 0.0), 1.0)
+            s0, s1 = u - x0, v - x1
+            if not (s0 or s1):
+                return np.array((x0, x1)[:n]), f
+            (f_new, h0, h1), evals = evaluate(u, v), evals + 1
+            if f_new - f >= 1e-4 * abs(g0 * s0 + g1 * s1):
                 break
-        else:
-            return x, f
-        y = g - g_new  # the change in the gradient of −f
-        if (sy := s @ y) > 0.0:  # the BFGS update of the inverse Hessian
-            V = np.eye(x.size) - np.outer(y, s) / sy
-            H = V.T @ H @ V + np.outer(s, s) / sy
-        x, f, g = x_new, f_new, g_new
-    return x, f
+            if evals == _MAX_EVALS:
+                return np.array((x0, x1)[:n]), f
+            t *= 0.5
+        y0, y1 = g0 - h0, g1 - h1  # the change in the gradient of −f
+        if (sy := s0 * y0 + s1 * y1) > 0.0:  # the BFGS update of the inverse Hessian
+            Hy0, Hy1 = a * y0 + b * y1, b * y0 + c * y1
+            k = (1.0 + (y0 * Hy0 + y1 * Hy1) / sy) / sy
+            a, b, c = (
+                a - 2.0 * s0 * Hy0 / sy + k * s0 * s0,
+                b - (s0 * Hy1 + Hy0 * s1) / sy + k * s0 * s1,
+                c - 2.0 * s1 * Hy1 / sy + k * s1 * s1,
+            )
+        x0, x1, f, g0, g1 = u, v, f_new, h0, h1
+    return np.array((x0, x1)[:n]), f
 
 
 def input_threshold(model: GateModel | float) -> ThresholdResult:
@@ -291,8 +316,9 @@ def input_threshold(model: GateModel | float) -> ThresholdResult:
     scores = objective.scan(axis).ravel()
 
     def fg(x):  # on the unit box: R = _DOMAIN·x
-        f, grad = objective.value_and_grad(*(_DOMAIN * x))
-        return f, _DOMAIN * grad
+        a, b = x.tolist()
+        f, (g_a, g_b) = objective.value_and_grad(_DOMAIN * a, _DOMAIN * b)
+        return f, (_DOMAIN * g_a, _DOMAIN * g_b)
 
     value, argmax = -math.inf, None
     # equal scores keep grid order, and a later optimum must be strictly better

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_ascent
 
 from qnd_hom import thresholds
 from qnd_hom.fock import QND_11_ARGMAX, closed_form_qnd_11, hom_element_mixture_ideal
@@ -133,6 +134,92 @@ def test_ascent_stops_after_200_evaluations():
     assert len(evals) == 200
     assert x[0] == f == pytest.approx(0.199, abs=1e-12)
     assert x[1] == 0.5
+
+
+def _quadratic_1d(center, evals):
+    """f = −2(x − c)², logging each evaluation; the gradient is a list."""
+
+    def fg(x):
+        evals.append(x.copy())
+        r = float(x[0]) - center
+        return -2.0 * r * r, [-4.0 * r]
+
+    return fg
+
+
+@pytest.mark.parametrize("center,argmax,tol", [
+    (0.3, 0.3, 1e-10),  # interior: the secant step ends on an exact quadratic
+    (1.4, 1.0, 0.0),  # beyond the face x = 1: x lands on it
+], ids=["interior", "face"])
+def test_1d_ascent_reaches_the_box_maximum(center, argmax, tol):
+    evals = []
+    x, f = ascend(_quadratic_1d(center, evals), [0.5], 1 / 24)
+    assert x.shape == (1,) and abs(x[0] - argmax) <= tol
+    assert f == _quadratic_1d(center, [])(x)[0]
+    assert all(e.shape == (1,) and e.dtype == np.float64 for e in evals)
+    assert len(evals) < 20
+
+
+def test_1d_ascent_on_a_flat_function_stays_at_its_start():
+    evals = []
+    x, f = ascend(lambda x: (evals.append(1) or 0.25, [0.0]), [0.2], 1 / 24)
+    assert (x.tolist(), f, len(evals)) == ([0.2], 0.25, 1)
+
+
+def test_1d_ascent_stops_after_200_evaluations():
+    evals = []
+    x, f = ascend(lambda x: (evals.append(1) or float(x[0]), [1.0]), [0.0], 1e-3)
+    assert len(evals) == 200
+    assert x[0] == f == pytest.approx(0.199, abs=1e-12)
+
+
+def test_backtracking_stops_after_200_evaluations():
+    # the gradient promises a rise that never comes, and a first step of
+    # 1e300 stays clipped to the face for far more than 200 halvings
+    evals = []
+    x, f = ascend(lambda x: (evals.append(1) or -float(x[0]), [1.0]), [0.5], 1e300)
+    assert (x.tolist(), f, len(evals)) == ([0.5], -0.5, 200)
+
+
+@pytest.mark.parametrize("start", [[], [0.1, 0.2, 0.3], [[0.5, 0.5]]], ids=["n=0", "n=3", "1x2"])
+def test_ascent_rejects_a_start_outside_one_or_two_dimensions(start):
+    with pytest.raises(ValueError, match=f"n = {np.size(start)}"):
+        ascend(lambda x: (0.0, [0.0] * x.size), start, 1 / 24)
+
+
+def _same_ascent(fg, start, step):
+    """Run the float ascent and the numpy reference from one start; both
+    make the same evaluations and end within 4 ulp in x and f."""
+    runs = []
+    for climb in (ascend, reference_ascent.ascend):
+        evals = []
+
+        def logged(x):
+            evals.append(x.copy())
+            f, g = fg(x)
+            return f, np.asarray(g, dtype=float)
+
+        runs.append((*climb(logged, np.array(start, dtype=float), step), len(evals)))
+    (x, f, n), (x_ref, f_ref, n_ref) = runs
+    assert n == n_ref
+    assert np.all(np.abs(x - x_ref) <= 4 * np.spacing(np.maximum(np.abs(x), np.abs(x_ref)))), (x, x_ref)
+    assert abs(f - f_ref) <= 4 * math.ulp(max(abs(f), abs(f_ref))), (f, f_ref)
+
+
+@pytest.mark.parametrize("center,start", [
+    ((0.3, 0.6), [0.5, 0.5]),
+    ((1.4, 0.3), [0.5, 0.5]),
+    ((1.5, -0.5), [0.5, 0.5]),
+    # each starts on a face that its gradient points out of
+    ((-0.5, 0.3), [0.0, 0.5]),
+    ((0.3, -0.5), [0.5, 0.0]),
+], ids=["interior", "face", "corner", "held-x0", "held-x1"])
+def test_ascent_matches_the_numpy_reference_on_quadratics(center, start):
+    _same_ascent(_quadratic(np.array(center), []), start, 1 / 24)
+
+
+def test_ascent_matches_the_numpy_reference_on_a_flat_function():
+    _same_ascent(lambda x: (0.25, np.zeros(2)), [0.2, 0.7], 1 / 24)
 
 
 def _record_objective(monkeypatch, surface=None):
@@ -266,6 +353,21 @@ _FIVE_GATES = pytest.mark.parametrize("model", [
     build_optomech_gate(OptomechParams(0.06, 100.0, 0.9, 1e-4)),
     build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 7.0)),
 ], ids=["ideal", "zero-gain", "atom-light", "optomech", "atom-mech"])
+
+
+@_FIVE_GATES
+def test_ascent_matches_the_numpy_reference_from_the_scan_starts(model):
+    # the 4 starts input_threshold climbs from, on its own objective
+    objective = thresholds._AveragedElement(as_gate_model(model), 64)
+    axis = np.linspace(0.0, 6.0, 25)
+    scores = objective.scan(axis).ravel()
+
+    def fg(x):
+        f, (g_a, g_b) = objective.value_and_grad(6.0 * x[0], 6.0 * x[1])
+        return f, [6.0 * g_a, 6.0 * g_b]
+
+    for cell in np.argsort(-scores, kind="stable")[:4]:
+        _same_ascent(fg, np.array(divmod(cell, 25)) / 24, 1 / 24)
 
 
 def _full_grid(model, phase_samples):
