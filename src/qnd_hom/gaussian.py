@@ -80,8 +80,9 @@ def min_physicality_eig(cov: np.ndarray) -> float:
 
 
 def check_physical(cov: np.ndarray) -> None:
+    """Reject min eig(V + iΩ) below −max(1e-9, 8·eps·max|V|), the roundoff of eigvalsh."""
     ev = min_physicality_eig(cov)
-    if ev < -1e-9:
+    if ev < -max(1e-9, 8.0 * np.finfo(float).eps * float(np.abs(cov).max())):
         raise NumericalDomainError(f"covariance violates the uncertainty bound: min eig(V+iΩ) = {ev:.3e}")
 
 
@@ -118,12 +119,14 @@ def _jet_exp(u) -> np.ndarray:
     return np.array(e)
 
 
-def _kernel(r0: list, r1: list) -> list:
-    """2VᵀS⁻¹V of one quadrature from its two rows (S | V) of (S₀ | P); S⁻¹ = adj S / det S."""
+def _kernel(r0: list, r1: list) -> tuple[float, list]:
+    """det S and 2VᵀS⁻¹V (S⁻¹ = adj S / det S) of one quadrature from its rows (S | V) of (S₀ | P), if S > 0."""
     (a, b, *v0), (c, d, *v1) = r0, r1
     det = a * d - b * c
+    if not (a > 0.0 and 0.0 < det < math.inf):
+        raise NumericalDomainError("overlap matrix is not positive definite")
     w = [((d * x - b * y) / det, (a * y - c * x) / det) for x, y in zip(v0, v1)]
-    return [[2.0 * (x * s + y * t) for s, t in w] for x, y in zip(v0, v1)]
+    return det, [[2.0 * (x * s + y * t) for s, t in w] for x, y in zip(v0, v1)]
 
 
 def split_kernels(cov: np.ndarray, columns: np.ndarray) -> tuple[float, list, list]:
@@ -132,21 +135,17 @@ def split_kernels(cov: np.ndarray, columns: np.ndarray) -> tuple[float, list, li
     projector's beam splitter.  As S₀ = Sx ⊕ Sp and x (p) columns sit on x (p)
     rows alone, K = Kx ⊕ Kp with Kx = 2VxᵀSx⁻¹Vx, Kp = 2VpᵀSp⁻¹Vp; ValueError
     names the first nonzero entry of (S₀ | P), row by row, that joins an x to a
-    p.  det S₀ comes from the Cholesky factor, which also checks S₀ > 0."""
+    p.  det S₀ = det Sx·det Sp; each block is checked > 0 after that scan, so
+    an S₀ that mixes X and P and is not positive definite raises ValueError."""
     S0 = np.asarray(cov, dtype=float) + np.eye(4)
-    try:
-        det = float(np.prod(np.diag(np.linalg.cholesky(S0)))) ** 2
-    except np.linalg.LinAlgError:
-        det = math.nan
-    if not math.isfinite(det):
-        raise NumericalDomainError("overlap matrix is not positive definite")
     rows = np.hstack([S0, columns, HOM_BS]).tolist()  # (S₀ | P), rows x_a, p_a, x_b, p_b
     for i, row in enumerate(rows):
         for j in range(1 - i % 2, len(row), 2):  # the other quadrature's columns
             if row[j]:
                 where = f"S0[{i}, {j}]" if j < 4 else f"input block {(j - 4) // 2} entry [{i}, {j % 2}]"
                 raise ValueError(f"{where} = {row[j]!r} mixes X and P, which the jet engine keeps apart")
-    return det, _kernel(rows[0][0::2], rows[2][0::2]), _kernel(rows[1][1::2], rows[3][1::2])
+    (det_x, Kx), (det_p, Kp) = _kernel(rows[0][0::2], rows[2][0::2]), _kernel(rows[1][1::2], rows[3][1::2])
+    return det_x * det_p, Kx, Kp
 
 
 def hom_jet(det: float, Kx: list, Kp: list) -> np.ndarray:

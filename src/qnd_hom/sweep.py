@@ -11,11 +11,11 @@ sectors.
 
 Grid points are independent.  ``jobs`` bounds the number of processes a
 sweep uses, the calling process included: a threshold table forks only
-when it has at least 16 points, and an element-only table always runs in
-the calling process.  The grid is cut into strided slices, the caller
-computes the first and each forked worker one other, and the rows are
-reassembled in grid order, so the emitted file (and the message of a
-configuration error) is byte-identical at any ``jobs``.
+when it has ``POINTS_PER_PROCESS`` points per process, and an element-only
+table always runs in the calling process.  The grid is cut into strided
+slices, the caller computes the first and each forked worker one other,
+and the rows are reassembled in grid order, so the emitted file (and the
+message of a configuration error) is byte-identical at any ``jobs``.
 """
 
 from __future__ import annotations
@@ -47,13 +47,13 @@ _GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
 # box, Python 3.11.7, numpy 2.4.6).  A threshold takes ~1-3 ms; a bare fork
 # and join cost 4 ms, the executor's start and stop 8 ms, and copy-on-write
 # ~5 ms on a worker's first point, so a second process pays from about 8
-# points each: fig3a-shaped atom-mech tables of 8, 12, 14, 16 and 24 points
-# took 15-21, 28-38, 39, 47-48 and 79 ms in one process against 24-26,
-# 33-35, 38, 41-42 and 59 ms through a pool at jobs=2 (medians of 40
-# alternated pairs, the pool faster in 0-2, 11-27, 22, 29-31 and 35 of
-# them).  Element points never paid for a worker: 1,280 element-only
-# atom-mech points took 308 ms in one process against 344 ms on two, at
-# ~0.35 ms a point (~0.29 ms since the element reads two scalar kernels).
+# points each: fig3a-shaped atom-mech tables of 8, 12, 16, 20 and 24 points
+# took 16-18, 25-28, 34-35, 38-43 and 36-53 ms in one process against
+# 22-26, 27-32, 33-35, 38-40 and 42-49 ms through a pool at jobs=2 (medians
+# of three sets of 40 alternated pairs, the pool faster in 0, 1-3, 17-25,
+# 20-26 and 22-29 of them).  Element points never paid for a worker: 1,280
+# element-only atom-mech points took 308 ms in one process against 344 ms
+# on two, at ~0.35 ms a point (~0.29 ms with two scalar kernels).
 POINTS_PER_PROCESS = 8
 
 CSV_HEADER = "param,value,p,hom,hom_err,input_threshold,output_threshold,warnings"

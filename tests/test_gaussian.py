@@ -66,8 +66,22 @@ def test_vacuum_is_physical():
 
 
 def test_below_vacuum_rejected():
-    with pytest.raises(NumericalDomainError):
-        check_physical(0.5 * np.eye(4))
+    # the second: x_a antisqueezed to 1e6 and p_a squeezed to half the pure
+    # state's 1e-6, far outside eigvalsh's roundoff at max|V| = 1e6
+    for cov, ev in ((0.5 * np.eye(4), "-5.000e-01"), (np.diag([1e6, 0.5e-6, 1.0, 1.0]), "-5.000e-07")):
+        message = rf"^covariance violates the uncertainty bound: min eig\(V\+iΩ\) = {ev}$"
+        with pytest.raises(NumericalDomainError, match=message):
+            check_physical(cov)
+
+
+@pytest.mark.parametrize("Gamma", [1e-4, 10.0])
+@pytest.mark.parametrize("S", [0.0, 7.0, 20.0])
+def test_large_gain_atom_mech_builds(Gamma, S):
+    # at g = 30, κτ = 1e4 the output covariance reaches max|V| ≈ 5e14 to 2e19,
+    # and eigvalsh returns min eig(V+iΩ) ≈ −4e-4: roundoff, not a violation
+    model = build_model("atom-mech", {"g": 30.0, "kappa_tau": 1e4, "eta": 1.0, "Gamma": Gamma, "S": S})
+    assert np.all((hom_sectors(model) >= 0.0) & (hom_sectors(model) <= 1.0))
+    assert 0.0 <= input_threshold(model).value <= 1.0
 
 
 def test_thermal_is_physical():
@@ -139,12 +153,20 @@ def test_jet_exp_matches_power_series():
 
 def test_singular_overlap_rejected():
     # V + I must be positive definite; a singular or indefinite one is
-    # outside the physical domain
-    with pytest.raises(NumericalDomainError):
-        hom_jet(*split_kernels(np.diag([-1.0, 1.0, 1.0, 1.0]), NO_INPUTS))
-    for diag in ([-3.0, 1.0, 1.0, 1.0], [-3.0, -3.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0]):
-        with pytest.raises(NumericalDomainError):
-            hom_jet(*split_kernels(np.diag(diag), NO_INPUTS))
+    # outside the physical domain.  In the last diagonal the x block
+    # diag(−2, −2) has determinant +4, and only its leading entry shows it
+    covs = [np.diag(d) for d in ([-1.0, 1.0, 1.0, 1.0], [-3.0, 1.0, 1.0, 1.0], [-3.0, -3.0, 1.0, 1.0],
+                                 [np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [-3.0, 1.0, -3.0, 1.0])]
+    covs.append(np.diag([1.0, 0.0, 1.0, 0.0]))
+    covs[-1][1, 3] = covs[-1][3, 1] = 2.0  # the p block [[1, 2], [2, 1]], of determinant −3
+    for cov in covs:
+        with pytest.raises(NumericalDomainError, match="^overlap matrix is not positive definite$"):
+            hom_jet(*split_kernels(cov, NO_INPUTS))
+
+
+def test_identity_gate_coherent_weight_is_exact():
+    # S₀ = 2I: det S₀ = det Sx · det Sp = 16 exactly, so c₀ = 4/√16 = 1
+    assert coherent_jets(ideal_gate_model(0.0))[0][0] == 1.0
 
 
 def _preset_models():
