@@ -27,11 +27,20 @@ quadratures.  Σ is the unit-diagonal vacuum Gram matrix at every
 setting: squeezing the mediator pulse by a diagonal D is a factor on
 the coefficients of its modes, since (AD)Σ(AD)ᵀ = A(DΣD)Aᵀ.
 
+Every builder takes its params with plain numbers, for one point, or
+with arrays of one value per point of a batch.  The rows are the same,
+with array coefficients, and a :class:`GateBatch` holds the N output
+maps, their covariances and one stacked physicality check; a
+:class:`GateModel` is one point of a batch, a batch of one when it is
+built alone, and every arithmetic step is the same elementwise either
+way, so a point's numbers do not depend on its batch.
+
 The constants, the overlaps and the checked basis depend on the pulse
 length alone, so each pulse family builds them once per ``kappa_tau``
 and keeps the last :data:`_KAPPA_TAU_CACHE` of them; a build at a pulse
-length already seen writes only its rows.  Every model at that pulse
-length shares the basis, whose Gram matrix and factor are read-only.
+length already seen writes only its rows, and a batch looks up each of
+its distinct pulse lengths once.  Every model at that pulse length
+shares the basis, whose Gram matrix and factor are read-only.
 
 All rates are in units of the cavity decay κ (κ_A = κ_M = κ = 1) and
 times in units of 1/κ; ``kappa_tau`` is the dimensionless pulse length
@@ -44,11 +53,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import bs_matrix, check_physical, qnd_matrix
+from .gaussian import bs_matrix, physicality_errors, qnd_matrix
 from .modes import NoiseModeBasis, orthogonalize_noise_modes
 
 
@@ -58,32 +67,51 @@ from .modes import NoiseModeBasis, orthogonalize_noise_modes
 
 _POSITIVE = ("must be positive", lambda x: x > 0)
 
-# the range rule of every gate parameter, by the name the user types
+# the range rule of every gate parameter, by the name the user types; each
+# rule holds elementwise, on one value or on an array of one value per point
 _RULES = {
-    "G": ("must be finite", math.isfinite),  # a gain of either sign
-    "T": ("must lie in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "G": ("must be finite", lambda x: abs(x) < math.inf),  # a gain of either sign
+    "T": ("must lie in [0, 1]", lambda x: (0.0 <= x) & (x <= 1.0)),
     "g": _POSITIVE,
     "gA": _POSITIVE,
     "gM": _POSITIVE,
     "kappa_tau": _POSITIVE,
-    "eta": ("must lie in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    "eta": ("must lie in (0, 1]", lambda x: (0.0 < x) & (x <= 1.0)),
     "Gamma": ("must be non-negative", lambda x: x >= 0),
-    "S": ("must lie in [0, 20]", lambda x: 0.0 <= x <= 20.0),
+    "S": ("must lie in [0, 20]", lambda x: (0.0 <= x) & (x <= 20.0)),
 }
 
 
-def _check(name: str, value: float) -> None:
-    """Raise ValueError, naming the parameter, unless the value is finite
-    and within its range rule."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
+class ParameterError(ValueError):
+    """A parameter outside its range rule, or a pulse too short for its
+    constants, at point ``point`` of a batch (0 for a single point)."""
+
+    def __init__(self, message: str, point: int = 0):
+        super().__init__(message)
+        self.point = point
+
+
+def _check(name: str, value) -> None:
+    """Raise ParameterError, naming the parameter, unless the value, or each
+    value of an array of one per point, is finite and within its range rule;
+    the error carries the first failing point (0 for one value)."""
     rule, holds = _RULES[name]
-    if not holds(value):
-        raise ValueError(f"{name} {rule}")
+    if not isinstance(value, np.ndarray):
+        finite = math.isfinite(value)
+        if not (finite and holds(value)):
+            raise ParameterError(f"{name} {rule if finite else 'must be finite'}")
+        return
+    finite = np.isfinite(value)
+    failing = np.flatnonzero(~(finite & holds(value)))
+    if failing.size:
+        point = int(failing[0])
+        raise ParameterError(f"{name} {rule if finite[point] else 'must be finite'}", point)
 
 
 class _Params:
-    """Checks every field of a params dataclass against its rule."""
+    """Checks every field of a params dataclass against its rule.  A field
+    holds one value, or an array of one value per point of a batch; the
+    ParameterError of the first failing field carries its first failing point."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -217,8 +245,10 @@ class GateModel:
 
     ``output_matrix`` rows are (X_a, P_a, X_b, P_b).  The quadratures of
     the two input systems are the first four entries of z, with a unit
-    Gram block.  Construction is the one physicality check of the vacuum
-    output covariance; everything that reads a model relies on it.
+    Gram block.  A model is one point of a :class:`GateBatch`, a batch of
+    one when it is built alone: it holds that point's ``signal_map`` A·Σ[:, :4]
+    and ``vacuum_output_cov`` AΣAᵀ, and the batch's physicality check of
+    them is the one check everything that reads a model relies on.
     """
 
     output_matrix: np.ndarray
@@ -228,37 +258,71 @@ class GateModel:
         A = np.asarray(self.output_matrix, dtype=float)
         if A.shape != (4, self.basis.n_modes):
             raise ValueError("output matrix must be 4 × n_modes")
-        object.__setattr__(self, "output_matrix", A)
-        if np.any(np.abs(self.basis.gram[:4, :4] - np.eye(4)) > 1e-12):
+        vars(self).update(vars(GateBatch(A[None], (self.basis,)).model(0)))
+
+
+@dataclass(frozen=True, eq=False)
+class GateBatch:
+    """The gate models of N points over one label tuple, built and checked together.
+
+    ``output_matrix`` is N × 4 × n_modes and ``bases`` holds each point's
+    basis; points at one pulse length share one, and the Gram matrices are
+    stacked only when they differ.  Construction computes every point's
+    ``signal_map`` and ``vacuum_output_cov`` and checks them all in one
+    stacked test: ``errors[i]`` is point i's NumericalDomainError, or None.
+    """
+
+    output_matrix: np.ndarray
+    bases: tuple[NoiseModeBasis, ...]
+
+    def __post_init__(self):
+        A, first = np.asarray(self.output_matrix, dtype=float), self.bases[0]
+        if A.ndim != 3 or A.shape[1:] != (4, first.n_modes) or len(self.bases) != len(A):
+            raise ValueError("output matrix must be N × 4 × n_modes, with one basis per point")
+        gram = first.gram if all(b is first for b in self.bases) else np.stack([b.gram for b in self.bases])
+        if np.abs(gram[..., :4, :4] - np.eye(4)).max() > 1e-12:
             raise ValueError("signal quadratures must be uncorrelated leading modes")
-        check_physical(self.vacuum_output_cov)
+        cov = A @ gram @ A.swapaxes(1, 2)
+        vars(self).update(output_matrix=A, signal_map=A @ gram[..., :4], vacuum_output_cov=cov,
+                          errors=tuple(physicality_errors(cov)))
 
-    @cached_property
-    def signal_map(self) -> np.ndarray:
-        """A·Σ[:, :4], the map of the four signal quadratures to the output."""
-        return self.output_matrix @ self.basis.gram[:, :4]
+    def __len__(self) -> int:
+        return len(self.bases)
 
-    @cached_property
-    def vacuum_output_cov(self) -> np.ndarray:
-        """A Σ Aᵀ with every mode in vacuum."""
-        return self.output_matrix @ self.basis.gram @ self.output_matrix.T
-
-
-def signal_gate_model(matrix: np.ndarray) -> GateModel:
-    """Noiseless gate: a 4 × 4 map of the two signal modes alone."""
-    return GateModel(matrix, NoiseModeBasis(("X_a0", "P_a0", "X_b0", "P_b0"), np.eye(4)))
+    def model(self, i: int) -> GateModel:
+        """Point i as a GateModel that shares this batch's arrays and check;
+        its NumericalDomainError if it failed the check."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        model = object.__new__(GateModel)
+        vars(model).update(output_matrix=self.output_matrix[i], basis=self.bases[i],
+                           signal_map=self.signal_map[i], vacuum_output_cov=self.vacuum_output_cov[i])
+        return model
 
 
-def ideal_gate_model(G: float) -> GateModel:
-    """Noiseless QND gate with a single gain G (no extra modes)."""
+def _assemble(A: np.ndarray, bases: tuple[NoiseModeBasis, ...]) -> GateModel | GateBatch:
+    """The GateModel of one output matrix (4 × n), or the GateBatch of a stack
+    (N × 4 × n) over one basis or one per point."""
+    if A.ndim == 2:
+        return GateModel(A, bases[0])
+    return GateBatch(A, bases if len(bases) == len(A) else bases * len(A))
+
+
+def signal_gate_model(matrix: np.ndarray) -> GateModel | GateBatch:
+    """Noiseless gate: a 4 × 4 map of the two signal modes alone (a batch for a stack of maps)."""
+    return _assemble(np.asarray(matrix, dtype=float), (NoiseModeBasis(("X_a0", "P_a0", "X_b0", "P_b0"), np.eye(4)),))
+
+
+def ideal_gate_model(G) -> GateModel | GateBatch:
+    """Noiseless QND gate with a single gain G (no extra modes); a batch for an array of gains."""
     return signal_gate_model(qnd_matrix(G))
 
 
-def build_ideal_gate(params: IdealParams) -> GateModel:
+def build_ideal_gate(params: IdealParams) -> GateModel | GateBatch:
     return ideal_gate_model(params.G)
 
 
-def build_bs_gate(params: BeamSplitterParams) -> GateModel:
+def build_bs_gate(params: BeamSplitterParams) -> GateModel | GateBatch:
     return signal_gate_model(bs_matrix(params.T))
 
 
@@ -267,17 +331,42 @@ def as_gate_model(model: GateModel | float) -> GateModel:
     return model if isinstance(model, GateModel) else ideal_gate_model(float(model))
 
 
-def _gate_model(basis: NoiseModeBasis, rows: tuple[dict, ...]) -> GateModel:
+def _gate_model(basis, rows: tuple[dict, ...]) -> GateModel | GateBatch:
     """Gate model whose outputs (X_a, P_a, X_b, P_b) are the given
-    ``{mode label: coefficient}`` rows; a mode a row omits has coefficient 0."""
-    column = {label: j for j, label in enumerate(basis.labels)}
-    A = np.zeros((len(rows), basis.n_modes))
+    ``{mode label: coefficient}`` rows; a mode a row omits has coefficient 0.
+    ``basis`` is one basis, or a tuple of one per point.  Coefficients that
+    are arrays over N points give the GateBatch of the N points, and rows of
+    plain numbers the GateModel of one."""
+    bases = basis if isinstance(basis, tuple) else (basis,)
+    column, n = bases[0].column, bases[0].n_modes
+    flat, varying = [0.0] * (len(rows) * n), {}  # by flat index into the rows
     for i, row in enumerate(rows):
         for label, coefficient in row.items():
             if label not in column:
                 raise ValueError(f"output row {i} names mode {label!r}, which is not in the basis")
-            A[i, column[label]] = coefficient
-    return GateModel(A, basis)
+            if isinstance(coefficient, np.ndarray):
+                varying[i * n + column[label]] = coefficient
+            else:
+                flat[i * n + column[label]] = coefficient
+    if varying:
+        A = np.empty((len(next(iter(varying.values()))), len(flat)))
+        A[:] = flat
+        A[:, list(varying)] = np.stack(list(varying.values()), axis=1)
+    else:
+        A = np.array(flat)
+    return _assemble(A.reshape(*A.shape[:-1], len(rows), n), bases)
+
+
+def _sqrt(x):
+    """√x of one value, or of an array of one value per point."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _exp(x):
+    """e^x of one value, or of an array of one value per point, by math.exp
+    either way (numpy's exp can differ from it in the last place), so a
+    point's coefficients do not depend on whether it is built in a batch."""
+    return np.array([math.exp(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 # pulse lengths whose constants and checked basis each pulse family keeps;
@@ -286,13 +375,39 @@ _KAPPA_TAU_CACHE = 128
 # the closed forms cancel or divide by zero for a very short pulse
 _SHORT_PULSE = "kappa_tau={!r} is too short for the pulse constants ({})"
 
+
+def _per_point(part, kappa_tau):
+    """The cached ``part`` (constants and checked basis) of each point's pulse
+    length, as (constants, bases, e^{−κτ}): for one κτ the part as it is; for
+    an array, each distinct κτ is looked up once, and the constants and e^{−κτ}
+    are arrays over the points.  A pulse too short for its constants raises
+    ParameterError at the first point that has it."""
+    if not isinstance(kappa_tau, np.ndarray):
+        try:
+            c, basis = part(kappa_tau)
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from None
+        return c, (basis,), math.exp(-kappa_tau)
+    taus = kappa_tau.tolist()
+    parts = {}
+    for point, tau in enumerate(taus):
+        if tau not in parts:
+            try:
+                parts[tau] = part(tau)
+            except ValueError as exc:
+                raise ParameterError(str(exc), point) from None
+    table = {tau: [*vars(c).values(), math.exp(-tau)] for tau, (c, _) in parts.items()}
+    *constants, em = np.array([table[tau] for tau in taus]).T
+    return type(parts[taus[0]][0])(*constants), tuple(parts[tau][1] for tau in taus), em
+
+
 _PULSE_LABELS = (
     "X_a0", "P_a0", "X_L0", "Y_L0", "X_0f1", "Y_0k", "Y_0f1",
     "x_c", "p_c", "x_v", "p_v", "zeta_XM", "zeta_PM", "zeta_XMf",
 )
 
 
-def build_atom_light_gate(params: AtomLightParams) -> GateModel:
+def build_atom_light_gate(params: AtomLightParams) -> GateModel | GateBatch:
     """Atomic ensemble (mode a) entangled with a traveling pulse (mode b):
     the pulse gate of :func:`build_optomech_gate` at Γ = 0."""
     return build_optomech_gate(OptomechParams(params.g, params.kappa_tau, params.eta))
@@ -315,28 +430,27 @@ def _pulse_part(kappa_tau: float) -> tuple[PulseGateConstants, NoiseModeBasis]:
         raise ValueError(_SHORT_PULSE.format(kappa_tau, exc)) from None
 
 
-def build_optomech_gate(params: OptomechParams) -> GateModel:
+def build_optomech_gate(params: OptomechParams) -> GateModel | GateBatch:
     """Mechanical oscillator (mode a) entangled with a traveling pulse
     (mode b), with rethermalization forces at rate Γ = γ·n_th."""
     g, tau, eta, Gamma = params.g, params.kappa_tau, params.eta, params.Gamma
-    c, basis = _pulse_part(tau)
-    em = math.exp(-tau)
-    GA = g * math.sqrt(2.0 * tau)
-    GL = GA * math.sqrt(eta) * (1.0 - (1.0 - em) / tau)
-    TL = math.sqrt(eta) * (c.L - 1.0)
+    c, bases, em = _per_point(_pulse_part, tau)
+    GA = g * _sqrt(2.0 * tau)
+    GL = GA * _sqrt(eta) * (1.0 - (1.0 - em) / tau)
+    TL = _sqrt(eta) * (c.L - 1.0)
     theta = g * c.theta
-    s_cav = math.sqrt(2.0 * eta) * c.Kf
-    s_loss = math.sqrt(1.0 - eta)
-    s_aux = math.sqrt(eta) * c.L * c.L1
-    thermal = math.sqrt(2.0 * Gamma * tau)
+    s_cav = _sqrt(2.0 * eta) * c.Kf
+    s_loss = _sqrt(1.0 - eta)
+    s_aux = _sqrt(eta) * c.L * c.L1
+    thermal = _sqrt(2.0 * Gamma * tau)
     rows = (  # X_a, P_a, X_b, P_b
         {"X_a0": 1.0, "zeta_XM": thermal},
-        {"P_a0": 1.0, "Y_L0": -GA, "p_c": -theta, "Y_0k": GA * c.K1 / math.sqrt(tau), "zeta_PM": thermal},
+        {"P_a0": 1.0, "Y_L0": -GA, "p_c": -theta, "Y_0k": GA * c.K1 / _sqrt(tau), "zeta_PM": thermal},
         {"X_L0": TL, "X_a0": GL, "x_v": s_loss, "x_c": s_cav, "X_0f1": s_aux,
-         "zeta_XMf": math.sqrt(eta) * math.sqrt(2.0 * Gamma) * g * c.M},
+         "zeta_XMf": _sqrt(eta) * _sqrt(2.0 * Gamma) * g * c.M},
         {"Y_L0": TL, "p_v": s_loss, "p_c": s_cav, "Y_0f1": s_aux},
     )
-    return _gate_model(basis, rows)
+    return _gate_model(bases, rows)
 
 
 _ATOM_MECH_LABELS = (
@@ -362,7 +476,7 @@ def _atom_mech_part(kappa_tau: float) -> tuple[AtomMechConstants, NoiseModeBasis
         raise ValueError(_SHORT_PULSE.format(kappa_tau, exc)) from None
 
 
-def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
+def build_atom_mech_gate(params: AtomMechParams) -> GateModel | GateBatch:
     """Symmetric atom-mechanical gate mediated by a light pulse.
 
     Subsystem a is the atomic ensemble, b the mechanical oscillator;
@@ -374,28 +488,27 @@ def build_atom_mech_gate(params: AtomMechParams) -> GateModel:
     """
     gA, gM = params.gA, params.gM
     tau, eta, Gamma = params.kappa_tau, params.eta, params.Gamma
-    c, basis = _atom_mech_part(tau)
-    em = math.exp(-tau)
-    gain = 2.0 * gA * gM * math.sqrt(eta) * c.E
+    c, bases, em = _per_point(_atom_mech_part, tau)
+    gain = 2.0 * gA * gM * _sqrt(eta) * c.E
     # feedforward gain; gA makes the two signal gains exactly equal
-    Kf = math.sqrt(2.0 * eta * tau) * gA * c.E / (tau - 1.0 + em)
+    Kf = _sqrt(2.0 * eta * tau) * gA * c.E / (tau - 1.0 + em)
     r = params.S * math.log(10.0) / 20.0
-    thermal = math.sqrt(2.0 * Gamma * tau)
+    thermal = _sqrt(2.0 * Gamma * tau)
     rows = (  # X_a, P_a, X_b, P_b
-        {"X_A0": 1.0, "X_M0": gain, "X_in": -math.sqrt(2.0) * gA / c.K2 * math.exp(r),
-         "X_in_f": (Kf / c.K5) * math.sqrt(eta / tau) * math.exp(r),
-         "x_vac": (Kf / c.K1) * math.sqrt((1.0 - eta) / tau),
-         "x_c": Kf * math.sqrt(2.0 * eta / tau) * (1.0 - em * (2.0 * tau + 1.0)) - gA * (1.0 - em),
-         "x_cp": Kf * math.sqrt(2.0 / tau) * (1.0 - em),
-         "zeta_XMf": (gM * Kf / c.K3) * math.sqrt(4.0 * Gamma / tau)},
+        {"X_A0": 1.0, "X_M0": gain, "X_in": -math.sqrt(2.0) * gA / c.K2 * _exp(r),
+         "X_in_f": (Kf / c.K5) * _sqrt(eta / tau) * _exp(r),
+         "x_vac": (Kf / c.K1) * _sqrt((1.0 - eta) / tau),
+         "x_c": Kf * _sqrt(2.0 * eta / tau) * (1.0 - em * (2.0 * tau + 1.0)) - gA * (1.0 - em),
+         "x_cp": Kf * _sqrt(2.0 / tau) * (1.0 - em),
+         "zeta_XMf": (gM * Kf / c.K3) * _sqrt(4.0 * Gamma / tau)},
         {"P_A0": 1.0},
         {"X_M0": 1.0, "zeta_XM": thermal},
-        {"P_M0": 1.0, "P_A0": -gain, "P_in": -math.sqrt(2.0 * eta) * gM / c.K6 * math.exp(-r),
-         "p_vac": -gM * math.sqrt(2.0 * (1.0 - eta)) / c.K2,
-         "p_c": -2.0 * math.sqrt(eta) * gM * (1.0 - em * (1.0 + tau)),
+        {"P_M0": 1.0, "P_A0": -gain, "P_in": -_sqrt(2.0 * eta) * gM / c.K6 * _exp(-r),
+         "p_vac": -gM * _sqrt(2.0 * (1.0 - eta)) / c.K2,
+         "p_c": -2.0 * _sqrt(eta) * gM * (1.0 - em * (1.0 + tau)),
          "p_cp": -gM * (1.0 - em), "zeta_PM": thermal},
     )
-    return _gate_model(basis, rows)
+    return _gate_model(bases, rows)
 
 
 # gate kind -> (params dataclass, builder), in the order the command line lists them

@@ -20,12 +20,14 @@ arithmetic) — no term of it is larger than O(1).  No map of this package
 mixes X and P, so the element and the coherent forms are read off one
 scalar kernel per quadrature; a map that mixes them (a detuned cavity, a
 rotated homodyne) is outside this scope, and :func:`split_kernels`
-rejects it.
+rejects it.  The physicality check, the kernels and the jet take stacks
+of points with a leading batch axis, and every step is elementwise or a
+fixed gather along that axis, so a point's numbers do not depend on the
+stack it is computed in; one point is a stack of one.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import permutations
 
@@ -34,6 +36,9 @@ import numpy as np
 
 class NumericalDomainError(ArithmeticError):
     """A covariance or an element left its physical domain."""
+
+
+NOT_POSITIVE_DEFINITE = "overlap matrix is not positive definite"
 
 
 def omega(n_modes: int) -> np.ndarray:
@@ -45,26 +50,30 @@ def omega(n_modes: int) -> np.ndarray:
     return om
 
 
-def qnd_matrix(G: float) -> np.ndarray:
-    """Quadrature map of the ideal QND gate: x_a += G x_b, p_b -= G p_a."""
-    if not np.isfinite(G):
+def qnd_matrix(G) -> np.ndarray:
+    """Quadrature map of the ideal QND gate: x_a += G x_b, p_b -= G p_a; one
+    4 × 4 map per gain of an array of gains."""
+    G = np.asarray(G, dtype=float)
+    if not np.isfinite(G).all():
         raise ValueError("QND gain must be finite")
-    T = np.eye(4)
-    T[0, 2] = G
-    T[3, 1] = -G
+    T = np.zeros(G.shape + (4, 4))
+    T[...] = np.eye(4)
+    T[..., 0, 2] = G
+    T[..., 3, 1] = -G
     return T
 
 
-def bs_matrix(transmittance: float) -> np.ndarray:
-    """Orthogonal beam-splitter map with intensity transmittance T."""
-    T = transmittance
-    if not 0.0 <= T <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {T}")
+def bs_matrix(transmittance) -> np.ndarray:
+    """Orthogonal beam-splitter map with intensity transmittance T; one 4 × 4
+    map per value of an array of transmittances."""
+    T = np.asarray(transmittance, dtype=float)
+    if not ((0.0 <= T) & (T <= 1.0)).all():
+        raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
     t, r = np.sqrt(T), np.sqrt(1.0 - T)
-    out = np.zeros((4, 4))
-    out[0, 0] = out[1, 1] = out[2, 2] = out[3, 3] = t
-    out[0, 2] = out[1, 3] = r
-    out[2, 0] = out[3, 1] = -r
+    out = np.zeros(T.shape + (4, 4))
+    out[..., 0, 0] = out[..., 1, 1] = out[..., 2, 2] = out[..., 3, 3] = t
+    out[..., 0, 2] = out[..., 1, 3] = r
+    out[..., 2, 0] = out[..., 3, 1] = -r
     return out
 
 
@@ -73,17 +82,34 @@ def is_symplectic(T: np.ndarray) -> bool:
     return bool(np.max(np.abs(T @ om @ T.T - om)) <= 1e-12)
 
 
-def min_physicality_eig(cov: np.ndarray) -> float:
-    """Smallest eigenvalue of V + iΩ; physical states satisfy >= 0."""
-    n = cov.shape[0] // 2
-    return float(np.linalg.eigvalsh(cov.astype(complex) + 1j * omega(n)).min())
+def min_physicality_eig(cov: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of V + iΩ, physical states satisfy >= 0; of a stack
+    (..., 2n, 2n), one per covariance, in one stacked ``eigvalsh``, and NaN for
+    a covariance that is not finite."""
+    cov = np.asarray(cov, dtype=float)
+    finite = np.isfinite(cov).all(axis=(-2, -1))
+    stack = np.where(finite[..., None, None], cov, 0.0) + 1j * omega(cov.shape[-1] // 2)
+    ev = np.where(finite, np.linalg.eigvalsh(stack).min(axis=-1), np.nan)
+    return float(ev) if ev.ndim == 0 else ev
+
+
+def physicality_errors(cov: np.ndarray) -> list:
+    """Per covariance of a stack (N, 2n, 2n): None, or the NumericalDomainError of
+    one whose min eig(V + iΩ) lies below −max(1e-9, 8·eps·max|V|), the roundoff
+    of eigvalsh, or is NaN."""
+    ev = min_physicality_eig(cov)
+    tolerance = np.maximum(1e-9, 8.0 * np.finfo(float).eps * np.abs(cov).max(axis=(-2, -1)))
+    return [
+        None if ok else NumericalDomainError(f"covariance violates the uncertainty bound: min eig(V+iΩ) = {e:.3e}")
+        for ok, e in zip((ev >= -tolerance).tolist(), ev.tolist())
+    ]
 
 
 def check_physical(cov: np.ndarray) -> None:
-    """Reject min eig(V + iΩ) below −max(1e-9, 8·eps·max|V|), the roundoff of eigvalsh."""
-    ev = min_physicality_eig(cov)
-    if ev < -max(1e-9, 8.0 * np.finfo(float).eps * float(np.abs(cov).max())):
-        raise NumericalDomainError(f"covariance violates the uncertainty bound: min eig(V+iΩ) = {ev:.3e}")
+    """Reject one covariance by :func:`physicality_errors`."""
+    (error,) = physicality_errors(np.asarray(cov, dtype=float)[None])
+    if error is not None:
+        raise error
 
 
 # |HOM⟩ = B|1,1⟩ with B the balanced beam splitter
@@ -91,73 +117,123 @@ HOM_BS = bs_matrix(0.5)
 
 
 @lru_cache(maxsize=None)
-def _cycles(k: int) -> tuple:
-    """(steps, mask, coefficient) of every cycle of the log-det expansion over
-    k variables, by length L, then by mask: the (i, j) steps visit the set
-    ``mask`` once from its smallest member, and the trace enters with −(−1)^(L+1)/2."""
-    cycles = []
+def _cycles(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cycles of the log-det expansion over k variables, by mask, as
+    (steps, ends, coefficients, starts, weights).  A cycle visits the set
+    ``mask`` once from its smallest member; ``steps`` lists the flat index
+    i·k + j of each (i, j) step of every cycle, a cycle's steps starting at
+    its entry of ``ends``, and its trace enters with −(−1)^(L+1)/2.  The cycles
+    of mask m start at ``starts[m − 1]``; ``weights`` is 1 on the masks of one
+    variable, the jet of Πᵢ(1 + εᵢ)."""
+    steps, ends, coefficients, starts = [], [], [], []
     for mask in range(1, 1 << k):
         first, *rest = [i for i in range(k) if mask >> i & 1]
-        cycles += [((first, *order), mask) for order in permutations(rest)]
-    cycles.sort(key=lambda item: len(item[0]))
-    return tuple((tuple(zip(c, c[1:] + c[:1])), mask, 0.5 * (-1.0) ** len(c)) for c, mask in cycles)
+        starts.append(len(ends))
+        for order in permutations(rest):
+            cycle = (first, *order)
+            ends.append(len(steps))
+            steps += [i * k + j for i, j in zip(cycle, cycle[1:] + cycle[:1])]
+            coefficients.append(0.5 * (-1.0) ** len(cycle))
+    weights = [float(m & (m - 1) == 0) for m in range(1, 1 << k)]
+    return np.array(steps), np.array(ends), np.array(coefficients), np.array(starts), np.array(weights)
+
+
+@lru_cache(maxsize=None)
+def _partitions(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(parts, ends, starts): every set partition of every mask m ≥ 1 of k
+    variables, in order of m.  ``parts`` lists the part masks of every
+    partition, a partition's parts starting at its entry of ``ends``; the
+    partitions of m start at ``starts[m − 1]``.  A partition's first part
+    holds the smallest member, so none is listed twice."""
+
+    def partitions(m: int):
+        if not m:
+            yield ()
+            return
+        low, s = m & -m, m
+        while s:
+            if s & low:
+                yield from ((s, *rest) for rest in partitions(m ^ s))
+            s = (s - 1) & m
+
+    parts, ends, starts = [], [], []
+    for m in range(1, 1 << k):
+        starts.append(len(ends))
+        for partition in partitions(m):
+            ends.append(len(parts))
+            parts += partition
+    return np.array(parts), np.array(ends), np.array(starts)
 
 
 def _jet_exp(u) -> np.ndarray:
-    """exp of a multilinear jet: since every εᵢ² = 0, component m is the
-    sum over set partitions of m of the products of u over the parts."""
-    u = np.asarray(u, dtype=float).tolist()
-    e = [math.exp(u[0])] + [0.0] * (len(u) - 1)
-    for m in range(1, len(u)):
-        low = m & -m
-        s, total = m, 0.0
-        while s:
-            if s & low:
-                total += u[s] * e[m ^ s]
-            s = (s - 1) & m
-        e[m] = total
-    return np.array(e)
+    """exp of multilinear jets (..., 2^k): since every εᵢ² = 0, component m is
+    e^{u₀} times the sum over the set partitions of m of the products of u
+    over the parts, one fixed gather, product and sum for every jet."""
+    u = np.asarray(u, dtype=float)
+    parts, ends, starts = _partitions(u.shape[-1].bit_length() - 1)
+    e = np.empty(u.shape)
+    e[..., 0] = 1.0
+    e[..., 1:] = np.add.reduceat(np.multiply.reduceat(u[..., parts], ends, axis=-1), starts, axis=-1)
+    return np.exp(u[..., :1]) * e
 
 
-def _kernel(r0: list, r1: list) -> tuple[float, list]:
-    """det S and 2VᵀS⁻¹V (S⁻¹ = adj S / det S) of one quadrature from its rows (S | V) of (S₀ | P), if S > 0."""
-    (a, b, *v0), (c, d, *v1) = r0, r1
-    det = a * d - b * c
-    if not (a > 0.0 and 0.0 < det < math.inf):
-        raise NumericalDomainError("overlap matrix is not positive definite")
-    w = [((d * x - b * y) / det, (a * y - c * x) / det) for x, y in zip(v0, v1)]
-    return det, [[2.0 * (x * s + y * t) for s, t in w] for x, y in zip(v0, v1)]
+@lru_cache(maxsize=None)
+def _blocks(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the x and p blocks, (quadrature, row, column), of rows (S₀ | P)
+    of ``width`` columns: rows 0, 2 and the even columns, then rows 1, 3 and the
+    odd ones."""
+    return np.array([[0, 2], [1, 3]])[:, :, None], np.arange(width).reshape(-1, 2).T[:, None, :]
 
 
-def split_kernels(cov: np.ndarray, columns: np.ndarray) -> tuple[float, list, list]:
-    """det S₀ (S₀ = cov + I) and the kernels Kx, Kp of K = 2PᵀS₀⁻¹P, P the (x, p)
+def split_kernels(cov: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det S₀ (S₀ = cov + I) and the kernels K = (Kx, Kp) of 2PᵀS₀⁻¹P, P the (x, p)
     column pairs of ``columns`` (4 × 2m, one input mode each), then of the HOM
-    projector's beam splitter.  As S₀ = Sx ⊕ Sp and x (p) columns sit on x (p)
-    rows alone, K = Kx ⊕ Kp with Kx = 2VxᵀSx⁻¹Vx, Kp = 2VpᵀSp⁻¹Vp; ValueError
-    names the first nonzero entry of (S₀ | P), row by row, that joins an x to a
-    p.  det S₀ = det Sx·det Sp; each block is checked > 0 after that scan, so
-    an S₀ that mixes X and P and is not positive definite raises ValueError."""
-    S0 = np.asarray(cov, dtype=float) + np.eye(4)
-    rows = np.hstack([S0, columns, HOM_BS]).tolist()  # (S₀ | P), rows x_a, p_a, x_b, p_b
-    for i, row in enumerate(rows):
-        for j in range(1 - i % 2, len(row), 2):  # the other quadrature's columns
-            if row[j]:
+    projector's beam splitter, for one covariance or a stack (..., 4, 4) with one
+    ``columns`` or one per covariance; K is (..., 2, m + 2, m + 2).  As
+    S₀ = Sx ⊕ Sp and x (p) columns sit on x (p) rows alone, K = Kx ⊕ Kp with
+    Kx = 2VxᵀSx⁻¹Vx, Kp = 2VpᵀSp⁻¹Vp, each from its 2 × 2 block by the adjugate.
+    ValueError names the first nonzero entry of (S₀ | P), row by row, that joins
+    an x to a p, in the first covariance that has one.  det S₀ = det Sx·det Sp;
+    each block must then have S[0, 0] > 0 and 0 < det < ∞, so an S₀ that mixes X
+    and P and is not positive definite raises ValueError.  A single S₀ that
+    fails this raises NumericalDomainError; in a stack, its det (and so its jet)
+    is NaN."""
+    cov = np.asarray(cov, dtype=float)
+    lead, width = cov.shape[:-2], 8 + np.shape(columns)[-1]
+    rows = np.empty(lead + (4, width))  # (S₀ | P), rows x_a, p_a, x_b, p_b
+    np.add(cov, np.eye(4), out=rows[..., :4])
+    rows[..., 4:-4] = columns
+    rows[..., -4:] = HOM_BS
+    if np.count_nonzero(rows[..., 0::2, 1::2]) or np.count_nonzero(rows[..., 1::2, 0::2]):
+        mixing = (np.arange(4)[:, None] + np.arange(width)) % 2 == 1  # x rows, p columns and p rows, x columns
+        for point in rows.reshape(-1, 4, width):
+            for i, j in zip(*np.nonzero(mixing & (point != 0.0))):
                 where = f"S0[{i}, {j}]" if j < 4 else f"input block {(j - 4) // 2} entry [{i}, {j % 2}]"
-                raise ValueError(f"{where} = {row[j]!r} mixes X and P, which the jet engine keeps apart")
-    (det_x, Kx), (det_p, Kp) = _kernel(rows[0][0::2], rows[2][0::2]), _kernel(rows[1][1::2], rows[3][1::2])
-    return det_x * det_p, Kx, Kp
+                raise ValueError(f"{where} = {float(point[i, j])!r} mixes X and P, which the jet engine keeps apart")
+    B = rows[(..., *_blocks(width))]  # (..., quadrature, row, column): (S | V) of the x block, then the p block
+    a, b, c, d = B[..., 0, 0:1], B[..., 0, 1:2], B[..., 1, 0:1], B[..., 1, 1:2]
+    v0, v1 = B[..., 0, 2:], B[..., 1, 2:]
+    det = a * d - b * c
+    if not (np.minimum(a, det).min() > 0.0 and det.max() < np.inf):
+        if not lead:
+            raise NumericalDomainError(NOT_POSITIVE_DEFINITE)
+        positive = ((a > 0.0) & (det > 0.0) & (det < np.inf)).all(axis=(-2, -1))
+        det = np.where(positive[..., None, None], det, np.nan)
+    s, t = (d * v0 - b * v1) / det, (a * v1 - c * v0) / det  # adj S · V / det S, column by column
+    K = 2.0 * (v0[..., :, None] * s[..., None, :] + v1[..., :, None] * t[..., None, :])
+    return det[..., 0, 0] * det[..., 1, 0], K
 
 
-def hom_jet(det: float, Kx: list, Kp: list) -> np.ndarray:
-    """Multilinear jet of Πᵢ(1+εᵢ)·4/√det S(ε), S(ε) = S₀ + Σᵢ 2εᵢPᵢPᵢᵀ, from :func:`split_kernels`;
-    component m multiplies the variables (kernel columns) whose bits are set in m.  The multilinear part
-    of log det S(ε) = log det S₀ + log det(I + D_ε K) (Sylvester) is a sum of cycles with coefficient
-    (−1)^(L+1)/L, and a cycle's trace is its product over Kx plus its product over Kp."""
-    u = [float(m > 0 and m & (m - 1) == 0) for m in range(1 << len(Kx))]  # the weights 1 + εᵢ
-    for steps, mask, coefficient in _cycles(len(Kx)):
-        x = p = 1.0
-        for i, j in steps:
-            x *= Kx[i][j]
-            p *= Kp[i][j]
-        u[mask] += coefficient * (x + p)
-    return 4.0 / math.sqrt(det) * _jet_exp(u)
+def hom_jet(det, K) -> np.ndarray:
+    """Multilinear jet of Πᵢ(1+εᵢ)·4/√det S(ε), S(ε) = S₀ + Σᵢ 2εᵢPᵢPᵢᵀ, from :func:`split_kernels`,
+    for one point or a stack; component m multiplies the variables (kernel columns) whose bits are set in m.
+    The multilinear part of log det S(ε) = log det S₀ + log det(I + D_ε K) (Sylvester) is a sum of cycles
+    with coefficient (−1)^(L+1)/L, and a cycle's trace is its product over Kx plus its product over Kp: one
+    gather of every cycle's steps, one product along each cycle and one sum per mask."""
+    K = np.asarray(K, dtype=float)
+    k = K.shape[-1]
+    steps, ends, coefficients, starts, weights = _cycles(k)
+    trace = np.multiply.reduceat(K.reshape(*K.shape[:-2], k * k)[..., steps], ends, axis=-1)  # (..., 2, cycles)
+    u = np.zeros(trace.shape[:-2] + (1 << k,))
+    np.add(weights, np.add.reduceat(coefficients * (trace[..., 0, :] + trace[..., 1, :]), starts, axis=-1), out=u[..., 1:])
+    return 4.0 / np.sqrt(det)[..., None] * _jet_exp(u)

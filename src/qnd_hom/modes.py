@@ -117,6 +117,11 @@ class NoiseModeBasis:
         C.flags.writeable = False
         return C
 
+    @cached_property
+    def column(self) -> dict[str, int]:
+        """The column of each label, built once per basis."""
+        return {label: j for j, label in enumerate(self.labels)}
+
     @property
     def n_modes(self) -> int:
         return len(self.labels)

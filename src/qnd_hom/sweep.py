@@ -9,13 +9,22 @@ once per grid point and shared across the p rows: the threshold depends
 only on the gate, and each p row is a bilinear combination of the
 sectors.
 
-Grid points are independent.  ``jobs`` bounds the number of processes a
-sweep uses, the calling process included: a threshold table forks only
-when it has ``POINTS_PER_PROCESS`` points per process, and an element-only
-table always runs in the calling process.  The grid is cut into strided
-slices, the caller computes the first and each forked worker one other,
-and the rows are reassembled in grid order, so the emitted file (and the
-message of a configuration error) is byte-identical at any ``jobs``.
+Grid points are independent, and a slice of them is one batch: one build
+of its gate models (:func:`build_batch`), one stacked physicality check
+and one element jet (:func:`qnd_hom.metrics.batch_sectors`); the input
+threshold, when requested, is then found point by point.  A point's
+numbers do not depend on its batch, and a point that fails numerically
+fails only its own rows.  ``jobs`` bounds the number of processes a sweep
+uses, the calling process included: a threshold table forks only when it
+has ``POINTS_PER_PROCESS`` points per process, and an element-only table
+always runs in the calling process.  The grid is cut into strided slices,
+the caller computes the first and each forked worker one other, and the
+rows are reassembled in grid order, so the emitted file (and the message
+of a configuration error) is byte-identical at any ``jobs``.
+
+:func:`find_optimum` scores its whole grid as one batch, and each
+central-difference stencil of its ascent (the centre and its 2n
+neighbours) as another.
 """
 
 from __future__ import annotations
@@ -30,10 +39,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import metrics  # hom_sectors is looked up here, where tests substitute it
-from .gates import GATES, GateModel
+from . import metrics  # batch_sectors is looked up here, where tests substitute it
+from .gates import GATES, GateBatch, GateModel
 from .gaussian import NumericalDomainError
-from .metrics import InputSpec, hom_element_for_gate, sector_element
+from .metrics import InputSpec, hom_element_for_gate, sector_element  # hom_element_for_gate: perfbench reads it here
 from .thresholds import ascend, input_threshold, output_threshold
 
 GATE_KINDS = tuple(GATES)
@@ -51,9 +60,10 @@ _GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
 # took 16-18, 25-28, 34-35, 38-43 and 36-53 ms in one process against
 # 22-26, 27-32, 33-35, 38-40 and 42-49 ms through a pool at jobs=2 (medians
 # of three sets of 40 alternated pairs, the pool faster in 0, 1-3, 17-25,
-# 20-26 and 22-29 of them).  Element points never paid for a worker: 1,280
-# element-only atom-mech points took 308 ms in one process against 344 ms
-# on two, at ~0.35 ms a point (~0.29 ms with two scalar kernels).
+# 20-26 and 22-29 of them).  Element points never pay for a worker: a slice
+# is one batch, and 1,280 element-only atom-mech points (4 p each) take
+# 27-29 ms in one process, ~0.02 ms a point, against 166-168 ms when each
+# point was its own build and jet.
 POINTS_PER_PROCESS = 8
 
 CSV_HEADER = "param,value,p,hom,hom_err,input_threshold,output_threshold,warnings"
@@ -62,6 +72,8 @@ _ROW_KEYS = tuple(CSV_HEADER.split(","))
 
 class SweepConfigError(ValueError):
     """Invalid sweep configuration (CLI exit code 1)."""
+
+    point = 0  # the first point of a batch that does not configure
 
 
 class SweepNumericalError(RuntimeError):
@@ -142,8 +154,10 @@ class SweepRow:
         return {key: getattr(self, key) for key in _ROW_KEYS}
 
 
-def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
-    """Gate model from a flat parameter mapping (CLI vocabulary)."""
+def _build(gate: str, values: Mapping[str, float | np.ndarray]) -> GateModel | GateBatch:
+    """The gate of one point, or the batch of N points when some values are
+    arrays of one value per point; a SweepConfigError's ``point`` is the first
+    point that does not configure."""
     _check_params(gate, values)
     values = dict(values)
     if gate == "atom-mech" and "g" in values:
@@ -156,19 +170,44 @@ def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
     try:
         return builder(params(**values))
     except ValueError as exc:
-        raise SweepConfigError(str(exc)) from None
+        error = SweepConfigError(str(exc))
+        error.point = getattr(exc, "point", 0)
+        raise error from None
 
 
-def _evaluate_point(task: tuple[SweepConfig, float]) -> list[SweepRow]:
-    """All rows of one grid point."""
-    config, value = task
+def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
+    """Gate model from a flat parameter mapping (CLI vocabulary)."""
+    return _build(gate, values)
+
+
+def build_batch(gate: str, values: Mapping[str, float | np.ndarray]) -> tuple[GateBatch | None, SweepConfigError | None]:
+    """The gate models of a batch of points from a flat parameter mapping (CLI
+    vocabulary) whose swept values are arrays of one value per point: the
+    batch of the points before the earliest one that does not configure (None
+    if that is the first), and that point's SweepConfigError (None if every
+    point configures).  A failing build names some failing point; the points
+    before it are built again until they all configure, so the error is the
+    one the earliest failing point gives alone.  Point i of the batch is the
+    model :func:`build_model` builds from point i's values alone, bit for bit."""
+    n, error = max(np.size(v) for v in values.values()), None
+    while n:
+        try:
+            return _build(gate, {k: v[:n] if isinstance(v, np.ndarray) else v for k, v in values.items()}), error
+        except SweepConfigError as exc:
+            n, error = exc.point, exc
+    return None, error
+
+
+def _point_rows(config: SweepConfig, value: float, batch: GateBatch, i: int, sectors) -> list[SweepRow]:
+    """All rows of grid point i of a slice's batch, whose sectors (or
+    NumericalDomainError) :func:`metrics.batch_sectors` gave."""
     in_thr, warnings = None, ""
     try:
-        model = build_model(config.gate, {**config.fixed, config.sweep_param: value})
         if config.with_input_threshold:
-            thr = input_threshold(model)
+            thr = input_threshold(batch.model(i))  # the point's build error first
             in_thr, warnings = thr.value, ";".join(thr.warnings)
-        sectors = metrics.hom_sectors(model)
+        if isinstance(sectors, NumericalDomainError):
+            raise sectors
         results = [sector_element(sectors, InputSpec(p, p)) for p in config.p_values]
         elements = [(res.value, res.error_estimate) for res in results]
     except NumericalDomainError as exc:
@@ -176,20 +215,17 @@ def _evaluate_point(task: tuple[SweepConfig, float]) -> list[SweepRow]:
         elements = [(math.nan, None)] * len(config.p_values)
     out_thr = output_threshold()
     return [
-        SweepRow(config.sweep_param, float(value), p, hom, hom_err, in_thr, out_thr, warnings)
+        SweepRow(config.sweep_param, value, p, hom, hom_err, in_thr, out_thr, warnings)
         for p, (hom, hom_err) in zip(config.p_values, elements)
     ]
 
 
-def _evaluate_slice(tasks: Sequence[tuple[SweepConfig, float]]):
-    """Row groups of a slice's grid points, up to its first configuration error."""
-    groups = []
-    for task in tasks:
-        try:
-            groups.append(_evaluate_point(task))
-        except SweepConfigError as exc:
-            return groups, exc
-    return groups, None
+def _evaluate_slice(config: SweepConfig, values: Sequence[float]):
+    """Row groups of a slice's grid points, one build and one element jet for
+    the whole slice, up to its first configuration error."""
+    batch, error = build_batch(config.gate, {**config.fixed, config.sweep_param: np.array(values)})
+    sectors = metrics.batch_sectors(batch) if batch is not None else []
+    return [_point_rows(config, values[i], batch, i, s) for i, s in enumerate(sectors)], error
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -197,27 +233,29 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 
     The sweep uses ``n = min(jobs, points // POINTS_PER_PROCESS)``
     processes for a threshold table and only the calling process for an
-    element-only one.  Slice k is every n-th grid point from point k; the
-    caller computes slice 0 while ``n - 1`` forked workers compute one
-    slice each, and every worker is joined before this returns or raises.
-    A configuration error raises the one earliest in grid order, as at
-    ``jobs=1``.  Per-point numerical failures become warning rows with
-    NaN elements; the sweep only raises :class:`SweepNumericalError`
-    when every grid point failed.
+    element-only one.  Slice k is every n-th grid point from point k, and
+    each slice is one batch; the caller computes slice 0 while ``n - 1``
+    forked workers compute one slice each, and every worker is joined
+    before this returns or raises.  A configuration error raises the one
+    earliest in grid order, as at ``jobs=1``.  Per-point numerical failures
+    become warning rows with NaN elements; the sweep only raises
+    :class:`SweepNumericalError` when every grid point failed.
     """
-    tasks = [(config, float(v)) for v in config.grid()]
-    n = min(config.jobs, len(tasks) // POINTS_PER_PROCESS) if config.with_input_threshold else 1
+    values = config.grid().tolist()
+    n = min(config.jobs, len(values) // POINTS_PER_PROCESS) if config.with_input_threshold else 1
     if n <= 1:
-        groups = [_evaluate_point(t) for t in tasks]
+        groups, error = _evaluate_slice(config, values)
+        if error:
+            raise error
     else:
         with ProcessPoolExecutor(max_workers=n - 1) as pool:
-            futures = [pool.submit(_evaluate_slice, tasks[k::n]) for k in range(1, n)]
-            slices = [_evaluate_slice(tasks[::n]), *(f.result() for f in futures)]
+            futures = [pool.submit(_evaluate_slice, config, values[k::n]) for k in range(1, n)]
+            slices = [_evaluate_slice(config, values[::n]), *(f.result() for f in futures)]
         # slice k failed at its next grid point, k + n * len(part)
         errors = [(k + n * len(part), exc) for k, (part, exc) in enumerate(slices) if exc]
         if errors:
             raise min(errors, key=lambda e: e[0])[1]
-        groups = [None] * len(tasks)
+        groups = [None] * len(values)
         for k, (part, _) in enumerate(slices):
             groups[k::n] = part
     rows = [row for group in groups for row in group]
@@ -293,12 +331,14 @@ def find_optimum(
 ) -> OptimumResult:
     """Maximize the p-input bunching element over 1–2 free parameters.
 
-    Scores ``grid`` evenly spaced values per free parameter (the first
-    outermost; equal values keep grid order), then climbs from the best
-    grid point with :func:`~qnd_hom.thresholds.ascend` on the box of
-    ranges, by central differences at 1e-4 of each range, clipped to the
-    box.  A boundary optimum is flagged (``interior=False``), never
-    fatal.
+    Scores ``grid`` evenly spaced values per free parameter as one batch
+    (the first outermost; of equal values the first grid point is kept),
+    then climbs from the best grid point with
+    :func:`~qnd_hom.thresholds.ascend` on the box of ranges, by central
+    differences at 1e-4 of each range, clipped to the box; each stencil
+    and its centre are one batch.  The earliest failing point of a batch,
+    in grid (or stencil) order, raises its error.  A boundary optimum is
+    flagged (``interior=False``), never fatal.
     """
     names = list(free)
     if not 1 <= len(names) <= 2:
@@ -315,28 +355,39 @@ def find_optimum(
     if not 0.0 <= p <= 1.0:
         raise SweepConfigError(f"input fraction p must lie in [0, 1], got {p}")
 
-    def objective(*point: float) -> float:
-        values = dict(fixed)
-        for name, x in zip(names, point):
-            values[name] = float(x)
-        model = build_model(gate, values)
-        return hom_element_for_gate(model, InputSpec(p, p)).value
+    spec = InputSpec(p, p)
+
+    def elements(points: list) -> list[float]:
+        """The element at each point (free values in ``names`` order), as one
+        batch; the earliest failing point, in order, raises its error."""
+        columns = {name: np.array(column) for name, column in zip(names, zip(*points))}
+        batch, error = build_batch(gate, {**fixed, **columns})
+        values = []
+        for sectors in metrics.batch_sectors(batch) if batch is not None else ():
+            if isinstance(sectors, NumericalDomainError):
+                raise sectors
+            values.append(sector_element(sectors, spec).value)
+        if error:
+            raise error
+        return values
 
     lo, hi = np.array([free[k] for k in names]).T
-    axes = [np.linspace(a, b, grid) for a, b in zip(lo, hi)]
-    best_pt = max(((objective(*x), x) for x in itertools.product(*axes)), key=lambda t: t[0])[1]
+    points = list(itertools.product(*(np.linspace(a, b, grid).tolist() for a, b in zip(lo, hi))))
+    scores = elements(points)
+    best_pt = points[scores.index(max(scores))]
     box = list(zip(lo.tolist(), hi.tolist()))
 
     def at(x):  # unit box → parameters
         return [min(max(a + u * (b - a), a), b) for u, (a, b) in zip(x, box)]
 
-    def fg(x):
-        x, grad = x.tolist(), []
+    def fg(x):  # the central-difference stencil and the centre, as one batch
+        x, stencil = x.tolist(), []
         for i, u in enumerate(x):
             up, down = x.copy(), x.copy()
             up[i], down[i] = min(u + 1e-4, 1.0), max(u - 1e-4, 0.0)
-            grad.append((objective(*at(up)) - objective(*at(down))) / (up[i] - down[i]))
-        return objective(*at(x)), grad
+            stencil += [up, down]
+        f = elements([at(y) for y in stencil + [x]])
+        return f[-1], [(f[2 * i] - f[2 * i + 1]) / (stencil[2 * i][i] - stencil[2 * i + 1][i]) for i in range(len(x))]
 
     x, value = ascend(fg, (np.array(best_pt) - lo) / (hi - lo), 1.0 / max(grid - 1, 1))
     at_boundary = tuple(name for name, u in zip(names, x) if min(u, 1.0 - u) < 5e-3)

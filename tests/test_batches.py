@@ -1,0 +1,166 @@
+"""A grid point does not depend on the batch it is evaluated in.
+
+Builders, the physicality check and the element jet take a leading batch
+axis, and a point built alone is a batch of one.  Every number of a point
+(covariance, sectors, element, warning) must therefore be bit-identical
+whether the point is computed inside a whole preset grid, inside a strided
+slice of it (a forked worker's share of a sweep) or alone; that is what
+keeps tables byte-identical at any ``jobs``.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+import qnd_hom.metrics
+from qnd_hom.gaussian import NumericalDomainError, hom_jet, split_kernels
+from qnd_hom.metrics import InputSpec, batch_sectors, hom_element_for_gate, hom_sectors, sector_element
+from qnd_hom.sweep import PRESETS, SweepConfig, build_batch, build_model, render_csv, run_sweep
+from qnd_hom.thresholds import find_crossing
+
+
+def _point(batch, sectors, i):
+    """Covariance, signal map and sectors of point i of a batch, as bytes."""
+    return (batch.vacuum_output_cov[i].tobytes(), batch.signal_map[i].tobytes(), sectors[i].tobytes())
+
+
+def _alone(gate, values):
+    model = build_model(gate, values)
+    return (model.vacuum_output_cov.tobytes(), model.signal_map.tobytes(), hom_sectors(model).tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_preset_point_is_the_same_in_its_grid_in_a_slice_and_alone(name):
+    config = PRESETS[name]
+    grid = config.grid()
+    batch, error = build_batch(config.gate, {**config.fixed, config.sweep_param: grid})
+    assert error is None and len(batch) == len(grid)
+    sectors = batch_sectors(batch)
+    whole = [_point(batch, sectors, i) for i in range(len(grid))]
+    for n in (2, 3, 8):  # the strided slices of a sweep at jobs = n
+        for k in range(n):
+            part, _ = build_batch(config.gate, {**config.fixed, config.sweep_param: grid[k::n]})
+            part_sectors = batch_sectors(part)
+            assert [_point(part, part_sectors, i) for i in range(len(part))] == whole[k::n], (n, k)
+    for i, value in enumerate(grid.tolist()):
+        values = {**config.fixed, config.sweep_param: value}
+        one, _ = build_batch(config.gate, {**values, config.sweep_param: np.array([value])})
+        assert _point(one, batch_sectors(one), 0) == whole[i], value
+        assert _alone(config.gate, values) == whole[i], value
+        for p in config.p_values:
+            spec = InputSpec(p, p)
+            assert sector_element(sectors[i], spec).value == hom_element_for_gate(build_model(config.gate, values), spec).value
+
+
+@pytest.mark.parametrize("gate,param,values,fixed", [
+    ("ideal", "G", [0.0, 0.9, 2.5], {}),
+    ("bs", "T", [0.0, 0.4, 1.0], {}),
+    ("atom-light", "g", [0.02, 0.06, 0.15], {"kappa_tau": 100.0, "eta": 0.9}),
+    ("optomech", "Gamma", [0.0, 1e-3, 1e-2], {"g": 0.06, "kappa_tau": 100.0, "eta": 0.9}),
+    ("atom-mech", "kappa_tau", [20.0, 90.0, 300.0], {"g": 0.07, "eta": 0.9, "Gamma": 1e-4, "S": 7.0}),
+    ("atom-mech", "S", [0.0, 7.0, 13.5], {"g": 0.07, "kappa_tau": 90.0, "eta": 0.8, "Gamma": 1e-4}),
+])
+def test_a_point_of_each_gate_kind_is_the_same_in_a_batch_and_alone(gate, param, values, fixed):
+    batch, error = build_batch(gate, {**fixed, param: np.array(values)})
+    assert error is None
+    sectors = batch_sectors(batch)
+    for i, value in enumerate(values):
+        assert _point(batch, sectors, i) == _alone(gate, {**fixed, param: value}), value
+
+
+def test_a_batch_with_varying_pulse_lengths_stacks_its_gram_matrices():
+    # a 2-D optimum grid: nine couplings at each of three pulse lengths
+    g, kappa_tau = (np.array(axis).ravel() for axis in np.meshgrid([0.02, 0.07, 0.2], [20.0, 90.0, 300.0]))
+    fixed = {"eta": 0.9, "Gamma": 1e-4, "S": 7.0}
+    batch, _ = build_batch("atom-mech", {**fixed, "g": g, "kappa_tau": kappa_tau})
+    assert len({id(basis) for basis in batch.bases}) == 3
+    sectors = batch_sectors(batch)
+    for i in range(len(g)):
+        assert _point(batch, sectors, i) == _alone("atom-mech", {**fixed, "g": g[i], "kappa_tau": kappa_tau[i]})
+
+
+def test_an_unphysical_point_fails_only_its_rows():
+    # at κτ = 1e-8 the atom-light covariance violates the uncertainty bound;
+    # the point next to it in the same batch is unaffected, and the rows of
+    # both are the ones each point gives alone
+    fixed, ps = {"g": 0.06, "eta": 0.9}, (1.0, 0.5)
+    rows = run_sweep(SweepConfig("atom-light", "kappa_tau", 1e-8, 100.0, 2, fixed, scale="log", p_values=ps))
+    bad, good = rows[:2], rows[2:]
+    with pytest.raises(NumericalDomainError) as alone:
+        build_model("atom-light", {**fixed, "kappa_tau": 1e-8})
+    assert re.fullmatch(r"covariance violates the uncertainty bound: min eig\(V\+iΩ\) = -1\.98\de-09", str(alone.value))
+    for row in bad:
+        assert (row.value, math.isnan(row.hom), row.hom_err, row.input_threshold) == (1e-8, True, None, None)
+        assert row.warnings == f"numerical-domain failure: {alone.value}"
+    single = run_sweep(SweepConfig("atom-light", "kappa_tau", 100.0, 100.0, 1, fixed, p_values=ps))
+    assert render_csv(good) == render_csv(single)
+    assert all(0.0 < row.hom < 1.0 and row.warnings == "" for row in good)
+
+
+def test_a_point_whose_covariance_overflows_fails_only_its_rows():
+    # at g = 1e200, AΣAᵀ overflows: that point fails the physicality check
+    # (min eig NaN) as a numerical failure of its own rows, and the batch
+    # and the point next to it go on
+    with np.errstate(over="ignore", invalid="ignore"):
+        good, bad = run_sweep(SweepConfig("atom-light", "g", 0.06, 1e200, 2, {"kappa_tau": 100.0, "eta": 0.9}))
+        with pytest.raises(NumericalDomainError, match=r"min eig\(V\+iΩ\) = nan$"):
+            build_model("atom-light", {"g": 1e200, "kappa_tau": 100.0, "eta": 0.9})
+    assert good.warnings == "" and good.hom == hom_element_for_gate(
+        build_model("atom-light", {"g": 0.06, "kappa_tau": 100.0, "eta": 0.9}), InputSpec(1.0, 1.0)).value
+    assert math.isnan(bad.hom)
+    assert bad.warnings == "numerical-domain failure: covariance violates the uncertainty bound: min eig(V+iΩ) = nan"
+
+
+def test_an_overlap_that_is_not_positive_definite_fails_only_its_point():
+    # in a stack, the failing point's det (and jet) is NaN and its
+    # neighbours keep the values they have alone; alone, it raises
+    covs = np.array([np.eye(4), np.diag([-3.0, 1.0, 1.0, 1.0]), 2.0 * np.eye(4)])
+    signals = np.array([np.eye(4)] * 3)
+    det, K = split_kernels(covs, signals)
+    jets = hom_jet(det, K)
+    assert math.isnan(det[1]) and np.isnan(jets[1]).all()
+    for i in (0, 2):
+        assert jets[i].tobytes() == hom_jet(*split_kernels(covs[i], signals[i])).tobytes()
+    with pytest.raises(NumericalDomainError, match="^overlap matrix is not positive definite$"):
+        split_kernels(covs[1], signals[1])
+
+
+def test_a_crossing_reads_its_model_sectors_once(monkeypatch):
+    # the benchmark's crossing: 49 elements of one atom-light model over p
+    # make one element jet, and every value is the uncached one bit for bit
+    values = {"g": 0.0615, "kappa_tau": 100.0, "eta": 0.9}
+    model = build_model("atom-light", values)
+    jets, ps = [], []
+    real = qnd_hom.metrics.hom_jet
+    monkeypatch.setattr(qnd_hom.metrics, "hom_jet", lambda *a: jets.append(1) or real(*a))
+
+    def element(p):
+        ps.append(p)
+        return hom_element_for_gate(model, InputSpec(p, p)).value
+
+    crossing = find_crossing(element, math.exp(-2.0), 0.3, 1.0, xtol=1e-4, scan_points=65)
+    assert crossing is not None
+    assert len(ps) > 40 and len(jets) == 1
+    monkeypatch.setattr(qnd_hom.metrics, "hom_jet", real)
+    for p in ps:
+        uncached = hom_sectors(build_model("atom-light", values))  # a new model, its sectors not yet read
+        assert hom_element_for_gate(model, InputSpec(p, p)).value == sector_element(uncached, InputSpec(p, p)).value
+
+
+def test_a_batch_configures_up_to_its_first_bad_point():
+    # g = −0.1 at point 2: the batch holds points 0 and 1, and the error is
+    # the one point 2 raises alone
+    batch, error = build_batch("atom-light", {"g": np.array([0.05, 0.06, -0.1, 0.07]), "kappa_tau": 100.0, "eta": 0.9})
+    assert len(batch) == 2 and error.point == 2
+    with pytest.raises(type(error), match=f"^{error}$"):
+        build_model("atom-light", {"g": -0.1, "kappa_tau": 100.0, "eta": 0.9})
+    batch, error = build_batch("atom-light", {"g": np.array([-0.1, 0.06]), "kappa_tau": 100.0, "eta": 0.9})
+    assert batch is None and str(error) == "g must be positive"
+    # the earliest point decides, whichever parameter or pulse length fails there
+    g = np.array([0.05, 0.06, -0.1])
+    batch, error = build_batch("atom-light", {"g": g, "kappa_tau": 100.0, "eta": np.array([0.9, 1.5, 0.9])})
+    assert (len(batch), error.point, str(error)) == (1, 1, "eta must lie in (0, 1]")
+    batch, error = build_batch("atom-light", {"g": g, "kappa_tau": np.array([100.0, 1e-7, 100.0]), "eta": 0.9})
+    assert (len(batch), error.point) == (1, 1) and str(error).startswith("kappa_tau=1e-07 is too short")

@@ -86,7 +86,7 @@ def test_occupation_flag_removed(capsys):
 
 def test_out_of_range_element_exits_2(monkeypatch, capsys):
     # an element outside [0, 1] is never emitted with exit code 0
-    monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", lambda model: np.full((2, 2), 768.0))
+    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", lambda batch: [np.full((2, 2), 768.0)] * len(batch))
     code, out, err = run_cli(capsys, "ideal", "--G", "0.9")
     assert code == 2
     assert out == ""

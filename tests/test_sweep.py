@@ -240,14 +240,14 @@ def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
     serial = render_csv(run_sweep(config))
     grid = [float(v) for v in config.grid()]
     log = tmp_path / "points"
-    real = qnd_hom.sweep.build_model
+    real = qnd_hom.sweep.build_batch
 
-    def logged(gate, values):
+    def logged(gate, values):  # one batch per slice
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {values['G']!r}\n")
+            fh.writelines(f"{os.getpid()} {G!r}\n" for G in values["G"].tolist())
         return real(gate, values)
 
-    monkeypatch.setattr(qnd_hom.sweep, "build_model", logged)
+    monkeypatch.setattr(qnd_hom.sweep, "build_batch", logged)
     for jobs in (2, 3):  # 25 points: slices of unequal length
         log.write_text("")
         assert render_csv(run_sweep(dataclasses.replace(config, jobs=jobs))) == serial
@@ -266,12 +266,7 @@ def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
 def test_numerical_failure_in_a_forked_slice_fails_only_its_rows(monkeypatch):
     # forked workers inherit the substituted sectors; point 9 is in the
     # worker's slice
-    real = qnd_hom.metrics.hom_sectors
-
-    def sectors(model):
-        return np.full((2, 2), 768.0) if _ideal_gain(model) == 0.75 else real(model)
-
-    monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", sectors)
+    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", _out_of_range_at(0.75))
     config = _ideal_config(points=25, with_input_threshold=True)
     serial = run_sweep(config)
     assert [row.value for row in serial if row.warnings] == [0.75]
@@ -314,9 +309,16 @@ def test_csv_header_and_shape():
     assert "\r" not in text
 
 
-def _ideal_gain(model):
-    """G of an ideal gate: the X_b0 coefficient of its X_a row."""
-    return model.output_matrix[0, model.basis.labels.index("X_b0")]
+def _out_of_range_at(G):
+    """Batch sectors whose ideal-gate point of gain G reads 768: the X_b0
+    coefficient of a point's X_a row is its gain."""
+    real = qnd_hom.metrics.batch_sectors
+
+    def sectors(batch):
+        gains = batch.output_matrix[:, 0, batch.bases[0].labels.index("X_b0")].tolist()
+        return [np.full((2, 2), 768.0) if gain == G else s for gain, s in zip(gains, real(batch))]
+
+    return sectors
 
 
 def test_hom_err_is_zero_and_empty_on_failure_rows(monkeypatch):
@@ -326,12 +328,7 @@ def test_hom_err_is_zero_and_empty_on_failure_rows(monkeypatch):
     assert [row.hom_err for row in rows] == [0.0, 0.0]
     assert render_csv(rows).split("\n")[1].split(",")[4] == "0"
 
-    real = qnd_hom.metrics.hom_sectors
-
-    def sectors(model):
-        return np.full((2, 2), 768.0) if _ideal_gain(model) == 2.0 else real(model)
-
-    monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", sectors)
+    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", _out_of_range_at(2.0))
     good, bad = run_sweep(_ideal_config(points=2, start=1.0))
     assert good.hom_err == 0.0 and 0.0 <= good.hom <= 1.0
     assert math.isnan(bad.hom) and bad.hom_err is None
@@ -344,12 +341,7 @@ def test_failure_row_drops_the_point_threshold(monkeypatch):
     # the failure: no threshold and no threshold warnings in its rows
     found = ThresholdResult(0.2, (1.0, 1.0), 64, False, ("unconverged",))
     monkeypatch.setattr(qnd_hom.sweep, "input_threshold", lambda model: found)
-    real = qnd_hom.metrics.hom_sectors
-
-    def sectors(model):
-        return np.full((2, 2), 768.0) if _ideal_gain(model) == 2.0 else real(model)
-
-    monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", sectors)
+    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", _out_of_range_at(2.0))
     rows = run_sweep(_ideal_config(points=2, start=1.0, p_values=(1.0, 0.5), with_input_threshold=True))
     good, bad = rows[:2], rows[2:]
     for row in good:
@@ -364,13 +356,13 @@ def test_failure_row_drops_the_point_threshold(monkeypatch):
 def test_sectors_computed_once_per_grid_point(monkeypatch):
     # every p row of a grid point combines the same four sectors
     calls = []
-    real = qnd_hom.metrics.hom_sectors
+    real = qnd_hom.metrics.batch_sectors
 
-    def counted(model):
-        calls.append(1)
-        return real(model)
+    def counted(batch):
+        calls.extend([1] * len(batch))
+        return real(batch)
 
-    monkeypatch.setattr(qnd_hom.metrics, "hom_sectors", counted)
+    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", counted)
     config = SweepConfig(
         gate="atom-light", sweep_param="g", start=0.02, stop=0.12, points=6,
         fixed={"kappa_tau": 100.0, "eta": 0.9}, p_values=(1.0, 0.78, 0.55, 0.4),
@@ -429,14 +421,15 @@ def test_find_optimum_recovers_ideal_maximum():
 
 
 def _count_elements(monkeypatch) -> list:
+    # one entry per point whose element the search reads, batch by batch
     calls = []
-    element = qnd_hom.sweep.hom_element_for_gate
+    real = qnd_hom.metrics.batch_sectors
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return element(*args, **kwargs)
+    def counted(batch):
+        calls.extend([1] * len(batch))
+        return real(batch)
 
-    monkeypatch.setattr(qnd_hom.sweep, "hom_element_for_gate", counted)
+    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", counted)
     return calls
 
 
@@ -467,11 +460,12 @@ def test_find_optimum_scans_in_grid_order_and_keeps_first_tie(monkeypatch):
     calls = []
 
     def recorded(gate, values):
-        calls.append((values["g"], values["kappa_tau"]))
-        return values
+        points = list(zip(values["g"].tolist(), values["kappa_tau"].tolist()))
+        calls.extend(points)
+        return SimpleNamespace(points=points), None
 
-    monkeypatch.setattr(qnd_hom.sweep, "build_model", recorded)
-    monkeypatch.setattr(qnd_hom.sweep, "hom_element_for_gate", lambda model, spec: SimpleNamespace(value=1.0))
+    monkeypatch.setattr(qnd_hom.sweep, "build_batch", recorded)
+    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", lambda batch: [np.ones((2, 2))] * len(batch.points))
     res = find_optimum("atom-light", {"eta": 0.9}, {"g": (0.0, 1.0), "kappa_tau": (2.0, 3.0)}, grid=3)
     assert calls[:9] == [(x, y) for x in (0.0, 0.5, 1.0) for y in (2.0, 2.5, 3.0)]
     assert (res.value, res.argmax) == (1.0, {"g": 0.0, "kappa_tau": 2.0})
