@@ -27,13 +27,13 @@ quadratures.  Σ is the unit-diagonal vacuum Gram matrix at every
 setting: squeezing the mediator pulse by a diagonal D is a factor on
 the coefficients of its modes, since (AD)Σ(AD)ᵀ = A(DΣD)Aᵀ.
 
-Every builder takes its params with plain numbers, for one point, or
-with arrays of one value per point of a batch.  The rows are the same,
-with array coefficients, and a :class:`GateBatch` holds the N output
-maps, their covariances and one stacked physicality check; a
-:class:`GateModel` is one point of a batch, a batch of one when it is
-built alone, and every arithmetic step is the same elementwise either
-way, so a point's numbers do not depend on its batch.
+Every builder computes on arrays of one value per point: its params
+hold plain numbers, for one point, or arrays, for a batch, and a plain
+number is a batch of one.  The rows carry array coefficients, and a
+:class:`GateBatch` holds the N output maps, their covariances and one
+stacked physicality check.  Each arithmetic step is elementwise, so a
+point's numbers do not depend on its batch; params of plain numbers
+give the batch's one :class:`GateModel`.
 
 The constants, the overlaps and the checked basis depend on the pulse
 length alone, so each pulse family builds them once per ``kappa_tau``
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -92,20 +92,15 @@ class ParameterError(ValueError):
 
 
 def _check(name: str, value) -> None:
-    """Raise ParameterError, naming the parameter, unless the value, or each
-    value of an array of one per point, is finite and within its range rule;
-    the error carries the first failing point (0 for one value)."""
+    """Raise ParameterError, naming the parameter, unless the value (one, or an
+    array of one per point) is finite and within its range rule; the error
+    carries the first failing point."""
     rule, holds = _RULES[name]
-    if not isinstance(value, np.ndarray):
-        finite = math.isfinite(value)
-        if not (finite and holds(value)):
-            raise ParameterError(f"{name} {rule if finite else 'must be finite'}")
-        return
-    finite = np.isfinite(value)
-    failing = np.flatnonzero(~(finite & holds(value)))
-    if failing.size:
-        point = int(failing[0])
-        raise ParameterError(f"{name} {rule if finite[point] else 'must be finite'}", point)
+    finite = abs(value) < math.inf  # NaN too fails
+    ok = np.ravel(finite & holds(value))
+    if not ok.all():
+        point = int(np.argmin(ok))
+        raise ParameterError(f"{name} {rule if np.ravel(finite)[point] else 'must be finite'}", point)
 
 
 class _Params:
@@ -300,30 +295,47 @@ class GateBatch:
         return model
 
 
-def _assemble(A: np.ndarray, bases: tuple[NoiseModeBasis, ...]) -> GateModel | GateBatch:
-    """The GateModel of one output matrix (4 × n), or the GateBatch of a stack
-    (N × 4 × n) over one basis or one per point."""
-    if A.ndim == 2:
-        return GateModel(A, bases[0])
-    return GateBatch(A, bases if len(bases) == len(A) else bases * len(A))
+def _over_points(build):
+    """The public builder of ``build``, which takes every params field as a 1-d
+    float array of one value per point, broadcast to the batch, and returns
+    the GateBatch: params with an array field give that batch, and params of
+    plain numbers, a batch of one, give its one GateModel."""
+
+    @wraps(build)
+    def builder(params):
+        values = [np.asarray(getattr(params, f.name), dtype=float) for f in fields(params)]
+        columns = np.empty((len(values), max(v.size for v in values)))
+        for column, value in zip(columns, values):
+            column[...] = value
+        batch = build(*columns)
+        return batch if any(v.ndim for v in values) else batch.model(0)
+
+    return builder
 
 
-def signal_gate_model(matrix: np.ndarray) -> GateModel | GateBatch:
-    """Noiseless gate: a 4 × 4 map of the two signal modes alone (a batch for a stack of maps)."""
-    return _assemble(np.asarray(matrix, dtype=float), (NoiseModeBasis(("X_a0", "P_a0", "X_b0", "P_b0"), np.eye(4)),))
+def _signal_batch(maps: np.ndarray) -> GateBatch:
+    """The noiseless gates of a stack of 4 × 4 maps of the two signal modes alone."""
+    return GateBatch(maps, (NoiseModeBasis(("X_a0", "P_a0", "X_b0", "P_b0"), np.eye(4)),) * len(maps))
+
+
+def signal_gate_model(matrix: np.ndarray) -> GateModel:
+    """Noiseless gate: a 4 × 4 map of the two signal modes alone."""
+    return _signal_batch(np.asarray(matrix, dtype=float)[None]).model(0)
+
+
+@_over_points
+def build_ideal_gate(G: np.ndarray) -> GateBatch:
+    return _signal_batch(qnd_matrix(G))
+
+
+@_over_points
+def build_bs_gate(T: np.ndarray) -> GateBatch:
+    return _signal_batch(bs_matrix(T))
 
 
 def ideal_gate_model(G) -> GateModel | GateBatch:
     """Noiseless QND gate with a single gain G (no extra modes); a batch for an array of gains."""
-    return signal_gate_model(qnd_matrix(G))
-
-
-def build_ideal_gate(params: IdealParams) -> GateModel | GateBatch:
-    return ideal_gate_model(params.G)
-
-
-def build_bs_gate(params: BeamSplitterParams) -> GateModel | GateBatch:
-    return signal_gate_model(bs_matrix(params.T))
+    return build_ideal_gate(IdealParams(G))
 
 
 def as_gate_model(model: GateModel | float) -> GateModel:
@@ -331,42 +343,18 @@ def as_gate_model(model: GateModel | float) -> GateModel:
     return model if isinstance(model, GateModel) else ideal_gate_model(float(model))
 
 
-def _gate_model(basis, rows: tuple[dict, ...]) -> GateModel | GateBatch:
-    """Gate model whose outputs (X_a, P_a, X_b, P_b) are the given
-    ``{mode label: coefficient}`` rows; a mode a row omits has coefficient 0.
-    ``basis`` is one basis, or a tuple of one per point.  Coefficients that
-    are arrays over N points give the GateBatch of the N points, and rows of
-    plain numbers the GateModel of one."""
-    bases = basis if isinstance(basis, tuple) else (basis,)
-    column, n = bases[0].column, bases[0].n_modes
-    flat, varying = [0.0] * (len(rows) * n), {}  # by flat index into the rows
+def _gate_model(bases: tuple[NoiseModeBasis, ...], rows: tuple[dict, ...]) -> GateBatch:
+    """The batch, one basis per point, whose outputs (X_a, P_a, X_b, P_b) are the
+    given ``{mode label: coefficient}`` rows, each coefficient one number or an
+    array of one per point; a mode a row omits has coefficient 0."""
+    column = bases[0].column
+    A = np.zeros((len(bases), len(rows), bases[0].n_modes))
     for i, row in enumerate(rows):
         for label, coefficient in row.items():
             if label not in column:
                 raise ValueError(f"output row {i} names mode {label!r}, which is not in the basis")
-            if isinstance(coefficient, np.ndarray):
-                varying[i * n + column[label]] = coefficient
-            else:
-                flat[i * n + column[label]] = coefficient
-    if varying:
-        A = np.empty((len(next(iter(varying.values()))), len(flat)))
-        A[:] = flat
-        A[:, list(varying)] = np.stack(list(varying.values()), axis=1)
-    else:
-        A = np.array(flat)
-    return _assemble(A.reshape(*A.shape[:-1], len(rows), n), bases)
-
-
-def _sqrt(x):
-    """√x of one value, or of an array of one value per point."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _exp(x):
-    """e^x of one value, or of an array of one value per point, by math.exp
-    either way (numpy's exp can differ from it in the last place), so a
-    point's coefficients do not depend on whether it is built in a batch."""
-    return np.array([math.exp(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else math.exp(x)
+            A[:, i, column[label]] = coefficient
+    return GateBatch(A, bases)
 
 
 # pulse lengths whose constants and checked basis each pulse family keeps;
@@ -376,18 +364,11 @@ _KAPPA_TAU_CACHE = 128
 _SHORT_PULSE = "kappa_tau={!r} is too short for the pulse constants ({})"
 
 
-def _per_point(part, kappa_tau):
+def _per_point(part, kappa_tau: np.ndarray):
     """The cached ``part`` (constants and checked basis) of each point's pulse
-    length, as (constants, bases, e^{−κτ}): for one κτ the part as it is; for
-    an array, each distinct κτ is looked up once, and the constants and e^{−κτ}
-    are arrays over the points.  A pulse too short for its constants raises
-    ParameterError at the first point that has it."""
-    if not isinstance(kappa_tau, np.ndarray):
-        try:
-            c, basis = part(kappa_tau)
-        except ValueError as exc:
-            raise ParameterError(str(exc)) from None
-        return c, (basis,), math.exp(-kappa_tau)
+    length, as (constants, bases, e^{−κτ}), the constants and e^{−κτ} arrays over
+    the points; each distinct κτ is looked up once.  A pulse too short for its
+    constants raises ParameterError at the first point that has it."""
     taus = kappa_tau.tolist()
     parts = {}
     for point, tau in enumerate(taus):
@@ -430,24 +411,24 @@ def _pulse_part(kappa_tau: float) -> tuple[PulseGateConstants, NoiseModeBasis]:
         raise ValueError(_SHORT_PULSE.format(kappa_tau, exc)) from None
 
 
-def build_optomech_gate(params: OptomechParams) -> GateModel | GateBatch:
+@_over_points
+def build_optomech_gate(g, tau, eta, Gamma) -> GateBatch:
     """Mechanical oscillator (mode a) entangled with a traveling pulse
     (mode b), with rethermalization forces at rate Γ = γ·n_th."""
-    g, tau, eta, Gamma = params.g, params.kappa_tau, params.eta, params.Gamma
     c, bases, em = _per_point(_pulse_part, tau)
-    GA = g * _sqrt(2.0 * tau)
-    GL = GA * _sqrt(eta) * (1.0 - (1.0 - em) / tau)
-    TL = _sqrt(eta) * (c.L - 1.0)
+    GA = g * np.sqrt(2.0 * tau)
+    GL = GA * np.sqrt(eta) * (1.0 - (1.0 - em) / tau)
+    TL = np.sqrt(eta) * (c.L - 1.0)
     theta = g * c.theta
-    s_cav = _sqrt(2.0 * eta) * c.Kf
-    s_loss = _sqrt(1.0 - eta)
-    s_aux = _sqrt(eta) * c.L * c.L1
-    thermal = _sqrt(2.0 * Gamma * tau)
+    s_cav = np.sqrt(2.0 * eta) * c.Kf
+    s_loss = np.sqrt(1.0 - eta)
+    s_aux = np.sqrt(eta) * c.L * c.L1
+    thermal = np.sqrt(2.0 * Gamma * tau)
     rows = (  # X_a, P_a, X_b, P_b
         {"X_a0": 1.0, "zeta_XM": thermal},
-        {"P_a0": 1.0, "Y_L0": -GA, "p_c": -theta, "Y_0k": GA * c.K1 / _sqrt(tau), "zeta_PM": thermal},
+        {"P_a0": 1.0, "Y_L0": -GA, "p_c": -theta, "Y_0k": GA * c.K1 / np.sqrt(tau), "zeta_PM": thermal},
         {"X_L0": TL, "X_a0": GL, "x_v": s_loss, "x_c": s_cav, "X_0f1": s_aux,
-         "zeta_XMf": _sqrt(eta) * _sqrt(2.0 * Gamma) * g * c.M},
+         "zeta_XMf": np.sqrt(eta) * np.sqrt(2.0 * Gamma) * g * c.M},
         {"Y_L0": TL, "p_v": s_loss, "p_c": s_cav, "Y_0f1": s_aux},
     )
     return _gate_model(bases, rows)
@@ -476,7 +457,8 @@ def _atom_mech_part(kappa_tau: float) -> tuple[AtomMechConstants, NoiseModeBasis
         raise ValueError(_SHORT_PULSE.format(kappa_tau, exc)) from None
 
 
-def build_atom_mech_gate(params: AtomMechParams) -> GateModel | GateBatch:
+@_over_points
+def build_atom_mech_gate(gA, gM, tau, eta, Gamma, S) -> GateBatch:
     """Symmetric atom-mechanical gate mediated by a light pulse.
 
     Subsystem a is the atomic ensemble, b the mechanical oscillator;
@@ -486,26 +468,24 @@ def build_atom_mech_gate(params: AtomMechParams) -> GateModel | GateBatch:
     broadband squeezing of S dB, r = S·ln10/20, scales their coefficients:
     P_in squeezed by e^{-r}, X_in and X_in_f anti-squeezed by e^{r}.
     """
-    gA, gM = params.gA, params.gM
-    tau, eta, Gamma = params.kappa_tau, params.eta, params.Gamma
     c, bases, em = _per_point(_atom_mech_part, tau)
-    gain = 2.0 * gA * gM * _sqrt(eta) * c.E
+    gain = 2.0 * gA * gM * np.sqrt(eta) * c.E
     # feedforward gain; gA makes the two signal gains exactly equal
-    Kf = _sqrt(2.0 * eta * tau) * gA * c.E / (tau - 1.0 + em)
-    r = params.S * math.log(10.0) / 20.0
-    thermal = _sqrt(2.0 * Gamma * tau)
+    Kf = np.sqrt(2.0 * eta * tau) * gA * c.E / (tau - 1.0 + em)
+    r = S * math.log(10.0) / 20.0
+    thermal = np.sqrt(2.0 * Gamma * tau)
     rows = (  # X_a, P_a, X_b, P_b
-        {"X_A0": 1.0, "X_M0": gain, "X_in": -math.sqrt(2.0) * gA / c.K2 * _exp(r),
-         "X_in_f": (Kf / c.K5) * _sqrt(eta / tau) * _exp(r),
-         "x_vac": (Kf / c.K1) * _sqrt((1.0 - eta) / tau),
-         "x_c": Kf * _sqrt(2.0 * eta / tau) * (1.0 - em * (2.0 * tau + 1.0)) - gA * (1.0 - em),
-         "x_cp": Kf * _sqrt(2.0 / tau) * (1.0 - em),
-         "zeta_XMf": (gM * Kf / c.K3) * _sqrt(4.0 * Gamma / tau)},
+        {"X_A0": 1.0, "X_M0": gain, "X_in": -math.sqrt(2.0) * gA / c.K2 * np.exp(r),
+         "X_in_f": (Kf / c.K5) * np.sqrt(eta / tau) * np.exp(r),
+         "x_vac": (Kf / c.K1) * np.sqrt((1.0 - eta) / tau),
+         "x_c": Kf * np.sqrt(2.0 * eta / tau) * (1.0 - em * (2.0 * tau + 1.0)) - gA * (1.0 - em),
+         "x_cp": Kf * np.sqrt(2.0 / tau) * (1.0 - em),
+         "zeta_XMf": (gM * Kf / c.K3) * np.sqrt(4.0 * Gamma / tau)},
         {"P_A0": 1.0},
         {"X_M0": 1.0, "zeta_XM": thermal},
-        {"P_M0": 1.0, "P_A0": -gain, "P_in": -_sqrt(2.0 * eta) * gM / c.K6 * _exp(-r),
-         "p_vac": -gM * _sqrt(2.0 * (1.0 - eta)) / c.K2,
-         "p_c": -2.0 * _sqrt(eta) * gM * (1.0 - em * (1.0 + tau)),
+        {"P_M0": 1.0, "P_A0": -gain, "P_in": -np.sqrt(2.0 * eta) * gM / c.K6 * np.exp(-r),
+         "p_vac": -gM * np.sqrt(2.0 * (1.0 - eta)) / c.K2,
+         "p_c": -2.0 * np.sqrt(eta) * gM * (1.0 - em * (1.0 + tau)),
          "p_cp": -gM * (1.0 - em), "zeta_PM": thermal},
     )
     return _gate_model(bases, rows)

@@ -154,10 +154,10 @@ class SweepRow:
         return {key: getattr(self, key) for key in _ROW_KEYS}
 
 
-def _build(gate: str, values: Mapping[str, float | np.ndarray]) -> GateModel | GateBatch:
-    """The gate of one point, or the batch of N points when some values are
-    arrays of one value per point; a SweepConfigError's ``point`` is the first
-    point that does not configure."""
+def build_model(gate: str, values: Mapping[str, float | np.ndarray]) -> GateModel | GateBatch:
+    """Gate model from a flat parameter mapping (CLI vocabulary); the batch of
+    N points when some values are arrays of one value per point, and then a
+    SweepConfigError's ``point`` is the first point that does not configure."""
     _check_params(gate, values)
     values = dict(values)
     if gate == "atom-mech" and "g" in values:
@@ -175,11 +175,6 @@ def _build(gate: str, values: Mapping[str, float | np.ndarray]) -> GateModel | G
         raise error from None
 
 
-def build_model(gate: str, values: Mapping[str, float]) -> GateModel:
-    """Gate model from a flat parameter mapping (CLI vocabulary)."""
-    return _build(gate, values)
-
-
 def build_batch(gate: str, values: Mapping[str, float | np.ndarray]) -> tuple[GateBatch | None, SweepConfigError | None]:
     """The gate models of a batch of points from a flat parameter mapping (CLI
     vocabulary) whose swept values are arrays of one value per point: the
@@ -192,7 +187,7 @@ def build_batch(gate: str, values: Mapping[str, float | np.ndarray]) -> tuple[Ga
     n, error = max(np.size(v) for v in values.values()), None
     while n:
         try:
-            return _build(gate, {k: v[:n] if isinstance(v, np.ndarray) else v for k, v in values.items()}), error
+            return build_model(gate, {k: v[:n] if isinstance(v, np.ndarray) else v for k, v in values.items()}), error
         except SweepConfigError as exc:
             n, error = exc.point, exc
     return None, error

@@ -183,7 +183,7 @@ def test_output_row_with_an_unknown_mode_is_rejected():
     basis = orthogonalize_noise_modes(("X_a0", "P_a0", "X_b0", "P_b0", "x_v"), {})
     rows = ({"X_a0": 1.0}, {"P_a0": 1.0}, {"X_b0": 1.0, "x_w": 0.5}, {"P_b0": 1.0})
     with pytest.raises(ValueError, match="'x_w'"):
-        _gate_model(basis, rows)
+        _gate_model((basis,), rows)
 
 
 def _ideal_faraday_map(G):

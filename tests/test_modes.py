@@ -220,4 +220,4 @@ def test_squeezing_rejects_unknown_label(squeezing_db):
     basis = orthogonalize_noise_modes(("X_m", "P_m"), {})
     rows = ({"X_m": 1.0}, {"P_m": 1.0}, {"Y_m": math.exp(r)}, {"P_m": math.exp(-r)})
     with pytest.raises(ValueError, match="'Y_m'"):
-        _gate_model(basis, rows)
+        _gate_model((basis,), rows)
