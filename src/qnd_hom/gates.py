@@ -30,8 +30,9 @@ the coefficients of its modes, since (AD)Σ(AD)ᵀ = A(DΣD)Aᵀ.
 Every builder computes on arrays of one value per point: its params
 hold plain numbers, for one point, or arrays, for a batch, and a plain
 number is a batch of one.  The rows carry array coefficients, and a
-:class:`GateBatch` holds the N output maps, their covariances and one
-stacked physicality check.  Each arithmetic step is elementwise, so a
+:class:`GateBatch` holds the N output maps, their covariances, one
+stacked physicality check and the element's kernels and jet of every
+point.  Each arithmetic step is elementwise, so a
 point's numbers do not depend on its batch; params of plain numbers
 give the batch's one :class:`GateModel`.
 
@@ -57,7 +58,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .gaussian import bs_matrix, physicality_errors, qnd_matrix
+from .gaussian import NOT_POSITIVE_DEFINITE, NumericalDomainError, bs_matrix, hom_jet, physicality_errors, qnd_matrix, split_kernels
 from .modes import NoiseModeBasis, orthogonalize_noise_modes
 
 
@@ -241,19 +242,19 @@ class GateModel:
     ``output_matrix`` rows are (X_a, P_a, X_b, P_b).  The quadratures of
     the two input systems are the first four entries of z, with a unit
     Gram block.  A model is one point of a :class:`GateBatch`, a batch of
-    one when it is built alone: it holds that point's ``signal_map`` A·Σ[:, :4]
-    and ``vacuum_output_cov`` AΣAᵀ, and the batch's physicality check of
-    them is the one check everything that reads a model relies on.
+    one when it is built alone, and holds what the batch read of that
+    point: ``signal_map`` A·Σ[:, :4], ``vacuum_output_cov`` AΣAᵀ, and the
+    ``kernels``, ``jet`` and ``sectors`` that the element, the coherent
+    forms and the threshold read, so none is computed twice.
     """
 
     output_matrix: np.ndarray
     basis: NoiseModeBasis
-
-    def __post_init__(self):
-        A = np.asarray(self.output_matrix, dtype=float)
-        if A.shape != (4, self.basis.n_modes):
-            raise ValueError("output matrix must be 4 × n_modes")
-        vars(self).update(vars(GateBatch(A[None], (self.basis,)).model(0)))
+    signal_map: np.ndarray
+    vacuum_output_cov: np.ndarray
+    kernels: np.ndarray
+    jet: np.ndarray
+    sectors: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +265,12 @@ class GateBatch:
     basis; points at one pulse length share one, and the Gram matrices are
     stacked only when they differ.  Construction computes every point's
     ``signal_map`` and ``vacuum_output_cov`` and checks them all in one
-    stacked test: ``errors[i]`` is point i's NumericalDomainError, or None.
+    stacked test, then reads the points that pass in one ``split_kernels``
+    and one ``hom_jet``: ``kernels`` (N × 2 × 4 × 4), ``jet`` (N × 16) and
+    ``sectors`` (N × 2 × 2, E[i, j] is jet component 12 + i + 2j), read-only
+    and NaN at a failed point.  ``errors[i]`` is point i's
+    NumericalDomainError (unphysical, or its overlap matrix is not positive
+    definite), or None.
     """
 
     output_matrix: np.ndarray
@@ -277,22 +283,35 @@ class GateBatch:
         gram = first.gram if all(b is first for b in self.bases) else np.stack([b.gram for b in self.bases])
         if np.abs(gram[..., :4, :4] - np.eye(4)).max() > 1e-12:
             raise ValueError("signal quadratures must be uncorrelated leading modes")
-        cov = A @ gram @ A.swapaxes(1, 2)
-        vars(self).update(output_matrix=A, signal_map=A @ gram[..., :4], vacuum_output_cov=cov,
-                          errors=tuple(physicality_errors(cov)))
+        cov, signal = A @ gram @ A.swapaxes(1, 2), A @ gram[..., :4]
+        errors = physicality_errors(cov)
+        ok = [i for i, error in enumerate(errors) if error is None]
+        if len(ok) == len(A):
+            det, kernels = split_kernels(cov, signal)
+            jet = hom_jet(det, kernels)
+        else:  # read the points that pass, and scatter them among NaN
+            det, kernels, jet = np.full(len(A), np.nan), np.full((len(A), 2, 4, 4), np.nan), np.full((len(A), 16), np.nan)
+            if ok:
+                det[ok], kernels[ok] = split_kernels(cov[ok], signal[ok])
+                jet[ok] = hom_jet(det[ok], kernels[ok])
+        kernels.flags.writeable = jet.flags.writeable = False
+        vars(self).update(
+            output_matrix=A, signal_map=signal, vacuum_output_cov=cov, kernels=kernels, jet=jet,
+            sectors=jet[:, 12:].reshape(-1, 2, 2).swapaxes(1, 2),
+            errors=tuple(error or (None if d == d else NumericalDomainError(NOT_POSITIVE_DEFINITE))
+                         for error, d in zip(errors, det.tolist())),
+        )
 
     def __len__(self) -> int:
         return len(self.bases)
 
     def model(self, i: int) -> GateModel:
-        """Point i as a GateModel that shares this batch's arrays and check;
-        its NumericalDomainError if it failed the check."""
+        """Point i as a GateModel that shares this batch's arrays; its
+        NumericalDomainError if it failed."""
         if self.errors[i] is not None:
             raise self.errors[i]
-        model = object.__new__(GateModel)
-        vars(model).update(output_matrix=self.output_matrix[i], basis=self.bases[i],
-                           signal_map=self.signal_map[i], vacuum_output_cov=self.vacuum_output_cov[i])
-        return model
+        return GateModel(self.output_matrix[i], self.bases[i], self.signal_map[i], self.vacuum_output_cov[i],
+                         self.kernels[i], self.jet[i], self.sectors[i])
 
 
 def _over_points(build):

@@ -23,7 +23,8 @@ rotated homodyne) is outside this scope, and :func:`split_kernels`
 rejects it.  The physicality check, the kernels and the jet take stacks
 of points with a leading batch axis, and every step is elementwise or a
 fixed gather along that axis, so a point's numbers do not depend on the
-stack it is computed in; one point is a stack of one.
+stack it is computed in; one point is a stack of one.  A point whose
+overlap matrix is not positive definite gets a NaN det, alone or stacked.
 """
 
 from __future__ import annotations
@@ -103,13 +104,6 @@ def physicality_errors(cov: np.ndarray) -> list:
         None if ok else NumericalDomainError(f"covariance violates the uncertainty bound: min eig(V+iΩ) = {e:.3e}")
         for ok, e in zip((ev >= -tolerance).tolist(), ev.tolist())
     ]
-
-
-def check_physical(cov: np.ndarray) -> None:
-    """Reject one covariance by :func:`physicality_errors`."""
-    (error,) = physicality_errors(np.asarray(cov, dtype=float)[None])
-    if error is not None:
-        raise error
 
 
 # |HOM⟩ = B|1,1⟩ with B the balanced beam splitter
@@ -195,9 +189,8 @@ def split_kernels(cov: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.
     ValueError names the first nonzero entry of (S₀ | P), row by row, that joins
     an x to a p, in the first covariance that has one.  det S₀ = det Sx·det Sp;
     each block must then have S[0, 0] > 0 and 0 < det < ∞, so an S₀ that mixes X
-    and P and is not positive definite raises ValueError.  A single S₀ that
-    fails this raises NumericalDomainError; in a stack, its det (and so its jet)
-    is NaN."""
+    and P and is not positive definite raises ValueError.  An S₀ that fails
+    this, alone or in a stack, gets a NaN det (and so a NaN jet)."""
     cov = np.asarray(cov, dtype=float)
     lead, width = cov.shape[:-2], 8 + np.shape(columns)[-1]
     rows = np.empty(lead + (4, width))  # (S₀ | P), rows x_a, p_a, x_b, p_b
@@ -215,8 +208,6 @@ def split_kernels(cov: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.
     v0, v1 = B[..., 0, 2:], B[..., 1, 2:]
     det = a * d - b * c
     if not (np.minimum(a, det).min() > 0.0 and det.max() < np.inf):
-        if not lead:
-            raise NumericalDomainError(NOT_POSITIVE_DEFINITE)
         positive = ((a > 0.0) & (det > 0.0) & (det < np.inf)).all(axis=(-2, -1))
         det = np.where(positive[..., None, None], det, np.nan)
     s, t = (d * v0 - b * v1) / det, (a * v1 - c * v0) / det  # adj S · V / det S, column by column

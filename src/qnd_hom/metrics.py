@@ -5,13 +5,13 @@ The input on the two signal subsystems is the mixture
 element is the bilinear p-combination of four sectors E_ij, the element
 for input |i⟩⟨i| ⊗ |j⟩⟨j|.  All four are read off one generating-function
 jet (:func:`qnd_hom.gaussian.hom_jet`): they are exact, with no
-occupation parameter and no extrapolation.  The jets of a whole
-:class:`~qnd_hom.gates.GateBatch` are one stacked evaluation, and a model
-built alone is a batch of one, so a point's sectors do not depend on the
-batch it is read in.  A model keeps its sectors once read.  Coherent
-inputs go through the element's kernels, so both accept the same gates.
-A model's physicality was checked when it was built, so it is not checked
-again here.
+occupation parameter and no extrapolation.  The jet is read once, when
+the model's :class:`~qnd_hom.gates.GateBatch` is built, in one stacked
+evaluation for the whole batch; a model built alone is a batch of one, so
+a point's sectors do not depend on the batch it is read in.  The model
+holds its kernels, jet and sectors, and the element and the coherent
+forms read them there, so both accept the same gates, and nothing here
+checks or computes them again.
 
 For the atom-light and optomech gates the second subsystem is the
 outgoing pulse mode; for the atom-mechanical gate both subsystems are
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import NOT_POSITIVE_DEFINITE, NumericalDomainError, hom_jet, split_kernels
-from .gates import GateBatch, GateModel, as_gate_model, ideal_gate_model
+from .gaussian import NumericalDomainError
+from .gates import GateModel, as_gate_model, ideal_gate_model
 
 # Accepted and ignored: the element is the exact n → 0 limit.
 DEFAULT_OCCUPATION = 1e-3
@@ -69,44 +69,6 @@ def _probability(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _sectors(cov: np.ndarray, signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sectors (N × 2 × 2, read-only) and det S₀ of a stack of vacuum output
-    covariances and signal maps, in one element jet; det is NaN at a point whose
-    overlap matrix is not positive definite."""
-    det, K = split_kernels(cov, signal)
-    jet = hom_jet(det, K)
-    E = jet[:, 12:].reshape(-1, 2, 2).swapaxes(1, 2)  # component 12 + i + 2j is E[i, j]
-    E.flags.writeable = False
-    return E, det
-
-
-def batch_sectors(batch: GateBatch) -> list:
-    """Per point of a batch: its sectors E (2 × 2, as :func:`hom_sectors`), or
-    the NumericalDomainError of a point outside the physical domain, whose
-    build check failed or whose overlap matrix is not positive definite."""
-    out = list(batch.errors)
-    ok = [i for i, error in enumerate(out) if error is None]
-    if ok:
-        cov, signal = batch.vacuum_output_cov, batch.signal_map
-        E, det = _sectors(cov, signal) if len(ok) == len(out) else _sectors(cov[ok], signal[ok])
-        for i, sectors, d in zip(ok, E, det.tolist()):
-            out[i] = sectors if d == d else NumericalDomainError(NOT_POSITIVE_DEFINITE)
-    return out
-
-
-def hom_sectors(model: GateModel) -> np.ndarray:
-    """E[i, j] = ⟨HOM|ρ_out|HOM⟩ for input |i⟩⟨i| ⊗ |j⟩⟨j|, i, j ∈ {0, 1}, read
-    off the model as a batch of one on the first call.  The frozen model keeps
-    them, so every element of one model (a crossing over p) reads the same four
-    numbers."""
-    if "_sectors" not in vars(model):
-        (E,), (det,) = _sectors(model.vacuum_output_cov[None], model.signal_map[None])
-        if det != det:
-            raise NumericalDomainError(NOT_POSITIVE_DEFINITE)
-        vars(model)["_sectors"] = E
-    return vars(model)["_sectors"]
-
-
 def sector_element(sectors: np.ndarray, spec: InputSpec) -> HomResult:
     """The mixture element: the bilinear p-combination wₐᵀEw_b of the sectors,
     w = (1 − p, p), in plain floats."""
@@ -117,7 +79,7 @@ def sector_element(sectors: np.ndarray, spec: InputSpec) -> HomResult:
 
 def hom_element_for_gate(model: GateModel, spec: InputSpec) -> HomResult:
     """⟨HOM|ρ_out|HOM⟩ for a gate model and mixture input."""
-    return sector_element(hom_sectors(model), spec)
+    return sector_element(model.sectors, spec)
 
 
 def hom_element_ideal_via_wigner(
@@ -137,7 +99,7 @@ def hom_element_ideal_via_wigner(
 
 
 def coherent_jets(model: GateModel) -> tuple[np.ndarray, np.ndarray]:
-    """Projector jets of a gate for coherent signal inputs, off the element's kernels.
+    """Projector jets of a gate for coherent signal inputs, off the model's kernels and jet.
 
     Returns ``c``, the jet (c₀, c_a, c_b, c_ab) of (1+y_a)(1+y_b)·4/√det S(y)
     with S(y) = V_vac + I + 2y_a B_aB_aᵀ + 2y_b B_bB_bᵀ (the element's jet at
@@ -145,8 +107,7 @@ def coherent_jets(model: GateModel) -> tuple[np.ndarray, np.ndarray]:
     input quadrature means whose values are the jet (q₀, q_a, q_b, q_ab) of
     dᵀS(y)⁻¹d, d the output mean.
     """
-    det, K = split_kernels(model.vacuum_output_cov, model.signal_map)
-    c = hom_jet(det, K[:, 2:, 2:])
+    c, K = model.jet[[0, 4, 8, 12]], model.kernels
     # S(y)⁻¹ to first order: S₀⁻¹ − 2y_a S₀⁻¹AS₀⁻¹ − 2y_b S₀⁻¹BS₀⁻¹ + 4y_a y_b (S₀⁻¹AS₀⁻¹BS₀⁻¹ + S₀⁻¹BS₀⁻¹AS₀⁻¹),
     # A = B_aB_aᵀ, B = B_bB_bᵀ; per quadrature, k = K/2 over (signal a, signal b, B_a, B_b) holds each factor
     k = 0.5 * K

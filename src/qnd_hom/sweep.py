@@ -10,9 +10,9 @@ only on the gate, and each p row is a bilinear combination of the
 sectors.
 
 Grid points are independent, and a slice of them is one batch: one build
-of its gate models (:func:`build_batch`), one stacked physicality check
-and one element jet (:func:`qnd_hom.metrics.batch_sectors`); the input
-threshold, when requested, is then found point by point.  A point's
+of its gate models (:func:`build_batch`), with one stacked physicality
+check and one element jet, whose errors and sectors the rows read; the
+input threshold, when requested, is then found point by point.  A point's
 numbers do not depend on its batch, and a point that fails numerically
 fails only its own rows.  ``jobs`` bounds the number of processes a sweep
 uses, the calling process included: a threshold table forks only when it
@@ -39,7 +39,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import metrics  # batch_sectors is looked up here, where tests substitute it
 from .gates import GATES, GateBatch, GateModel
 from .gaussian import NumericalDomainError
 from .metrics import InputSpec, hom_element_for_gate, sector_element  # hom_element_for_gate: perfbench reads it here
@@ -193,17 +192,17 @@ def build_batch(gate: str, values: Mapping[str, float | np.ndarray]) -> tuple[Ga
     return None, error
 
 
-def _point_rows(config: SweepConfig, value: float, batch: GateBatch, i: int, sectors) -> list[SweepRow]:
-    """All rows of grid point i of a slice's batch, whose sectors (or
-    NumericalDomainError) :func:`metrics.batch_sectors` gave."""
+def _point_rows(config: SweepConfig, value: float, batch: GateBatch, i: int) -> list[SweepRow]:
+    """All rows of grid point i of a slice's batch: its build error, or its
+    threshold and the elements of its sectors."""
     in_thr, warnings = None, ""
     try:
+        if batch.errors[i] is not None:
+            raise batch.errors[i]
         if config.with_input_threshold:
-            thr = input_threshold(batch.model(i))  # the point's build error first
+            thr = input_threshold(batch.model(i))
             in_thr, warnings = thr.value, ";".join(thr.warnings)
-        if isinstance(sectors, NumericalDomainError):
-            raise sectors
-        results = [sector_element(sectors, InputSpec(p, p)) for p in config.p_values]
+        results = [sector_element(batch.sectors[i], InputSpec(p, p)) for p in config.p_values]
         elements = [(res.value, res.error_estimate) for res in results]
     except NumericalDomainError as exc:
         in_thr, warnings = None, f"numerical-domain failure: {exc}"
@@ -219,8 +218,7 @@ def _evaluate_slice(config: SweepConfig, values: Sequence[float]):
     """Row groups of a slice's grid points, one build and one element jet for
     the whole slice, up to its first configuration error."""
     batch, error = build_batch(config.gate, {**config.fixed, config.sweep_param: np.array(values)})
-    sectors = metrics.batch_sectors(batch) if batch is not None else []
-    return [_point_rows(config, values[i], batch, i, s) for i, s in enumerate(sectors)], error
+    return [_point_rows(config, values[i], batch, i) for i in range(len(batch) if batch is not None else 0)], error
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -358,9 +356,9 @@ def find_optimum(
         columns = {name: np.array(column) for name, column in zip(names, zip(*points))}
         batch, error = build_batch(gate, {**fixed, **columns})
         values = []
-        for sectors in metrics.batch_sectors(batch) if batch is not None else ():
-            if isinstance(sectors, NumericalDomainError):
-                raise sectors
+        for failure, sectors in zip(batch.errors, batch.sectors) if batch is not None else ():
+            if failure is not None:
+                raise failure
             values.append(sector_element(sectors, spec).value)
         if error:
             raise error

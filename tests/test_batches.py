@@ -1,8 +1,9 @@
 """A grid point does not depend on the batch it is evaluated in.
 
-Builders, the physicality check and the element jet take a leading batch
-axis, and a point built alone is a batch of one.  Every number of a point
-(covariance, sectors, element, warning) must therefore be bit-identical
+Builders, the physicality check, the kernels and the element jet take a
+leading batch axis, and a point built alone is a batch of one.  Every
+number of a point (covariance, kernels, jet, sectors, element, warning)
+must therefore be bit-identical
 whether the point is computed inside a whole preset grid, inside a strided
 slice of it (a forked worker's share of a sweep) or alone; that is what
 keeps tables byte-identical at any ``jobs``.
@@ -14,21 +15,25 @@ import re
 import numpy as np
 import pytest
 
-import qnd_hom.metrics
-from qnd_hom.gaussian import NumericalDomainError, hom_jet, split_kernels
-from qnd_hom.metrics import InputSpec, batch_sectors, hom_element_for_gate, hom_sectors, sector_element
+import qnd_hom.gates
+from qnd_hom.gates import _signal_batch
+from qnd_hom.gaussian import NumericalDomainError, hom_jet, qnd_matrix, split_kernels
+from qnd_hom.metrics import InputSpec, hom_element_for_gate, sector_element
 from qnd_hom.sweep import PRESETS, SweepConfig, build_batch, build_model, render_csv, run_sweep
 from qnd_hom.thresholds import find_crossing
 
 
-def _point(batch, sectors, i):
-    """Covariance, signal map and sectors of point i of a batch, as bytes."""
-    return (batch.vacuum_output_cov[i].tobytes(), batch.signal_map[i].tobytes(), sectors[i].tobytes())
+_READ = ("vacuum_output_cov", "signal_map", "kernels", "jet", "sectors")
+
+
+def _point(batch, i):
+    """Covariance, signal map, kernels, jet and sectors of point i of a batch, as bytes."""
+    return tuple(getattr(batch, name)[i].tobytes() for name in _READ)
 
 
 def _alone(gate, values):
     model = build_model(gate, values)
-    return (model.vacuum_output_cov.tobytes(), model.signal_map.tobytes(), hom_sectors(model).tobytes())
+    return tuple(getattr(model, name).tobytes() for name in _READ)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -37,21 +42,19 @@ def test_a_preset_point_is_the_same_in_its_grid_in_a_slice_and_alone(name):
     grid = config.grid()
     batch, error = build_batch(config.gate, {**config.fixed, config.sweep_param: grid})
     assert error is None and len(batch) == len(grid)
-    sectors = batch_sectors(batch)
-    whole = [_point(batch, sectors, i) for i in range(len(grid))]
+    whole = [_point(batch, i) for i in range(len(grid))]
     for n in (2, 3, 8):  # the strided slices of a sweep at jobs = n
         for k in range(n):
             part, _ = build_batch(config.gate, {**config.fixed, config.sweep_param: grid[k::n]})
-            part_sectors = batch_sectors(part)
-            assert [_point(part, part_sectors, i) for i in range(len(part))] == whole[k::n], (n, k)
+            assert [_point(part, i) for i in range(len(part))] == whole[k::n], (n, k)
     for i, value in enumerate(grid.tolist()):
         values = {**config.fixed, config.sweep_param: value}
         one, _ = build_batch(config.gate, {**values, config.sweep_param: np.array([value])})
-        assert _point(one, batch_sectors(one), 0) == whole[i], value
+        assert _point(one, 0) == whole[i], value
         assert _alone(config.gate, values) == whole[i], value
         for p in config.p_values:
             spec = InputSpec(p, p)
-            assert sector_element(sectors[i], spec).value == hom_element_for_gate(build_model(config.gate, values), spec).value
+            assert sector_element(batch.sectors[i], spec).value == hom_element_for_gate(build_model(config.gate, values), spec).value
 
 
 @pytest.mark.parametrize("gate,param,values,fixed", [
@@ -65,9 +68,8 @@ def test_a_preset_point_is_the_same_in_its_grid_in_a_slice_and_alone(name):
 def test_a_point_of_each_gate_kind_is_the_same_in_a_batch_and_alone(gate, param, values, fixed):
     batch, error = build_batch(gate, {**fixed, param: np.array(values)})
     assert error is None
-    sectors = batch_sectors(batch)
     for i, value in enumerate(values):
-        assert _point(batch, sectors, i) == _alone(gate, {**fixed, param: value}), value
+        assert _point(batch, i) == _alone(gate, {**fixed, param: value}), value
 
 
 def test_a_batch_with_varying_pulse_lengths_stacks_its_gram_matrices():
@@ -76,9 +78,8 @@ def test_a_batch_with_varying_pulse_lengths_stacks_its_gram_matrices():
     fixed = {"eta": 0.9, "Gamma": 1e-4, "S": 7.0}
     batch, _ = build_batch("atom-mech", {**fixed, "g": g, "kappa_tau": kappa_tau})
     assert len({id(basis) for basis in batch.bases}) == 3
-    sectors = batch_sectors(batch)
     for i in range(len(g)):
-        assert _point(batch, sectors, i) == _alone("atom-mech", {**fixed, "g": g[i], "kappa_tau": kappa_tau[i]})
+        assert _point(batch, i) == _alone("atom-mech", {**fixed, "g": g[i], "kappa_tau": kappa_tau[i]})
 
 
 def test_an_unphysical_point_fails_only_its_rows():
@@ -115,7 +116,7 @@ def test_a_point_whose_covariance_overflows_fails_only_its_rows():
 
 def test_an_overlap_that_is_not_positive_definite_fails_only_its_point():
     # in a stack, the failing point's det (and jet) is NaN and its
-    # neighbours keep the values they have alone; alone, it raises
+    # neighbours keep the values they have alone; alone, its det is NaN too
     covs = np.array([np.eye(4), np.diag([-3.0, 1.0, 1.0, 1.0]), 2.0 * np.eye(4)])
     signals = np.array([np.eye(4)] * 3)
     det, K = split_kernels(covs, signals)
@@ -123,18 +124,31 @@ def test_an_overlap_that_is_not_positive_definite_fails_only_its_point():
     assert math.isnan(det[1]) and np.isnan(jets[1]).all()
     for i in (0, 2):
         assert jets[i].tobytes() == hom_jet(*split_kernels(covs[i], signals[i])).tobytes()
-    with pytest.raises(NumericalDomainError, match="^overlap matrix is not positive definite$"):
-        split_kernels(covs[1], signals[1])
+    alone, _ = split_kernels(covs[1], signals[1])
+    assert math.isnan(alone)
+    # a gate whose covariance diag(1e200, 1, 1e200, 1) passes the physicality
+    # check but overflows det S₀: the batch names it in that point's error
+    maps = np.array([qnd_matrix(0.9), np.diag([1e100, 1.0, 1e100, 1.0]), np.eye(4)])
+    with np.errstate(over="ignore"):
+        batch = _signal_batch(maps)
+        with pytest.raises(NumericalDomainError, match="^overlap matrix is not positive definite$"):
+            _signal_batch(maps[1:2]).model(0)
+    assert [error is None for error in batch.errors] == [True, False, True]
+    assert str(batch.errors[1]) == "overlap matrix is not positive definite"
+    assert np.isnan(batch.jet[1]).all() and np.isnan(batch.kernels[1]).all()
+    for i in (0, 2):
+        assert batch.jet[i].tobytes() == _signal_batch(maps[i:i + 1]).jet[0].tobytes()
 
 
 def test_a_crossing_reads_its_model_sectors_once(monkeypatch):
     # the benchmark's crossing: 49 elements of one atom-light model over p
-    # make one element jet, and every value is the uncached one bit for bit
+    # make one element jet, the build's, and every value is the one a new
+    # model of the same point gives, bit for bit
     values = {"g": 0.0615, "kappa_tau": 100.0, "eta": 0.9}
-    model = build_model("atom-light", values)
     jets, ps = [], []
-    real = qnd_hom.metrics.hom_jet
-    monkeypatch.setattr(qnd_hom.metrics, "hom_jet", lambda *a: jets.append(1) or real(*a))
+    real = qnd_hom.gates.hom_jet
+    monkeypatch.setattr(qnd_hom.gates, "hom_jet", lambda *a: jets.append(1) or real(*a))
+    model = build_model("atom-light", values)
 
     def element(p):
         ps.append(p)
@@ -143,10 +157,10 @@ def test_a_crossing_reads_its_model_sectors_once(monkeypatch):
     crossing = find_crossing(element, math.exp(-2.0), 0.3, 1.0, xtol=1e-4, scan_points=65)
     assert crossing is not None
     assert len(ps) > 40 and len(jets) == 1
-    monkeypatch.setattr(qnd_hom.metrics, "hom_jet", real)
+    monkeypatch.setattr(qnd_hom.gates, "hom_jet", real)
     for p in ps:
-        uncached = hom_sectors(build_model("atom-light", values))  # a new model, its sectors not yet read
-        assert hom_element_for_gate(model, InputSpec(p, p)).value == sector_element(uncached, InputSpec(p, p)).value
+        fresh = build_model("atom-light", values).sectors  # a new model, its own build and jet
+        assert hom_element_for_gate(model, InputSpec(p, p)).value == sector_element(fresh, InputSpec(p, p)).value
 
 
 def test_a_batch_configures_up_to_its_first_bad_point():

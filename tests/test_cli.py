@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qnd_hom.cli
-import qnd_hom.metrics
+import qnd_hom.gates
 from qnd_hom.cli import build_parser, main, parse_config_file
 from qnd_hom.sweep import CSV_HEADER, SweepConfigError, SweepNumericalError
 
@@ -86,7 +86,7 @@ def test_occupation_flag_removed(capsys):
 
 def test_out_of_range_element_exits_2(monkeypatch, capsys):
     # an element outside [0, 1] is never emitted with exit code 0
-    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", lambda batch: [np.full((2, 2), 768.0)] * len(batch))
+    monkeypatch.setattr(qnd_hom.gates, "hom_jet", lambda det, K: np.full((len(det), 16), 768.0))
     code, out, err = run_cli(capsys, "ideal", "--G", "0.9")
     assert code == 2
     assert out == ""

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import qnd_hom.gates
 import qnd_hom.gaussian
+import qnd_hom.metrics
 import qnd_hom.modes
+import qnd_hom.thresholds
 from qnd_hom.gates import (
     GATES,
     AtomLightParams,
@@ -26,9 +29,10 @@ from qnd_hom.gates import (
     ideal_gate_model,
 )
 from qnd_hom.gaussian import min_physicality_eig, qnd_matrix
-from qnd_hom.metrics import coherent_jets, hom_sectors
+from qnd_hom.metrics import InputSpec, coherent_jets, hom_element_for_gate
 from qnd_hom.modes import orthogonalize_noise_modes
 from qnd_hom.sweep import PRESETS, SweepConfig, build_model, find_optimum, run_sweep
+from qnd_hom.thresholds import input_threshold
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 
@@ -332,7 +336,7 @@ def test_each_build_factors_its_gram_matrix_at_most_once(monkeypatch, gate, valu
     # the coherent jets factor nothing
     calls = _counted(monkeypatch, qnd_hom.modes, "gram_cholesky")
     model = build_model(gate, values)
-    hom_sectors(model)
+    hom_element_for_gate(model, InputSpec(1.0, 1.0))
     coherent_jets(model)
     assert [len(labels) for _, labels in calls] == ([_NAMED[gate]] if gate in _NAMED else [])
 
@@ -350,9 +354,25 @@ def test_transform_is_factored_once_when_read(monkeypatch, gate, values):
 def test_physicality_checked_once_per_model(monkeypatch, gate, values):
     calls = _counted(monkeypatch, qnd_hom.gaussian, "min_physicality_eig")
     model = build_model(gate, values)
-    hom_sectors(model)
+    hom_element_for_gate(model, InputSpec(1.0, 1.0))
     coherent_jets(model)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("gate,values", _ONE_OF_EACH)
+def test_kernels_read_once_per_model(monkeypatch, gate, values):
+    # the build reads the kernels and the jet; the elements, the coherent
+    # jets and the input threshold take them from the model.  The calls are
+    # counted in every module of that path that imports split_kernels, so a
+    # second read anywhere on it shows
+    modules = (qnd_hom.gates, qnd_hom.metrics, qnd_hom.thresholds)
+    calls = [_counted(monkeypatch, module, "split_kernels") for module in modules if hasattr(module, "split_kernels")]
+    model = build_model(gate, values)
+    for p in (1.0, 0.7, 0.4):
+        hom_element_for_gate(model, InputSpec(p, p))
+    coherent_jets(model)
+    input_threshold(model)
+    assert sum(map(len, calls)) == 1
 
 
 # ----------------------------------------------------------------------

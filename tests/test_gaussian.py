@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,15 +15,15 @@ from qnd_hom.gaussian import (
     NumericalDomainError,
     _jet_exp,
     bs_matrix,
-    check_physical,
     hom_jet,
     is_symplectic,
     min_physicality_eig,
     omega,
+    physicality_errors,
     qnd_matrix,
     split_kernels,
 )
-from qnd_hom.metrics import coherent_jets, hom_sectors
+from qnd_hom.metrics import coherent_jets
 from qnd_hom.sweep import PRESETS, build_model
 from qnd_hom.thresholds import input_threshold
 
@@ -61,7 +62,7 @@ def test_bs_matrix_orthogonal_symplectic(T):
 
 
 def test_vacuum_is_physical():
-    check_physical(np.eye(4))
+    assert physicality_errors(np.eye(4)[None]) == [None]
     assert min_physicality_eig(np.eye(4)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -70,8 +71,8 @@ def test_below_vacuum_rejected():
     # state's 1e-6, far outside eigvalsh's roundoff at max|V| = 1e6
     for cov, ev in ((0.5 * np.eye(4), "-5.000e-01"), (np.diag([1e6, 0.5e-6, 1.0, 1.0]), "-5.000e-07")):
         message = rf"^covariance violates the uncertainty bound: min eig\(V\+iΩ\) = {ev}$"
-        with pytest.raises(NumericalDomainError, match=message):
-            check_physical(cov)
+        (error,) = physicality_errors(cov[None])
+        assert isinstance(error, NumericalDomainError) and re.search(message, str(error)), error
 
 
 @pytest.mark.parametrize("Gamma", [1e-4, 10.0])
@@ -80,12 +81,12 @@ def test_large_gain_atom_mech_builds(Gamma, S):
     # at g = 30, κτ = 1e4 the output covariance reaches max|V| ≈ 5e14 to 2e19,
     # and eigvalsh returns min eig(V+iΩ) ≈ −4e-4: roundoff, not a violation
     model = build_model("atom-mech", {"g": 30.0, "kappa_tau": 1e4, "eta": 1.0, "Gamma": Gamma, "S": S})
-    assert np.all((hom_sectors(model) >= 0.0) & (hom_sectors(model) <= 1.0))
+    assert np.all((model.sectors >= 0.0) & (model.sectors <= 1.0))
     assert 0.0 <= input_threshold(model).value <= 1.0
 
 
 def test_thermal_is_physical():
-    check_physical(3.0 * np.eye(2))
+    assert physicality_errors(3.0 * np.eye(2)[None]) == [None]
     assert min_physicality_eig(3.0 * np.eye(2)) > 0
 
 
@@ -153,15 +154,16 @@ def test_jet_exp_matches_power_series():
 
 def test_singular_overlap_rejected():
     # V + I must be positive definite; a singular or indefinite one is
-    # outside the physical domain.  In the last diagonal the x block
-    # diag(−2, −2) has determinant +4, and only its leading entry shows it
+    # outside the physical domain and gets a NaN det, and so a NaN jet.  In
+    # the last diagonal the x block diag(−2, −2) has determinant +4, and only
+    # its leading entry shows it
     covs = [np.diag(d) for d in ([-1.0, 1.0, 1.0, 1.0], [-3.0, 1.0, 1.0, 1.0], [-3.0, -3.0, 1.0, 1.0],
                                  [np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [-3.0, 1.0, -3.0, 1.0])]
     covs.append(np.diag([1.0, 0.0, 1.0, 0.0]))
     covs[-1][1, 3] = covs[-1][3, 1] = 2.0  # the p block [[1, 2], [2, 1]], of determinant −3
     for cov in covs:
-        with pytest.raises(NumericalDomainError, match="^overlap matrix is not positive definite$"):
-            hom_jet(*split_kernels(cov, NO_INPUTS))
+        det, K = split_kernels(cov, NO_INPUTS)
+        assert math.isnan(det) and np.isnan(hom_jet(det, K)).all(), np.diag(cov)
 
 
 def test_identity_gate_coherent_weight_is_exact():
@@ -196,7 +198,7 @@ def test_split_kernels_match_the_block_engine_at_every_preset_point():
 
 
 def test_ideal_11_sector_matches_the_closed_form_to_roundoff():
-    errors = [abs(hom_sectors(ideal_gate_model(G))[1, 1] - closed_form_qnd_11(G)) for G in np.linspace(0.0, 3.0, 61)]
+    errors = [abs(ideal_gate_model(G).sectors[1, 1] - closed_form_qnd_11(G)) for G in np.linspace(0.0, 3.0, 61)]
     assert max(errors) <= 3e-16
 
 
@@ -219,13 +221,11 @@ def test_an_xp_entry_of_an_input_block_is_rejected():
 
 def test_element_coherent_forms_and_threshold_share_one_scope():
     # a quarter turn of mode a (X_a → −P_a, P_a → X_a) keeps the covariance
-    # exactly split but its signal map joins an x row to a p column: the
-    # element, the coherent forms and the input threshold all reject it
+    # exactly split but its signal map joins an x row to a p column: its
+    # build, which reads the kernels that the element, the coherent forms and
+    # the input threshold take from the model, rejects it
     turn = np.eye(4)
     turn[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
-    model = signal_gate_model(turn)
-    assert np.array_equal(model.vacuum_output_cov, np.eye(4))
-    message = r"^input block 0 entry \[0, 1\] = 1\.0 mixes X and P"
-    for evaluate in (hom_sectors, coherent_jets, input_threshold):
-        with pytest.raises(ValueError, match=message):
-            evaluate(model)
+    assert np.array_equal(turn @ turn.T, np.eye(4))  # the vacuum output covariance
+    with pytest.raises(ValueError, match=r"^input block 0 entry \[0, 1\] = 1\.0 mixes X and P"):
+        signal_gate_model(turn)

@@ -30,7 +30,6 @@ from qnd_hom.metrics import (
     coherent_output_element,
     hom_element_for_gate,
     hom_element_ideal_via_wigner,
-    hom_sectors,
 )
 from qnd_hom.sweep import build_model
 
@@ -69,7 +68,7 @@ def test_matches_closed_forms(G, p):
 def test_sectors_match_ideal_closed_forms():
     # E₁₁ and E₀₀ are the closed forms; E₁₀ and E₀₁ vanish by parity
     for G in np.linspace(0.0, 3.0, 80):
-        E = hom_sectors(ideal_gate_model(float(G)))
+        E = ideal_gate_model(float(G)).sectors
         assert abs(E[1, 1] - closed_form_qnd_11(G)) <= 1e-12, G
         assert abs(E[0, 0] - closed_form_qnd_00(G)) <= 1e-12, G
         assert abs(E[1, 0]) <= 1e-12 and abs(E[0, 1]) <= 1e-12, G
@@ -78,7 +77,7 @@ def test_sectors_match_ideal_closed_forms():
 def test_sectors_match_beam_splitter_closed_form():
     # a passive gate conserves photon number: only |1,1⟩ reaches |HOM⟩
     for T in np.linspace(0.0, 1.0, 80):
-        E = hom_sectors(build_model("bs", {"T": float(T)}))
+        E = build_model("bs", {"T": float(T)}).sectors
         assert abs(E[1, 1] - closed_form_bs_11(T)) <= 1e-12, T
         assert np.abs(E.ravel()[:3]).max() <= 1e-12, T
 

@@ -11,10 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import qnd_hom.metrics
+import qnd_hom.gates
 import qnd_hom.sweep
 from qnd_hom.fock import QND_11_ARGMAX, closed_form_qnd_11
-from qnd_hom.gates import GATES, AtomMechParams, build_atom_mech_gate
+from qnd_hom.gates import GATES, AtomMechParams, build_atom_mech_gate, ideal_gate_model
 from qnd_hom.metrics import InputSpec, hom_element_for_gate
 from qnd_hom.sweep import (
     CSV_HEADER,
@@ -264,9 +264,9 @@ def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
 
 
 def test_numerical_failure_in_a_forked_slice_fails_only_its_rows(monkeypatch):
-    # forked workers inherit the substituted sectors; point 9 is in the
+    # forked workers inherit the substituted jet; point 9 is in the
     # worker's slice
-    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", _out_of_range_at(0.75))
+    monkeypatch.setattr(qnd_hom.gates, "hom_jet", _out_of_range_at(0.75))
     config = _ideal_config(points=25, with_input_threshold=True)
     serial = run_sweep(config)
     assert [row.value for row in serial if row.warnings] == [0.75]
@@ -310,15 +310,17 @@ def test_csv_header_and_shape():
 
 
 def _out_of_range_at(G):
-    """Batch sectors whose ideal-gate point of gain G reads 768: the X_b0
-    coefficient of a point's X_a row is its gain."""
-    real = qnd_hom.metrics.batch_sectors
+    """Element jets whose sectors read 768 at the ideal-gate point of gain G:
+    the point whose jet is the one that gain gives alone, bit for bit."""
+    real = qnd_hom.gates.hom_jet
+    alone = ideal_gate_model(G).jet
 
-    def sectors(batch):
-        gains = batch.output_matrix[:, 0, batch.bases[0].labels.index("X_b0")].tolist()
-        return [np.full((2, 2), 768.0) if gain == G else s for gain, s in zip(gains, real(batch))]
+    def jet(det, K):
+        out = real(det, K)
+        out[(out == alone).all(axis=-1), 12:] = 768.0
+        return out
 
-    return sectors
+    return jet
 
 
 def test_hom_err_is_zero_and_empty_on_failure_rows(monkeypatch):
@@ -328,7 +330,7 @@ def test_hom_err_is_zero_and_empty_on_failure_rows(monkeypatch):
     assert [row.hom_err for row in rows] == [0.0, 0.0]
     assert render_csv(rows).split("\n")[1].split(",")[4] == "0"
 
-    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", _out_of_range_at(2.0))
+    monkeypatch.setattr(qnd_hom.gates, "hom_jet", _out_of_range_at(2.0))
     good, bad = run_sweep(_ideal_config(points=2, start=1.0))
     assert good.hom_err == 0.0 and 0.0 <= good.hom <= 1.0
     assert math.isnan(bad.hom) and bad.hom_err is None
@@ -341,7 +343,7 @@ def test_failure_row_drops_the_point_threshold(monkeypatch):
     # the failure: no threshold and no threshold warnings in its rows
     found = ThresholdResult(0.2, (1.0, 1.0), 64, False, ("unconverged",))
     monkeypatch.setattr(qnd_hom.sweep, "input_threshold", lambda model: found)
-    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", _out_of_range_at(2.0))
+    monkeypatch.setattr(qnd_hom.gates, "hom_jet", _out_of_range_at(2.0))
     rows = run_sweep(_ideal_config(points=2, start=1.0, p_values=(1.0, 0.5), with_input_threshold=True))
     good, bad = rows[:2], rows[2:]
     for row in good:
@@ -355,14 +357,7 @@ def test_failure_row_drops_the_point_threshold(monkeypatch):
 
 def test_sectors_computed_once_per_grid_point(monkeypatch):
     # every p row of a grid point combines the same four sectors
-    calls = []
-    real = qnd_hom.metrics.batch_sectors
-
-    def counted(batch):
-        calls.extend([1] * len(batch))
-        return real(batch)
-
-    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", counted)
+    calls = _count_elements(monkeypatch)
     config = SweepConfig(
         gate="atom-light", sweep_param="g", start=0.02, stop=0.12, points=6,
         fixed={"kappa_tau": 100.0, "eta": 0.9}, p_values=(1.0, 0.78, 0.55, 0.4),
@@ -421,15 +416,15 @@ def test_find_optimum_recovers_ideal_maximum():
 
 
 def _count_elements(monkeypatch) -> list:
-    # one entry per point whose element the search reads, batch by batch
+    # one entry per point whose element jet a build reads, batch by batch
     calls = []
-    real = qnd_hom.metrics.batch_sectors
+    real = qnd_hom.gates.hom_jet
 
-    def counted(batch):
-        calls.extend([1] * len(batch))
-        return real(batch)
+    def counted(det, K):
+        calls.extend([1] * len(det))
+        return real(det, K)
 
-    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", counted)
+    monkeypatch.setattr(qnd_hom.gates, "hom_jet", counted)
     return calls
 
 
@@ -462,10 +457,9 @@ def test_find_optimum_scans_in_grid_order_and_keeps_first_tie(monkeypatch):
     def recorded(gate, values):
         points = list(zip(values["g"].tolist(), values["kappa_tau"].tolist()))
         calls.extend(points)
-        return SimpleNamespace(points=points), None
+        return SimpleNamespace(errors=(None,) * len(points), sectors=np.ones((len(points), 2, 2))), None
 
     monkeypatch.setattr(qnd_hom.sweep, "build_batch", recorded)
-    monkeypatch.setattr(qnd_hom.metrics, "batch_sectors", lambda batch: [np.ones((2, 2))] * len(batch.points))
     res = find_optimum("atom-light", {"eta": 0.9}, {"g": (0.0, 1.0), "kappa_tau": (2.0, 3.0)}, grid=3)
     assert calls[:9] == [(x, y) for x in (0.0, 0.5, 1.0) for y in (2.0, 2.5, 3.0)]
     assert (res.value, res.argmax) == (1.0, {"g": 0.0, "kappa_tau": 2.0})
