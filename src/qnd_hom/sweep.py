@@ -216,9 +216,12 @@ def _point_rows(config: SweepConfig, value: float, batch: GateBatch, i: int) -> 
 
 def _evaluate_slice(config: SweepConfig, values: Sequence[float]):
     """Row groups of a slice's grid points, one build and one element jet for
-    the whole slice, up to its first configuration error."""
+    the whole slice, and None; or, when a point does not configure, no rows
+    and the slice's first configuration error."""
     batch, error = build_batch(config.gate, {**config.fixed, config.sweep_param: np.array(values)})
-    return [_point_rows(config, values[i], batch, i) for i in range(len(batch) if batch is not None else 0)], error
+    if error:
+        return None, error
+    return [_point_rows(config, values[i], batch, i) for i in range(len(batch))], None
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -229,10 +232,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     element-only one.  Slice k is every n-th grid point from point k, and
     each slice is one batch; the caller computes slice 0 while ``n - 1``
     forked workers compute one slice each, and every worker is joined
-    before this returns or raises.  A configuration error raises the one
-    earliest in grid order, as at ``jobs=1``.  Per-point numerical failures
-    become warning rows with NaN elements; the sweep only raises
-    :class:`SweepNumericalError` when every grid point failed.
+    before this returns or raises.  A slice with a point that does not
+    configure computes no rows, input thresholds included, and the sweep
+    raises the configuration error earliest in grid order, as at
+    ``jobs=1``.  Per-point numerical failures become warning rows with
+    NaN elements; the sweep only raises :class:`SweepNumericalError` when
+    every grid point failed.
     """
     values = config.grid().tolist()
     n = min(config.jobs, len(values) // POINTS_PER_PROCESS) if config.with_input_threshold else 1
@@ -244,8 +249,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         with ProcessPoolExecutor(max_workers=n - 1) as pool:
             futures = [pool.submit(_evaluate_slice, config, values[k::n]) for k in range(1, n)]
             slices = [_evaluate_slice(config, values[::n]), *(f.result() for f in futures)]
-        # slice k failed at its next grid point, k + n * len(part)
-        errors = [(k + n * len(part), exc) for k, (part, exc) in enumerate(slices) if exc]
+        # slice k failed at its grid point k + n * exc.point
+        errors = [(k + n * exc.point, exc) for k, (_, exc) in enumerate(slices) if exc]
         if errors:
             raise min(errors, key=lambda e: e[0])[1]
         groups = [None] * len(values)

@@ -26,17 +26,21 @@ have several local maxima, so it first scores a coarse grid of the box
 64-node grid), then climbs from the 4 best cells with
 :func:`ascend`, a projected BFGS ascent on the box (Nocedal & Wright,
 Numerical Optimization, 2nd ed. (2006), ch. 3 and 6), on the 64-node
-average.  Each quadratic form is R_a²u + R_b²v + 2R_aR_b·w, so the
-exact coherent element of :mod:`qnd_hom.metrics`, exp(−q₀/2)·P, is
-fixed on the phase grid by 12 node arrays, the coefficients of the
-monomials of R_a and R_b that −q₀/2 and P are linear in.  Two small
-matrix products of the monomials (and their partials) with those arrays
-give the exponent and P on every node, so the ascent gets the exact
-gradient, the scan scores its cells in a few products, and the value
-the ascent returns is the 64-node average at its argmax.  The even
-nodes of the 64-point rule form the 32-point rule, so the same
-phase-grid values at the argmax certify the average: it is converged
-when the two rules agree to 1e-6.
+average.
+
+This module owns the coherent-input forms: :func:`coherent_jets` reads
+the jets c and q of the coherent element exp(−q₀/2)·P off the kernels
+and jet that the model's batch read for the bunching element, so the
+threshold accepts the gates the element accepts.  Each quadratic form is
+R_a²u + R_b²v + 2R_aR_b·w, so the element is fixed on the phase grid by
+12 node arrays, the coefficients of the monomials of R_a and R_b that
+−q₀/2 and P are linear in.  Two small matrix products of the monomials
+(and their partials) with those arrays give the exponent and P on every
+node, so the ascent gets the exact gradient, the scan scores its cells
+in a few products, and the value the ascent returns is the 64-node
+average at its argmax.  The even nodes of the 64-point rule form the
+32-point rule, so the same phase-grid values at the argmax certify the
+average: it is converged when the two rules agree to 1e-6.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateModel, as_gate_model
-from .metrics import coherent_jets
 
 _CONVERGENCE_TOL = 1e-6
 _PHASE_SAMPLES = 64  # trapezoid nodes per input phase
@@ -102,6 +105,26 @@ def _monomials(a, b) -> list:
     R_b², R_aR_b, R_a⁴, R_b⁴, R_a²R_b², R_a³R_b, R_aR_b³."""
     aa, bb, ab = a * a, b * b, a * b
     return [aa, bb, ab, 1.0, aa, bb, ab, aa * aa, bb * bb, aa * bb, aa * ab, ab * bb]
+
+
+def coherent_jets(model: GateModel) -> tuple[np.ndarray, np.ndarray]:
+    """Projector jets of a gate for coherent signal inputs, off the model's kernels and jet.
+
+    Returns ``c``, the jet (c₀, c_a, c_b, c_ab) of (1+y_a)(1+y_b)·4/√det S(y)
+    with S(y) = V_vac + I + 2y_a B_aB_aᵀ + 2y_b B_bB_bᵀ (the element's jet at
+    zero signal variables), and ``Q`` (4, 4, 4), the quadratic forms over the
+    input quadrature means whose values are the jet (q₀, q_a, q_b, q_ab) of
+    dᵀS(y)⁻¹d, d the output mean.
+    """
+    c, K = model.jet[[0, 4, 8, 12]], model.kernels
+    # S(y)⁻¹ to first order: S₀⁻¹ − 2y_a S₀⁻¹AS₀⁻¹ − 2y_b S₀⁻¹BS₀⁻¹ + 4y_a y_b (S₀⁻¹AS₀⁻¹BS₀⁻¹ + S₀⁻¹BS₀⁻¹AS₀⁻¹),
+    # A = B_aB_aᵀ, B = B_bB_bᵀ; per quadrature, k = K/2 over (signal a, signal b, B_a, B_b) holds each factor
+    k = 0.5 * K
+    aa, bb, ab = (k[:, i, :2, None] * k[:, j, None, :2] for i, j in ((2, 2), (3, 3), (2, 3)))
+    forms = (k[:, :2, :2], -2.0 * aa, -2.0 * bb, 4.0 * k[:, 2, 3, None, None] * (ab + ab.transpose(0, 2, 1)))
+    Q = np.zeros((4, 2, 2, 2, 2))  # (form, mode, quadrature, mode, quadrature)
+    Q[:, :, [0, 1], :, [0, 1]] = np.stack(forms, axis=1)
+    return c, Q.reshape(4, 4, 4)
 
 
 class _AveragedElement:

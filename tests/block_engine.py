@@ -58,7 +58,7 @@ def block_hom_jet(cov: np.ndarray, inputs: tuple[np.ndarray, ...] = ()) -> np.nd
 
 
 def block_coherent_jets(cov: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``c`` and ``Q`` of :func:`qnd_hom.metrics.coherent_jets` for output
+    """``c`` and ``Q`` of :func:`qnd_hom.thresholds.coherent_jets` for output
     covariance ``cov`` and signal map ``W``, through the full S₀⁻¹."""
     Si = np.linalg.inv(cov + np.eye(4))
     Ba, Bb = HOM_BS[:, :2], HOM_BS[:, 2:]

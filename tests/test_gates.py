@@ -29,10 +29,10 @@ from qnd_hom.gates import (
     ideal_gate_model,
 )
 from qnd_hom.gaussian import min_physicality_eig, qnd_matrix
-from qnd_hom.metrics import InputSpec, coherent_jets, hom_element_for_gate
+from qnd_hom.metrics import InputSpec, hom_element_for_gate
 from qnd_hom.modes import orthogonalize_noise_modes
 from qnd_hom.sweep import PRESETS, SweepConfig, build_model, find_optimum, run_sweep
-from qnd_hom.thresholds import input_threshold
+from qnd_hom.thresholds import coherent_jets, input_threshold
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 

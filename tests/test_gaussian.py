@@ -23,9 +23,8 @@ from qnd_hom.gaussian import (
     qnd_matrix,
     split_kernels,
 )
-from qnd_hom.metrics import coherent_jets
 from qnd_hom.sweep import PRESETS, build_model
-from qnd_hom.thresholds import input_threshold
+from qnd_hom.thresholds import coherent_jets, input_threshold
 
 NO_INPUTS = np.empty((4, 0))  # k = 2: the projector variables alone
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from coherent_reference import coherent_output_element
 
 from qnd_hom.fock import (
     FockBasisSpec,
@@ -27,7 +28,6 @@ from qnd_hom.metrics import (
     HomResult,
     InputSpec,
     _probability,
-    coherent_output_element,
     hom_element_for_gate,
     hom_element_ideal_via_wigner,
 )

@@ -287,6 +287,30 @@ def test_earliest_configuration_error_in_grid_order_is_raised():
         with pytest.raises(SweepConfigError, match=r"^kappa_tau=1e-07 is too short .*\(math domain error\)$"):
             run_sweep(dataclasses.replace(config, jobs=jobs))
         assert multiprocessing.active_children() == []
+    # 26 points from κτ = 1e7 down by decades, in slices of 9, 9 and 8 at
+    # jobs=3: κτ = 1e-4 (point 11) is the first that does not configure,
+    # point 3 of the last slice, while the first two slices fail later, at
+    # their point 4 (κτ ≈ 1e-5 and 1e-6, other messages)
+    config = dataclasses.replace(config, start=1e7, stop=1e-18, points=26)
+    assert 3 * qnd_hom.sweep.POINTS_PER_PROCESS <= config.points
+    for jobs in (1, 3):
+        with pytest.raises(SweepConfigError, match=r"^kappa_tau=0\.0001 is too short .*\(math domain error\)$"):
+            run_sweep(dataclasses.replace(config, jobs=jobs))
+        assert multiprocessing.active_children() == []
+
+
+def test_slice_that_does_not_configure_computes_no_thresholds(monkeypatch):
+    # η = 1.0000001 at the last of 6 points breaks η ∈ (0, 1]: the points
+    # before it are valid, but their thresholds would be thrown away
+    calls = []
+    real = qnd_hom.sweep.input_threshold
+    monkeypatch.setattr(qnd_hom.sweep, "input_threshold", lambda model: calls.append(model) or real(model))
+    config = SweepConfig(
+        "atom-light", "eta", 0.5, 1.0000001, 6, {"g": 0.06, "kappa_tau": 100.0}, with_input_threshold=True,
+    )
+    with pytest.raises(SweepConfigError, match=r"^eta must lie in \(0, 1\]$"):
+        run_sweep(config)
+    assert calls == []
 
 
 def test_output_threshold_column_is_always_e_minus_2():

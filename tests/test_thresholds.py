@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference_ascent
+from coherent_reference import coherent_coefficient
 
 from qnd_hom import thresholds
 from qnd_hom.fock import QND_11_ARGMAX, closed_form_qnd_11, hom_element_mixture_ideal
@@ -21,12 +22,12 @@ from qnd_hom.gates import (
     build_atom_mech_gate,
     build_optomech_gate,
 )
-from qnd_hom.metrics import coherent_coefficient, coherent_jets
 from qnd_hom.thresholds import (
     ACCURACY_WARNING,
     BOUNDARY_WARNING,
     ThresholdResult,
     ascend,
+    coherent_jets,
     find_crossing,
     input_threshold,
     output_threshold,
@@ -410,8 +411,8 @@ def _full_average(model, phase_samples, point):
 @_FIVE_GATES
 def test_node_arrays_expand_the_coherent_element(model):
     # −q₀/2 and P read off the 12 monomial node arrays give the factored
-    # element of metrics.coherent_coefficient node by node on the kept
-    # rows; a dropped or doubled cross term is off by O(1e-2)
+    # element of coherent_reference.coherent_coefficient node by node on
+    # the kept rows; a dropped or doubled cross term is off by O(1e-2)
     c, u, v, w = _full_grid(model, 64)
     objective = thresholds._AveragedElement(as_gate_model(model), 64)
     rows = objective.weights.shape[0]
