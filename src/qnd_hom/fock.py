@@ -106,10 +106,6 @@ def hom_state(basis: FockBasisSpec, sign: float = -1.0) -> TruncatedState:
     return TruncatedState(vec)
 
 
-def default_cutoff(G: float) -> int:
-    return 40 if abs(G) <= 1.5 else 80
-
-
 def _qnd_factors(G: float, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = destroy(N)
     lx, Sx = np.linalg.eigh(a + a.T)
@@ -209,10 +205,3 @@ def hom_element_mixture_ideal(G: float, p_a: float, p_b: float) -> float:
     if not (0.0 <= p_a <= 1.0 and 0.0 <= p_b <= 1.0):
         raise ValueError("fractions must lie in [0, 1]")
     return p_a * p_b * closed_form_qnd_11(G) + (1.0 - p_a) * (1.0 - p_b) * closed_form_qnd_00(G)
-
-
-def coherent_hom_element(alpha: complex, beta: complex) -> float:
-    """Element for coherent inputs |α⟩|β⟩ through a balanced beam splitter."""
-    return float(
-        0.25 * np.exp(-abs(alpha) ** 2 - abs(beta) ** 2) * abs(alpha**2 - beta**2) ** 2
-    )

@@ -84,8 +84,8 @@ _RULES = {
 
 
 class ParameterError(ValueError):
-    """A parameter outside its range rule, or a pulse too short for its
-    constants, at point ``point`` of a batch (0 for a single point)."""
+    """A parameter outside its range rule, or a pulse too short or too long
+    for its constants, at point ``point`` of a batch (0 for a single point)."""
 
     def __init__(self, message: str, point: int = 0):
         super().__init__(message)
@@ -337,11 +337,6 @@ def _signal_batch(maps: np.ndarray) -> GateBatch:
     return GateBatch(maps, (NoiseModeBasis(("X_a0", "P_a0", "X_b0", "P_b0"), np.eye(4)),) * len(maps))
 
 
-def signal_gate_model(matrix: np.ndarray) -> GateModel:
-    """Noiseless gate: a 4 × 4 map of the two signal modes alone."""
-    return _signal_batch(np.asarray(matrix, dtype=float)[None]).model(0)
-
-
 @_over_points
 def build_ideal_gate(G: np.ndarray) -> GateBatch:
     return _signal_batch(qnd_matrix(G))
@@ -379,15 +374,24 @@ def _gate_model(bases: tuple[NoiseModeBasis, ...], rows: tuple[dict, ...]) -> Ga
 # pulse lengths whose constants and checked basis each pulse family keeps;
 # a figure sweep holds κτ fixed, and a 2-D optimum search visits about 50
 _KAPPA_TAU_CACHE = 128
-# the closed forms cancel or divide by zero for a very short pulse
+# the closed forms cancel or divide by zero for a very short pulse, and
+# their overlaps round onto ±1, divide by zero or overflow for a very long one
 _SHORT_PULSE = "kappa_tau={!r} is too short for the pulse constants ({})"
+_LONG_PULSE = "kappa_tau={!r} is too long for the pulse constants ({})"
+
+
+def _pulse_error(kappa_tau: float, exc: Exception) -> ValueError:
+    """The error of a pulse length whose constants fail: too long beyond the
+    cavity's decay time (κτ > 1), too short within it."""
+    return ValueError((_LONG_PULSE if kappa_tau > 1.0 else _SHORT_PULSE).format(kappa_tau, exc))
 
 
 def _per_point(part, kappa_tau: np.ndarray):
     """The cached ``part`` (constants and checked basis) of each point's pulse
     length, as (constants, bases, e^{−κτ}), the constants and e^{−κτ} arrays over
-    the points; each distinct κτ is looked up once.  A pulse too short for its
-    constants raises ParameterError at the first point that has it."""
+    the points; each distinct κτ is looked up once.  A pulse too short or too
+    long for its constants raises ParameterError at the first point that has
+    it."""
     taus = kappa_tau.tolist()
     parts = {}
     for point, tau in enumerate(taus):
@@ -426,8 +430,8 @@ def _pulse_part(kappa_tau: float) -> tuple[PulseGateConstants, NoiseModeBasis]:
             ("zeta_XM", "zeta_XMf"): c.M1 / (math.sqrt(kappa_tau) * c.M),
         }
         return c, orthogonalize_noise_modes(_PULSE_LABELS, overlaps)
-    except (ZeroDivisionError, ValueError) as exc:
-        raise ValueError(_SHORT_PULSE.format(kappa_tau, exc)) from None
+    except (ArithmeticError, ValueError) as exc:
+        raise _pulse_error(kappa_tau, exc) from None
 
 
 @_over_points
@@ -472,8 +476,8 @@ def _atom_mech_part(kappa_tau: float) -> tuple[AtomMechConstants, NoiseModeBasis
             ("zeta_XM", "zeta_XMf"): c.K3 * c.K4 / math.sqrt(kappa_tau),
         }
         return c, orthogonalize_noise_modes(_ATOM_MECH_LABELS, overlaps)
-    except (ZeroDivisionError, ValueError) as exc:
-        raise ValueError(_SHORT_PULSE.format(kappa_tau, exc)) from None
+    except (ArithmeticError, ValueError) as exc:
+        raise _pulse_error(kappa_tau, exc) from None
 
 
 @_over_points

@@ -11,16 +11,19 @@ sectors.
 
 Grid points are independent, and a slice of them is one batch: one build
 of its gate models (:func:`build_batch`), with one stacked physicality
-check and one element jet, whose errors and sectors the rows read; the
-input threshold, when requested, is then found point by point.  A point's
-numbers do not depend on its batch, and a point that fails numerically
-fails only its own rows.  ``jobs`` bounds the number of processes a sweep
-uses, the calling process included: a threshold table forks only when it
-has ``POINTS_PER_PROCESS`` points per process, and an element-only table
-always runs in the calling process.  The grid is cut into strided slices,
-the caller computes the first and each forked worker one other, and the
-rows are reassembled in grid order, so the emitted file (and the message
-of a configuration error) is byte-identical at any ``jobs``.
+check and one element jet, whose errors and sectors the rows read.  When
+input thresholds are requested, the threshold objectives of every
+``OBJECTIVE_CHUNK`` points are built together from the batch's kernels
+and jets, and each point's threshold is then found from its own.  A
+point's numbers do not depend on its batch or chunk, and a point that
+fails numerically fails only its own rows.  ``jobs`` bounds the number of
+processes a sweep uses, the calling process included: a threshold table
+forks only when it has ``POINTS_PER_PROCESS`` points per process, and an
+element-only table always runs in the calling process.  The grid is cut
+into strided slices, the caller computes the first and each forked worker
+one other, and the rows are reassembled in grid order, so the emitted
+file (and the message of a configuration error) is byte-identical at any
+``jobs``.
 
 :func:`find_optimum` scores its whole grid as one batch, and each
 central-difference stencil of its ascent (the centre and its 2n
@@ -42,7 +45,7 @@ import numpy as np
 from .gates import GATES, GateBatch, GateModel
 from .gaussian import NumericalDomainError
 from .metrics import InputSpec, hom_element_for_gate, sector_element  # hom_element_for_gate: perfbench reads it here
-from .thresholds import ascend, input_threshold, output_threshold
+from .thresholds import ascend, averaged_elements, input_threshold, output_threshold
 
 GATE_KINDS = tuple(GATES)
 
@@ -64,6 +67,12 @@ _GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
 # 27-29 ms in one process, ~0.02 ms a point, against 166-168 ms when each
 # point was its own build and jet.
 POINTS_PER_PROCESS = 8
+
+# Threshold points of a slice whose objectives are built together.  At 64
+# phase samples one point's node arrays take 0.1 MB, so a chunk's take
+# 1.7 MB; the build costs about 50 µs a point at 16 points, 60 µs at 4 and
+# 110 µs alone (2-core box, Python 3.11.7, numpy 2.4.6).
+OBJECTIVE_CHUNK = 16
 
 CSV_HEADER = "param,value,p,hom,hom_err,input_threshold,output_threshold,warnings"
 _ROW_KEYS = tuple(CSV_HEADER.split(","))
@@ -192,15 +201,16 @@ def build_batch(gate: str, values: Mapping[str, float | np.ndarray]) -> tuple[Ga
     return None, error
 
 
-def _point_rows(config: SweepConfig, value: float, batch: GateBatch, i: int) -> list[SweepRow]:
+def _point_rows(config: SweepConfig, value: float, batch: GateBatch, i: int, objective) -> list[SweepRow]:
     """All rows of grid point i of a slice's batch: its build error, or its
-    threshold and the elements of its sectors."""
+    threshold, when ``objective`` is its prebuilt threshold objective, and
+    the elements of its sectors."""
     in_thr, warnings = None, ""
     try:
         if batch.errors[i] is not None:
             raise batch.errors[i]
-        if config.with_input_threshold:
-            thr = input_threshold(batch.model(i))
+        if objective is not None:
+            thr = input_threshold(objective)
             in_thr, warnings = thr.value, ";".join(thr.warnings)
         results = [sector_element(batch.sectors[i], InputSpec(p, p)) for p in config.p_values]
         elements = [(res.value, res.error_estimate) for res in results]
@@ -214,14 +224,23 @@ def _point_rows(config: SweepConfig, value: float, batch: GateBatch, i: int) -> 
     ]
 
 
-def _evaluate_slice(config: SweepConfig, values: Sequence[float]):
-    """Row groups of a slice's grid points, one build and one element jet for
-    the whole slice, and None; or, when a point does not configure, no rows
-    and the slice's first configuration error."""
+def _evaluate_slice(config: SweepConfig, values: Sequence[float]) -> list[list[SweepRow]]:
+    """Row groups of a slice's grid points: one build and one element jet for
+    the whole slice and, in a threshold table, one build of the threshold
+    objectives of every ``OBJECTIVE_CHUNK`` points.  A point that does not
+    configure raises the slice's first configuration error before any row."""
     batch, error = build_batch(config.gate, {**config.fixed, config.sweep_param: np.array(values)})
     if error:
-        return None, error
-    return [_point_rows(config, values[i], batch, i) for i in range(len(batch))], None
+        raise error
+    groups = []
+    for first in range(0, len(batch), OBJECTIVE_CHUNK):
+        points = range(first, min(first + OBJECTIVE_CHUNK, len(batch)))
+        objectives = {}
+        if config.with_input_threshold:
+            ok = [i for i in points if batch.errors[i] is None]
+            objectives = dict(zip(ok, averaged_elements(batch.kernels[ok], batch.jet[ok])))
+        groups += [_point_rows(config, values[i], batch, i, objectives.get(i)) for i in points]
+    return groups
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -232,29 +251,29 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     element-only one.  Slice k is every n-th grid point from point k, and
     each slice is one batch; the caller computes slice 0 while ``n - 1``
     forked workers compute one slice each, and every worker is joined
-    before this returns or raises.  A slice with a point that does not
-    configure computes no rows, input thresholds included, and the sweep
-    raises the configuration error earliest in grid order, as at
-    ``jobs=1``.  Per-point numerical failures become warning rows with
-    NaN elements; the sweep only raises :class:`SweepNumericalError` when
-    every grid point failed.
+    before this returns or raises.  A grid with a point that does not
+    configure computes no rows, input thresholds included: the sweep
+    configures the whole grid before it forks, and raises the
+    configuration error earliest in grid order, as at ``jobs=1``.
+    Per-point numerical failures become warning rows with NaN elements;
+    the sweep only raises :class:`SweepNumericalError` when every grid
+    point failed.
     """
     values = config.grid().tolist()
     n = min(config.jobs, len(values) // POINTS_PER_PROCESS) if config.with_input_threshold else 1
     if n <= 1:
-        groups, error = _evaluate_slice(config, values)
+        groups = _evaluate_slice(config, values)
+    else:
+        # the whole grid configures before a worker forks, so a point that
+        # does not configure raises here, and no slice computes a row
+        _, error = build_batch(config.gate, {**config.fixed, config.sweep_param: np.array(values)})
         if error:
             raise error
-    else:
         with ProcessPoolExecutor(max_workers=n - 1) as pool:
             futures = [pool.submit(_evaluate_slice, config, values[k::n]) for k in range(1, n)]
             slices = [_evaluate_slice(config, values[::n]), *(f.result() for f in futures)]
-        # slice k failed at its grid point k + n * exc.point
-        errors = [(k + n * exc.point, exc) for k, (_, exc) in enumerate(slices) if exc]
-        if errors:
-            raise min(errors, key=lambda e: e[0])[1]
         groups = [None] * len(values)
-        for k, (part, _) in enumerate(slices):
+        for k, part in enumerate(slices):
             groups[k::n] = part
     rows = [row for group in groups for row in group]
     if rows and all(math.isnan(row.hom) for row in rows):

@@ -34,13 +34,18 @@ and jet that the model's batch read for the bunching element, so the
 threshold accepts the gates the element accepts.  Each quadratic form is
 R_a²u + R_b²v + 2R_aR_b·w, so the element is fixed on the phase grid by
 12 node arrays, the coefficients of the monomials of R_a and R_b that
-−q₀/2 and P are linear in.  Two small matrix products of the monomials
-(and their partials) with those arrays give the exponent and P on every
-node, so the ascent gets the exact gradient, the scan scores its cells
-in a few products, and the value the ascent returns is the 64-node
-average at its argmax.  The even nodes of the 64-point rule form the
-32-point rule, so the same phase-grid values at the argmax certify the
-average: it is converged when the two rules agree to 1e-6.
+−q₀/2 and P are linear in.  :func:`averaged_elements` builds the arrays
+of several points at once, elementwise, from their stacked kernels and
+jets, so a point's arrays do not depend on what they are built with; a
+lone model is a batch of one.  One product of the 12 monomials with
+those arrays gives the exponent and P on every node, and one product of
+the arrays with the weighted e = exp(−q₀/2) and f = e·P gives every node
+sum that the chain rule needs: so the ascent gets the exact gradient in
+plain floats, and the value it returns is the 64-node average at its
+argmax.  The scan scores its cells, whose monomials are built once per
+grid axis, in a few products.  The even nodes of the 64-point rule form
+the 32-point rule, so the same phase-grid values at the argmax certify
+the average: it is converged when the two rules agree to 1e-6.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,115 +95,142 @@ def verify_output_threshold(grid_points: int = 200, amplitude_max: float = 4.0) 
     return float((0.25 * np.exp(-s) * s**2).max(initial=0.0))
 
 
-def _row_weights(phase_samples: int) -> np.ndarray:
-    """Weights of rows 0 … ⌊ns/4⌋ of the φ_a ∈ [0, π) half grid, normalized
-    so that their weighted row sums are the ns × ns average.  Row i also
-    stands for row (ns/2 − i) mod ns/2, so it counts twice unless the two
-    are one row: row 0 always, row ns/4 when ns ≡ 0 (mod 4)."""
-    half = phase_samples // 2
-    rows = np.arange(half // 2 + 1)
-    return np.where((rows == 0) | (2 * rows == half), 1.0, 2.0) / (half * phase_samples)
+@lru_cache(maxsize=8)
+def _phase_grid(phase_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos φ and sin φ on the ns trapezoid nodes of [0, 2π), and the weight
+    of each node of rows 0 … ⌊ns/4⌋ of the φ_a ∈ [0, π) half grid,
+    normalized so that the weighted sum is the ns × ns average; read-only.
+    Row i also stands for row (ns/2 − i) mod ns/2, so it counts twice unless
+    the two are one row: row 0 always, row ns/4 when ns ≡ 0 (mod 4)."""
+    theta = 2.0 * np.pi * np.arange(phase_samples) / phase_samples
+    half, rows = phase_samples // 2, np.arange(phase_samples // 4 + 1)
+    row_weights = np.where((rows == 0) | (2 * rows == half), 1.0, 2.0) / (half * phase_samples)
+    grid = np.cos(theta), np.sin(theta), np.repeat(row_weights[:, None], phase_samples, axis=1)
+    for array in grid:
+        array.flags.writeable = False
+    return grid
 
 
-def _monomials(a, b) -> list:
-    """The monomials that −q₀/2 (the first 3) and P (the other 9) are
-    linear in, at R_a = a and R_b = b: R_a², R_b², R_aR_b, then 1, R_a²,
-    R_b², R_aR_b, R_a⁴, R_b⁴, R_a²R_b², R_a³R_b, R_aR_b³."""
+@lru_cache(maxsize=4)
+def _grid_cells(axis: bytes) -> np.ndarray:
+    """The monomials that −q₀/2 (the first 3) and P (the other 9) are linear
+    in, R_a², R_b², R_aR_b, then 1, R_a², R_b², R_aR_b, R_a⁴, R_b⁴, R_a²R_b²,
+    R_a³R_b, R_aR_b³, on each cell of the grid axis × axis (R_a rows), one
+    read-only row per cell.  ``axis`` is given by its float64 bytes, so each
+    axis, the threshold's own among them, is built once."""
+    a, b = np.frombuffer(axis)[:, None], np.frombuffer(axis)
     aa, bb, ab = a * a, b * b, a * b
-    return [aa, bb, ab, 1.0, aa, bb, ab, aa * aa, bb * bb, aa * bb, aa * ab, ab * bb]
+    monomials = (aa, bb, ab, 1.0, aa, bb, ab, aa * aa, bb * bb, aa * bb, aa * ab, ab * bb)
+    cells = np.stack(np.broadcast_arrays(*monomials), axis=-1).reshape(-1, 12)
+    cells.flags.writeable = False
+    return cells
 
 
-def coherent_jets(model: GateModel) -> tuple[np.ndarray, np.ndarray]:
-    """Projector jets of a gate for coherent signal inputs, off the model's kernels and jet.
+def coherent_jets(kernels: np.ndarray, jet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projector jets of gates for coherent signal inputs, off their kernels and element jets.
 
-    Returns ``c``, the jet (c₀, c_a, c_b, c_ab) of (1+y_a)(1+y_b)·4/√det S(y)
+    ``kernels`` (… × 2 × 4 × 4) and ``jet`` (… × 16) are a model's, or the
+    stacked ones of several points; the leading axes carry over.  Returns
+    ``c`` (… × 4), the jet (c₀, c_a, c_b, c_ab) of (1+y_a)(1+y_b)·4/√det S(y)
     with S(y) = V_vac + I + 2y_a B_aB_aᵀ + 2y_b B_bB_bᵀ (the element's jet at
-    zero signal variables), and ``Q`` (4, 4, 4), the quadratic forms over the
-    input quadrature means whose values are the jet (q₀, q_a, q_b, q_ab) of
-    dᵀS(y)⁻¹d, d the output mean.
+    zero signal variables), and ``Q`` (… × 4 × 4 × 4), the quadratic forms
+    over the input quadrature means whose values are the jet (q₀, q_a, q_b,
+    q_ab) of dᵀS(y)⁻¹d, d the output mean.  Every step is elementwise, so a
+    point's jets do not depend on what it is stacked with.
     """
-    c, K = model.jet[[0, 4, 8, 12]], model.kernels
+    c, k = jet[..., 0:13:4], 0.5 * kernels
     # S(y)⁻¹ to first order: S₀⁻¹ − 2y_a S₀⁻¹AS₀⁻¹ − 2y_b S₀⁻¹BS₀⁻¹ + 4y_a y_b (S₀⁻¹AS₀⁻¹BS₀⁻¹ + S₀⁻¹BS₀⁻¹AS₀⁻¹),
     # A = B_aB_aᵀ, B = B_bB_bᵀ; per quadrature, k = K/2 over (signal a, signal b, B_a, B_b) holds each factor
-    k = 0.5 * K
-    aa, bb, ab = (k[:, i, :2, None] * k[:, j, None, :2] for i, j in ((2, 2), (3, 3), (2, 3)))
-    forms = (k[:, :2, :2], -2.0 * aa, -2.0 * bb, 4.0 * k[:, 2, 3, None, None] * (ab + ab.transpose(0, 2, 1)))
-    Q = np.zeros((4, 2, 2, 2, 2))  # (form, mode, quadrature, mode, quadrature)
-    Q[:, :, [0, 1], :, [0, 1]] = np.stack(forms, axis=1)
-    return c, Q.reshape(4, 4, 4)
+    aa, bb, ab = (k[..., i, :2, None] * k[..., j, None, :2] for i, j in ((2, 2), (3, 3), (2, 3)))
+    forms = np.empty((*c.shape[:-1], 4, 2, 2, 2))  # (form, quadrature, mode, mode)
+    forms[..., 0, :, :, :], forms[..., 1, :, :, :], forms[..., 2, :, :, :] = k[..., :2, :2], -2.0 * aa, -2.0 * bb
+    forms[..., 3, :, :, :] = 4.0 * k[..., 2, 3, None, None] * (ab + ab.swapaxes(-1, -2))
+    Q = np.zeros((*c.shape[:-1], 4, 2, 2, 2, 2))  # (form, mode, quadrature, mode, quadrature)
+    Q[..., 0, :, 0], Q[..., 1, :, 1] = forms[..., 0, :, :], forms[..., 1, :, :]
+    return c, Q.reshape(*c.shape[:-1], 4, 4, 4)
+
+
+def _node_arrays(kernels: np.ndarray, jet: np.ndarray, phase_samples: int) -> np.ndarray:
+    """The 12 node arrays of :class:`_AveragedElement` for each of N points,
+    N × 12 × rows × ns, from their stacked kernels (N × 2 × 4 × 4) and jets
+    (N × 16).  Each form is R_a²u(φ_a) + R_b²v(φ_b) + 2R_aR_b·w(φ_a, φ_b),
+    with u, v and w written out on the nodes (cos φ, sin φ) term by term:
+    every step is elementwise, so a point's arrays are the ones it has alone,
+    bit for bit."""
+    c, Q = coherent_jets(kernels, jet)
+    cos, sin, weights = _phase_grid(phase_samples)
+    rows = weights.shape[0]
+    cq, sq = cos[:rows], sin[:rows]  # φ_a ∈ [0, π/2]
+    # the forms whose node values the arrays need: −q₀/2, P's linear
+    # part −(c₂q_a + c₁q_b + c₀q_ab)/2, then q_a and q_b
+    linear = -0.5 * (c[:, 2, None, None] * Q[:, 1] + c[:, 1, None, None] * Q[:, 2] + c[:, 0, None, None] * Q[:, 3])
+    forms = np.stack([-0.5 * Q[:, 0], linear, Q[:, 1], Q[:, 2]], axis=1)
+
+    def left(block, cos, sin):  # xᵀ·block at the nodes x = (cos φ, sin φ): … × 2 × nodes
+        return block[..., 0, :, None] * cos + block[..., 1, :, None] * sin
+
+    ta, tb, tw = left(forms[..., :2, :2], cq, sq), left(forms[..., 2:, 2:], cos, sin), left(forms[..., :2, 2:], cq, sq)
+    # their coefficients of R_a², R_b² and R_aR_b on the nodes: u, v and 2w
+    u = (ta[..., 0, :] * cq + ta[..., 1, :] * sq)[..., :, None]
+    v = (tb[..., 0, :] * cos + tb[..., 1, :] * sin)[..., None, :]
+    w = 2.0 * (tw[..., 0, :, None] * cos + tw[..., 1, :, None] * sin)
+    n = np.empty((len(c), 12, rows, phase_samples))
+    n[:, 0], n[:, 1], n[:, 2] = u[:, 0], v[:, 0], w[:, 0]
+    # P: c₃, the linear part, then c₀q_a q_b/4, whose nine products of
+    # monomials fall on five: (R_aR_b)² is R_a²·R_b²
+    n[:, 3], n[:, 4], n[:, 5], n[:, 6] = c[:, 3, None, None], u[:, 1], v[:, 1], w[:, 1]
+    (ua, va, wa), (ub, vb, wb) = (u[:, 2], v[:, 2], w[:, 2]), (u[:, 3], v[:, 3], w[:, 3])
+    n[:, 7], n[:, 8] = ua * ub, va * vb
+    np.multiply(wa, wb, out=n[:, 9])
+    n[:, 9] += ua * vb
+    n[:, 9] += va * ub
+    np.multiply(wa, ub, out=n[:, 10])
+    n[:, 10] += ua * wb
+    np.multiply(wa, vb, out=n[:, 11])
+    n[:, 11] += va * wb
+    n[:, 7:] *= 0.25 * c[:, 0, None, None, None]
+    return n
 
 
 class _AveragedElement:
-    """Phase-averaged coherent element M^av(R_a, R_b) for one model.
+    """Phase-averaged coherent element M^av(R_a, R_b) of one point.
 
     The input means are (R_a cosφ_a, R_a sinφ_a, R_b cosφ_b, R_b sinφ_b),
     so each quadratic form RᵀQR of :func:`coherent_jets` splits into
     q_k = R_a²·u_k(φ_a) + R_b²·v_k(φ_b) + 2R_aR_b·w_k(φ_a,φ_b).  In
     f = exp(−q₀/2)·P, the exponent is then linear in 3 monomials of the
     amplitudes and P = c₀(q_a q_b/4 − q_ab/2) − (c₁q_b + c₂q_a)/2 + c₃ in
-    9 (:func:`_monomials`).  Their 12 coefficient arrays on the phase
-    grid, ``nodes``, are built once, so every evaluation is a row of
-    monomials times them.  A shift of both phases by π flips the sign of
-    both means and leaves every form unchanged, and so does negating both
-    phases, since no gate mixes X and P: only the rows φ_a ∈ [0, π/2] are
-    kept, weighted by :func:`_row_weights`.  ``phase_samples`` must be a
-    positive even integer, else ValueError.
+    9 (:func:`_grid_cells`).  Their 12 coefficient arrays on the phase
+    grid, ``nodes`` (12 × rows × ns), are built with the point's batch
+    (:func:`averaged_elements`), so every evaluation is one (2 × 12) row
+    of monomials times them.  A shift of both phases by π flips the sign
+    of both means and leaves every form unchanged, and so does negating
+    both phases, since no gate mixes X and P: only the rows φ_a ∈ [0, π/2]
+    are kept, weighted by ``weights`` (:func:`_phase_grid`, per node).
     """
 
-    def __init__(self, model: GateModel, phase_samples: int):
-        if not (isinstance(phase_samples, numbers.Integral) and phase_samples > 0 and phase_samples % 2 == 0):
-            raise ValueError(f"phase_samples must be a positive even integer, got {phase_samples!r}")
-        c, Q = coherent_jets(model)
-        theta = 2.0 * np.pi * np.arange(phase_samples) / phase_samples
-        circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (ns, 2)
-        row_weights = _row_weights(phase_samples)
-        quarter = circle[: row_weights.size]  # φ_a ∈ [0, π/2]
-        # the forms whose node values the arrays need: −q₀/2, P's linear
-        # part −(c₂q_a + c₁q_b + c₀q_ab)/2, then q_a and q_b
-        forms = np.stack([-0.5 * Q[0], np.einsum("q,qkl->kl", -0.5 * c[2::-1], Q[1:]), Q[1], Q[2]])
-        # their coefficients of R_a², R_b² and R_aR_b on the nodes: u, v and 2w
-        u = np.einsum("ik,qkl,il->qi", quarter, forms[:, :2, :2], quarter)[:, :, None]
-        v = np.einsum("ik,qkl,il->qi", circle, forms[:, 2:, 2:], circle)[:, None, :]
-        w = 2.0 * (quarter @ forms[:, :2, 2:] @ circle.T)
-        n = self.nodes = np.empty((12, *w.shape[1:]))
-        n[0], n[1], n[2] = u[0], v[0], w[0]
-        # P: c₃, the linear part, then c₀q_a q_b/4, whose nine products of
-        # monomials fall on five: (R_aR_b)² is R_a²·R_b².  Filled in place,
-        # one grid-sized temporary at a time: at 256 samples the 12 arrays
-        # alone take 1.6 MB
-        n[3], n[4], n[5], n[6] = c[3], u[1], v[1], w[1]
-        (ua, va, wa), (ub, vb, wb) = (u[2], v[2], w[2]), (u[3], v[3], w[3])
-        n[7], n[8] = ua * ub, va * vb
-        np.multiply(wa, wb, out=n[9])
-        n[9] += ua * vb
-        n[9] += va * ub
-        np.multiply(wa, ub, out=n[10])
-        n[10] += ua * wb
-        np.multiply(wa, vb, out=n[11])
-        n[11] += va * wb
-        n[7:] *= 0.25 * c[0]
-        self.weights = np.repeat(row_weights[:, None], phase_samples, axis=1)  # per node
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
+        self.nodes, self.weights = nodes, weights
+        self._flat, self._w = nodes.reshape(12, -1), weights.ravel()
+        self._monomials = np.zeros((2, 12))  # −q₀/2's in row 0, P's in row 1
+        self._monomials[1, 3] = 1.0
+        self._weighted = np.empty((2, self._w.size))  # e·w and f·w on the nodes
 
-    def _jets(self, R_a: float, R_b: float) -> tuple[np.ndarray, np.ndarray]:
-        """−q₀/2 and P on the flattened nodes, each above its partials in
-        R_a and R_b: the monomials' jet times the node arrays, in two
-        small products."""
-        a, b = R_a, R_b
+    def _forms(self, a: float, b: float) -> np.ndarray:
+        """−q₀/2 and P on the flattened nodes, the rows of one product of
+        the monomials at R_a = a, R_b = b with the node arrays."""
+        m = self._monomials
         aa, bb, ab = a * a, b * b, a * b
-        jet = np.array([
-            _monomials(a, b),
-            [2.0 * a, 0.0, b, 0.0, 2.0 * a, 0.0, b, 4.0 * a * aa, 0.0, 2.0 * a * bb, 3.0 * aa * b, b * bb],
-            [0.0, 2.0 * b, a, 0.0, 0.0, 2.0 * b, a, 0.0, 4.0 * b * bb, 2.0 * aa * b, a * aa, 3.0 * a * bb],
-        ], dtype=float)
-        nodes = self.nodes.reshape(12, -1)
-        return jet[:, :3] @ nodes[:3], jet[:, 3:] @ nodes[3:]
+        m[0, :3] = aa, bb, ab
+        m[1, 4:] = aa, bb, ab, aa * aa, bb * bb, aa * bb, aa * ab, ab * bb
+        return m @ self._flat
 
     def values(self, R_a: float, R_b: float) -> np.ndarray:
         """The coherent element on the φ_a ∈ [0, π/2] rows of the phase
         grid, φ_b ∈ [0, 2π) columns; :meth:`average` weighs them."""
-        h, p = self._jets(R_a, R_b)
-        f = np.exp(h[0], out=h[0])
-        f *= p[0]
+        h, p = self._forms(R_a, R_b)
+        f = np.exp(h, out=h)
+        f *= p
         return f.reshape(self.nodes.shape[1:])
 
     def average(self, f: np.ndarray, stride: int = 1) -> float:
@@ -213,28 +246,38 @@ class _AveragedElement:
 
     def value_and_grad(self, R_a: float, R_b: float) -> tuple[float, list[float]]:
         """M^av and its exact gradient in (R_a, R_b), as two floats.  With
-        e = exp(−q₀/2), f = e·P and ∇f = e·(∇P − ½P·∇q₀); f comes from the
-        products of :meth:`values`, so the value is bit-equal to
-        :meth:`__call__`."""
-        h, p = self._jets(R_a, R_b)
-        e = np.exp(h[0], out=h[0])
-        f = e * p[0]
-        df = h[1:]  # ∇(−q₀/2), then the weighted ∇f
-        df *= p[0]
-        df += p[1:]
-        df *= np.multiply(e, self.weights.ravel(), out=e)
-        return self.average(f.reshape(self.nodes.shape[1:])), df.sum(axis=1).tolist()
+        e = exp(−q₀/2) and f = e·P on the nodes, ∇f = e·∇P + f·∇(−q₀/2),
+        and both gradients are sums of monomial partials times node arrays:
+        so one product of the 12 arrays with e·w and f·w gives every
+        weighted node sum the chain rule needs, in plain floats.  The value
+        is the sum of f·w, bit-equal to :meth:`__call__`."""
+        a, b = R_a, R_b
+        h, p = self._forms(a, b)
+        e = np.exp(h, out=h)
+        ew, fw = self._weighted
+        np.multiply(e, self._w, out=ew)
+        np.multiply(np.multiply(e, p, out=p), self._w, out=fw)
+        value = float(fw.reshape(self.weights.shape).sum())
+        e_sums, f_sums = (self._weighted @ self._flat.T).tolist()  # Σ array·e·w and Σ array·f·w, per array
+        ha, hb, hab = f_sums[:3]  # the exponent's partials meet f
+        _, pa, pb, pab, pa4, pb4, pa2b2, pa3b, pab3 = e_sums[3:]  # P's meet e
+        aa, bb, mixed = a * a, b * b, hab + pab
+        g_a = (2.0 * a * (ha + pa) + b * mixed + 4.0 * a * aa * pa4
+               + 2.0 * a * bb * pa2b2 + 3.0 * aa * b * pa3b + b * bb * pab3)
+        g_b = (2.0 * b * (hb + pb) + a * mixed + 4.0 * b * bb * pb4
+               + 2.0 * aa * b * pa2b2 + a * aa * pa3b + 3.0 * a * bb * pab3)
+        return value, [g_a, g_b]
 
     def scan(self, axis: np.ndarray) -> np.ndarray:
         """M^av on the grid axis × axis (R_a rows), each cell averaged on
         the sub-rule of every ``_SCAN_STRIDE``-th phase node: the cells'
-        monomials times that sub-rule's node arrays, then exp, a product,
-        and a product with its node weights, ``_SCAN_CHUNK`` cells at a
-        time."""
+        monomials (:func:`_grid_cells`) times that sub-rule's node arrays,
+        then exp, a product, and a product with its node weights,
+        ``_SCAN_CHUNK`` cells at a time."""
         s = _SCAN_STRIDE
         nodes = np.ascontiguousarray(self.nodes[:, ::s, ::s]).reshape(12, -1)
         weights = self.weights[::s, ::s].ravel() * (s * s)
-        cells = np.stack(np.broadcast_arrays(*_monomials(axis[:, None], axis)), axis=-1).reshape(-1, 12)
+        cells = _grid_cells(np.asarray(axis, dtype=float).tobytes())
         scores = np.empty(cells.shape[0])
         # reused, and at 125 cells × 80 nodes each 80 KB, below glibc's 128 KB
         # mmap threshold: in one 625-cell block the two 400 KB buffers take
@@ -249,6 +292,28 @@ class _AveragedElement:
         return scores.reshape(axis.size, axis.size)
 
 
+def averaged_elements(
+    kernels: np.ndarray, jet: np.ndarray, phase_samples: int = _PHASE_SAMPLES
+) -> list[_AveragedElement]:
+    """The phase-averaged elements of N points from their stacked kernels
+    (N × 2 × 4 × 4) and element jets (N × 16), as a batch's points hold
+    them: one build of all their node arrays (:func:`_node_arrays`), so
+    each point's objective is the one it has alone, bit for bit.  At 64
+    samples a point's arrays take 0.1 MB.  ``phase_samples`` must be a
+    positive even integer, else ValueError."""
+    if not (isinstance(phase_samples, numbers.Integral) and phase_samples > 0 and phase_samples % 2 == 0):
+        raise ValueError(f"phase_samples must be a positive even integer, got {phase_samples!r}")
+    weights = _phase_grid(phase_samples)[2]
+    return [_AveragedElement(nodes, weights) for nodes in _node_arrays(kernels, jet, phase_samples)]
+
+
+def _averaged_element(model: GateModel | float, phase_samples: int = _PHASE_SAMPLES) -> _AveragedElement:
+    """The phase-averaged element of one model, a batch of one; a bare
+    number denotes the ideal gate with that gain."""
+    model = as_gate_model(model)
+    return averaged_elements(model.kernels[None], model.jet[None], phase_samples)[0]
+
+
 def phase_averaged_element(
     model: GateModel | float,
     R_a: float,
@@ -259,7 +324,7 @@ def phase_averaged_element(
     ``phase_samples`` must be a positive even integer (ValueError
     otherwise): the average is taken on the rows φ_a ∈ [0, π/2] of the
     grid, weighted 1, 2, …, 2, 1 (1, 2, …, 2 when ns ≡ 2 (mod 4))."""
-    return _AveragedElement(as_gate_model(model), phase_samples)(R_a, R_b)
+    return _averaged_element(model, phase_samples)(R_a, R_b)
 
 
 def ascend(fg, x, step: float) -> tuple[np.ndarray, float]:
@@ -323,7 +388,7 @@ def ascend(fg, x, step: float) -> tuple[np.ndarray, float]:
     return np.array((x0, x1)[:n]), f
 
 
-def input_threshold(model: GateModel | float) -> ThresholdResult:
+def input_threshold(model: GateModel | float | _AveragedElement) -> ThresholdResult:
     """Phase-randomized coherent input threshold of a gate.
 
     Maximizes the double-phase-averaged element over the two input
@@ -332,9 +397,12 @@ def input_threshold(model: GateModel | float) -> ThresholdResult:
     the argmax is certified by the 32-sample rule on the same phase-grid
     values; a difference of 1e-6 or more attaches an accuracy warning
     instead of raising.  The threshold depends only on the gate, never on
-    the input mixture.
+    the input mixture.  ``model`` is a gate model, a bare gain of the
+    ideal gate, or a point's objective at 64 samples from
+    :func:`averaged_elements`, built with its batch; a model or a gain is
+    a batch of one.
     """
-    objective = _AveragedElement(as_gate_model(model), _PHASE_SAMPLES)
+    objective = model if isinstance(model, _AveragedElement) else _averaged_element(model)
     axis = np.linspace(0.0, _DOMAIN, _COARSE_GRID)
     scores = objective.scan(axis).ravel()
 
@@ -356,7 +424,7 @@ def input_threshold(model: GateModel | float) -> ThresholdResult:
         warnings.append(ACCURACY_WARNING)
     if max(argmax) > _DOMAIN - 1e-3:
         warnings.append(BOUNDARY_WARNING)
-    return ThresholdResult(value, argmax, _PHASE_SAMPLES, converged, tuple(warnings))
+    return ThresholdResult(value, argmax, objective.nodes.shape[-1], converged, tuple(warnings))
 
 
 def find_crossing(

@@ -35,5 +35,6 @@ def coherent_output_element(model: GateModel | float, means: np.ndarray) -> floa
     means = np.asarray(means, dtype=float)
     if means.shape != (4,):
         raise ValueError("means must be a quadrature 4-vector")
-    c, Q = coherent_jets(as_gate_model(model))
+    model = as_gate_model(model)
+    c, Q = coherent_jets(model.kernels, model.jet)
     return _probability(float(coherent_coefficient(c, *(means @ Q @ means))))

@@ -1,12 +1,14 @@
 """A grid point does not depend on the batch it is evaluated in.
 
 Builders, the physicality check, the kernels and the element jet take a
-leading batch axis, and a point built alone is a batch of one.  Every
-number of a point (covariance, kernels, jet, sectors, element, warning)
-must therefore be bit-identical
-whether the point is computed inside a whole preset grid, inside a strided
-slice of it (a forked worker's share of a sweep) or alone; that is what
-keeps tables byte-identical at any ``jobs``.
+leading batch axis, and a point built alone is a batch of one; so do the
+node arrays of the threshold objective, which a sweep slice builds for up
+to ``OBJECTIVE_CHUNK`` points at once.  Every number of a point
+(covariance, kernels, jet, sectors, element, node arrays, threshold,
+warning) must therefore be bit-identical whether the point is computed
+inside a whole preset grid, inside a strided slice of it (a forked
+worker's share of a sweep) or alone; that is what keeps tables
+byte-identical at any ``jobs``.
 """
 
 import math
@@ -16,11 +18,12 @@ import numpy as np
 import pytest
 
 import qnd_hom.gates
+import qnd_hom.sweep
 from qnd_hom.gates import _signal_batch
 from qnd_hom.gaussian import NumericalDomainError, hom_jet, qnd_matrix, split_kernels
 from qnd_hom.metrics import InputSpec, hom_element_for_gate, sector_element
-from qnd_hom.sweep import PRESETS, SweepConfig, build_batch, build_model, render_csv, run_sweep
-from qnd_hom.thresholds import find_crossing
+from qnd_hom.sweep import OBJECTIVE_CHUNK, PRESETS, SweepConfig, build_batch, build_model, render_csv, run_sweep
+from qnd_hom.thresholds import _averaged_element, averaged_elements, find_crossing, input_threshold
 
 
 _READ = ("vacuum_output_cov", "signal_map", "kernels", "jet", "sectors")
@@ -178,3 +181,57 @@ def test_a_batch_configures_up_to_its_first_bad_point():
     assert (len(batch), error.point, str(error)) == (1, 1, "eta must lie in (0, 1]")
     batch, error = build_batch("atom-light", {"g": g, "kappa_tau": np.array([100.0, 1e-7, 100.0]), "eta": 0.9})
     assert (len(batch), error.point) == (1, 1) and str(error).startswith("kappa_tau=1e-07 is too short")
+
+
+# threshold tables of each size cross the chunk boundaries differently: one
+# point, one partial chunk, one chunk and a point, two chunks and a part
+_THRESHOLD_SIZES = (1, 4, 17, 40)
+_THRESHOLD_TABLES = {
+    "atom-mech": ("g", 0.005, 0.2, {"kappa_tau": 90.0, "eta": 0.9, "Gamma": 1e-4, "S": 7.0}),
+    "ideal": ("G", 0.0, 3.0, {}),
+}
+
+
+def _threshold_slices(grid):
+    """The grid, and its strided slices at jobs = 2 and 3 that hold a point."""
+    return [grid, *(grid[k::n] for n in (2, 3) for k in range(n) if k < len(grid))]
+
+
+@pytest.mark.parametrize("gate", sorted(_THRESHOLD_TABLES))
+def test_a_threshold_is_the_same_in_its_slice_and_alone(monkeypatch, gate):
+    # the sweep builds each chunk's objectives together and hands each
+    # point's to sweep.input_threshold: every ThresholdResult (value,
+    # argmax, samples, convergence, warnings) is the lone point's
+    param, start, stop, fixed = _THRESHOLD_TABLES[gate]
+    found, real = [], qnd_hom.sweep.input_threshold
+    monkeypatch.setattr(qnd_hom.sweep, "input_threshold", lambda objective: found.append(real(objective)) or found[-1])
+    alone = {}
+    for points in _THRESHOLD_SIZES:
+        config = SweepConfig(gate, param, start, stop, points, fixed, with_input_threshold=True)
+        grid = config.grid().tolist()
+        for value in grid:
+            if value not in alone:
+                alone[value] = input_threshold(build_model(gate, {**fixed, param: value}))
+        for part in _threshold_slices(grid):
+            found.clear()
+            qnd_hom.sweep._evaluate_slice(config, part)
+            assert found == [alone[value] for value in part], (points, part)
+
+
+@pytest.mark.parametrize("gate", sorted(_THRESHOLD_TABLES))
+def test_node_arrays_are_the_same_in_a_chunk_and_alone(gate):
+    # a slice's objectives, built OBJECTIVE_CHUNK points at a time as the
+    # sweep builds them, or all at once, hold the node arrays that the lone
+    # point's objective holds, bit for bit
+    param, start, stop, fixed = _THRESHOLD_TABLES[gate]
+    for points in _THRESHOLD_SIZES:
+        grid = SweepConfig(gate, param, start, stop, points, fixed).grid()
+        for part in _threshold_slices(grid):
+            batch, _ = build_batch(gate, {**fixed, param: part})
+            chunked = []
+            for first in range(0, len(part), OBJECTIVE_CHUNK):
+                chunk = slice(first, first + OBJECTIVE_CHUNK)
+                chunked += [o.nodes.tobytes() for o in averaged_elements(batch.kernels[chunk], batch.jet[chunk])]
+            whole = [o.nodes.tobytes() for o in averaged_elements(batch.kernels, batch.jet)]
+            lone = [_averaged_element(build_model(gate, {**fixed, param: v})).nodes.tobytes() for v in part.tolist()]
+            assert chunked == whole == lone, (points, part)

@@ -93,6 +93,21 @@ def test_out_of_range_element_exits_2(monkeypatch, capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("argv,cause", [
+    (("atom-light", "--g", "0.06", "--kappa-tau", "1e9", "--eta", "0.9"), "too long"),
+    (("atom-mech", "--g", "0.07", "--kappa-tau", "1e300", "--eta", "0.9"), "too long"),
+    (("atom-light", "--g", "0.06", "--kappa-tau", "1e-5", "--eta", "0.9"), "too short"),
+    (("atom-mech", "--g", "0.07", "--kappa-tau", "1e-4", "--eta", "0.9"), "too short"),
+], ids=("atom-light-1e9", "atom-mech-1e300", "atom-light-1e-5", "atom-mech-1e-4"))
+def test_a_pulse_length_error_names_its_cause(capsys, argv, cause):
+    # the overlaps of a very long pulse round onto ±1 (or its brackets
+    # overflow), while a very short pulse's brackets cancel: each is a
+    # configuration error that says which
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"qnd-hom: configuration error: kappa_tau={float(argv[4])!r} is {cause} for the pulse constants (")
+
+
 def test_missing_gate_parameter(capsys):
     code, _, err = run_cli(capsys, "atom-light", "--g", "0.06")
     assert code == 1

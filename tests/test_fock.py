@@ -13,14 +13,21 @@ from qnd_hom.fock import (
     closed_form_bs_11,
     closed_form_qnd_00,
     closed_form_qnd_11,
-    coherent_hom_element,
-    default_cutoff,
     destroy,
     fock_state,
     hom_element_exact,
     hom_element_mixture_ideal,
     hom_state,
 )
+
+
+def default_cutoff(G: float) -> int:
+    return 40 if abs(G) <= 1.5 else 80
+
+
+def coherent_hom_element(alpha: complex, beta: complex) -> float:
+    """Element for coherent inputs |α⟩|β⟩ through a balanced beam splitter."""
+    return float(0.25 * np.exp(-abs(alpha) ** 2 - abs(beta) ** 2) * abs(alpha**2 - beta**2) ** 2)
 
 
 def _dense_qnd(G, N):

@@ -337,7 +337,7 @@ def test_each_build_factors_its_gram_matrix_at_most_once(monkeypatch, gate, valu
     calls = _counted(monkeypatch, qnd_hom.modes, "gram_cholesky")
     model = build_model(gate, values)
     hom_element_for_gate(model, InputSpec(1.0, 1.0))
-    coherent_jets(model)
+    coherent_jets(model.kernels, model.jet)
     assert [len(labels) for _, labels in calls] == ([_NAMED[gate]] if gate in _NAMED else [])
 
 
@@ -355,7 +355,7 @@ def test_physicality_checked_once_per_model(monkeypatch, gate, values):
     calls = _counted(monkeypatch, qnd_hom.gaussian, "min_physicality_eig")
     model = build_model(gate, values)
     hom_element_for_gate(model, InputSpec(1.0, 1.0))
-    coherent_jets(model)
+    coherent_jets(model.kernels, model.jet)
     assert len(calls) == 1
 
 
@@ -370,7 +370,7 @@ def test_kernels_read_once_per_model(monkeypatch, gate, values):
     model = build_model(gate, values)
     for p in (1.0, 0.7, 0.4):
         hom_element_for_gate(model, InputSpec(p, p))
-    coherent_jets(model)
+    coherent_jets(model.kernels, model.jet)
     input_threshold(model)
     assert sum(map(len, calls)) == 1
 
@@ -430,7 +430,10 @@ def test_a_coupling_sweep_factors_the_gram_once(monkeypatch, gate, fixed):
     (1e-5, r"^kappa_tau=1e-05 is too short .*\(math domain error\)$"),  # the κτ brackets cancel
     (1e-6, r"^kappa_tau=1e-06 is too short .*the \('Y_0k', 'Y_0f1'\) pair is inconsistent\)$"),
     (5e-6, r"^kappa_tau=5e-06 is too short .*\(float division by zero\)$"),  # L1 rounds to 0
-], ids=("1e-05", "1e-06", "5e-06"))
+    (1e9, r"^kappa_tau=1000000000\.0 is too long .*\(overlap between 'Y_0k' and 'Y_0f1' is -1, outside \[-1, 1\]\)$"),  # rounds onto −1
+    (1e16, r"^kappa_tau=1e\+16 is too long .*\(float division by zero\)$"),
+    (1e300, r"^kappa_tau=1e\+300 is too long .*\(\(34, 'Numerical result out of range'\)\)$"),  # (κτ − 1)³
+], ids=("1e-05", "1e-06", "5e-06", "1e+09", "1e+16", "1e+300"))
 def test_a_failing_pulse_length_is_never_cached(kappa_tau, message):
     messages = []
     for _ in range(2):

@@ -9,7 +9,7 @@ import pytest
 from block_engine import block_coherent_jets, block_hom_jet
 
 from qnd_hom.fock import closed_form_qnd_11
-from qnd_hom.gates import ideal_gate_model, signal_gate_model
+from qnd_hom.gates import _signal_batch, ideal_gate_model
 from qnd_hom.gaussian import (
     HOM_BS,
     NumericalDomainError,
@@ -27,6 +27,11 @@ from qnd_hom.sweep import PRESETS, build_model
 from qnd_hom.thresholds import coherent_jets, input_threshold
 
 NO_INPUTS = np.empty((4, 0))  # k = 2: the projector variables alone
+
+
+def signal_gate_model(matrix):
+    """Noiseless gate: a 4 × 4 map of the two signal modes alone."""
+    return _signal_batch(np.asarray(matrix, dtype=float)[None]).model(0)
 
 
 def test_omega_blocks():
@@ -167,7 +172,8 @@ def test_singular_overlap_rejected():
 
 def test_identity_gate_coherent_weight_is_exact():
     # S₀ = 2I: det S₀ = det Sx · det Sp = 16 exactly, so c₀ = 4/√16 = 1
-    assert coherent_jets(ideal_gate_model(0.0))[0][0] == 1.0
+    identity = ideal_gate_model(0.0)
+    assert coherent_jets(identity.kernels, identity.jet)[0][0] == 1.0
 
 
 def _preset_models():
@@ -184,7 +190,7 @@ def test_split_kernels_match_the_block_engine_at_every_preset_point():
     for model in _preset_models():
         cov, signal = model.vacuum_output_cov, model.signal_map
         inputs = (signal[:, :2], signal[:, 2:])
-        c, Q = coherent_jets(model)
+        c, Q = coherent_jets(model.kernels, model.jet)
         block_c, block_Q = block_coherent_jets(cov, signal)
         worst = max(
             worst,

@@ -234,8 +234,9 @@ def test_pool_never_larger_than_the_grid(monkeypatch):
 
 
 def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
-    # the caller computes every n-th grid point from point 0, forked
-    # workers the rest, and the rows come back in grid order
+    # the caller configures the whole grid before it forks, then computes
+    # every n-th grid point from point 0, forked workers the rest, and the
+    # rows come back in grid order
     config = _ideal_config(points=25, with_input_threshold=True)
     serial = render_csv(run_sweep(config))
     grid = [float(v) for v in config.grid()]
@@ -256,7 +257,7 @@ def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
         for line in log.read_text().splitlines():
             pid, value = line.split()
             by_pid.setdefault(int(pid), []).append(float(value))
-        assert by_pid.pop(os.getpid()) == grid[::jobs]
+        assert by_pid.pop(os.getpid()) == grid + grid[::jobs]
         assert by_pid  # a forked worker ran
         assert sorted(v for values in by_pid.values() for v in values) == sorted(
             v for k in range(1, jobs) for v in grid[k::jobs]
@@ -276,9 +277,9 @@ def test_numerical_failure_in_a_forked_slice_fails_only_its_rows(monkeypatch):
 
 def test_earliest_configuration_error_in_grid_order_is_raised():
     # κτ = 1e-8 is a numerical failure row, 1e-7 and 1e-6 configuration
-    # errors with different messages; at jobs=2 the caller's slice fails
-    # at point 2 and the worker's at point 1, the one jobs=1 reports; no
-    # slice gets past its first failing point
+    # errors with different messages; at jobs=2 the caller's slice would
+    # fail at point 2 and the worker's at point 1, the one jobs=1 reports,
+    # and the whole grid is configured before either slice runs
     config = SweepConfig(
         "atom-light", "kappa_tau", 1e-8, 1e7, 16, {"g": 0.06, "eta": 0.9},
         scale="log", with_input_threshold=True,
@@ -311,6 +312,41 @@ def test_slice_that_does_not_configure_computes_no_thresholds(monkeypatch):
     with pytest.raises(SweepConfigError, match=r"^eta must lie in \(0, 1\]$"):
         run_sweep(config)
     assert calls == []
+
+
+def test_no_worker_is_submitted_when_point_0_does_not_configure(monkeypatch):
+    # η = 1.0000001 at point 0 of 80 breaks η ∈ (0, 1], and the other 79
+    # points are valid: at jobs=2 the whole grid configures before a worker
+    # forks, so no pool starts, no slice is submitted and no threshold runs.
+    # The pool runs what it is given in this process, so a submitted slice
+    # would show in the counts
+    pools, submitted, calls = [], [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(qnd_hom.sweep, "ProcessPoolExecutor", SerialPool)
+    real = qnd_hom.sweep.input_threshold
+    monkeypatch.setattr(qnd_hom.sweep, "input_threshold", lambda model: calls.append(model) or real(model))
+    config = SweepConfig(
+        "atom-light", "eta", 1.0000001, 0.5, 80, {"g": 0.06, "kappa_tau": 100.0}, with_input_threshold=True, jobs=2,
+    )
+    with pytest.raises(SweepConfigError, match=r"^eta must lie in \(0, 1\]$"):
+        run_sweep(config)
+    assert (pools, submitted, calls) == ([], [], [])
 
 
 def test_output_threshold_column_is_always_e_minus_2():

@@ -236,9 +236,9 @@ def _record_objective(monkeypatch, surface=None):
         return float(np.mean(surface(R_a, R_b)))
 
     class Recorded(thresholds._AveragedElement):
-        def __init__(self, model, phase_samples):
-            builds.append(phase_samples)
-            super().__init__(model, phase_samples)
+        def __init__(self, nodes, weights):
+            builds.append(nodes.shape[-1])
+            super().__init__(nodes, weights)
 
         def values(self, R_a, R_b):
             calls.append((R_a, R_b))
@@ -297,14 +297,14 @@ def test_scan_is_the_16_sample_average():
     # the scan reads every 4th node of the 64-node grid: the 16-node rule
     model = build_atom_light_gate(AtomLightParams(0.06, 100.0, 0.9))
     axis = np.linspace(0.0, 6.0, 7)
-    scores = thresholds._AveragedElement(model, 64).scan(axis)
-    coarse = thresholds._AveragedElement(model, 16)
+    scores = thresholds._averaged_element(model, 64).scan(axis)
+    coarse = thresholds._averaged_element(model, 16)
     assert np.allclose(scores, [[coarse(a, b) for b in axis] for a in axis], rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("point", [(1.3, 2.1), (0.0, 1.4), (3.0, 0.5)])
 def test_gradient_matches_central_differences(point):
-    objective = thresholds._AveragedElement(
+    objective = thresholds._averaged_element(
         build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 7.0)), 64
     )
     value, grad = objective.value_and_grad(*point)
@@ -314,6 +314,44 @@ def test_gradient_matches_central_differences(point):
     fd = [(objective(a + h, b) - objective(a - h, b)) / (2 * h),
           (objective(a, b + h) - objective(a, b - h)) / (2 * h)]
     assert np.allclose(grad, fd, rtol=0, atol=1e-9)
+
+
+def _two_product_value_and_grad(objective, R_a, R_b):
+    """M^av and its gradient as value_and_grad first computed them: the
+    monomials and both their partials times the node arrays, in one product
+    for −q₀/2 and one for P, then ∇f = e·(∇P + P·∇(−q₀/2)) on every node,
+    weighted and summed node by node."""
+    a, b = R_a, R_b
+    aa, bb, ab = a * a, b * b, a * b
+    jet = np.array([
+        [aa, bb, ab, 1.0, aa, bb, ab, aa * aa, bb * bb, aa * bb, aa * ab, ab * bb],
+        [2.0 * a, 0.0, b, 0.0, 2.0 * a, 0.0, b, 4.0 * a * aa, 0.0, 2.0 * a * bb, 3.0 * aa * b, b * bb],
+        [0.0, 2.0 * b, a, 0.0, 0.0, 2.0 * b, a, 0.0, 4.0 * b * bb, 2.0 * aa * b, a * aa, 3.0 * a * bb],
+    ])
+    nodes, weights = objective.nodes.reshape(12, -1), objective.weights.ravel()
+    h, p = jet[:, :3] @ nodes[:3], jet[:, 3:] @ nodes[3:]
+    e = np.exp(h[0])
+    return float((e * p[0] * weights).sum()), ((h[1:] * p[0] + p[1:]) * (e * weights)).sum(axis=1)
+
+
+@pytest.mark.parametrize("model", [
+    QND_11_ARGMAX,
+    0.87,
+    build_atom_light_gate(AtomLightParams(0.0615, 100.0, 0.9)),
+    build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 7.0)),
+], ids=["ideal-G*", "ideal-0.87", "atom-light", "atom-mech"])
+def test_gradient_is_the_two_product_formula(model):
+    # the gradient from the 12 weighted node sums is the one the two
+    # products give, to 1e-9 of its size, at the gates whose crossings
+    # criterion 6 and the closed-form crossings rest on; the value stays
+    # bit-equal to __call__ and within roundoff of the two products' sum
+    objective = thresholds._averaged_element(model, 64)
+    for R_a, R_b in np.random.default_rng(6).uniform(0.0, 6.0, (40, 2)).tolist():
+        value, grad = objective.value_and_grad(R_a, R_b)
+        assert value == objective(R_a, R_b), (R_a, R_b)
+        reference, reference_grad = _two_product_value_and_grad(objective, R_a, R_b)
+        assert value == pytest.approx(reference, rel=1e-14, abs=1e-300), (R_a, R_b)
+        assert np.abs(np.subtract(grad, reference_grad)).max() <= 1e-9 * np.abs(reference_grad).max(), (R_a, R_b)
 
 
 def test_search_stays_on_one_core():
@@ -359,7 +397,7 @@ _FIVE_GATES = pytest.mark.parametrize("model", [
 @_FIVE_GATES
 def test_ascent_matches_the_numpy_reference_from_the_scan_starts(model):
     # the 4 starts input_threshold climbs from, on its own objective
-    objective = thresholds._AveragedElement(as_gate_model(model), 64)
+    objective = thresholds._averaged_element(model, 64)
     axis = np.linspace(0.0, 6.0, 25)
     scores = objective.scan(axis).ravel()
 
@@ -377,7 +415,8 @@ def _full_grid(model, phase_samples):
     :func:`coherent_jets`: each form is R_a²·u(φ_a) + R_b²·v(φ_b) +
     2R_aR_b·w(φ_a, φ_b) for the input means (R_a cosφ_a, R_a sinφ_a,
     R_b cosφ_b, R_b sinφ_b)."""
-    c, Q = coherent_jets(as_gate_model(model))
+    model = as_gate_model(model)
+    c, Q = coherent_jets(model.kernels, model.jet)
     theta = 2.0 * np.pi * np.arange(phase_samples) / phase_samples
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     u = np.einsum("ik,qkl,il->qi", circle, Q[:, :2, :2], circle)[:, :, None]
@@ -414,7 +453,7 @@ def test_node_arrays_expand_the_coherent_element(model):
     # element of coherent_reference.coherent_coefficient node by node on
     # the kept rows; a dropped or doubled cross term is off by O(1e-2)
     c, u, v, w = _full_grid(model, 64)
-    objective = thresholds._AveragedElement(as_gate_model(model), 64)
+    objective = thresholds._averaged_element(model, 64)
     rows = objective.weights.shape[0]
     for R_a, R_b in [(0.0, 0.0), (0.0, 2.83), (1.3, 2.1), (3.0, 0.5), (6.0, 0.0), (6.0, 6.0)]:
         forms = (R_a**2 * u + R_b**2 * v + 2 * R_a * R_b * w)[:, :rows]
@@ -424,7 +463,7 @@ def test_node_arrays_expand_the_coherent_element(model):
 
 @_FIVE_GATES
 def test_value_and_grad_value_is_the_average_bit_for_bit(model):
-    objective = thresholds._AveragedElement(as_gate_model(model), 64)
+    objective = thresholds._averaged_element(model, 64)
     for R_a, R_b in np.random.default_rng(7).uniform(0.0, 6.0, (20, 2)):
         assert objective.value_and_grad(R_a, R_b)[0] == objective(R_a, R_b), (R_a, R_b)
 
@@ -451,7 +490,7 @@ def test_half_grid_average_is_the_full_grid_average(model, point):
     # φ_a ∈ [0, π/2], weighted 1, 2, …, 2, 1: they average to the whole
     # grid's average, and their even rows and columns to the whole 32-node
     # grid's
-    objective = thresholds._AveragedElement(as_gate_model(model), 64)
+    objective = thresholds._averaged_element(model, 64)
     assert objective(*point) == pytest.approx(_full_average(model, 64, point), rel=0, abs=1e-16)
     half_rule = objective.average(objective.values(*point), 2)
     assert half_rule == pytest.approx(_full_average(model, 32, point), rel=0, abs=1e-16)
@@ -462,7 +501,7 @@ def test_half_grid_average_is_the_full_grid_average(model, point):
 def test_fold_without_a_middle_row_is_the_full_grid_average(model, phase_samples):
     # at ns ≡ 2 (mod 4) no row of the half grid maps onto itself but row 0:
     # rows 0 … (ns − 2)/4 carry the sum, weighted 1, 2, …, 2
-    objective = thresholds._AveragedElement(as_gate_model(model), phase_samples)
+    objective = thresholds._averaged_element(model, phase_samples)
     for point in [(1.3, 2.1), (0.0, 1.4), (3.0, 0.5)]:
         full = _full_average(model, phase_samples, point)
         assert objective(*point) == pytest.approx(full, rel=0, abs=1e-16)
