@@ -42,13 +42,24 @@ class NumericalDomainError(ArithmeticError):
 NOT_POSITIVE_DEFINITE = "overlap matrix is not positive definite"
 
 
+@lru_cache(maxsize=None)
 def omega(n_modes: int) -> np.ndarray:
-    """Symplectic form: block-diagonal [[0,1],[-1,0]] per mode."""
+    """Symplectic form: block-diagonal [[0,1],[-1,0]] per mode; built once
+    per mode count, read-only."""
     om = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         om[2 * k, 2 * k + 1] = 1.0
         om[2 * k + 1, 2 * k] = -1.0
+    om.flags.writeable = False
     return om
+
+
+@lru_cache(maxsize=None)
+def _i_omega(n_modes: int) -> np.ndarray:
+    """iΩ, built once per mode count, read-only."""
+    i_om = 1j * omega(n_modes)
+    i_om.flags.writeable = False
+    return i_om
 
 
 def qnd_matrix(G) -> np.ndarray:
@@ -89,7 +100,7 @@ def min_physicality_eig(cov: np.ndarray) -> float | np.ndarray:
     a covariance that is not finite."""
     cov = np.asarray(cov, dtype=float)
     finite = np.isfinite(cov).all(axis=(-2, -1))
-    stack = np.where(finite[..., None, None], cov, 0.0) + 1j * omega(cov.shape[-1] // 2)
+    stack = np.where(finite[..., None, None], cov, 0.0) + _i_omega(cov.shape[-1] // 2)
     ev = np.where(finite, np.linalg.eigvalsh(stack).min(axis=-1), np.nan)
     return float(ev) if ev.ndim == 0 else ev
 

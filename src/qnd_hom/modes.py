@@ -118,6 +118,15 @@ class NoiseModeBasis:
         return C
 
     @cached_property
+    def checked_gram(self) -> np.ndarray:
+        """``gram``, once its first four modes are checked to be uncorrelated,
+        as the signal quadratures a gate's output rows start with (else
+        ValueError); checked once per basis."""
+        if np.abs(self.gram[:4, :4] - np.eye(4)).max() > 1e-12:
+            raise ValueError("signal quadratures must be uncorrelated leading modes")
+        return self.gram
+
+    @cached_property
     def column(self) -> dict[str, int]:
         """The column of each label, built once per basis."""
         return {label: j for j, label in enumerate(self.labels)}

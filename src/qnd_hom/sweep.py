@@ -25,9 +25,10 @@ one other, and the rows are reassembled in grid order, so the emitted
 file (and the message of a configuration error) is byte-identical at any
 ``jobs``.
 
-:func:`find_optimum` scores its whole grid as one batch, and each
-central-difference stencil of its ascent (the centre and its 2n
-neighbours) as another.
+:func:`find_optimum` scores its whole grid as one batch, takes its first
+Newton step off the grid's own second differences, and reads each later
+step off one wide stencil batch: the fourth-order gradient and Hessian at
+the point, so a 1-D search takes about 4 batches and a 2-D one about 8.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from .gates import GATES, GateBatch, GateModel
 from .gaussian import NumericalDomainError
 from .metrics import InputSpec, hom_element_for_gate, sector_element  # hom_element_for_gate: perfbench reads it here
-from .thresholds import ascend, averaged_elements, input_threshold, output_threshold
+from .thresholds import averaged_elements, input_threshold, output_threshold
 
 GATE_KINDS = tuple(GATES)
 
@@ -55,18 +56,17 @@ _GATE_PARAMS = {gate: tuple(f.name for f in fields(params)) for gate, (params, _
 _GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
 
 # Threshold points a sweep needs per process before it forks one (2-core
-# box, Python 3.11.7, numpy 2.4.6).  A threshold takes ~1-3 ms; a bare fork
-# and join cost 4 ms, the executor's start and stop 8 ms, and copy-on-write
-# ~5 ms on a worker's first point, so a second process pays from about 8
-# points each: fig3a-shaped atom-mech tables of 8, 12, 16, 20 and 24 points
-# took 16-18, 25-28, 34-35, 38-43 and 36-53 ms in one process against
-# 22-26, 27-32, 33-35, 38-40 and 42-49 ms through a pool at jobs=2 (medians
-# of three sets of 40 alternated pairs, the pool faster in 0, 1-3, 17-25,
-# 20-26 and 22-29 of them).  Element points never pay for a worker: a slice
-# is one batch, and 1,280 element-only atom-mech points (4 p each) take
-# 27-29 ms in one process, ~0.02 ms a point, against 166-168 ms when each
-# point was its own build and jet.
-POINTS_PER_PROCESS = 8
+# box, Python 3.11.7, numpy 2.4.6).  A threshold takes about 0.7 ms, and an
+# 8-point threshold table took 6-8 ms in one process against 13-17 ms
+# through a pool at jobs=2, so a second process pays from about 20 points
+# each: fig2a-shaped atom-light tables of 24, 32, 36, 40, 44 and 80 points
+# were faster through the pool in 1, 1-4, 8, 14-17, 18 and 14 of 20
+# alternated pairs, and fig3a-shaped atom-mech tables in 0, 3-8, 5, 6-12, 9
+# and 20 (one or two sets of pairs).  Element points never pay for a
+# worker: a slice is one batch, and 1,280 element-only atom-mech points (4 p
+# each) take 27-29 ms in one process, ~0.02 ms a point, against 166-168 ms
+# when each point was its own build and jet.
+POINTS_PER_PROCESS = 20
 
 # Threshold points of a slice whose objectives are built together.  At 64
 # phase samples one point's node arrays take 0.1 MB, so a chunk's take
@@ -350,10 +350,19 @@ def find_optimum(
 
     Scores ``grid`` evenly spaced values per free parameter as one batch
     (the first outermost; of equal values the first grid point is kept),
-    then climbs from the best grid point with
-    :func:`~qnd_hom.thresholds.ascend` on the box of ranges, by central
-    differences at 1e-4 of each range, clipped to the box; each stencil
-    and its centre are one batch.  The earliest failing point of a batch,
+    then climbs from the best grid point by projected Newton steps
+    (:func:`_step`) in the unit box of the ranges, inside a trust radius
+    of one grid cell.  The first step from an interior grid point is read
+    off the grid's own second differences (if the element falls there,
+    the climb restarts at the grid point), each later one off one batch,
+    the stencil of :func:`_newton_stencil`.  A step that lowers the
+    element is retried from the same derivatives at a quarter of its
+    length, unless it is a Newton step whose model gain is below the
+    element's roundoff (4 ulp).  The climb stops when the gradient is
+    within the stencil's roundoff, at a step below ``_STEP_TOL`` of the
+    box, at a gradient step that gains less than the roundoff, or after
+    ``_MAX_STEPS`` stencils; the value returned is the element at the
+    returned argmax, bit for bit.  The earliest failing point of a batch,
     in grid (or stencil) order, raises its error.  A boundary optimum is
     flagged (``interior=False``), never fatal.
     """
@@ -373,11 +382,15 @@ def find_optimum(
         raise SweepConfigError(f"input fraction p must lie in [0, 1], got {p}")
 
     spec = InputSpec(p, p)
+    box = [free[name] for name in names]
+
+    def at(x):  # unit box → parameters
+        return [min(max(a + u * (b - a), a), b) for u, (a, b) in zip(x, box)]
 
     def elements(points: list) -> list[float]:
-        """The element at each point (free values in ``names`` order), as one
-        batch; the earliest failing point, in order, raises its error."""
-        columns = {name: np.array(column) for name, column in zip(names, zip(*points))}
+        """The element at each point of the unit box, as one batch; the
+        earliest failing point, in order, raises its error."""
+        columns = {name: np.array(column) for name, column in zip(names, zip(*map(at, points)))}
         batch, error = build_batch(gate, {**fixed, **columns})
         values = []
         for failure, sectors in zip(batch.errors, batch.sectors) if batch is not None else ():
@@ -388,32 +401,155 @@ def find_optimum(
             raise error
         return values
 
-    lo, hi = np.array([free[k] for k in names]).T
-    points = list(itertools.product(*(np.linspace(a, b, grid).tolist() for a, b in zip(lo, hi))))
+    n, cell = len(names), 1.0 / max(grid - 1, 1)
+    axis = np.linspace(0.0, 1.0, grid).tolist()
+    points = [list(x) for x in itertools.product(axis, repeat=n)]
     scores = elements(points)
-    best_pt = points[scores.index(max(scores))]
-    box = list(zip(lo.tolist(), hi.tolist()))
-
-    def at(x):  # unit box → parameters
-        return [min(max(a + u * (b - a), a), b) for u, (a, b) in zip(x, box)]
-
-    def fg(x):  # the central-difference stencil and the centre, as one batch
-        x, stencil = x.tolist(), []
-        for i, u in enumerate(x):
-            up, down = x.copy(), x.copy()
-            up[i], down[i] = min(u + 1e-4, 1.0), max(u - 1e-4, 0.0)
-            stencil += [up, down]
-        f = elements([at(y) for y in stencil + [x]])
-        return f[-1], [(f[2 * i] - f[2 * i + 1]) / (stencil[2 * i][i] - stencil[2 * i + 1][i]) for i in range(len(x))]
-
-    x, value = ascend(fg, (np.array(best_pt) - lo) / (hi - lo), 1.0 / max(grid - 1, 1))
+    best = scores.index(max(scores))
+    x, f = points[best], scores[best]
+    index = divmod(best, grid) if n == 2 else (best,)
+    y = x
+    if all(0 < k < grid - 1 for k in index):  # a Newton step on the grid's own fit
+        fit, _, newton = _step(x, *_grid_fit(scores, index, grid), cell)
+        y = fit if newton else x
+    f_y, g, H = _newton_stencil(elements, y)
+    if f_y < f:  # the grid's step fell: climb from the grid point
+        y, (f_y, g, H) = x, _newton_stencil(elements, x)
+    x, f, radius = y, f_y, cell
+    for _ in range(_MAX_STEPS):
+        y, gain, newton = _step(x, g, H, radius)
+        roundoff = 4.0 * math.ulp(f)
+        if (
+            all(abs(g[k]) * _STENCIL_H <= 4.0 * roundoff for k in _free(x, g))  # the stencil's own roundoff
+            or max(abs(v - u) for u, v in zip(x, y)) <= _STEP_TOL
+            or not newton and gain <= roundoff
+        ):
+            break
+        f_y, g_y, H_y = _newton_stencil(elements, y)
+        if f_y >= f or gain <= roundoff:  # the roundoff of f cannot judge so small a step
+            x, f, g, H = y, f_y, g_y, H_y
+        else:
+            radius = 0.25 * math.dist(x, y)
     at_boundary = tuple(name for name, u in zip(names, x) if min(u, 1.0 - u) < 5e-3)
     return OptimumResult(
-        argmax=dict(zip(names, at(x.tolist()))),
-        value=float(value),
+        argmax=dict(zip(names, at(x))),
+        value=float(f),
         interior=not at_boundary,
         boundary_params=at_boundary,
     )
+
+
+# Newton climb of find_optimum, in the unit box of the free ranges: the
+# stencil's spacing, the step below which the climb stops, and the most
+# stencils a climb evaluates
+_STENCIL_H = 1e-3
+_STEP_TOL = 1e-10
+_MAX_STEPS = 50
+
+
+def _grid_fit(scores, index, grid):
+    """Gradient and Hessian, in unit-box coordinates, from the central
+    differences of the grid's scores around the interior grid point
+    ``index`` (one index per axis, the first outermost)."""
+    d = 1.0 / (grid - 1)
+    P = np.array(scores).reshape((grid,) * len(index))[tuple(slice(k - 1, k + 2) for k in index)].tolist()
+    if len(index) == 1:
+        return [(P[2] - P[0]) / (2.0 * d)], [[(P[2] - 2.0 * P[1] + P[0]) / (d * d)]]
+    mixed = (P[2][2] - P[2][0] - P[0][2] + P[0][0]) / (4.0 * d * d)
+    return (
+        [(P[2][1] - P[0][1]) / (2.0 * d), (P[1][2] - P[1][0]) / (2.0 * d)],
+        [[(P[2][1] - 2.0 * P[1][1] + P[0][1]) / (d * d), mixed],
+         [mixed, (P[1][2] - 2.0 * P[1][1] + P[1][0]) / (d * d)]],
+    )
+
+
+def _newton_stencil(elements, x):
+    """The element at ``x`` and its gradient and Hessian there, in unit-box
+    coordinates, from one batch.  Each axis holds the quartic through five
+    points at spacing h along it; in 2-D, two squares of corners, at ±h and
+    ±2h, give the mixed term by Richardson extrapolation.  The points centre
+    on ``x``; within 2h of a face an axis's five points move inside the box
+    and its quartic is read at ``x``, and the corners centre on the point
+    moved inside on every axis."""
+    h, n = _STENCIL_H, len(x)
+    c = [min(max(u, 2.0 * h), 1.0 - 2.0 * h) for u in x]
+    points, lines = [list(x)], []
+    for k in range(n):
+        line = []
+        for offset in (-2.0 * h, -h, 0.0, h, 2.0 * h):
+            y = list(x)
+            y[k] = c[k] + offset
+            if y == x:
+                line.append(0)
+            else:
+                line.append(len(points))
+                points.append(y)
+        lines.append(line)
+    if n == 2:
+        points += [[c[0] + a, c[1] + b] for r in (h, 2.0 * h) for a in (r, -r) for b in (r, -r)]
+    f = elements(points)
+    g, H = [0.0] * n, [[0.0] * n for _ in range(n)]
+    for k, line in enumerate(lines):
+        m2, m1, f0, p1, p2 = (f[i] for i in line)
+        d1 = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
+        d2 = (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * f0) / (12.0 * h * h)
+        d3 = ((p2 - m2) - 2.0 * (p1 - m1)) / (2.0 * h ** 3)
+        d4 = ((p2 + m2) - 4.0 * (p1 + m1) + 6.0 * f0) / h ** 4
+        t = x[k] - c[k]
+        g[k] = d1 + t * (d2 + t * (d3 / 2.0 + t * d4 / 6.0))
+        H[k][k] = d2 + t * (d3 + t * d4 / 2.0)
+    if n == 2:
+        near, far = ((pp - pm - mp + mm) for pp, pm, mp, mm in (f[-8:-4], f[-4:]))
+        H[0][1] = H[1][0] = (16.0 * near - far) / (48.0 * h * h)
+    return f[0], g, H
+
+
+def _free(x, g):
+    """The coordinates a step may move: those off the faces of the unit box,
+    and those on a face that their gradient points away from."""
+    return [k for k, (u, gk) in enumerate(zip(x, g)) if (u > 0.0 or gk > 0.0) and (u < 1.0 or gk < 0.0)]
+
+
+def _step(x, g, H, radius):
+    """The trust-region step from ``x`` on the model g·s + ½sᵀHs, in the unit
+    box: the point it reaches, the model's gain there, and whether it is a
+    Newton step.  A coordinate on a face that its gradient points out of is
+    held; the others take the Newton step −H⁻¹g of their block when that
+    block is negative definite (closed form for 2 × 2), else the Cauchy
+    step along the gradient, to the model's maximum on that line or to
+    ``radius``.  The step is cut back to ``radius`` and then to the box
+    along its own direction, and a held coordinate stays on its face."""
+    n, free = len(x), _free(x, g)
+    s, newton = [0.0] * n, True
+    if len(free) == 1:
+        (k,) = free
+        newton = H[k][k] < 0.0
+        if newton:
+            s[k] = -g[k] / H[k][k]
+    elif len(free) == 2:
+        (a, b), (_, c) = H
+        det = a * c - b * b
+        newton = a < 0.0 and det > 0.0
+        if newton:
+            s = [(b * g[1] - c * g[0]) / det, (b * g[0] - a * g[1]) / det]
+    p = [g[k] if k in free else 0.0 for k in range(n)]
+    if not newton and any(p):  # the Cauchy step
+        t = radius / math.hypot(*p)
+        curvature = sum(p[i] * H[i][j] * p[j] for i in range(n) for j in range(n))
+        if curvature < 0.0:
+            t = min(t, sum(q * q for q in p) / -curvature)
+        s = [t * q for q in p]
+    length = math.hypot(*s)
+    t = min(1.0, radius / length) if length else 0.0
+    for k in free:  # back to the box, from inside it
+        if s[k] > 0.0 and x[k] < 1.0:
+            t = min(t, (1.0 - x[k]) / s[k])
+        elif s[k] < 0.0 and x[k] > 0.0:
+            t = min(t, -x[k] / s[k])
+    y = [min(max(u + t * v, 0.0), 1.0) for u, v in zip(x, s)]
+    d = [v - u for u, v in zip(x, y)]
+    gain = sum(gk * dk for gk, dk in zip(g, d)) + 0.5 * sum(d[i] * H[i][j] * d[j] for i in range(n) for j in range(n))
+    return y, gain, newton
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 import qnd_hom.cli
 import qnd_hom.gates
+import qnd_hom.sweep
 from qnd_hom.cli import build_parser, main, parse_config_file
 from qnd_hom.sweep import CSV_HEADER, SweepConfigError, SweepNumericalError
 
@@ -490,7 +491,7 @@ def test_paths_without_a_search_never_load_scipy():
     runs = [
         ["atom-light", "--g", "0.06", "--kappa-tau", "100", "--eta", "0.9"],
         ["ideal", "--start", "0.2", "--stop", "1", "--points", "3", "--jobs", "2"],
-        ["ideal", "--start", "0.2", "--stop", "1", "--points", "16", "--jobs", "2", "--input-threshold"],
+        ["ideal", "--start", "0.2", "--stop", "1", "--points", "40", "--jobs", "2", "--input-threshold"],
         ["threshold", "--gate", "atom-light", "--g", "0.06", "--kappa-tau", "100", "--eta", "0.9"],
         ["optimum", "--gate", "ideal", "--free", "G=0.2:2"],
         ["optimum", "--gate", "atom-light", "--fix", "eta=0.9", "--free", "g=0.02:0.15",
@@ -515,9 +516,11 @@ def test_preset_known_names(capsys):
         parser.parse_args(["preset", "not-a-preset"])
 
 
-def test_configuration_error_in_a_forked_slice_exits_1(capsys):
-    # the last of 16 descending κτ points, 1e-5, is in the forked worker's
-    # slice at --jobs 2 and fails to build; no worker outlives the run
+def test_configuration_error_in_a_forked_slice_exits_1(capsys, monkeypatch):
+    # at 8 points per process, the last of 16 descending κτ points, 1e-5, is
+    # in the forked worker's slice at --jobs 2 and fails to build; no worker
+    # outlives the run
+    monkeypatch.setattr(qnd_hom.sweep, "POINTS_PER_PROCESS", 8)
     argv = ("atom-light", "--sweep", "kappa_tau", "--start", "0.15001", "--stop", "1e-5",
             "--points", "16", "--g", "0.06", "--eta", "0.9", "--input-threshold")
     serial = run_cli(capsys, *argv, "--jobs", "1")

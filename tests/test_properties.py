@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qnd_hom.sweep
 from qnd_hom.fock import FockBasisSpec, build_qnd_unitary, fock_state, hom_element_exact
 from qnd_hom.gates import (
     AtomLightParams,
@@ -182,9 +183,11 @@ def test_sweep_byte_identical_across_jobs():
     assert _sweep_csv(1) == _sweep_csv(8)
 
 
-def test_thresholds_byte_identical_across_jobs():
-    # the search itself must not depend on the process it runs in; 25
-    # points fork one worker at jobs=2 and two at jobs=3
+def test_thresholds_byte_identical_across_jobs(monkeypatch):
+    # the search itself must not depend on the process it runs in; at 8
+    # points per process, 25 points fork one worker at jobs=2 and two at
+    # jobs=3
+    monkeypatch.setattr(qnd_hom.sweep, "POINTS_PER_PROCESS", 8)
     config = SweepConfig(
         gate="atom-light", sweep_param="g", start=0.02, stop=0.12, points=25,
         fixed={"kappa_tau": 100.0, "eta": 0.9}, with_input_threshold=True,

@@ -193,6 +193,11 @@ def test_bs_sweep():
     assert mid.hom == pytest.approx(1.0, abs=5e-3)
 
 
+# threshold points per process at which the tests below fork, so that
+# small grids exercise the pool whatever POINTS_PER_PROCESS is
+_FORK_AT = 8
+
+
 def test_pool_never_larger_than_the_grid(monkeypatch):
     # a process must have POINTS_PER_PROCESS threshold points before the
     # sweep forks it, an element-only table never forks, and jobs counts
@@ -237,6 +242,7 @@ def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
     # the caller configures the whole grid before it forks, then computes
     # every n-th grid point from point 0, forked workers the rest, and the
     # rows come back in grid order
+    monkeypatch.setattr(qnd_hom.sweep, "POINTS_PER_PROCESS", _FORK_AT)
     config = _ideal_config(points=25, with_input_threshold=True)
     serial = render_csv(run_sweep(config))
     grid = [float(v) for v in config.grid()]
@@ -267,6 +273,7 @@ def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
 def test_numerical_failure_in_a_forked_slice_fails_only_its_rows(monkeypatch):
     # forked workers inherit the substituted jet; point 9 is in the
     # worker's slice
+    monkeypatch.setattr(qnd_hom.sweep, "POINTS_PER_PROCESS", _FORK_AT)
     monkeypatch.setattr(qnd_hom.gates, "hom_jet", _out_of_range_at(0.75))
     config = _ideal_config(points=25, with_input_threshold=True)
     serial = run_sweep(config)
@@ -275,11 +282,12 @@ def test_numerical_failure_in_a_forked_slice_fails_only_its_rows(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_earliest_configuration_error_in_grid_order_is_raised():
+def test_earliest_configuration_error_in_grid_order_is_raised(monkeypatch):
     # κτ = 1e-8 is a numerical failure row, 1e-7 and 1e-6 configuration
     # errors with different messages; at jobs=2 the caller's slice would
     # fail at point 2 and the worker's at point 1, the one jobs=1 reports,
     # and the whole grid is configured before either slice runs
+    monkeypatch.setattr(qnd_hom.sweep, "POINTS_PER_PROCESS", _FORK_AT)
     config = SweepConfig(
         "atom-light", "kappa_tau", 1e-8, 1e7, 16, {"g": 0.06, "eta": 0.9},
         scale="log", with_input_threshold=True,
@@ -489,8 +497,9 @@ def _count_elements(monkeypatch) -> list:
 
 
 def test_find_optimum_converges_without_stalling(monkeypatch):
-    # on a range whose simplex once ran on to maxiter (1,193 element calls),
-    # the exact element lets the search stop at its tolerances
+    # a range on which the search once ran on to its iteration cap (1,193
+    # element calls, when it climbed a noisy element by a simplex): on the
+    # exact element it stops at its tolerances
     calls = _count_elements(monkeypatch)
     res = find_optimum("ideal", {}, {"G": (0.3288957047183011, 2.028895704718301)}, grid=15)
     assert len(calls) <= 300
@@ -505,8 +514,52 @@ def test_find_optimum_lands_on_the_ideal_maximum(monkeypatch, G_range):
     calls = _count_elements(monkeypatch)
     res = find_optimum("ideal", {}, {"G": G_range}, grid=15)
     assert len(calls) <= 45
-    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-7
+    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-9
     assert abs(res.value - closed_form_qnd_11(QND_11_ARGMAX)) <= 1e-15
+
+
+# the benchmark's optimum searches, (gate, fixed, free, grid), with the
+# element points each took when its climb was a BFGS ascent on 3- and
+# 5-point central-difference stencils, one batch each
+_ATOM_LIGHT = {"kappa_tau": 100.0, "eta": 0.9}
+_BENCHMARK_SEARCHES = [
+    pytest.param(("ideal", {}, {"G": (0.3, 2.0)}, 15), 33, id="ideal"),
+    pytest.param(("ideal", {}, {"G": (0.3288957047183011, 2.028895704718301)}, 15), 33, id="ideal-shifted"),
+    pytest.param(("atom-light", _ATOM_LIGHT, {"g": (0.02, 0.15)}, 21), 39, id="atom-light"),
+    pytest.param(("optomech", {**_ATOM_LIGHT, "Gamma": 1e-3}, {"g": (0.02, 0.15)}, 15), 33, id="optomech"),
+    pytest.param(("atom-mech", {"eta": 0.9, "Gamma": 1e-4, "S": 7.0},
+                  {"g": (0.02, 0.2), "kappa_tau": (20.0, 300.0)}, 9), 151, id="atom-mech-2d"),
+]
+
+
+@pytest.mark.parametrize("search,ascent_points", _BENCHMARK_SEARCHES)
+def test_find_optimum_takes_few_batches(monkeypatch, search, ascent_points):
+    # the grid is one batch and each Newton step one stencil batch: at most
+    # 4 batches in 1-D and 8 in 2-D, and at most 1.5 times the element
+    # points of the ascent it replaced
+    gate, fixed, free, grid = search
+    batches, real = [], qnd_hom.sweep.build_batch
+    monkeypatch.setattr(qnd_hom.sweep, "build_batch", lambda gate, values: batches.append(1) or real(gate, values))
+    calls = _count_elements(monkeypatch)
+    res = find_optimum(gate, fixed, free, grid=grid)
+    assert res.interior
+    assert len(batches) <= (4 if len(free) == 1 else 8)
+    assert len(calls) <= 1.5 * ascent_points
+
+
+@pytest.mark.parametrize("gate,fixed,free,grid", [
+    pytest.param("ideal", {}, {"G": (0.3, 2.0)}, 15, id="ideal"),
+    pytest.param("atom-light", {"eta": 0.9}, {"g": (0.02, 0.15), "kappa_tau": (50.0, 200.0)}, 9, id="atom-light-2d"),
+    pytest.param("atom-mech", {"eta": 0.9, "Gamma": 1e-4, "S": 7.0},
+                 {"g": (0.02, 0.2), "kappa_tau": (20.0, 300.0)}, 9, id="atom-mech-2d"),
+])
+def test_find_optimum_value_is_the_element_at_its_argmax(gate, fixed, free, grid):
+    # the value returned is the element a lone build computes at the
+    # returned argmax, bit for bit (the atom-light optimum lies on the
+    # kappa_tau = 200 face)
+    res = find_optimum(gate, fixed, free, grid=grid)
+    alone = hom_element_for_gate(build_model(gate, {**fixed, **res.argmax}), InputSpec(1.0, 1.0)).value
+    assert res.value == alone
 
 
 def test_find_optimum_scans_in_grid_order_and_keeps_first_tie(monkeypatch):
@@ -530,6 +583,16 @@ def test_find_optimum_flags_boundary():
     res = find_optimum("ideal", {}, {"G": (0.2, 0.5)}, grid=7)
     assert not res.interior
     assert "G" in res.boundary_params
+
+
+@pytest.mark.parametrize("grid", [1, 2])
+def test_find_optimum_climbs_from_a_grid_of_faces(grid):
+    # a grid of 1 or 2 points has no interior point: the climb starts on a
+    # face, without the grid's own fit, and still lands on G*
+    res = find_optimum("ideal", {}, {"G": (0.3, 2.0)}, grid=grid)
+    assert res.interior
+    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-9
+    assert abs(res.value - closed_form_qnd_11(QND_11_ARGMAX)) <= 1e-15
 
 
 def test_find_optimum_validates_arity():
