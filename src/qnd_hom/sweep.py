@@ -37,7 +37,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -269,6 +268,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         _, error = build_batch(config.gate, {**config.fixed, config.sweep_param: np.array(values)})
         if error:
             raise error
+        from concurrent.futures import ProcessPoolExecutor  # imported here: most runs never fork
+
         with ProcessPoolExecutor(max_workers=n - 1) as pool:
             futures = [pool.submit(_evaluate_slice, config, values[k::n]) for k in range(1, n)]
             slices = [_evaluate_slice(config, values[::n]), *(f.result() for f in futures)]
@@ -353,9 +354,10 @@ def find_optimum(
     then climbs from the best grid point by projected Newton steps
     (:func:`_step`) in the unit box of the ranges, inside a trust radius
     of one grid cell.  The first step from an interior grid point is read
-    off the grid's own second differences (if the element falls there,
-    the climb restarts at the grid point), each later one off one batch,
-    the stencil of :func:`_newton_stencil`.  A step that lowers the
+    off the grid's own second differences, each later one off one batch,
+    the stencil of :func:`_newton_stencil`; if the element falls on the
+    grid's step, the climb goes on from the stencil there, and the grid
+    point is returned if the climb ends below it.  A step that lowers the
     element is retried from the same derivatives at a quarter of its
     length, unless it is a Newton step whose model gain is below the
     element's roundoff (4 ulp).  The climb stops when the gradient is
@@ -413,8 +415,8 @@ def find_optimum(
         fit, _, newton = _step(x, *_grid_fit(scores, index, grid), cell)
         y = fit if newton else x
     f_y, g, H = _newton_stencil(elements, y)
-    if f_y < f:  # the grid's step fell: climb from the grid point
-        y, (f_y, g, H) = x, _newton_stencil(elements, x)
+    # if the grid's step fell, the climb goes on from there, the grid point its floor
+    floor = (x, f) if f_y < f else None
     x, f, radius = y, f_y, cell
     for _ in range(_MAX_STEPS):
         y, gain, newton = _step(x, g, H, radius)
@@ -430,6 +432,8 @@ def find_optimum(
             x, f, g, H = y, f_y, g_y, H_y
         else:
             radius = 0.25 * math.dist(x, y)
+    if floor and f < floor[1]:
+        x, f = floor
     at_boundary = tuple(name for name, u in zip(names, x) if min(u, 1.0 - u) < 5e-3)
     return OptimumResult(
         argmax=dict(zip(names, at(x))),

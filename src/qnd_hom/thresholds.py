@@ -23,10 +23,11 @@ its 32- and 16-node sub-rules, whose rows are those rows at strides 2
 and 4.  The amplitude search has no knobs.  The averaged element can
 have several local maxima, so it first scores a coarse grid of the box
 [0, 6]² in one scan on the 16-node sub-rule (every 4th node of the
-64-node grid), then climbs from the 4 best cells with
-:func:`ascend`, a projected BFGS ascent on the box (Nocedal & Wright,
-Numerical Optimization, 2nd ed. (2006), ch. 3 and 6), on the 64-node
-average.
+64-node grid), then climbs with :func:`ascend`, a projected BFGS ascent
+on the box (Nocedal & Wright, Numerical Optimization, 2nd ed. (2006),
+ch. 3 and 6), on the 64-node average, from each of the 4 best cells that
+no neighbouring cell beats.  The 4 best cells most often lie on one hill
+of the scan, and then one ascent climbs it, not four.
 
 This module owns the coherent-input forms: :func:`coherent_jets` reads
 the jets c and q of the coherent element exp(−q₀/2)·P off the kernels
@@ -50,6 +51,7 @@ the average: it is converged when the two rules agree to 1e-6.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -65,7 +67,7 @@ _DOMAIN = 6.0  # amplitude cap of both inputs
 _COARSE_GRID = 25  # amplitude grid points per axis
 _SCAN_STRIDE = 4  # the coarse grid is scored on every 4th phase node
 _SCAN_CHUNK = 125  # grid cells per product of the scan: 90k multiply-adds, one BLAS thread
-_STARTS = 4  # ascents, from the best grid cells
+_STARTS = 4  # the best grid cells, each climbed from when no neighbour beats it
 _MAX_EVALS = 200  # evaluations of f per ascent
 ACCURACY_WARNING = "phase average not converged"
 BOUNDARY_WARNING = "amplitude optimum hit the search-domain cap"
@@ -392,8 +394,12 @@ def input_threshold(model: GateModel | float | _AveragedElement) -> ThresholdRes
     """Phase-randomized coherent input threshold of a gate.
 
     Maximizes the double-phase-averaged element over the two input
-    amplitudes: one grid scan on the 16-node sub-rule, then an ascent
-    from each of the 4 best cells at 64 phase samples.  The average at
+    amplitudes: one grid scan on the 16-node sub-rule, then an ascent at
+    64 phase samples from each of the 4 best cells (best first, equal
+    scores in grid order) whose score is at least each neighbour's, the 8
+    around an interior cell and those that exist on an edge; the best cell
+    always climbs, and a later ascent replaces the result only when it
+    ends strictly higher.  The average at
     the argmax is certified by the 32-sample rule on the same phase-grid
     values; a difference of 1e-6 or more attaches an accuracy warning
     instead of raising.  The threshold depends only on the gate, never on
@@ -404,7 +410,16 @@ def input_threshold(model: GateModel | float | _AveragedElement) -> ThresholdRes
     """
     objective = model if isinstance(model, _AveragedElement) else _averaged_element(model)
     axis = np.linspace(0.0, _DOMAIN, _COARSE_GRID)
-    scores = objective.scan(axis).ravel()
+    scores, n = objective.scan(axis), axis.size
+    # a start is a cell that no neighbour beats: the 8 around an interior
+    # cell, the ones that exist on an edge (the −inf padding beats none).  A
+    # beaten cell lies on the slope of a better one, which ranks before it
+    padded = np.full((n + 2, n + 2), -np.inf)
+    padded[1:-1, 1:-1] = scores
+    beaten = np.zeros((n, n), dtype=bool)
+    for i, j in itertools.product(range(3), repeat=2):
+        beaten |= scores < padded[i : i + n, j : j + n]
+    best = np.argsort(-scores, axis=None, kind="stable")[:_STARTS]
 
     def fg(x):  # on the unit box: R = _DOMAIN·x
         a, b = x.tolist()
@@ -413,8 +428,8 @@ def input_threshold(model: GateModel | float | _AveragedElement) -> ThresholdRes
 
     value, argmax = -math.inf, None
     # equal scores keep grid order, and a later optimum must be strictly better
-    for cell in np.argsort(-scores, kind="stable")[:_STARTS]:
-        x, top = ascend(fg, np.array(divmod(cell, axis.size)) / (axis.size - 1), 1 / (axis.size - 1))
+    for cell in best[~beaten.flat[best]]:
+        x, top = ascend(fg, np.array(divmod(cell, n)) / (n - 1), 1 / (n - 1))
         if top > value:
             value, argmax = top, (float(_DOMAIN * x[0]), float(_DOMAIN * x[1]))
     half_rule = objective.average(objective.values(*argmax), 2)

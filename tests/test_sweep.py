@@ -1,5 +1,6 @@
 """Sweep engine: grid order, emission formats, presets, optima."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -219,7 +220,7 @@ def test_pool_never_larger_than_the_grid(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(qnd_hom.sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     per_process = qnd_hom.sweep.POINTS_PER_PROCESS
     for points, jobs, with_input_threshold, workers in [
         (per_process, 5000, True, []),
@@ -346,7 +347,7 @@ def test_no_worker_is_submitted_when_point_0_does_not_configure(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(qnd_hom.sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     real = qnd_hom.sweep.input_threshold
     monkeypatch.setattr(qnd_hom.sweep, "input_threshold", lambda model: calls.append(model) or real(model))
     config = SweepConfig(
@@ -545,6 +546,35 @@ def test_find_optimum_takes_few_batches(monkeypatch, search, ascent_points):
     assert res.interior
     assert len(batches) <= (4 if len(free) == 1 else 8)
     assert len(calls) <= 1.5 * ascent_points
+
+
+def test_find_optimum_climbs_on_from_a_fallen_grid_step(monkeypatch):
+    # on G ∈ [0.2, 2] at grid=9 the grid's central difference has the wrong
+    # sign at its best point, so the element falls on the grid's Newton
+    # step: the climb goes on from that step's stencil, the grid and at most
+    # 4 stencils, where a second stencil at the grid point made it 6
+    batches, real = [], qnd_hom.sweep.build_batch
+    monkeypatch.setattr(qnd_hom.sweep, "build_batch", lambda gate, values: batches.append(1) or real(gate, values))
+    res = find_optimum("ideal", {}, {"G": (0.2, 2.0)}, grid=9)
+    assert len(batches) <= 5
+    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-9
+    assert abs(res.value - closed_form_qnd_11(QND_11_ARGMAX)) <= 1e-15
+
+
+def test_find_optimum_keeps_the_grid_point_above_a_fallen_climb(monkeypatch):
+    # a spike of 0.5 at the middle grid point of a hill whose top is 0.4:
+    # the grid's step falls, the climb goes on to the hill's top, ends below
+    # the grid point and returns it
+    def element(u):
+        return 0.5 if u == 0.5 else 0.4 - 0.2 * (u - 0.3) ** 2
+
+    def recorded(gate, values):
+        sectors = np.array([element(u) * np.ones((2, 2)) for u in values["G"].tolist()])
+        return SimpleNamespace(errors=(None,) * len(sectors), sectors=sectors), None
+
+    monkeypatch.setattr(qnd_hom.sweep, "build_batch", recorded)
+    res = find_optimum("ideal", {}, {"G": (0.0, 1.0)}, grid=3)
+    assert (res.value, res.argmax) == (0.5, {"G": 0.5})
 
 
 @pytest.mark.parametrize("gate,fixed,free,grid", [

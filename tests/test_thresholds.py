@@ -274,8 +274,9 @@ def test_cap_detection_on_monotone_objective(monkeypatch):
     # a monotone objective pushes the refinement onto the amplitude cap,
     # which must be flagged rather than silently accepted
     monkeypatch.setattr(thresholds, "_COARSE_GRID", 9)
-    _record_objective(monkeypatch, lambda R_a, R_b: R_a + R_b)
+    _, scans, _ = _record_objective(monkeypatch, lambda R_a, R_b: R_a + R_b)
     res = input_threshold(0.9)
+    assert [axis.size for axis in scans] == [9]  # the axis is read at call time
     assert max(res.argmax) > thresholds._DOMAIN - 1e-3
     assert res.converged
     assert res.warnings == (BOUNDARY_WARNING,)
@@ -283,8 +284,8 @@ def test_cap_detection_on_monotone_objective(monkeypatch):
 
 def test_amplitude_grid_scanned_once(monkeypatch):
     # one objective at 64 phase samples; one scan of the 25 × 25 grid,
-    # then from each of the 4 best cells an ascent of at most 200
-    # value-and-gradient evaluations, and the half-rule check
+    # then from each of the 4 best cells that no neighbour beats an ascent
+    # of at most 200 value-and-gradient evaluations, and the half-rule check
     builds, scans, calls = _record_objective(monkeypatch)
     res = input_threshold(0.8)
     assert builds == [64]
@@ -385,6 +386,16 @@ def test_search_stays_on_one_core():
     assert cpu <= 1.3 * wall, (cpu, wall)
 
 
+def _unit_box_fg(objective):
+    """The objective and its gradient on the unit box, R = 6x, as
+    input_threshold climbs it."""
+    def fg(x):
+        f, (g_a, g_b) = objective.value_and_grad(6.0 * x[0], 6.0 * x[1])
+        return f, [6.0 * g_a, 6.0 * g_b]
+
+    return fg
+
+
 _FIVE_GATES = pytest.mark.parametrize("model", [
     QND_11_ARGMAX,
     0.0,
@@ -396,17 +407,110 @@ _FIVE_GATES = pytest.mark.parametrize("model", [
 
 @_FIVE_GATES
 def test_ascent_matches_the_numpy_reference_from_the_scan_starts(model):
-    # the 4 starts input_threshold climbs from, on its own objective
+    # the 4 best scan cells, among which input_threshold finds its starts,
+    # on its own objective
     objective = thresholds._averaged_element(model, 64)
-    axis = np.linspace(0.0, 6.0, 25)
-    scores = objective.scan(axis).ravel()
-
-    def fg(x):
-        f, (g_a, g_b) = objective.value_and_grad(6.0 * x[0], 6.0 * x[1])
-        return f, [6.0 * g_a, 6.0 * g_b]
-
+    scores, fg = objective.scan(np.linspace(0.0, 6.0, 25)).ravel(), _unit_box_fg(objective)
     for cell in np.argsort(-scores, kind="stable")[:4]:
         _same_ascent(fg, np.array(divmod(cell, 25)) / 24, 1 / 24)
+
+
+def _four_start_threshold(objective):
+    """The value and argmax of an ascent from each of the 4 best scan cells,
+    whether or not a neighbour beats them; a later one replaces the result
+    only when strictly higher."""
+    scores, fg = objective.scan(np.linspace(0.0, 6.0, 25)).ravel(), _unit_box_fg(objective)
+    value, argmax = -math.inf, None
+    for cell in np.argsort(-scores, kind="stable")[:4]:
+        x, top = ascend(fg, np.array(divmod(cell, 25)) / 24, 1 / 24)
+        if top > value:
+            value, argmax = top, 6.0 * x
+    return value, argmax
+
+
+def _scan_peaks(scores):
+    """The cells (i, j) of a square scan whose score is at least that of
+    every cell around it."""
+    n = len(scores)
+    return [
+        (i, j) for i in range(n) for j in range(n)
+        if all(scores[i][j] >= scores[k][l] for k in range(max(i - 1, 0), min(i + 2, n))
+               for l in range(max(j - 1, 0), min(j + 2, n)))
+    ]
+
+
+def _record_starts(monkeypatch) -> list:
+    """Log the grid cell (i, j) of the 25 × 25 scan that each ascent starts from."""
+    starts, real = [], thresholds.ascend
+
+    def recorded(fg, x, step):
+        starts.append(tuple(np.rint(x / step).astype(int).tolist()))
+        return real(fg, x, step)
+
+    monkeypatch.setattr(thresholds, "ascend", recorded)
+    return starts
+
+
+@pytest.mark.parametrize("model,ascents", [
+    pytest.param(0.9, 1, id="ideal-0.9"),
+    pytest.param(build_atom_mech_gate(AtomMechParams(0.07, 0.07, 90.0, 0.9, 1e-4, 7.0)), 1, id="fig3a"),
+    pytest.param(0.0, 2, id="zero-gain"),
+])
+def test_threshold_climbs_once_per_scan_hill(monkeypatch, model, ascents):
+    # of the 4 best scan cells only those that no neighbour beats start an
+    # ascent: one where they lie on one hill, two at G = 0, whose maxima
+    # (0, 2√2) and (2√2, 0) are mirror images
+    starts = _record_starts(monkeypatch)
+    input_threshold(model)
+    assert len(starts) == ascents
+
+
+def test_threshold_on_a_plateau_climbs_from_the_4_best_cells_in_grid_order(monkeypatch):
+    # on a flat scan every cell ties with its neighbours, so each of the 4
+    # first cells in grid order starts an ascent, and the first one's result
+    # is kept
+    starts = _record_starts(monkeypatch)
+    _record_objective(monkeypatch, lambda R_a, R_b: 0.25)
+    res = input_threshold(0.9)
+    assert starts == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    assert (res.value, res.argmax) == (0.25, (0.0, 0.0))
+
+
+@_FIVE_GATES
+def test_threshold_climbs_from_the_scan_peaks_among_the_4_best_cells(monkeypatch, model):
+    # the sliced neighbour mask against a cell-by-cell reading of the scan
+    objective = thresholds._averaged_element(model, 64)
+    scores = objective.scan(np.linspace(0.0, 6.0, 25))
+    peaks = set(_scan_peaks(scores.tolist()))
+    best = [divmod(int(cell), 25) for cell in np.argsort(-scores, axis=None, kind="stable")[:4]]
+    starts = _record_starts(monkeypatch)
+    input_threshold(objective)
+    assert starts == [cell for cell in best if cell in peaks]
+
+
+@_FIVE_GATES
+def test_no_scan_peak_climbs_above_the_threshold(model):
+    # an ascent from every cell of the scan that no neighbour beats, not
+    # only from those among the 4 best, ends within 4 ulp of the threshold
+    objective = thresholds._averaged_element(model, 64)
+    scores, fg = objective.scan(np.linspace(0.0, 6.0, 25)).tolist(), _unit_box_fg(objective)
+    value = input_threshold(objective).value
+    for i, j in _scan_peaks(scores):
+        top = ascend(fg, np.array([i, j]) / 24, 1 / 24)[1]
+        assert top <= value + 4 * math.ulp(value), (i, j)
+
+
+@_FIVE_GATES
+def test_threshold_matches_four_ascents(model):
+    # against ascents from all 4 best cells, beaten or not: the values agree
+    # to 1 ulp of e⁻², the largest threshold (2.8e-17; the best of several
+    # ascents that end on one maximum may sit a few ulp of the value
+    # higher), the argmaxes to 1e-7
+    objective = thresholds._averaged_element(model, 64)
+    value, argmax = _four_start_threshold(objective)
+    res = input_threshold(objective)
+    assert abs(res.value - value) <= math.ulp(output_threshold())
+    assert np.abs(np.subtract(res.argmax, argmax)).max() <= 1e-7
 
 
 def _full_grid(model, phase_samples):
