@@ -6,10 +6,11 @@ atom–light, pulsed optomechanical, or hybrid atom–mechanical — together
 with the coherent-state thresholds that certify nonclassical operation.
 
 The top level re-exports what the README, the command line and the
-scripts use; everything else is imported from its submodule.
+scripts use; everything else is imported from its submodule.  The
+truncated-Fock closed forms of :mod:`qnd_hom.fock` are imported on first
+use (PEP 562), so the command line never loads that module.
 """
 
-from .fock import QND_11_ARGMAX, closed_form_qnd_11, hom_element_mixture_ideal
 from .gates import AtomMechParams, build_atom_mech_gate, ideal_gate_model
 from .gaussian import NumericalDomainError
 from .metrics import InputSpec, hom_element_for_gate
@@ -57,3 +58,14 @@ __all__ = [
     "run_sweep",
     "verify_output_threshold",
 ]
+
+_FOCK = ("QND_11_ARGMAX", "closed_form_qnd_11", "hom_element_mixture_ideal")
+
+
+def __getattr__(name: str):
+    if name in _FOCK:
+        from . import fock
+
+        value = globals()[name] = getattr(fock, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,7 +41,13 @@ length alone, so each pulse family builds them once per ``kappa_tau``
 and keeps the last :data:`_KAPPA_TAU_CACHE` of them; a build at a pulse
 length already seen writes only its rows, and a batch looks up each of
 its distinct pulse lengths once.  Every model at that pulse length
-shares the basis, whose Gram matrix and factor are read-only.
+shares the basis, whose Gram matrix and factor are read-only.  A batch
+at one pulse length, a lone point among them, reads its constants, κτ
+and e^{−κτ} as the cached plain floats, which broadcast over its columns
+to the bits that arrays of them would give; only a batch of several
+pulse lengths stacks them.  Each params field is checked once per
+build, the atom-light gate's too, which runs the optomech builder's
+arithmetic on its own checked columns at Γ = 0.
 
 All rates are in units of the cavity decay κ (κ_A = κ_M = κ = 1) and
 times in units of 1/κ; ``kappa_tau`` is the dimensionless pulse length
@@ -98,7 +104,10 @@ def _check(name: str, value) -> None:
     carries the first failing point."""
     rule, holds = _RULES[name]
     finite = abs(value) < math.inf  # NaN too fails
-    ok = np.ravel(finite & holds(value))
+    ok = finite & holds(value)
+    if ok is True:  # one plain number within its rule
+        return
+    ok = np.ravel(ok)
     if not ok.all():
         point = int(np.argmin(ok))
         raise ParameterError(f"{name} {rule if np.ravel(finite)[point] else 'must be finite'}", point)
@@ -110,8 +119,14 @@ class _Params:
     ParameterError of the first failing field carries its first failing point."""
 
     def __post_init__(self):
-        for f in fields(self):
-            _check(f.name, getattr(self, f.name))
+        for name in _field_names(type(self)):
+            _check(name, getattr(self, name))
+
+
+@lru_cache(maxsize=None)
+def _field_names(params: type) -> tuple[str, ...]:
+    """The field names of a params dataclass, read once per class."""
+    return tuple(f.name for f in fields(params))
 
 
 @dataclass(frozen=True)
@@ -283,21 +298,22 @@ class GateBatch:
         gram = first.checked_gram if all(b is first for b in self.bases) else np.stack([b.checked_gram for b in self.bases])
         cov, signal = A @ gram @ A.swapaxes(1, 2), A @ gram[..., :4]
         errors = physicality_errors(cov)
-        ok = [i for i, error in enumerate(errors) if error is None]
-        if len(ok) == len(A):
+        if errors.count(None) == len(A):  # all clear: read every point
             det, kernels = split_kernels(cov, signal)
             jet = hom_jet(det, kernels)
         else:  # read the points that pass, and scatter them among NaN
+            ok = [i for i, error in enumerate(errors) if error is None]
             det, kernels, jet = np.full(len(A), np.nan), np.full((len(A), 2, 4, 4), np.nan), np.full((len(A), 16), np.nan)
             if ok:
                 det[ok], kernels[ok] = split_kernels(cov[ok], signal[ok])
                 jet[ok] = hom_jet(det[ok], kernels[ok])
+        if not det.min() > 0.0:  # a NaN det: that point's overlap matrix is not positive definite
+            errors = [error or (None if d == d else NumericalDomainError(NOT_POSITIVE_DEFINITE))
+                      for error, d in zip(errors, det.tolist())]
         kernels.flags.writeable = jet.flags.writeable = False
         vars(self).update(
             output_matrix=A, signal_map=signal, vacuum_output_cov=cov, kernels=kernels, jet=jet,
-            sectors=jet[:, 12:].reshape(-1, 2, 2).swapaxes(1, 2),
-            errors=tuple(error or (None if d == d else NumericalDomainError(NOT_POSITIVE_DEFINITE))
-                         for error, d in zip(errors, det.tolist())),
+            sectors=jet[:, 12:].reshape(-1, 2, 2).swapaxes(1, 2), errors=tuple(errors),
         )
 
     def __len__(self) -> int:
@@ -316,16 +332,26 @@ def _over_points(build):
     """The public builder of ``build``, which takes every params field as a 1-d
     float array of one value per point, broadcast to the batch, and returns
     the GateBatch: params with an array field give that batch, and params of
-    plain numbers, a batch of one, give its one GateModel."""
+    plain numbers, a batch of one, give its one GateModel.  The build runs with
+    numpy's overflow and invalid-value warnings off: a point whose numbers
+    overflow has a covariance that is not finite, which fails its physicality
+    check, and so only that point."""
 
     @wraps(build)
     def builder(params):
-        values = [np.asarray(getattr(params, f.name), dtype=float) for f in fields(params)]
-        columns = np.empty((len(values), max(v.size for v in values)))
-        for column, value in zip(columns, values):
-            column[...] = value
-        batch = build(*columns)
-        return batch if any(v.ndim for v in values) else batch.model(0)
+        values = [getattr(params, name) for name in _field_names(type(params))]
+        lone = all(isinstance(v, (int, float)) for v in values)
+        if lone:  # plain numbers: columns of one
+            columns = np.array(values, dtype=float)[:, None]
+        else:
+            values = [np.asarray(v, dtype=float) for v in values]
+            columns = np.empty((len(values), max(v.size for v in values)))
+            for column, value in zip(columns, values):
+                column[...] = value
+            lone = not any(v.ndim for v in values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = build(*columns)
+        return batch.model(0) if lone else batch
 
     return builder
 
@@ -392,10 +418,11 @@ def _pulse_error(kappa_tau: float, exc: Exception) -> ValueError:
 
 def _per_point(part, kappa_tau: np.ndarray):
     """The cached ``part`` (constants and checked basis) of each point's pulse
-    length, as (constants, bases, e^{−κτ}), the constants and e^{−κτ} arrays over
-    the points; each distinct κτ is looked up once.  A pulse too short or too
-    long for its constants raises ParameterError at the first point that has
-    it."""
+    length, as (constants, bases, κτ, e^{−κτ}); each distinct κτ is looked up
+    once.  At one pulse length the constants, κτ and e^{−κτ} are the plain
+    floats every point shares, which broadcast to the bits of their arrays;
+    else they are arrays over the points.  A pulse too short or too long for
+    its constants raises ParameterError at the first point that has it."""
     taus = kappa_tau.tolist()
     parts = {}
     for point, tau in enumerate(taus):
@@ -404,21 +431,18 @@ def _per_point(part, kappa_tau: np.ndarray):
                 parts[tau] = part(tau)
             except ValueError as exc:
                 raise ParameterError(str(exc), point) from None
+    if len(parts) == 1:
+        (tau, (c, basis)), = parts.items()
+        return c, (basis,) * len(taus), tau, math.exp(-tau)
     table = {tau: [*vars(c).values(), math.exp(-tau)] for tau, (c, _) in parts.items()}
     *constants, em = np.array([table[tau] for tau in taus]).T
-    return type(parts[taus[0]][0])(*constants), tuple(parts[tau][1] for tau in taus), em
+    return type(parts[taus[0]][0])(*constants), tuple(parts[tau][1] for tau in taus), kappa_tau, em
 
 
 _PULSE_LABELS = (
     "X_a0", "P_a0", "X_L0", "Y_L0", "X_0f1", "Y_0k", "Y_0f1",
     "x_c", "p_c", "x_v", "p_v", "zeta_XM", "zeta_PM", "zeta_XMf",
 )
-
-
-def build_atom_light_gate(params: AtomLightParams) -> GateModel | GateBatch:
-    """Atomic ensemble (mode a) entangled with a traveling pulse (mode b):
-    the pulse gate of :func:`build_optomech_gate` at Γ = 0."""
-    return build_optomech_gate(OptomechParams(params.g, params.kappa_tau, params.eta))
 
 
 @lru_cache(maxsize=_KAPPA_TAU_CACHE)
@@ -442,23 +466,32 @@ def _pulse_part(kappa_tau: float) -> tuple[PulseGateConstants, NoiseModeBasis]:
 def build_optomech_gate(g, tau, eta, Gamma) -> GateBatch:
     """Mechanical oscillator (mode a) entangled with a traveling pulse
     (mode b), with rethermalization forces at rate Γ = γ·n_th."""
-    c, bases, em = _per_point(_pulse_part, tau)
+    c, bases, tau, em = _per_point(_pulse_part, tau)
+    root_eta = np.sqrt(eta)
     GA = g * np.sqrt(2.0 * tau)
-    GL = GA * np.sqrt(eta) * (1.0 - (1.0 - em) / tau)
-    TL = np.sqrt(eta) * (c.L - 1.0)
+    GL = GA * root_eta * (1.0 - (1.0 - em) / tau)
+    TL = root_eta * (c.L - 1.0)
     theta = g * c.theta
     s_cav = np.sqrt(2.0 * eta) * c.Kf
     s_loss = np.sqrt(1.0 - eta)
-    s_aux = np.sqrt(eta) * c.L * c.L1
+    s_aux = root_eta * c.L * c.L1
     thermal = np.sqrt(2.0 * Gamma * tau)
     rows = (  # X_a, P_a, X_b, P_b
         {"X_a0": 1.0, "zeta_XM": thermal},
         {"P_a0": 1.0, "Y_L0": -GA, "p_c": -theta, "Y_0k": GA * c.K1 / np.sqrt(tau), "zeta_PM": thermal},
         {"X_L0": TL, "X_a0": GL, "x_v": s_loss, "x_c": s_cav, "X_0f1": s_aux,
-         "zeta_XMf": np.sqrt(eta) * np.sqrt(2.0 * Gamma) * g * c.M},
+         "zeta_XMf": root_eta * np.sqrt(2.0 * Gamma) * g * c.M},
         {"Y_L0": TL, "p_v": s_loss, "p_c": s_cav, "Y_0f1": s_aux},
     )
     return _gate_model(bases, rows)
+
+
+@_over_points
+def build_atom_light_gate(g, tau, eta) -> GateBatch:
+    """Atomic ensemble (mode a) entangled with a traveling pulse (mode b):
+    the pulse gate of :func:`build_optomech_gate` at Γ = 0, on the columns
+    of params checked once."""
+    return build_optomech_gate.__wrapped__(g, tau, eta, 0.0)
 
 
 _ATOM_MECH_LABELS = (
@@ -495,25 +528,28 @@ def build_atom_mech_gate(gA, gM, tau, eta, Gamma, S) -> GateBatch:
     broadband squeezing of S dB, r = S·ln10/20, scales their coefficients:
     P_in squeezed by e^{-r}, X_in and X_in_f anti-squeezed by e^{r}.
     """
-    c, bases, em = _per_point(_atom_mech_part, tau)
+    c, bases, tau, em = _per_point(_atom_mech_part, tau)
+    # each factor that several coefficients share, computed once
+    eta2, loss, decay, minus_gM = 2.0 * eta, 1.0 - eta, 1.0 - em, -gM
     gain = 2.0 * gA * gM * np.sqrt(eta) * c.E
     # feedforward gain; gA makes the two signal gains exactly equal
-    Kf = np.sqrt(2.0 * eta * tau) * gA * c.E / (tau - 1.0 + em)
+    Kf = np.sqrt(eta2 * tau) * gA * c.E / (tau - 1.0 + em)
     r = S * math.log(10.0) / 20.0
+    anti_squeeze = np.exp(r)
     thermal = np.sqrt(2.0 * Gamma * tau)
     rows = (  # X_a, P_a, X_b, P_b
-        {"X_A0": 1.0, "X_M0": gain, "X_in": -math.sqrt(2.0) * gA / c.K2 * np.exp(r),
-         "X_in_f": (Kf / c.K5) * np.sqrt(eta / tau) * np.exp(r),
-         "x_vac": (Kf / c.K1) * np.sqrt((1.0 - eta) / tau),
-         "x_c": Kf * np.sqrt(2.0 * eta / tau) * (1.0 - em * (2.0 * tau + 1.0)) - gA * (1.0 - em),
-         "x_cp": Kf * np.sqrt(2.0 / tau) * (1.0 - em),
+        {"X_A0": 1.0, "X_M0": gain, "X_in": -math.sqrt(2.0) * gA / c.K2 * anti_squeeze,
+         "X_in_f": (Kf / c.K5) * np.sqrt(eta / tau) * anti_squeeze,
+         "x_vac": (Kf / c.K1) * np.sqrt(loss / tau),
+         "x_c": Kf * np.sqrt(eta2 / tau) * (1.0 - em * (2.0 * tau + 1.0)) - gA * decay,
+         "x_cp": Kf * np.sqrt(2.0 / tau) * decay,
          "zeta_XMf": (gM * Kf / c.K3) * np.sqrt(4.0 * Gamma / tau)},
         {"P_A0": 1.0},
         {"X_M0": 1.0, "zeta_XM": thermal},
-        {"P_M0": 1.0, "P_A0": -gain, "P_in": -np.sqrt(2.0 * eta) * gM / c.K6 * np.exp(-r),
-         "p_vac": -gM * np.sqrt(2.0 * (1.0 - eta)) / c.K2,
+        {"P_M0": 1.0, "P_A0": -gain, "P_in": -np.sqrt(eta2) * gM / c.K6 * np.exp(-r),
+         "p_vac": minus_gM * np.sqrt(2.0 * loss) / c.K2,
          "p_c": -2.0 * np.sqrt(eta) * gM * (1.0 - em * (1.0 + tau)),
-         "p_cp": -gM * (1.0 - em), "zeta_PM": thermal},
+         "p_cp": minus_gM * decay, "zeta_PM": thermal},
     )
     return _gate_model(bases, rows)
 

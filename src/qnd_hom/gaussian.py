@@ -41,6 +41,12 @@ class NumericalDomainError(ArithmeticError):
 
 NOT_POSITIVE_DEFINITE = "overlap matrix is not positive definite"
 
+# built once: the identity that S₀ = V + I adds, and the float64 epsilon of
+# the physicality check's roundoff
+_EYE4 = np.eye(4)
+_EYE4.flags.writeable = False
+_EPS = float(np.finfo(float).eps)
+
 
 @lru_cache(maxsize=None)
 def omega(n_modes: int) -> np.ndarray:
@@ -69,7 +75,7 @@ def qnd_matrix(G) -> np.ndarray:
     if not np.isfinite(G).all():
         raise ValueError("QND gain must be finite")
     T = np.zeros(G.shape + (4, 4))
-    T[...] = np.eye(4)
+    T[...] = _EYE4
     T[..., 0, 2] = G
     T[..., 3, 1] = -G
     return T
@@ -99,9 +105,13 @@ def min_physicality_eig(cov: np.ndarray) -> float | np.ndarray:
     (..., 2n, 2n), one per covariance, in one stacked ``eigvalsh``, and NaN for
     a covariance that is not finite."""
     cov = np.asarray(cov, dtype=float)
-    finite = np.isfinite(cov).all(axis=(-2, -1))
-    stack = np.where(finite[..., None, None], cov, 0.0) + _i_omega(cov.shape[-1] // 2)
-    ev = np.where(finite, np.linalg.eigvalsh(stack).min(axis=-1), np.nan)
+    i_omega = _i_omega(cov.shape[-1] // 2)
+    if np.isfinite(cov).all():  # all clear: no covariance to mask
+        ev = np.linalg.eigvalsh(cov + i_omega).min(axis=-1)
+    else:
+        finite = np.isfinite(cov).all(axis=(-2, -1))
+        stack = np.where(finite[..., None, None], cov, 0.0) + i_omega
+        ev = np.where(finite, np.linalg.eigvalsh(stack).min(axis=-1), np.nan)
     return float(ev) if ev.ndim == 0 else ev
 
 
@@ -110,10 +120,12 @@ def physicality_errors(cov: np.ndarray) -> list:
     one whose min eig(V + iΩ) lies below −max(1e-9, 8·eps·max|V|), the roundoff
     of eigvalsh, or is NaN."""
     ev = min_physicality_eig(cov)
-    tolerance = np.maximum(1e-9, 8.0 * np.finfo(float).eps * np.abs(cov).max(axis=(-2, -1)))
+    passes = ev >= -np.maximum(1e-9, 8.0 * _EPS * np.abs(cov).max(axis=(-2, -1)))
+    if passes.all():  # all clear
+        return [None] * len(passes)
     return [
         None if ok else NumericalDomainError(f"covariance violates the uncertainty bound: min eig(V+iΩ) = {e:.3e}")
-        for ok, e in zip((ev >= -tolerance).tolist(), ev.tolist())
+        for ok, e in zip(passes.tolist(), ev.tolist())
     ]
 
 
@@ -183,11 +195,17 @@ def _jet_exp(u) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _blocks(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index of the x and p blocks, (quadrature, row, column), of rows (S₀ | P)
-    of ``width`` columns: rows 0, 2 and the even columns, then rows 1, 3 and the
-    odd ones."""
-    return np.array([[0, 2], [1, 3]])[:, :, None], np.arange(width).reshape(-1, 2).T[:, None, :]
+def _blocks(width: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The (row, column) index of two gathers from rows (S₀ | P) of ``width``
+    columns, each (quadrature, i, j, column): the x block is rows 0, 2 and the
+    even columns, the p block rows 1, 3 and the odd ones.  Of each block
+    (S | V), S = [[a, b], [c, d]] and V's rows v0, v1, the first gathers
+    [[d, b], [a, c]] and the second [[v0, v1], [v1, v0]], so one product and
+    one difference give the rows d·v0 − b·v1 and a·v1 − c·v0 of adj S · V."""
+    q = np.arange(2)[:, None, None, None]  # the quadrature: 0 (x) or 1 (p)
+    i = np.array([[1, 0], [0, 1]])[:, :, None]  # the S row of d, b, a, c
+    j = np.array([[1, 1], [0, 0]])[:, :, None]  # and its S column
+    return (q + 2 * i, q + 2 * j), (q + 2 * (1 - i), q + np.arange(4, width, 2))
 
 
 def split_kernels(cov: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +223,7 @@ def split_kernels(cov: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.
     cov = np.asarray(cov, dtype=float)
     lead, width = cov.shape[:-2], 8 + np.shape(columns)[-1]
     rows = np.empty(lead + (4, width))  # (S₀ | P), rows x_a, p_a, x_b, p_b
-    np.add(cov, np.eye(4), out=rows[..., :4])
+    np.add(cov, _EYE4, out=rows[..., :4])
     rows[..., 4:-4] = columns
     rows[..., -4:] = HOM_BS
     if np.count_nonzero(rows[..., 0::2, 1::2]) or np.count_nonzero(rows[..., 1::2, 0::2]):
@@ -214,15 +232,17 @@ def split_kernels(cov: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.
             for i, j in zip(*np.nonzero(mixing & (point != 0.0))):
                 where = f"S0[{i}, {j}]" if j < 4 else f"input block {(j - 4) // 2} entry [{i}, {j % 2}]"
                 raise ValueError(f"{where} = {float(point[i, j])!r} mixes X and P, which the jet engine keeps apart")
-    B = rows[(..., *_blocks(width))]  # (..., quadrature, row, column): (S | V) of the x block, then the p block
-    a, b, c, d = B[..., 0, 0:1], B[..., 0, 1:2], B[..., 1, 0:1], B[..., 1, 1:2]
-    v0, v1 = B[..., 0, 2:], B[..., 1, 2:]
-    det = a * d - b * c
+    adjugate, v_rows = _blocks(width)
+    X, Y = rows[(..., *adjugate)], rows[(..., *v_rows)]  # (..., quadrature, i, j, column)
+    ad_cb = X[..., 1, :, :] * X[..., 0, :, :]  # a·d and c·b of the x block, then the p block
+    det, a = ad_cb[..., 0, :] - ad_cb[..., 1, :], X[..., 1, 0, :]
     if not (np.minimum(a, det).min() > 0.0 and det.max() < np.inf):
         positive = ((a > 0.0) & (det > 0.0) & (det < np.inf)).all(axis=(-2, -1))
         det = np.where(positive[..., None, None], det, np.nan)
-    s, t = (d * v0 - b * v1) / det, (a * v1 - c * v0) / det  # adj S · V / det S, column by column
-    K = 2.0 * (v0[..., :, None] * s[..., None, :] + v1[..., :, None] * t[..., None, :])
+    XY = X * Y
+    st = (XY[..., 0, :] - XY[..., 1, :]) / det[..., None]  # adj S · V / det S: rows s, t
+    VST = Y[..., 0, :, None] * st[..., None, :]  # v0 ⊗ s and v1 ⊗ t
+    K = 2.0 * (VST[..., 0, :, :] + VST[..., 1, :, :])
     return det[..., 0, 0] * det[..., 1, 0], K
 
 

@@ -53,6 +53,8 @@ GATE_KINDS = tuple(GATES)
 # "g", which sets both couplings (gA and gM override it)
 _GATE_PARAMS = {gate: tuple(f.name for f in fields(params)) for gate, (params, _) in GATES.items()}
 _GATE_PARAMS["atom-mech"] = ("g", *_GATE_PARAMS["atom-mech"])
+# the params fields without a default, per gate kind
+_REQUIRED = {gate: tuple(f.name for f in fields(params) if f.default is MISSING) for gate, (params, _) in GATES.items()}
 
 # Threshold points a sweep needs per process before it forks one (2-core
 # box, Python 3.11.7, numpy 2.4.6).  A threshold takes about 0.7 ms, and an
@@ -171,9 +173,9 @@ def build_model(gate: str, values: Mapping[str, float | np.ndarray]) -> GateMode
         g = values.pop("g")
         values = {"gA": g, "gM": g, **values}
     params, builder = GATES[gate]
-    for f in fields(params):
-        if f.default is MISSING and f.name not in values:
-            raise SweepConfigError(f"gate {gate!r} is missing parameter {f.name!r}")
+    for name in _REQUIRED[gate]:
+        if name not in values:
+            raise SweepConfigError(f"gate {gate!r} is missing parameter {name!r}")
     try:
         return builder(params(**values))
     except ValueError as exc:

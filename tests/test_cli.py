@@ -420,6 +420,18 @@ def test_non_finite_range_rejected_by_name(capsys, argv, where):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_a_sweep_whose_covariance_overflows_warns_nothing(capsys):
+    # at G = 1e300 the covariance overflows: that point's rows carry the
+    # numerical failure, the sweep exits 0, and numpy's overflow is no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "ideal", "--sweep", "G", "--start", "1", "--stop", "1e300", "--points", "2")
+    assert (code, err) == (0, "")
+    good, bad = out.strip().split("\n")[1:]
+    assert good.endswith(",") and bad.endswith(
+        "numerical-domain failure: covariance violates the uncertainty bound: min eig(V+iΩ) = nan")
+
+
 @pytest.mark.parametrize("argv,name", [
     (("atom-light", "--g", "0.06", "--kappa-tau", "inf", "--eta", "0.9"), "kappa_tau"),
     (("atom-light", "--g", "inf", "--kappa-tau", "100"), "g"),
@@ -506,6 +518,26 @@ def test_paths_without_a_search_never_load_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_the_command_line_never_loads_the_fock_module():
+    # qnd_hom resolves its fock re-exports on first use, so the command line
+    # does not load qnd_hom.fock; those names, and all of __all__, still
+    # import from qnd_hom
+    src = Path(qnd_hom.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "\n".join([
+        "import sys, qnd_hom.cli",
+        "assert qnd_hom.cli.main(['ideal', '--G', '0.9']) == 0",
+        "print('qnd_hom.fock' in sys.modules)",
+        "from qnd_hom import QND_11_ARGMAX, closed_form_qnd_11",
+        "print('qnd_hom.fock' in sys.modules, closed_form_qnd_11(QND_11_ARGMAX) > 0.26)",
+        "assert all(hasattr(qnd_hom, name) for name in qnd_hom.__all__)",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-2:] == ["False", "True True"]
 
 
 def test_preset_known_names(capsys):

@@ -17,6 +17,7 @@ from qnd_hom.gates import (
     AtomMechConstants,
     AtomMechParams,
     OptomechParams,
+    ParameterError,
     PulseGateConstants,
     _atom_mech_part,
     _gate_model,
@@ -360,6 +361,30 @@ def test_physicality_checked_once_per_model(monkeypatch, gate, values):
     hom_element_for_gate(model, InputSpec(1.0, 1.0))
     coherent_jets(model.kernels, model.jet)
     assert len(calls) == 1
+
+
+# range checks of one build: one per field of the gate's params
+_CHECKS = {"ideal": 1, "bs": 1, "atom-light": 3, "optomech": 4, "atom-mech": 6}
+
+
+@pytest.mark.parametrize("gate,values", _ONE_OF_EACH)
+def test_each_parameter_is_checked_once_per_build(monkeypatch, gate, values):
+    build_model(gate, values)  # the pulse length's constants, which check κτ once, are then cached
+    calls = _counted(monkeypatch, qnd_hom.gates, "_check")
+    build_model(gate, values)
+    assert len(calls) == _CHECKS[gate]
+
+
+def test_a_bad_atom_light_value_names_its_parameter_and_first_point():
+    with pytest.raises(ParameterError, match=r"^eta must lie in \(0, 1\]$") as alone:
+        build_atom_light_gate(AtomLightParams(0.06, 100.0, 1.5))
+    assert alone.value.point == 0
+    with pytest.raises(ParameterError, match=r"^g must be finite$") as batch:
+        build_atom_light_gate(AtomLightParams(np.array([0.05, 0.06, np.nan, -1.0]), 100.0, 0.9))
+    assert batch.value.point == 2
+    with pytest.raises(ParameterError, match=r"^kappa_tau must be positive$") as batch:
+        build_atom_light_gate(AtomLightParams(0.06, np.array([100.0, 90.0, 0.0]), np.array([0.9, 2.0, 0.9])))
+    assert batch.value.point == 2
 
 
 @pytest.mark.parametrize("gate,values", _ONE_OF_EACH)
