@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gaussian import NumericalDomainError
 from .gates import GateModel, ideal_gate_model
 
@@ -70,17 +68,19 @@ def _probability(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def sector_element(sectors: np.ndarray, spec: InputSpec) -> HomResult:
+def sector_element(sectors: list[list[float]], spec: InputSpec) -> HomResult:
     """The mixture element: the bilinear p-combination wₐᵀEw_b of the sectors,
-    w = (1 − p, p), in plain floats."""
-    (e00, e01), (e10, e11) = np.asarray(sectors).tolist()
+    w = (1 − p, p), in plain floats; ``sectors`` is the 2 × 2 nested list
+    that a model's or a batch's ``sectors.tolist()`` gives, read once for
+    every p."""
+    (e00, e01), (e10, e11) = sectors
     pa, pb = spec.p_a, spec.p_b
     return HomResult(_probability(((1.0 - pa) * e00 + pa * e10) * (1.0 - pb) + ((1.0 - pa) * e01 + pa * e11) * pb))
 
 
 def hom_element_for_gate(model: GateModel, spec: InputSpec) -> HomResult:
     """⟨HOM|ρ_out|HOM⟩ for a gate model and mixture input."""
-    return sector_element(model.sectors, spec)
+    return sector_element(model.sectors.tolist(), spec)
 
 
 def hom_element_ideal_via_wigner(

@@ -9,21 +9,22 @@ once per grid point and shared across the p rows: the threshold depends
 only on the gate, and each p row is a bilinear combination of the
 sectors.
 
-Grid points are independent, and a slice of them is one batch: one build
-of its gate models (:func:`build_batch`), with one stacked physicality
-check and one element jet, whose errors and sectors the rows read.  When
-input thresholds are requested, the threshold objectives of every
-``OBJECTIVE_CHUNK`` points are built together from the batch's kernels
-and jets, and each point's threshold is then found from its own.  A
-point's numbers do not depend on its batch or chunk, and a point that
-fails numerically fails only its own rows.  ``jobs`` bounds the number of
-processes a sweep uses, the calling process included: a threshold table
-forks only when it has ``POINTS_PER_PROCESS`` points per process, and an
-element-only table always runs in the calling process.  The grid is cut
-into strided slices, the caller computes the first and each forked worker
-one other, and the rows are reassembled in grid order, so the emitted
-file (and the message of a configuration error) is byte-identical at any
-``jobs``.
+A table is built once, in the calling process: the whole grid is one
+batch (:func:`build_batch`), with one stacked physicality check and one
+element jet, whose errors and sectors the rows read.  When input
+thresholds are requested, they are the only work that is shared out:
+the threshold objectives of every ``OBJECTIVE_CHUNK`` points that built
+are built together from the batch's kernels and jets, and each point's
+threshold is then found from its own.  A point's numbers do not depend on
+its batch or chunk, and a point that fails numerically fails only its
+own rows.  ``jobs`` bounds the number of processes a sweep uses, the
+calling process included: a threshold table forks only when it has
+``POINTS_PER_PROCESS`` grid points per process, and an element-only table
+always runs in the calling process.  The threshold points are cut into
+strided slices, the caller computes the first and each forked worker one
+other, from nothing but the slice's kernels and jets, and the caller
+writes every row in grid order, so the emitted file (and the message of
+a configuration error) is byte-identical at any ``jobs``.
 
 :func:`find_optimum` scores its whole grid as one batch, takes its first
 Newton step off the grid's own second differences, and reads each later
@@ -45,7 +46,7 @@ import numpy as np
 from .gates import GATES, GateBatch, GateModel
 from .gaussian import NumericalDomainError
 from .metrics import InputSpec, hom_element_for_gate, sector_element  # hom_element_for_gate: perfbench reads it here
-from .thresholds import averaged_elements, input_threshold, output_threshold
+from .thresholds import ThresholdResult, averaged_elements, input_threshold, output_threshold
 
 GATE_KINDS = tuple(GATES)
 
@@ -202,18 +203,16 @@ def build_batch(gate: str, values: Mapping[str, float | np.ndarray]) -> tuple[Ga
     return None, error
 
 
-def _point_rows(config: SweepConfig, value: float, batch: GateBatch, i: int, objective) -> list[SweepRow]:
-    """All rows of grid point i of a slice's batch: its build error, or its
-    threshold, when ``objective`` is its prebuilt threshold objective, and
-    the elements of its sectors."""
+def _point_rows(config: SweepConfig, value: float, error, sectors: list, threshold) -> list[SweepRow]:
+    """All rows of one grid point: its build error, or the elements of its
+    sectors (plain floats) beside its input threshold, when one was found."""
     in_thr, warnings = None, ""
     try:
-        if batch.errors[i] is not None:
-            raise batch.errors[i]
-        if objective is not None:
-            thr = input_threshold(objective)
-            in_thr, warnings = thr.value, ";".join(thr.warnings)
-        results = [sector_element(batch.sectors[i], InputSpec(p, p)) for p in config.p_values]
+        if error is not None:
+            raise error
+        if threshold is not None:
+            in_thr, warnings = threshold.value, ";".join(threshold.warnings)
+        results = [sector_element(sectors, InputSpec(p, p)) for p in config.p_values]
         elements = [(res.value, res.error_estimate) for res in results]
     except NumericalDomainError as exc:
         in_thr, warnings = None, f"numerical-domain failure: {exc}"
@@ -225,60 +224,57 @@ def _point_rows(config: SweepConfig, value: float, batch: GateBatch, i: int, obj
     ]
 
 
-def _evaluate_slice(config: SweepConfig, values: Sequence[float]) -> list[list[SweepRow]]:
-    """Row groups of a slice's grid points: one build and one element jet for
-    the whole slice and, in a threshold table, one build of the threshold
-    objectives of every ``OBJECTIVE_CHUNK`` points.  A point that does not
-    configure raises the slice's first configuration error before any row."""
-    batch, error = build_batch(config.gate, {**config.fixed, config.sweep_param: np.array(values)})
-    if error:
-        raise error
-    groups = []
-    for first in range(0, len(batch), OBJECTIVE_CHUNK):
-        points = range(first, min(first + OBJECTIVE_CHUNK, len(batch)))
-        objectives = {}
-        if config.with_input_threshold:
-            ok = [i for i in points if batch.errors[i] is None]
-            objectives = dict(zip(ok, averaged_elements(batch.kernels[ok], batch.jet[ok])))
-        groups += [_point_rows(config, values[i], batch, i, objectives.get(i)) for i in points]
-    return groups
+def _thresholds(kernels: np.ndarray, jet: np.ndarray) -> list[ThresholdResult]:
+    """The input thresholds of points from their stacked kernels and jets:
+    one build of the threshold objectives of every ``OBJECTIVE_CHUNK``
+    points, then each point's threshold from its own.  A forked worker's
+    whole share of a sweep: it builds no model and writes no row."""
+    return [
+        input_threshold(objective)
+        for first in range(0, len(jet), OBJECTIVE_CHUNK)
+        for objective in averaged_elements(kernels[first : first + OBJECTIVE_CHUNK], jet[first : first + OBJECTIVE_CHUNK])
+    ]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate the whole grid, in grid order.
 
-    The sweep uses ``n = min(jobs, points // POINTS_PER_PROCESS)``
-    processes for a threshold table and only the calling process for an
-    element-only one.  Slice k is every n-th grid point from point k, and
-    each slice is one batch; the caller computes slice 0 while ``n - 1``
-    forked workers compute one slice each, and every worker is joined
-    before this returns or raises.  A grid with a point that does not
-    configure computes no rows, input thresholds included: the sweep
-    configures the whole grid before it forks, and raises the
-    configuration error earliest in grid order, as at ``jobs=1``.
-    Per-point numerical failures become warning rows with NaN elements;
-    the sweep only raises :class:`SweepNumericalError` when every grid
-    point failed.
+    The calling process builds the whole grid as one batch, so a grid with
+    a point that does not configure raises the configuration error earliest
+    in grid order and computes no rows, input thresholds included.  A
+    threshold table then finds the input thresholds of the points that
+    built in ``n = min(jobs, points // POINTS_PER_PROCESS)`` processes:
+    slice k is every n-th of those points from the k-th, the caller
+    computes slice 0 while ``n - 1`` forked workers compute one slice each
+    (:func:`_thresholds`), and every worker is joined before this returns
+    or raises.  An element-only table runs in the calling process alone.
+    The caller writes every row.  Per-point numerical failures become
+    warning rows with NaN elements; the sweep only raises
+    :class:`SweepNumericalError` when every grid point failed.
     """
-    values = config.grid().tolist()
-    n = min(config.jobs, len(values) // POINTS_PER_PROCESS) if config.with_input_threshold else 1
-    if n <= 1:
-        groups = _evaluate_slice(config, values)
-    else:
-        # the whole grid configures before a worker forks, so a point that
-        # does not configure raises here, and no slice computes a row
-        _, error = build_batch(config.gate, {**config.fixed, config.sweep_param: np.array(values)})
-        if error:
-            raise error
-        from concurrent.futures import ProcessPoolExecutor  # imported here: most runs never fork
+    grid = config.grid()
+    batch, error = build_batch(config.gate, {**config.fixed, config.sweep_param: grid})
+    if error:
+        raise error
+    found = {}
+    if config.with_input_threshold:
+        ok = [i for i, failure in enumerate(batch.errors) if failure is None]
+        n = max(min(config.jobs, len(grid) // POINTS_PER_PROCESS), 1)
+        slices = [(batch.kernels[ok[k::n]], batch.jet[ok[k::n]]) for k in range(n)]
+        if n == 1:
+            parts = [_thresholds(*slices[0])]
+        else:
+            from concurrent.futures import ProcessPoolExecutor  # imported here: most runs never fork
 
-        with ProcessPoolExecutor(max_workers=n - 1) as pool:
-            futures = [pool.submit(_evaluate_slice, config, values[k::n]) for k in range(1, n)]
-            slices = [_evaluate_slice(config, values[::n]), *(f.result() for f in futures)]
-        groups = [None] * len(values)
-        for k, part in enumerate(slices):
-            groups[k::n] = part
-    rows = [row for group in groups for row in group]
+            with ProcessPoolExecutor(max_workers=n - 1) as pool:
+                futures = [pool.submit(_thresholds, *part) for part in slices[1:]]
+                parts = [_thresholds(*slices[0]), *(f.result() for f in futures)]
+        found = dict(zip((i for k in range(n) for i in ok[k::n]), itertools.chain(*parts)))
+    rows = [
+        row
+        for i, (value, sectors) in enumerate(zip(grid.tolist(), batch.sectors.tolist()))
+        for row in _point_rows(config, value, batch.errors[i], sectors, found.get(i))
+    ]
     if rows and all(math.isnan(row.hom) for row in rows):
         raise SweepNumericalError("every grid point failed numerically")
     return rows
@@ -397,7 +393,7 @@ def find_optimum(
         columns = {name: np.array(column) for name, column in zip(names, zip(*map(at, points)))}
         batch, error = build_batch(gate, {**fixed, **columns})
         values = []
-        for failure, sectors in zip(batch.errors, batch.sectors) if batch is not None else ():
+        for failure, sectors in zip(batch.errors, batch.sectors.tolist()) if batch is not None else ():
             if failure is not None:
                 raise failure
             values.append(sector_element(sectors, spec).value)

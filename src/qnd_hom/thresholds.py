@@ -330,27 +330,26 @@ def phase_averaged_element(
 
 
 def ascend(fg, x, step: float) -> tuple[np.ndarray, float]:
-    """Maximize f on the unit box [0, 1]ⁿ, n = 1 or 2 (else ValueError),
-    from ``x`` by projected BFGS; ``fg(x)`` gets x as a float64 array and
-    returns f and its gradient, a length-n sequence.  A coordinate on a
-    face that its gradient points out of is held there.  The first step
-    has length ``step``, and each step halves until f rises by 1e-4 of its
-    first-order gain (Armijo).  Stops when the quadratic model predicts a
-    gain below the roundoff of f, when a step no longer moves x, or at 200
-    evaluations of f; returns the last accepted x and f there.  The loop
-    runs on floats: a 1-D box is the 2-D one with x₁ held at 0 by a zero
-    gradient, and the inverse Hessian [[a, b], [b, c]] takes the BFGS
-    update H − (s·Hyᵀ + Hy·sᵀ)/sy + (1 + yᵀHy/sy)·ssᵀ/sy in closed form."""
+    """Maximize f on the unit square [0, 1]² from ``x``, two coordinates
+    (else ValueError), by projected BFGS; ``fg(x)`` gets x as a float64
+    array and returns f and its gradient, a length-2 sequence.  A
+    coordinate on a face that its gradient points out of is held there.
+    The first step has length ``step``, and each step halves until f rises
+    by 1e-4 of its first-order gain (Armijo).  Stops when the quadratic
+    model predicts a gain below the roundoff of f, when a step no longer
+    moves x, or at 200 evaluations of f; returns the last accepted x and f
+    there.  The loop runs on floats: the inverse Hessian [[a, b], [b, c]]
+    takes the BFGS update H − (s·Hyᵀ + Hy·sᵀ)/sy + (1 + yᵀHy/sy)·ssᵀ/sy in
+    closed form."""
     x = np.asarray(x, dtype=float)
-    if x.shape not in ((1,), (2,)):
-        raise ValueError(f"ascend climbs in 1 or 2 dimensions, got a start of n = {x.size} (shape {x.shape})")
-    n = x.size
+    if x.shape != (2,):
+        raise ValueError(f"ascend climbs in 2 dimensions, got a start of n = {x.size} (shape {x.shape})")
 
     def evaluate(x0, x1):
-        f, g = fg(np.array((x0, x1)[:n]))
-        return (f, *g) if n == 2 else (f, g[0], 0.0)
+        f, (g0, g1) = fg(np.array((x0, x1)))
+        return f, g0, g1
 
-    x0, x1 = (*np.clip(x, 0.0, 1.0).tolist(), 0.0)[:2]
+    x0, x1 = np.clip(x, 0.0, 1.0).tolist()
     (f, g0, g1), evals, a = evaluate(x0, x1), 1, None
     while evals < _MAX_EVALS:
         free0 = (x0 > 0.0 or g0 > 0.0) and (x0 < 1.0 or g0 < 0.0)
@@ -370,12 +369,12 @@ def ascend(fg, x, step: float) -> tuple[np.ndarray, float]:
             u, v = min(max(x0 + t * d0, 0.0), 1.0), min(max(x1 + t * d1, 0.0), 1.0)
             s0, s1 = u - x0, v - x1
             if not (s0 or s1):
-                return np.array((x0, x1)[:n]), f
+                return np.array((x0, x1)), f
             (f_new, h0, h1), evals = evaluate(u, v), evals + 1
             if f_new - f >= 1e-4 * abs(g0 * s0 + g1 * s1):
                 break
             if evals == _MAX_EVALS:
-                return np.array((x0, x1)[:n]), f
+                return np.array((x0, x1)), f
             t *= 0.5
         y0, y1 = g0 - h0, g1 - h1  # the change in the gradient of −f
         if (sy := s0 * y0 + s1 * y1) > 0.0:  # the BFGS update of the inverse Hessian
@@ -387,7 +386,7 @@ def ascend(fg, x, step: float) -> tuple[np.ndarray, float]:
                 c - 2.0 * s1 * Hy1 / sy + k * s1 * s1,
             )
         x0, x1, f, g0, g1 = u, v, f_new, h0, h1
-    return np.array((x0, x1)[:n]), f
+    return np.array((x0, x1)), f
 
 
 def input_threshold(model: GateModel | float | _AveragedElement) -> ThresholdResult:

@@ -2,13 +2,13 @@
 
 Builders, the physicality check, the kernels and the element jet take a
 leading batch axis, and a point built alone is a batch of one; so do the
-node arrays of the threshold objective, which a sweep slice builds for up
-to ``OBJECTIVE_CHUNK`` points at once.  Every number of a point
-(covariance, kernels, jet, sectors, element, node arrays, threshold,
-warning) must therefore be bit-identical whether the point is computed
-inside a whole preset grid, inside a strided slice of it (a forked
-worker's share of a sweep) or alone; that is what keeps tables
-byte-identical at any ``jobs``.
+node arrays of the threshold objective, which a sweep's slice of threshold
+points builds for up to ``OBJECTIVE_CHUNK`` points at once.  Every number
+of a point (covariance, kernels, jet, sectors, element, node arrays,
+threshold, warning) must therefore be bit-identical whether the point is
+computed inside a whole preset grid, inside a strided slice of it (a
+forked worker's share of a sweep's thresholds) or alone; that is what
+keeps tables byte-identical at any ``jobs``.
 """
 
 import math
@@ -57,7 +57,7 @@ def test_a_preset_point_is_the_same_in_its_grid_in_a_slice_and_alone(name):
         assert _alone(config.gate, values) == whole[i], value
         for p in config.p_values:
             spec = InputSpec(p, p)
-            assert sector_element(batch.sectors[i], spec).value == hom_element_for_gate(build_model(config.gate, values), spec).value
+            assert sector_element(batch.sectors[i].tolist(), spec).value == hom_element_for_gate(build_model(config.gate, values), spec).value
 
 
 @pytest.mark.parametrize("gate,param,values,fixed", [
@@ -163,7 +163,7 @@ def test_a_crossing_reads_its_model_sectors_once(monkeypatch):
     monkeypatch.setattr(qnd_hom.gates, "hom_jet", real)
     for p in ps:
         fresh = build_model("atom-light", values).sectors  # a new model, its own build and jet
-        assert hom_element_for_gate(model, InputSpec(p, p)).value == sector_element(fresh, InputSpec(p, p)).value
+        assert hom_element_for_gate(model, InputSpec(p, p)).value == sector_element(fresh.tolist(), InputSpec(p, p)).value
 
 
 def test_a_batch_configures_up_to_its_first_bad_point():
@@ -199,23 +199,25 @@ def _threshold_slices(grid):
 
 @pytest.mark.parametrize("gate", sorted(_THRESHOLD_TABLES))
 def test_a_threshold_is_the_same_in_its_slice_and_alone(monkeypatch, gate):
-    # the sweep builds each chunk's objectives together and hands each
-    # point's to sweep.input_threshold: every ThresholdResult (value,
-    # argmax, samples, convergence, warnings) is the lone point's
+    # a sweep hands each process the kernels and jets of its strided slice
+    # of the whole grid's batch; the slice builds each chunk's objectives
+    # together and hands each point's to sweep.input_threshold: every
+    # ThresholdResult (value, argmax, samples, convergence, warnings) is the
+    # lone point's
     param, start, stop, fixed = _THRESHOLD_TABLES[gate]
     found, real = [], qnd_hom.sweep.input_threshold
     monkeypatch.setattr(qnd_hom.sweep, "input_threshold", lambda objective: found.append(real(objective)) or found[-1])
     alone = {}
     for points in _THRESHOLD_SIZES:
-        config = SweepConfig(gate, param, start, stop, points, fixed, with_input_threshold=True)
-        grid = config.grid().tolist()
-        for value in grid:
+        grid = SweepConfig(gate, param, start, stop, points, fixed).grid()
+        for value in grid.tolist():
             if value not in alone:
                 alone[value] = input_threshold(build_model(gate, {**fixed, param: value}))
-        for part in _threshold_slices(grid):
+        batch, _ = build_batch(gate, {**fixed, param: grid})
+        for part in _threshold_slices(np.arange(points)):
             found.clear()
-            qnd_hom.sweep._evaluate_slice(config, part)
-            assert found == [alone[value] for value in part], (points, part)
+            thresholds = qnd_hom.sweep._thresholds(batch.kernels[part], batch.jet[part])
+            assert thresholds == found == [alone[value] for value in grid[part].tolist()], (points, part)
 
 
 @pytest.mark.parametrize("gate", sorted(_THRESHOLD_TABLES))

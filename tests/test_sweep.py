@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -30,7 +31,7 @@ from qnd_hom.sweep import (
     render_json,
     run_sweep,
 )
-from qnd_hom.thresholds import ThresholdResult
+from qnd_hom.thresholds import ThresholdResult, averaged_elements
 
 
 def _ideal_config(**kw):
@@ -199,15 +200,15 @@ def test_bs_sweep():
 _FORK_AT = 8
 
 
-def test_pool_never_larger_than_the_grid(monkeypatch):
-    # a process must have POINTS_PER_PROCESS threshold points before the
-    # sweep forks it, an element-only table never forks, and jobs counts
-    # the calling process: it bounds the pool, which has jobs - 1 workers
-    started = []
+def _serial_pool(monkeypatch):
+    """Stand a pool in for ProcessPoolExecutor that runs each submitted call
+    at once, in this process; returns the logs of its pool sizes and of
+    the arguments of its submitted calls."""
+    pools, submitted = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -216,11 +217,20 @@ def test_pool_never_larger_than_the_grid(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            submitted.append(args)
             future = Future()
             future.set_result(fn(*args))
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return pools, submitted
+
+
+def test_pool_never_larger_than_the_grid(monkeypatch):
+    # a process must have POINTS_PER_PROCESS threshold points before the
+    # sweep forks it, an element-only table never forks, and jobs counts
+    # the calling process: it bounds the pool, which has jobs - 1 workers
+    started, _ = _serial_pool(monkeypatch)
     per_process = qnd_hom.sweep.POINTS_PER_PROCESS
     for points, jobs, with_input_threshold, workers in [
         (per_process, 5000, True, []),
@@ -240,40 +250,76 @@ def test_pool_never_larger_than_the_grid(monkeypatch):
 
 
 def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
-    # the caller configures the whole grid before it forks, then computes
-    # every n-th grid point from point 0, forked workers the rest, and the
-    # rows come back in grid order
+    # the caller builds the whole grid in one batch; forked workers build
+    # nothing, and each finds the thresholds of whole strided slices of the
+    # points that built, every n-th of them from the k-th.  On this log
+    # grid of G ∈ [1, 1e300] about half the points overflow, so the
+    # threshold points are not the grid
     monkeypatch.setattr(qnd_hom.sweep, "POINTS_PER_PROCESS", _FORK_AT)
-    config = _ideal_config(points=25, with_input_threshold=True)
+    config = _ideal_config(start=1.0, stop=1e300, points=25, scale="log", with_input_threshold=True)
     serial = render_csv(run_sweep(config))
-    grid = [float(v) for v in config.grid()]
-    log = tmp_path / "points"
-    real = qnd_hom.sweep.build_batch
+    batch, _ = qnd_hom.sweep.build_batch("ideal", {"G": config.grid()})
+    ok = [i for i, error in enumerate(batch.errors) if error is None]
+    assert 3 * _FORK_AT <= len(config.grid()) and 6 <= len(ok) < len(config.grid())
+    objectives = averaged_elements(batch.kernels[ok], batch.jet[ok])
+    point = {hashlib.sha1(o.nodes.tobytes()).hexdigest(): i for i, o in zip(ok, objectives)}
+    log = tmp_path / "calls"
 
-    def logged(gate, values):  # one batch per slice
-        with open(log, "a") as fh:
-            fh.writelines(f"{os.getpid()} {G!r}\n" for G in values["G"].tolist())
-        return real(gate, values)
+    def logged(name, real, describe):
+        def call(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {name} {describe(*args)}\n")
+            return real(*args)
 
-    monkeypatch.setattr(qnd_hom.sweep, "build_batch", logged)
+        monkeypatch.setattr(qnd_hom.sweep, name, call)
+
+    logged("build_model", qnd_hom.sweep.build_model, lambda gate, values: "-")
+    logged("build_batch", qnd_hom.sweep.build_batch, lambda gate, values: ",".join(map(repr, values["G"].tolist())))
+    logged("input_threshold", qnd_hom.sweep.input_threshold,
+           lambda objective: point[hashlib.sha1(objective.nodes.tobytes()).hexdigest()])
     for jobs in (2, 3):  # 25 points: slices of unequal length
         log.write_text("")
         assert render_csv(run_sweep(dataclasses.replace(config, jobs=jobs))) == serial
         assert multiprocessing.active_children() == []
-        by_pid = {}
+        calls = {}
         for line in log.read_text().splitlines():
-            pid, value = line.split()
-            by_pid.setdefault(int(pid), []).append(float(value))
-        assert by_pid.pop(os.getpid()) == grid + grid[::jobs]
-        assert by_pid  # a forked worker ran
-        assert sorted(v for values in by_pid.values() for v in values) == sorted(
-            v for k in range(1, jobs) for v in grid[k::jobs]
-        )
+            pid, name, what = line.split()
+            calls.setdefault((int(pid), name), []).append(what)
+        caller = os.getpid()
+        assert calls.pop((caller, "build_batch")) == [",".join(map(repr, config.grid().tolist()))]
+        assert calls.pop((caller, "build_model"))
+        assert calls.pop((caller, "input_threshold")) == [str(i) for i in ok[::jobs]]
+        assert {name for _, name in calls} == {"input_threshold"}  # no worker builds
+        # each worker computed whole slices 1 … jobs − 1, each once
+        slices = [[str(i) for i in ok[k::jobs]] for k in range(1, jobs)]
+        for found in calls.values():
+            while found:
+                part = next(part for part in slices if found[: len(part)] == part)
+                slices.remove(part)
+                found = found[len(part) :]
+        assert slices == []
+
+
+def test_a_sweep_builds_its_grid_once(monkeypatch):
+    # one build_batch call over the whole grid at any jobs, with the forked
+    # workers' share of the thresholds run in this process
+    monkeypatch.setattr(qnd_hom.sweep, "POINTS_PER_PROCESS", _FORK_AT)
+    pools, _ = _serial_pool(monkeypatch)
+    batches, real = [], qnd_hom.sweep.build_batch
+    monkeypatch.setattr(qnd_hom.sweep, "build_batch", lambda gate, values: batches.append(values["G"]) or real(gate, values))
+    for with_input_threshold in (False, True):
+        config = _ideal_config(points=25, with_input_threshold=with_input_threshold)
+        for jobs in (1, 2, 3):
+            batches.clear(), pools.clear()
+            run_sweep(dataclasses.replace(config, jobs=jobs))
+            assert len(batches) == 1 and batches[0].tolist() == config.grid().tolist()
+            assert pools == ([jobs - 1] if with_input_threshold and jobs > 1 else [])
 
 
 def test_numerical_failure_in_a_forked_slice_fails_only_its_rows(monkeypatch):
-    # forked workers inherit the substituted jet; point 9 is in the
-    # worker's slice
+    # point 9's element leaves [0, 1] after its batch is built, so its
+    # threshold is found, by the forked worker whose slice holds it, and
+    # then dropped with the rest of its rows
     monkeypatch.setattr(qnd_hom.sweep, "POINTS_PER_PROCESS", _FORK_AT)
     monkeypatch.setattr(qnd_hom.gates, "hom_jet", _out_of_range_at(0.75))
     config = _ideal_config(points=25, with_input_threshold=True)
@@ -285,9 +331,9 @@ def test_numerical_failure_in_a_forked_slice_fails_only_its_rows(monkeypatch):
 
 def test_earliest_configuration_error_in_grid_order_is_raised(monkeypatch):
     # κτ = 1e-8 is a numerical failure row, 1e-7 and 1e-6 configuration
-    # errors with different messages; at jobs=2 the caller's slice would
-    # fail at point 2 and the worker's at point 1, the one jobs=1 reports,
-    # and the whole grid is configured before either slice runs
+    # errors with different messages; at jobs=2 a slice of every other
+    # point from point 0 would fail at point 2 and one from point 1 at
+    # point 1, the one jobs=1 reports: the whole grid is one batch
     monkeypatch.setattr(qnd_hom.sweep, "POINTS_PER_PROCESS", _FORK_AT)
     config = SweepConfig(
         "atom-light", "kappa_tau", 1e-8, 1e7, 16, {"g": 0.06, "eta": 0.9},
@@ -297,10 +343,10 @@ def test_earliest_configuration_error_in_grid_order_is_raised(monkeypatch):
         with pytest.raises(SweepConfigError, match=r"^kappa_tau=1e-07 is too short .*\(math domain error\)$"):
             run_sweep(dataclasses.replace(config, jobs=jobs))
         assert multiprocessing.active_children() == []
-    # 26 points from κτ = 1e7 down by decades, in slices of 9, 9 and 8 at
-    # jobs=3: κτ = 1e-4 (point 11) is the first that does not configure,
-    # point 3 of the last slice, while the first two slices fail later, at
-    # their point 4 (κτ ≈ 1e-5 and 1e-6, other messages)
+    # 26 points from κτ = 1e7 down by decades: κτ = 1e-4 (point 11) is the
+    # first that does not configure; in strided slices of 9, 9 and 8 at
+    # jobs=3 it would be point 3 of the last, while the first two would
+    # fail later, at their point 4 (κτ ≈ 1e-5 and 1e-6, other messages)
     config = dataclasses.replace(config, start=1e7, stop=1e-18, points=26)
     assert 3 * qnd_hom.sweep.POINTS_PER_PROCESS <= config.points
     for jobs in (1, 3):
@@ -325,29 +371,12 @@ def test_slice_that_does_not_configure_computes_no_thresholds(monkeypatch):
 
 def test_no_worker_is_submitted_when_point_0_does_not_configure(monkeypatch):
     # η = 1.0000001 at point 0 of 80 breaks η ∈ (0, 1], and the other 79
-    # points are valid: at jobs=2 the whole grid configures before a worker
+    # points are valid: at jobs=2 the whole grid is built before a worker
     # forks, so no pool starts, no slice is submitted and no threshold runs.
     # The pool runs what it is given in this process, so a submitted slice
     # would show in the counts
-    pools, submitted, calls = [], [], []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            submitted.append(args)
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    pools, submitted = _serial_pool(monkeypatch)
+    calls = []
     real = qnd_hom.sweep.input_threshold
     monkeypatch.setattr(qnd_hom.sweep, "input_threshold", lambda model: calls.append(model) or real(model))
     config = SweepConfig(
