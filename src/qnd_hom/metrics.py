@@ -14,6 +14,12 @@ there, so nothing here checks or computes them again.  The coherent-input
 forms read the same kernels and jet in :mod:`qnd_hom.thresholds`, so the
 threshold accepts the gates the element accepts.
 
+The mixture is one formula, wₐᵀEw_b with w = (1 − p, p) (:func:`_mixture`),
+evaluated on plain floats for one model (:func:`sector_element`) and on
+arrays for a whole batch at every p at once (:func:`batch_elements`); the
+[0, 1] check and the clip take the same steps on both, so a batch's
+elements are the lone model's, bit for bit.
+
 For the atom-light and optomech gates the second subsystem is the
 outgoing pulse mode; for the atom-mechanical gate both subsystems are
 matter modes and the mediator pulse never carries an input state.
@@ -22,6 +28,9 @@ matter modes and the mediator pulse never carries an input state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .gaussian import NumericalDomainError
 from .gates import GateModel, ideal_gate_model
@@ -61,21 +70,54 @@ class HomResult:
         return self.value
 
 
+def _mixture(sectors, wa, wb):
+    """wₐᵀEw_b for the weights w = (1 − p, p) of each subsystem: on plain
+    floats for the 2 × 2 nested list (e00, e01), (e10, e11), or elementwise
+    on arrays that broadcast."""
+    (e00, e01), (e10, e11) = sectors
+    (qa, pa), (qb, pb) = wa, wb
+    return (qa * e00 + pa * e10) * qb + (qa * e01 + pa * e11) * pb
+
+
+def _outside(value: float) -> NumericalDomainError:
+    return NumericalDomainError(f"element {value!r} lies outside [0, 1]")
+
+
 def _probability(value: float) -> float:
     """Clip float64 roundoff into [0, 1]; anything further out is an error."""
     if not -_ROUNDOFF <= value <= 1.0 + _ROUNDOFF:
-        raise NumericalDomainError(f"element {value!r} lies outside [0, 1]")
+        raise _outside(value)
     return min(max(value, 0.0), 1.0)
 
 
 def sector_element(sectors: list[list[float]], spec: InputSpec) -> HomResult:
-    """The mixture element: the bilinear p-combination wₐᵀEw_b of the sectors,
-    w = (1 − p, p), in plain floats; ``sectors`` is the 2 × 2 nested list
-    that a model's or a batch's ``sectors.tolist()`` gives, read once for
-    every p."""
-    (e00, e01), (e10, e11) = sectors
-    pa, pb = spec.p_a, spec.p_b
-    return HomResult(_probability(((1.0 - pa) * e00 + pa * e10) * (1.0 - pb) + ((1.0 - pa) * e01 + pa * e11) * pb))
+    """The mixture element of one model in plain floats; ``sectors`` is the
+    2 × 2 nested list that a model's or a batch's ``sectors.tolist()`` gives,
+    read once for every p."""
+    return HomResult(_probability(_mixture(sectors, (1.0 - spec.p_a, spec.p_a), (1.0 - spec.p_b, spec.p_b))))
+
+
+def batch_elements(sectors: np.ndarray, p_values: Sequence[float]) -> tuple[np.ndarray, list]:
+    """The elements of a batch's sectors (N × 2 × 2) at every input pₐ = p_b = p
+    of ``p_values``, in one array pass: the N × P elements, each clipped into
+    [0, 1] as :func:`_probability` clips it, and per point None or the
+    NumericalDomainError of its first element (in p order) outside [0, 1]
+    beyond roundoff, NaN included.  Point i's elements and error are what
+    :func:`sector_element` gives from its sectors alone, bit for bit."""
+    p = np.asarray(p_values, dtype=float)
+    w = (1.0 - p, p)
+    value = _mixture(sectors.transpose(1, 2, 0)[..., None], w, w)
+    low, high = value.min(), value.max()
+    errors = [None] * len(value)
+    if not (-_ROUNDOFF <= low and high <= 1.0 + _ROUNDOFF):  # some element is out, or NaN
+        bad = ~((-_ROUNDOFF <= value) & (value <= 1.0 + _ROUNDOFF))
+        for i in np.flatnonzero(bad.any(axis=1)).tolist():
+            errors[i] = _outside(value[i, bad[i].argmax()].item())
+    if not low >= 0.0:  # max(value, 0.0), then min(·, 1.0)
+        value = np.where(value < 0.0, 0.0, value)
+    if not high <= 1.0:
+        value = np.where(value > 1.0, 1.0, value)
+    return value, errors
 
 
 def hom_element_for_gate(model: GateModel, spec: InputSpec) -> HomResult:

@@ -11,25 +11,29 @@ sectors.
 
 A table is built once, in the calling process: the whole grid is one
 batch (:func:`build_batch`), with one stacked physicality check and one
-element jet, whose errors and sectors the rows read.  When input
-thresholds are requested, they are the only work that is shared out:
-the threshold objectives of every ``OBJECTIVE_CHUNK`` points that built
-are built together from the batch's kernels and jets, and each point's
-threshold is then found from its own.  A point's numbers do not depend on
-its batch or chunk, and a point that fails numerically fails only its
-own rows.  ``jobs`` bounds the number of processes a sweep uses, the
-calling process included: a threshold table forks only when it has
-``POINTS_PER_PROCESS`` grid points per process, and an element-only table
-always runs in the calling process.  The threshold points are cut into
-strided slices, the caller computes the first and each forked worker one
-other, from nothing but the slice's kernels and jets, and the caller
-writes every row in grid order, so the emitted file (and the message of
-a configuration error) is byte-identical at any ``jobs``.
+element jet, whose errors and sectors the rows read.  Every row comes
+from one array pass over that batch
+(:func:`~qnd_hom.metrics.batch_elements`): the elements of every point at
+every p at once, each the one its point gives alone, bit for bit.  When
+input thresholds are requested, they are the only work that is shared
+out: the threshold objectives of every ``OBJECTIVE_CHUNK`` points that
+built are built together from the batch's kernels and jets, and each
+point's threshold is then found from its own.  A point's numbers do not
+depend on its batch or chunk, and a point that fails numerically fails
+only its own rows.  ``jobs`` bounds the number of processes a sweep uses,
+the calling process included: a threshold table forks only when it has
+``POINTS_PER_PROCESS`` threshold points (grid points that built) per
+process, and an element-only table always runs in the calling process.
+The threshold points are cut into strided slices, the caller computes
+the first and each forked worker one other, from nothing but the slice's
+kernels and jets, and the caller writes every row in grid order, so the
+emitted file (and the message of a configuration error) is
+byte-identical at any ``jobs``.
 
 :func:`find_optimum` scores its whole grid as one batch, takes its first
 Newton step off the grid's own second differences, and reads each later
 step off one wide stencil batch: the fourth-order gradient and Hessian at
-the point, so a 1-D search takes about 4 batches and a 2-D one about 8.
+the point, so a 1-D search takes about 4 batches and a 2-D one about 7.
 """
 
 from __future__ import annotations
@@ -39,13 +43,12 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .gates import GATES, GateBatch, GateModel
-from .gaussian import NumericalDomainError
-from .metrics import InputSpec, hom_element_for_gate, sector_element  # hom_element_for_gate: perfbench reads it here
+from .metrics import batch_elements, hom_element_for_gate  # hom_element_for_gate: perfbench reads it here
 from .thresholds import ThresholdResult, averaged_elements, input_threshold, output_threshold
 
 GATE_KINDS = tuple(GATES)
@@ -64,9 +67,11 @@ _REQUIRED = {gate: tuple(f.name for f in fields(params) if f.default is MISSING)
 # each: fig2a-shaped atom-light tables of 24, 32, 36, 40, 44 and 80 points
 # were faster through the pool in 1, 1-4, 8, 14-17, 18 and 14 of 20
 # alternated pairs, and fig3a-shaped atom-mech tables in 0, 3-8, 5, 6-12, 9
-# and 20 (one or two sets of pairs).  Element points never pay for a
-# worker: a slice is one batch, and 1,280 element-only atom-mech points (4 p
-# each) take 27-29 ms in one process, ~0.02 ms a point, against 166-168 ms
+# and 20 (one or two sets of pairs).  Points that fail their build have no
+# threshold, so only the points that built are counted.  Element points
+# never pay for a worker: the table is one batch and one array pass, and
+# 1,280 element-only atom-mech points (4 p each) take 10-17 ms in one
+# process, 7-11 ms of it the build, ~0.01 ms a point, against 166-168 ms
 # when each point was its own build and jet.
 POINTS_PER_PROCESS = 20
 
@@ -75,10 +80,6 @@ POINTS_PER_PROCESS = 20
 # 1.7 MB; the build costs about 50 µs a point at 16 points, 60 µs at 4 and
 # 110 µs alone (2-core box, Python 3.11.7, numpy 2.4.6).
 OBJECTIVE_CHUNK = 16
-
-CSV_HEADER = "param,value,p,hom,hom_err,input_threshold,output_threshold,warnings"
-_ROW_KEYS = tuple(CSV_HEADER.split(","))
-
 
 class SweepConfigError(ValueError):
     """Invalid sweep configuration (CLI exit code 1)."""
@@ -147,9 +148,10 @@ class SweepConfig:
         return np.linspace(self.start, self.stop, self.points)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One emitted line: a (grid point, p) pair."""
+class SweepRow(NamedTuple):
+    """One emitted line: a (grid point, p) pair.  An immutable named tuple
+    whose fields are the CSV columns in order, so :func:`render_csv` formats
+    a row in one pass over it; ``as_dict()`` maps each column to its cell."""
 
     param: str
     value: float
@@ -161,7 +163,10 @@ class SweepRow:
     warnings: str = ""
 
     def as_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _ROW_KEYS}
+        return self._asdict()
+
+
+CSV_HEADER = ",".join(SweepRow._fields)
 
 
 def build_model(gate: str, values: Mapping[str, float | np.ndarray]) -> GateModel | GateBatch:
@@ -203,27 +208,6 @@ def build_batch(gate: str, values: Mapping[str, float | np.ndarray]) -> tuple[Ga
     return None, error
 
 
-def _point_rows(config: SweepConfig, value: float, error, sectors: list, threshold) -> list[SweepRow]:
-    """All rows of one grid point: its build error, or the elements of its
-    sectors (plain floats) beside its input threshold, when one was found."""
-    in_thr, warnings = None, ""
-    try:
-        if error is not None:
-            raise error
-        if threshold is not None:
-            in_thr, warnings = threshold.value, ";".join(threshold.warnings)
-        results = [sector_element(sectors, InputSpec(p, p)) for p in config.p_values]
-        elements = [(res.value, res.error_estimate) for res in results]
-    except NumericalDomainError as exc:
-        in_thr, warnings = None, f"numerical-domain failure: {exc}"
-        elements = [(math.nan, None)] * len(config.p_values)
-    out_thr = output_threshold()
-    return [
-        SweepRow(config.sweep_param, value, p, hom, hom_err, in_thr, out_thr, warnings)
-        for p, (hom, hom_err) in zip(config.p_values, elements)
-    ]
-
-
 def _thresholds(kernels: np.ndarray, jet: np.ndarray) -> list[ThresholdResult]:
     """The input thresholds of points from their stacked kernels and jets:
     one build of the threshold objectives of every ``OBJECTIVE_CHUNK``
@@ -243,13 +227,18 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     a point that does not configure raises the configuration error earliest
     in grid order and computes no rows, input thresholds included.  A
     threshold table then finds the input thresholds of the points that
-    built in ``n = min(jobs, points // POINTS_PER_PROCESS)`` processes:
-    slice k is every n-th of those points from the k-th, the caller
-    computes slice 0 while ``n - 1`` forked workers compute one slice each
-    (:func:`_thresholds`), and every worker is joined before this returns
-    or raises.  An element-only table runs in the calling process alone.
-    The caller writes every row.  Per-point numerical failures become
-    warning rows with NaN elements; the sweep only raises
+    built in ``n = min(jobs, built // POINTS_PER_PROCESS)`` processes,
+    ``built`` being the number of those points: slice k is every n-th of
+    them from the k-th, the caller computes slice 0 while ``n - 1`` forked
+    workers compute one slice each (:func:`_thresholds`), and every worker
+    is joined before this returns or raises.  An element-only table runs
+    in the calling process alone.
+    The caller writes every row, point by point, from the elements of the
+    whole batch at every p (:func:`~qnd_hom.metrics.batch_elements`): a
+    point that failed its build, or whose first element outside [0, 1] (in
+    p order) fails, gets one warning row per p with a NaN element and no
+    input threshold; any other point gets its elements beside its input
+    threshold and that threshold's warnings.  The sweep only raises
     :class:`SweepNumericalError` when every grid point failed.
     """
     grid = config.grid()
@@ -259,7 +248,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     found = {}
     if config.with_input_threshold:
         ok = [i for i, failure in enumerate(batch.errors) if failure is None]
-        n = max(min(config.jobs, len(grid) // POINTS_PER_PROCESS), 1)
+        n = max(min(config.jobs, len(ok) // POINTS_PER_PROCESS), 1)
         slices = [(batch.kernels[ok[k::n]], batch.jet[ok[k::n]]) for k in range(n)]
         if n == 1:
             parts = [_thresholds(*slices[0])]
@@ -270,12 +259,19 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                 futures = [pool.submit(_thresholds, *part) for part in slices[1:]]
                 parts = [_thresholds(*slices[0]), *(f.result() for f in futures)]
         found = dict(zip((i for k in range(n) for i in ok[k::n]), itertools.chain(*parts)))
-    rows = [
-        row
-        for i, (value, sectors) in enumerate(zip(grid.tolist(), batch.sectors.tolist()))
-        for row in _point_rows(config, value, batch.errors[i], sectors, found.get(i))
-    ]
-    if rows and all(math.isnan(row.hom) for row in rows):
+    homs, failures = batch_elements(batch.sectors, config.p_values)
+    param, p_values, out_thr = config.sweep_param, config.p_values, output_threshold()
+    rows, failed = [], 0
+    for i, (value, built, ranged, elements) in enumerate(zip(grid.tolist(), batch.errors, failures, homs.tolist())):
+        if built or ranged:  # the point's rows keep only its failure
+            failed += 1
+            warnings = f"numerical-domain failure: {built or ranged}"
+            rows += [SweepRow(param, value, p, math.nan, None, None, out_thr, warnings) for p in p_values]
+        else:  # hom_err is 0: the element is exact
+            threshold = found.get(i)
+            in_thr, warnings = (None, "") if threshold is None else (threshold.value, ";".join(threshold.warnings))
+            rows += [SweepRow(param, value, p, hom, 0.0, in_thr, out_thr, warnings) for p, hom in zip(p_values, elements)]
+    if failed == len(grid):
         raise SweepNumericalError("every grid point failed numerically")
     return rows
 
@@ -284,16 +280,17 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 # Emission
 # ----------------------------------------------------------------------
 
-def _cell(x: str | float | None) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".17g")
+def _cell(x: float | None) -> str:
+    return "" if x is None else format(x, ".17g")
 
 
 def render_csv(rows: Iterable[SweepRow]) -> str:
-    lines = [CSV_HEADER, *(",".join(map(_cell, row.as_dict().values())) for row in rows)]
+    """The header and one line per row: every number to 17 significant
+    digits (``nan`` for a failed element), an empty cell for None."""
+    lines = [CSV_HEADER, *(
+        f"{param},{value:.17g},{p:.17g},{hom:.17g},{_cell(hom_err)},{_cell(in_thr)},{_cell(out_thr)},{warnings}"
+        for param, value, p, hom, hom_err, in_thr, out_thr, warnings in rows
+    )]
     return "\n".join(lines) + "\n"
 
 
@@ -362,9 +359,12 @@ def find_optimum(
     within the stencil's roundoff, at a step below ``_STEP_TOL`` of the
     box, at a gradient step that gains less than the roundoff, or after
     ``_MAX_STEPS`` stencils; the value returned is the element at the
-    returned argmax, bit for bit.  The earliest failing point of a batch,
-    in grid (or stencil) order, raises its error.  A boundary optimum is
-    flagged (``interior=False``), never fatal.
+    returned argmax, bit for bit.  Each batch maps its points of the unit
+    box to parameters in one array operation and reads its elements in one
+    array pass (:func:`~qnd_hom.metrics.batch_elements`); the earliest
+    failing point of a batch, in grid (or stencil) order, raises its
+    error.  A boundary optimum is flagged (``interior=False``), never
+    fatal.
     """
     names = list(free)
     if not 1 <= len(names) <= 2:
@@ -381,25 +381,27 @@ def find_optimum(
     if not 0.0 <= p <= 1.0:
         raise SweepConfigError(f"input fraction p must lie in [0, 1], got {p}")
 
-    spec = InputSpec(p, p)
-    box = [free[name] for name in names]
+    lo, hi = np.array([free[name] for name in names]).T
 
-    def at(x):  # unit box → parameters
-        return [min(max(a + u * (b - a), a), b) for u, (a, b) in zip(x, box)]
+    def at(points: list) -> np.ndarray:
+        """Points of the unit box → parameters, one row each, kept in the box."""
+        x = lo + np.array(points) * (hi - lo)
+        x = np.where(x < lo, lo, x)  # max(x, lo), then min(·, hi)
+        return np.where(x > hi, hi, x)
 
     def elements(points: list) -> list[float]:
         """The element at each point of the unit box, as one batch; the
         earliest failing point, in order, raises its error."""
-        columns = {name: np.array(column) for name, column in zip(names, zip(*map(at, points)))}
-        batch, error = build_batch(gate, {**fixed, **columns})
-        values = []
-        for failure, sectors in zip(batch.errors, batch.sectors.tolist()) if batch is not None else ():
-            if failure is not None:
-                raise failure
-            values.append(sector_element(sectors, spec).value)
+        batch, error = build_batch(gate, {**fixed, **dict(zip(names, at(points).T))})
+        if batch is None:
+            raise error
+        homs, failures = batch_elements(batch.sectors, (p,))
+        for built, ranged in zip(batch.errors, failures):
+            if built or ranged:
+                raise built or ranged
         if error:
             raise error
-        return values
+        return homs[:, 0].tolist()
 
     n, cell = len(names), 1.0 / max(grid - 1, 1)
     axis = np.linspace(0.0, 1.0, grid).tolist()
@@ -434,7 +436,7 @@ def find_optimum(
         x, f = floor
     at_boundary = tuple(name for name, u in zip(names, x) if min(u, 1.0 - u) < 5e-3)
     return OptimumResult(
-        argmax=dict(zip(names, at(x))),
+        argmax=dict(zip(names, at([x])[0].tolist())),
         value=float(f),
         interior=not at_boundary,
         boundary_params=at_boundary,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from coherent_reference import coherent_output_element
 
 from qnd_hom.fock import (
@@ -28,8 +29,10 @@ from qnd_hom.metrics import (
     HomResult,
     InputSpec,
     _probability,
+    batch_elements,
     hom_element_for_gate,
     hom_element_ideal_via_wigner,
+    sector_element,
 )
 from qnd_hom.sweep import build_model
 
@@ -146,6 +149,38 @@ def test_roundoff_clipped_and_far_values_rejected():
     for bad in (-1e-9, 1.0 + 1e-9, 768.0, math.nan):
         with pytest.raises(NumericalDomainError):
             _probability(bad)
+
+
+# sector values inside [0, 1], within and beyond the 1e-12 roundoff of
+# either bound, on it, and NaN
+_SECTOR = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(-3e-12, 3e-12),
+    st.floats(1.0 - 3e-12, 1.0 + 3e-12),
+    st.sampled_from((-1e-12, 1.0 + 1e-12, -0.0, -1e-9, 1.0 + 1e-9, 768.0, math.nan)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_SECTOR, _SECTOR, _SECTOR, _SECTOR), min_size=1, max_size=5),
+    st.lists(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+)
+@example([(-0.0, -0.0, -0.0, -0.0), (1.0 + 1e-12, 1.0, 1.0, 1.0 + 1e-12)], [0.0, 0.5, 1.0])  # clipped -0.0 stays -0.0
+def test_batch_elements_are_the_lone_elements_bit_for_bit(points, p_values):
+    # each point's elements, and the message of its first element outside
+    # [0, 1] in p order, are what sector_element gives from its sectors
+    sectors = np.array(points).reshape(-1, 2, 2)
+    homs, errors = batch_elements(sectors, p_values)
+    assert homs.shape == (len(points), len(p_values)) and len(errors) == len(points)
+    for row, error, E in zip(homs.tolist(), errors, sectors.tolist()):
+        try:
+            expected = [sector_element(E, InputSpec(p, p)).value for p in p_values]
+        except NumericalDomainError as exc:
+            assert error is not None and str(error) == str(exc)
+        else:
+            assert error is None
+            assert [x.hex() for x in row] == [x.hex() for x in expected]
 
 
 def test_vacuum_inputs_give_00_element():

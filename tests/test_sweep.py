@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qnd_hom.gates
 import qnd_hom.sweep
@@ -249,18 +250,33 @@ def test_pool_never_larger_than_the_grid(monkeypatch):
             assert render_csv(rows) == render_csv(run_sweep(dataclasses.replace(config, jobs=1)))
 
 
+def test_the_pool_counts_the_threshold_points_that_built(monkeypatch):
+    # 31 of these 60 points build (the rest overflow and fail on their own
+    # rows): one process's share at POINTS_PER_PROCESS = 20, so jobs=3
+    # starts no worker, though the grid holds 3 × 20 points
+    started, _ = _serial_pool(monkeypatch)
+    config = _ideal_config(start=1.0, stop=1e300, points=60, scale="log", with_input_threshold=True, jobs=3)
+    batch, _ = qnd_hom.sweep.build_batch("ideal", {"G": config.grid()})
+    assert batch.errors.count(None) // qnd_hom.sweep.POINTS_PER_PROCESS == 1
+    assert 3 * qnd_hom.sweep.POINTS_PER_PROCESS <= config.points
+    rows = run_sweep(config)
+    assert started == []
+    assert render_csv(rows) == render_csv(run_sweep(dataclasses.replace(config, jobs=1)))
+
+
 def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
     # the caller builds the whole grid in one batch; forked workers build
     # nothing, and each finds the thresholds of whole strided slices of the
     # points that built, every n-th of them from the k-th.  On this log
     # grid of G ∈ [1, 1e300] about half the points overflow, so the
-    # threshold points are not the grid
+    # threshold points are not the grid; the 25 that build are enough to
+    # fork at jobs 2 and 3
     monkeypatch.setattr(qnd_hom.sweep, "POINTS_PER_PROCESS", _FORK_AT)
-    config = _ideal_config(start=1.0, stop=1e300, points=25, scale="log", with_input_threshold=True)
+    config = _ideal_config(start=1.0, stop=1e300, points=49, scale="log", with_input_threshold=True)
     serial = render_csv(run_sweep(config))
     batch, _ = qnd_hom.sweep.build_batch("ideal", {"G": config.grid()})
     ok = [i for i, error in enumerate(batch.errors) if error is None]
-    assert 3 * _FORK_AT <= len(config.grid()) and 6 <= len(ok) < len(config.grid())
+    assert 3 * _FORK_AT <= len(ok) < len(config.grid())
     objectives = averaged_elements(batch.kernels[ok], batch.jet[ok])
     point = {hashlib.sha1(o.nodes.tobytes()).hexdigest(): i for i, o in zip(ok, objectives)}
     log = tmp_path / "calls"
@@ -277,7 +293,7 @@ def test_forked_workers_compute_strided_slices(monkeypatch, tmp_path):
     logged("build_batch", qnd_hom.sweep.build_batch, lambda gate, values: ",".join(map(repr, values["G"].tolist())))
     logged("input_threshold", qnd_hom.sweep.input_threshold,
            lambda objective: point[hashlib.sha1(objective.nodes.tobytes()).hexdigest()])
-    for jobs in (2, 3):  # 25 points: slices of unequal length
+    for jobs in (2, 3):  # 25 threshold points: slices of unequal length
         log.write_text("")
         assert render_csv(run_sweep(dataclasses.replace(config, jobs=jobs))) == serial
         assert multiprocessing.active_children() == []
@@ -466,6 +482,79 @@ def test_sectors_computed_once_per_grid_point(monkeypatch):
     for row in rows:
         model = build_model("atom-light", {"g": row.value, "kappa_tau": 100.0, "eta": 0.9})
         assert row.hom == hom_element_for_gate(model, InputSpec(row.p, row.p)).value
+
+
+def _reference_csv(rows) -> str:
+    """The CSV formatter rows had when they were frozen dataclasses: every
+    cell through as_dict() and one formatting call each."""
+    def cell(x):
+        if x is None:
+            return ""
+        if isinstance(x, str):
+            return x
+        return format(float(x), ".17g")
+
+    return "\n".join([CSV_HEADER, *(",".join(map(cell, row.as_dict().values())) for row in rows)]) + "\n"
+
+
+def _reference_json(rows) -> str:
+    def clean(row):
+        d = row.as_dict()
+        if d["hom"] is not None and math.isnan(d["hom"]):
+            d["hom"] = None
+        return d
+
+    return json.dumps([clean(r) for r in rows], indent=2) + "\n"
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0 / 3.0, math.nan, math.inf, 0.1234567890123456789)
+
+
+def test_csv_and_json_match_the_reference_formatter():
+    rows = [
+        SweepRow("G", 1.0 / 3.0, 1.0, 0.1234567890123456789, None, None, None),
+        SweepRow("g", -0.0, 0.0, -0.0, 0.0, 5e-324, 1e300, "unconverged;flat"),
+        SweepRow("kappa_tau", 1e300, 0.63, math.nan, None, None, math.exp(-2.0),
+                 "numerical-domain failure: element 768.0 lies outside [0, 1]"),
+        SweepRow("S", 5e-324, 1.0, 1.0, 0.0, 0.25, math.exp(-2.0), ""),
+    ]
+    for subset in (rows, rows[:1], []):
+        assert render_csv(subset) == _reference_csv(subset)
+        assert render_json(subset) == _reference_json(subset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.sampled_from(("G", "g", "kappa_tau")),
+        *[st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())] * 3,
+        *[st.one_of(st.none(), st.sampled_from(_EDGE_FLOATS), st.floats())] * 3,
+        st.sampled_from(("", "unconverged", "numerical-domain failure: element nan lies outside [0, 1]")),
+    ),
+    max_size=6,
+))
+def test_csv_and_json_match_the_reference_formatter_on_drawn_rows(cells):
+    rows = [SweepRow(*row) for row in cells]
+    assert render_csv(rows) == _reference_csv(rows)
+    assert render_json(rows) == _reference_json(rows)
+
+
+def test_sweep_row_contract():
+    # the fields are the CSV columns, in order; warnings defaults to "",
+    # as_dict() maps each column to its cell, and a row cannot change
+    assert SweepRow._fields == tuple(CSV_HEADER.split(","))
+    row = SweepRow("G", 0.5, 1.0, 0.25, 0.0, None, math.exp(-2.0))
+    assert row.warnings == ""
+    assert row.as_dict() == {
+        "param": "G", "value": 0.5, "p": 1.0, "hom": 0.25, "hom_err": 0.0,
+        "input_threshold": None, "output_threshold": math.exp(-2.0), "warnings": "",
+    }
+    assert list(row.as_dict()) == list(SweepRow._fields)
+    assert tuple(row) == tuple(row.as_dict().values())
+    with pytest.raises(AttributeError):
+        row.hom = 0.5
+    with pytest.raises(TypeError):
+        row[3] = 0.5
 
 
 def test_csv_empty_is_header_only():
