@@ -181,7 +181,8 @@ def _run_table(config: SweepConfig, settings: dict) -> int:
 
 def _check_out(out: str | None):
     """Fail as ``open(out, "w")`` would if ``out`` or its directory is not
-    usable; the file itself is truncated only once its output is ready."""
+    usable; the file itself is touched only once its output is ready, and
+    then rewritten in place (:func:`~qnd_hom.sweep.write_text`)."""
     if out is None:
         return
     if not out:

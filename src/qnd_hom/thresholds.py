@@ -27,7 +27,10 @@ have several local maxima, so it first scores a coarse grid of the box
 on the box (Nocedal & Wright, Numerical Optimization, 2nd ed. (2006),
 ch. 3 and 6), on the 64-node average, from each of the 4 best cells that
 no neighbouring cell beats.  The 4 best cells most often lie on one hill
-of the scan, and then one ascent climbs it, not four.
+of the scan, and then one ascent climbs it, not four.  The starts are
+read off those 4 cells alone (:func:`_ascent_starts`): a neighbour that
+beats one of them scores higher, so it is one of the cells picked before
+it, and each is tested against those alone.
 
 This module owns the coherent-input forms: :func:`coherent_jets` reads
 the jets c and q of the coherent element exp(−q₀/2)·P off the kernels
@@ -51,7 +54,6 @@ the average: it is converged when the two rules agree to 1e-6.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -389,18 +391,56 @@ def ascend(fg, x, step: float) -> tuple[np.ndarray, float]:
     return np.array((x0, x1)), f
 
 
+@lru_cache(maxsize=4)
+def _scan_axis(domain: float, points: int) -> np.ndarray:
+    """The scan's amplitude axis, ``points`` values from 0 to ``domain``;
+    read-only, built once per pair."""
+    axis = np.linspace(0.0, domain, points)
+    axis.flags.writeable = False
+    return axis
+
+
+def _ascent_starts(scores: np.ndarray) -> list[int]:
+    """The cells of the 2-D scan ``scores`` that an ascent climbs from, as
+    flat indices in climbing order: of the ``_STARTS`` best cells (best
+    first, equal scores in grid order, NaN after −inf), each whose score is
+    at least each neighbour's, the 8 around an interior cell and those that
+    exist on an edge; a NaN cell beats none and none beats it.  A repeated
+    first-occurrence argmax picks the best cells, NaN read as −inf; once
+    only −inf is left, the −inf cells and then the NaN cells follow in grid
+    order.  A neighbour that beats a cell ranks before it, so each pick is
+    tested against the earlier picks alone."""
+    flat, cols = scores.ravel(), scores.shape[1]
+    ranked, best = np.fmax(flat, -np.inf), []
+    while len(best) < _STARTS:
+        cell = int(ranked.argmax())
+        if ranked.item(cell) == -math.inf:
+            best = (best + np.flatnonzero(flat == -np.inf).tolist() + np.flatnonzero(flat != flat).tolist())[:_STARTS]
+            break
+        best.append(cell)
+        ranked[cell] = -math.inf
+    starts, picked = [], []
+    for cell in best:
+        (i, j), score = divmod(cell, cols), flat.item(cell)
+        if not any(other > score and abs(i - k) <= 1 and abs(j - l) <= 1 for k, l, other in picked):
+            starts.append(cell)
+        picked.append((i, j, score))
+    return starts
+
+
 def input_threshold(model: GateModel | float | _AveragedElement) -> ThresholdResult:
     """Phase-randomized coherent input threshold of a gate.
 
     Maximizes the double-phase-averaged element over the two input
-    amplitudes: one grid scan on the 16-node sub-rule, then an ascent at
-    64 phase samples from each of the 4 best cells (best first, equal
-    scores in grid order) whose score is at least each neighbour's, the 8
-    around an interior cell and those that exist on an edge; the best cell
-    always climbs, and a later ascent replaces the result only when it
-    ends strictly higher.  The average at
-    the argmax is certified by the 32-sample rule on the same phase-grid
-    values; a difference of 1e-6 or more attaches an accuracy warning
+    amplitudes: one grid scan on the 16-node sub-rule, on an axis built
+    once per (``_DOMAIN``, ``_COARSE_GRID``), then an ascent at 64 phase
+    samples from each of the 4 best cells (best first, equal scores in
+    grid order) whose score is at least each neighbour's, the 8 around an
+    interior cell and those that exist on an edge
+    (:func:`_ascent_starts`); the best cell always climbs, and a later
+    ascent replaces the result only when it ends strictly higher.  The
+    average at the argmax is certified by the 32-sample rule on the same
+    phase-grid values; a difference of 1e-6 or more attaches an accuracy warning
     instead of raising.  The threshold depends only on the gate, never on
     the input mixture.  ``model`` is a gate model, a bare gain of the
     ideal gate, or a point's objective at 64 samples from
@@ -408,17 +448,8 @@ def input_threshold(model: GateModel | float | _AveragedElement) -> ThresholdRes
     a batch of one.
     """
     objective = model if isinstance(model, _AveragedElement) else _averaged_element(model)
-    axis = np.linspace(0.0, _DOMAIN, _COARSE_GRID)
-    scores, n = objective.scan(axis), axis.size
-    # a start is a cell that no neighbour beats: the 8 around an interior
-    # cell, the ones that exist on an edge (the −inf padding beats none).  A
-    # beaten cell lies on the slope of a better one, which ranks before it
-    padded = np.full((n + 2, n + 2), -np.inf)
-    padded[1:-1, 1:-1] = scores
-    beaten = np.zeros((n, n), dtype=bool)
-    for i, j in itertools.product(range(3), repeat=2):
-        beaten |= scores < padded[i : i + n, j : j + n]
-    best = np.argsort(-scores, axis=None, kind="stable")[:_STARTS]
+    axis = _scan_axis(_DOMAIN, _COARSE_GRID)
+    n = axis.size
 
     def fg(x):  # on the unit box: R = _DOMAIN·x
         a, b = x.tolist()
@@ -427,7 +458,7 @@ def input_threshold(model: GateModel | float | _AveragedElement) -> ThresholdRes
 
     value, argmax = -math.inf, None
     # equal scores keep grid order, and a later optimum must be strictly better
-    for cell in best[~beaten.flat[best]]:
+    for cell in _ascent_starts(objective.scan(axis)):
         x, top = ascend(fg, np.array(divmod(cell, n)) / (n - 1), 1 / (n - 1))
         if top > value:
             value, argmax = top, (float(_DOMAIN * x[0]), float(_DOMAIN * x[1]))

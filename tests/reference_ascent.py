@@ -1,6 +1,8 @@
-"""The projected BFGS ascent on numpy arrays of any dimension, kept as the
-reference that the float loop of :func:`qnd_hom.thresholds.ascend` is
-tested against.
+"""Test-only references for the threshold's ascent.
+
+:func:`ascend` is the projected BFGS ascent on numpy arrays of any
+dimension, kept as the reference that the float loop of
+:func:`qnd_hom.thresholds.ascend` is tested against.
 
 It is the same algorithm step for step: the projection onto free faces,
 a first step of length ``step``, Armijo backtracking by halving, the
@@ -8,8 +10,14 @@ roundoff stop and the 200-evaluation cap.  Only the roundoff of the
 inverse-Hessian update differs (VᵀHV + ssᵀ/sy here, the expanded closed
 form there), so both must make the same evaluations and end within a few
 ulp of each other.
+
+:func:`ascent_starts` is the start rule as whole-grid passes: a padded
+3 × 3 neighbour mask and a stable sort of every cell, which
+:func:`qnd_hom.thresholds._ascent_starts` must match on the picked cells
+alone.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -52,3 +60,19 @@ def ascend(fg, x, step: float) -> tuple[np.ndarray, float]:
             H = V.T @ H @ V + np.outer(s, s) / sy
         x, f, g = x_new, f_new, g_new
     return x, f
+
+
+def ascent_starts(scores: np.ndarray, starts: int = 4) -> list[int]:
+    """Flat indices of the cells an ascent climbs from: of the ``starts``
+    best cells by a stable sort of the negated scores (best first, equal
+    scores in grid order, NaN last), each that no neighbour beats, the
+    grid padded with −inf so that an edge cell meets only the neighbours
+    that exist."""
+    n, m = scores.shape
+    padded = np.full((n + 2, m + 2), -np.inf)
+    padded[1:-1, 1:-1] = scores
+    beaten = np.zeros((n, m), dtype=bool)
+    for i, j in itertools.product(range(3), repeat=2):
+        beaten |= scores < padded[i : i + n, j : j + m]
+    best = np.argsort(-scores, axis=None, kind="stable")[:starts]
+    return best[~beaten.flat[best]].tolist()

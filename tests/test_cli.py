@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -169,6 +170,51 @@ def test_missing_output_directory_fails_before_any_point(tmp_path, monkeypatch, 
     code, _, _ = run_cli(capsys, "preset", "fig2a", "--out", str(kept))
     assert code == 2
     assert kept.read_text() == "old\n"
+
+
+_WRITING_COMMANDS = [
+    ("ideal", "--start", "0", "--stop", "1", "--points", "3"),
+    ("ideal", "--start", "0", "--stop", "1", "--points", "3", "--format", "json"),
+    ("threshold", "--gate", "ideal", "--G", "0.87"),
+    ("optimum", "--gate", "ideal", "--free", "G=0.2:2"),
+]
+
+
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS, ids=["csv", "json", "threshold", "optimum"])
+def test_out_rewrites_an_existing_file_in_place(tmp_path, capsys, argv):
+    # a table and the threshold and optimum records alike: a longer file is
+    # cut to the new bytes and a shorter one grows, each the same inode
+    # holding what the command prints
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out"
+    for old in (b"#" * (3 * len(expected)), b"#"):
+        path.write_bytes(old)
+        inode = os.stat(path).st_ino
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert os.stat(path).st_ino == inode
+
+
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS, ids=["csv", "json", "threshold", "optimum"])
+def test_out_to_dev_null_and_a_fifo(tmp_path, capsys, argv):
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--out", os.devnull) == (0, "", "")
+    if not hasattr(os, "mkfifo"):
+        return
+    fifo, received = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    assert run_cli(capsys, *argv, "--out", str(fifo)) == (0, "", "")
+    reader.join(timeout=30)
+    assert received == [expected.encode("utf-8")]
 
 
 # ----------------------------------------------------------------------

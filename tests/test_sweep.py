@@ -7,6 +7,8 @@ import json
 import math
 import multiprocessing
 import os
+import stat
+import threading
 from concurrent.futures import Future
 from types import SimpleNamespace
 
@@ -31,6 +33,7 @@ from qnd_hom.sweep import (
     render_csv,
     render_json,
     run_sweep,
+    write_text,
 )
 from qnd_hom.thresholds import ThresholdResult, averaged_elements
 
@@ -589,6 +592,76 @@ def test_emit_to_file(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.decode("utf-8").split("\n")[0] == CSV_HEADER
+
+
+def _identity(path) -> tuple:
+    """The file's device, inode and permission bits."""
+    st_ = os.stat(path)
+    return st_.st_dev, st_.st_ino, stat.S_IMODE(st_.st_mode)
+
+
+def test_write_text_rewrites_a_longer_file_in_place(tmp_path):
+    # the same file, cut to exactly the new bytes, its mode kept
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"an old, longer table\n" * 500)
+    os.chmod(path, 0o640)
+    before = _identity(path)
+    write_text("κτ,new\n", str(path))
+    assert path.read_bytes() == "κτ,new\n".encode("utf-8")
+    assert _identity(path) == before
+    assert before[2] == 0o640
+
+
+def test_write_text_grows_a_shorter_file(tmp_path):
+    path, text = tmp_path / "table.csv", render_json(run_sweep(_ideal_config(points=40, p_values=(1.0, 0.5))))
+    path.write_bytes(b"x")
+    before = _identity(path)
+    write_text(text, str(path))
+    assert path.read_bytes() == text.encode("utf-8")
+    assert _identity(path) == before
+
+
+def test_write_text_creates_a_file_as_open_does(tmp_path):
+    fresh, reference = tmp_path / "fresh.csv", tmp_path / "reference.csv"
+    text = "a,b\nκ,τ\n"
+    write_text(text, str(fresh))
+    with open(reference, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    assert fresh.read_bytes() == reference.read_bytes()
+    assert _identity(fresh)[2] == _identity(reference)[2]
+
+
+def test_write_text_leaves_the_file_when_the_text_cannot_be_encoded(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_text("new \ud800\n", str(path))
+    assert path.read_text() == "old\n"
+
+
+def _drain(fifo, received: list) -> threading.Thread:
+    """A started thread that reads the FIFO to its end into ``received``."""
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    thread = threading.Thread(target=read, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_write_text_to_a_device_and_a_fifo(tmp_path):
+    # neither is cut to length; a text beyond the pipe's buffer arrives whole
+    text = "row\n" * 50_000
+    write_text(text, os.devnull)
+    if not hasattr(os, "mkfifo"):
+        return
+    fifo, received = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = _drain(fifo, received)
+    write_text(text, str(fifo))
+    reader.join(timeout=30)
+    assert received == [text.encode("utf-8")]
 
 
 # ----------------------------------------------------------------------

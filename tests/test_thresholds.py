@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import reference_ascent
+from hypothesis import given, settings, strategies as st
 from coherent_reference import coherent_coefficient
 
 from qnd_hom import thresholds
@@ -451,6 +453,77 @@ def test_threshold_climbs_from_the_scan_peaks_among_the_4_best_cells(monkeypatch
     starts = _record_starts(monkeypatch)
     input_threshold(objective)
     assert starts == [cell for cell in best if cell in peaks]
+
+
+def _grid(*cells, fill=0.0, shape=(25, 25)) -> np.ndarray:
+    """A scan of ``fill`` with the given ((i, j), score) cells set."""
+    scores = np.full(shape, fill)
+    for (i, j), score in cells:
+        scores[i, j] = score
+    return scores
+
+
+_START_CASES = {
+    # the 4th best score is tied: the first of the two in grid order ranks
+    "tie-at-the-4th": (_grid(((2, 2), 5.0), ((10, 10), 4.0), ((20, 20), 3.0), ((15, 5), 2.0), ((5, 15), 2.0)),
+                       [52, 260, 520, 140]),
+    # every cell ties with its neighbours: the 4 first cells in grid order
+    "flat": (_grid(fill=0.25), [0, 1, 2, 3]),
+    # maxima on corners and edges meet only the neighbours that exist
+    "corners": (_grid(((0, 0), 4.0), ((24, 24), 3.0), ((0, 12), 2.0), ((24, 0), 1.5)), [0, 624, 12, 600]),
+    "edge-beaten": (_grid(((0, 0), 4.0), ((0, 1), 3.0), ((24, 24), 2.0), ((12, 0), 1.0)), [0, 624, 300]),
+    "edge-neighbour-not-wrapped": (_grid(((0, 24), 4.0), ((1, 0), 3.0), ((12, 12), 2.0), ((24, 24), 1.0)),
+                                   [24, 25, 312, 624]),
+    # +inf beats its neighbours and ranks first; NaN beats none, and ranks after −inf
+    "inf-and-nan": (_grid(((3, 3), math.inf), ((3, 4), 5.0), ((10, 10), math.nan), ((11, 11), 7.0),
+                          ((20, 20), -math.inf)), [78, 286, 0]),
+    "all-minus-inf-and-a-nan": (_grid(((0, 1), math.nan), fill=-math.inf), [0, 2, 3, 4]),
+    "all-nan": (_grid(fill=math.nan), [0, 1, 2, 3]),
+    "two-finite-among-nan": (_grid(((5, 5), 1.0), ((5, 6), -math.inf), fill=math.nan), [130, 0, 1]),
+    "minus-inf-ranks-before-nan": (_grid(((0, 0), math.nan), ((24, 24), 2.0), fill=-math.inf), [624, 1, 2, 3]),
+    # −0.0 and 0.0 tie and beat neither other; the −1 cell beside them is beaten
+    "signed-zeros-tie": (_grid(((0, 0), -0.0), ((0, 1), 0.0), fill=-1.0), [0, 1, 3]),
+    "small-grid": (np.array([[1.0, 3.0], [2.0, math.nan]]), [1, 3]),
+}
+
+
+@pytest.mark.parametrize("case", list(_START_CASES))
+def test_ascent_starts_match_the_whole_grid_rule(case):
+    # the picked cells alone against the padded 3 × 3 mask and a stable sort of every cell
+    scores, starts = _START_CASES[case]
+    assert reference_ascent.ascent_starts(scores) == starts
+    assert thresholds._ascent_starts(scores) == starts
+
+
+_SCORES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 2.0, math.nan, math.inf, -math.inf)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, (25, 25), elements=_SCORES))
+def test_ascent_starts_match_the_whole_grid_rule_on_drawn_grids(scores):
+    assert thresholds._ascent_starts(scores) == reference_ascent.ascent_starts(scores)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=_SCORES))
+def test_ascent_starts_match_the_whole_grid_rule_on_small_grids(scores):
+    # grids with fewer cells than starts, one row, one column, and many ties
+    assert thresholds._ascent_starts(scores) == reference_ascent.ascent_starts(scores)
+
+
+@_FIVE_GATES
+def test_ascent_starts_match_the_whole_grid_rule_on_the_scans(model):
+    scores = thresholds._averaged_element(model, 64).scan(np.linspace(0.0, 6.0, 25))
+    assert thresholds._ascent_starts(scores) == reference_ascent.ascent_starts(scores)
+
+
+def test_scan_axis_is_built_once_and_read_only():
+    axis = thresholds._scan_axis(6.0, 25)
+    assert thresholds._scan_axis(6.0, 25) is axis
+    assert np.array_equal(axis, np.linspace(0.0, 6.0, 25)) and not axis.flags.writeable
 
 
 @_FIVE_GATES
