@@ -44,8 +44,11 @@ its distinct pulse lengths once.  Every model at that pulse length
 shares the basis, whose Gram matrix and factor are read-only.  A batch
 at one pulse length, a lone point among them, reads its constants, κτ
 and e^{−κτ} as the cached plain floats, which broadcast over its columns
-to the bits that arrays of them would give; only a batch of several
-pulse lengths stacks them.  Each params field is checked once per
+to the bits that arrays of them would give.  A batch of several pulse
+lengths builds a table of its constants, κτ and e^{−κτ} with one row per
+distinct κτ, and stacks one checked Gram matrix per distinct basis; both
+are gathered to the points by index, a copy of the same floats, so every
+point's numbers are the bits it gives alone.  Each params field is checked once per
 build, the atom-light gate's too, which runs the optomech builder's
 arithmetic on its own checked columns at Γ = 0.
 
@@ -277,8 +280,9 @@ class GateBatch:
     """The gate models of N points over one label tuple, built and checked together.
 
     ``output_matrix`` is N × 4 × n_modes and ``bases`` holds each point's
-    basis; points at one pulse length share one, and the Gram matrices are
-    stacked only when they differ.  Construction computes every point's
+    basis; points at one pulse length share one, and when they differ the
+    Gram matrix of each distinct basis is stacked once and gathered to its
+    points by index.  Construction computes every point's
     ``signal_map`` and ``vacuum_output_cov`` and checks them all in one
     stacked test, then reads the points that pass in one ``split_kernels``
     and one ``hom_jet``: ``kernels`` (N × 2 × 4 × 4), ``jet`` (N × 16) and
@@ -295,7 +299,12 @@ class GateBatch:
         A, first = np.asarray(self.output_matrix, dtype=float), self.bases[0]
         if A.ndim != 3 or A.shape[1:] != (4, first.n_modes) or len(self.bases) != len(A):
             raise ValueError("output matrix must be N × 4 × n_modes, with one basis per point")
-        gram = first.checked_gram if all(b is first for b in self.bases) else np.stack([b.checked_gram for b in self.bases])
+        if all(b is first for b in self.bases):
+            gram = first.checked_gram
+        else:  # each distinct basis's Gram matrix stacked once, gathered to its points
+            grams = {id(b): b.checked_gram for b in self.bases}
+            slots = {key: i for i, key in enumerate(grams)}
+            gram = np.stack(list(grams.values()))[[slots[id(b)] for b in self.bases]]
         cov, signal = A @ gram @ A.swapaxes(1, 2), A @ gram[..., :4]
         errors = physicality_errors(cov)
         if errors.count(None) == len(A):  # all clear: read every point
@@ -421,22 +430,25 @@ def _per_point(part, kappa_tau: np.ndarray):
     length, as (constants, bases, κτ, e^{−κτ}); each distinct κτ is looked up
     once.  At one pulse length the constants, κτ and e^{−κτ} are the plain
     floats every point shares, which broadcast to the bits of their arrays;
-    else they are arrays over the points.  A pulse too short or too long for
-    its constants raises ParameterError at the first point that has it."""
+    else they are arrays over the points, gathered by index from a table of
+    one row per distinct κτ.  A pulse too short or too long for its
+    constants raises ParameterError at the first point that has it."""
     taus = kappa_tau.tolist()
-    parts = {}
+    slots, parts, index = {}, [], []
     for point, tau in enumerate(taus):
-        if tau not in parts:
+        if tau not in slots:
             try:
-                parts[tau] = part(tau)
+                parts.append(part(tau))
             except ValueError as exc:
                 raise ParameterError(str(exc), point) from None
+            slots[tau] = len(slots)
+        index.append(slots[tau])
     if len(parts) == 1:
-        (tau, (c, basis)), = parts.items()
-        return c, (basis,) * len(taus), tau, math.exp(-tau)
-    table = {tau: [*vars(c).values(), math.exp(-tau)] for tau, (c, _) in parts.items()}
-    *constants, em = np.array([table[tau] for tau in taus]).T
-    return type(parts[taus[0]][0])(*constants), tuple(parts[tau][1] for tau in taus), kappa_tau, em
+        (c, basis), = parts
+        return c, (basis,) * len(taus), taus[0], math.exp(-taus[0])
+    table = np.array([[*vars(c).values(), math.exp(-tau)] for tau, (c, _) in zip(slots, parts)])
+    *constants, em = table[index].T
+    return type(parts[0][0])(*constants), tuple(parts[i][1] for i in index), kappa_tau, em
 
 
 _PULSE_LABELS = (

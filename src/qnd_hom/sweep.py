@@ -32,8 +32,10 @@ byte-identical at any ``jobs``.
 
 :func:`find_optimum` scores its whole grid as one batch, takes its first
 Newton step off the grid's own second differences, and reads each later
-step off one wide stencil batch: the fourth-order gradient and Hessian at
-the point, so a 1-D search takes about 4 batches and a 2-D one about 7.
+step off one wide stencil batch: in 2-D the fourth-order gradient and
+Hessian at the point, in 1-D the degree-6 interpolant through seven
+points, whose own top the climb goes to when it lies within the stencil.
+So a 1-D search takes about 3 batches and a 2-D one about 7.
 """
 
 from __future__ import annotations
@@ -389,9 +391,14 @@ def find_optimum(
     (:func:`_step`) in the unit box of the ranges, inside a trust radius
     of one grid cell.  The first step from an interior grid point is read
     off the grid's own second differences, each later one off one batch,
-    the stencil of :func:`_newton_stencil`; if the element falls on the
-    grid's step, the climb goes on from the stencil there, and the grid
-    point is returned if the climb ends below it.  A step that lowers the
+    the stencil of :func:`_line_stencil` in 1-D and of
+    :func:`_newton_stencil` in 2-D.  In 1-D a Newton step goes instead to
+    the top of the stencil's degree-6 interpolant when that top lies
+    within 3h of the stencil's centre, in the box and inside the trust
+    radius, with p″ < 0 there: from a stencil within 3h of the maximum
+    the climb lands on it, and the next stencil stops it.  If the element
+    falls on the grid's step, the climb goes on from the stencil there,
+    and the grid point is returned if the climb ends below it.  A step that lowers the
     element is retried from the same derivatives at a quarter of its
     length, unless it is a Newton step whose model gain is below the
     element's roundoff (4 ulp).  The climb stops when the gradient is
@@ -399,7 +406,7 @@ def find_optimum(
     box, at a gradient step that gains less than the roundoff, or after
     ``_MAX_STEPS`` stencils; the value returned is the element at the
     returned argmax, bit for bit.  Each batch maps its points of the unit
-    box to parameters in one array operation and reads its elements in one
+    box to parameter columns in plain floats and reads its elements in one
     array pass (:func:`~qnd_hom.metrics.batch_elements`); the earliest
     failing point of a batch, in grid (or stencil) order, raises its
     error.  A boundary optimum is flagged (``interior=False``), never
@@ -420,18 +427,19 @@ def find_optimum(
     if not 0.0 <= p <= 1.0:
         raise SweepConfigError(f"input fraction p must lie in [0, 1], got {p}")
 
-    lo, hi = np.array([free[name] for name in names]).T
+    spans = [(float(lo), float(hi), float(hi) - float(lo)) for lo, hi in (free[name] for name in names)]
 
-    def at(points: list) -> np.ndarray:
-        """Points of the unit box → parameters, one row each, kept in the box."""
-        x = lo + np.array(points) * (hi - lo)
-        x = np.where(x < lo, lo, x)  # max(x, lo), then min(·, hi)
-        return np.where(x > hi, hi, x)
+    def at(points: list) -> list[list[float]]:
+        """Points of the unit box → one column of parameters per free
+        parameter, kept in the box, in plain floats: lo + u·(hi − lo), then
+        max(·, lo) and min(·, hi)."""
+        return [[min(max(lo + u * width, lo), hi) for u in column]
+                for (lo, hi, width), column in zip(spans, zip(*points))]
 
     def elements(points: list) -> list[float]:
         """The element at each point of the unit box, as one batch; the
         earliest failing point, in order, raises its error."""
-        batch, error = build_batch(gate, {**fixed, **dict(zip(names, at(points).T))})
+        batch, error = build_batch(gate, {**fixed, **dict(zip(names, map(np.array, at(points))))})
         if batch is None:
             raise error
         homs, failures = batch_elements(batch.sectors, (p,))
@@ -453,12 +461,13 @@ def find_optimum(
     if all(0 < k < grid - 1 for k in index):  # a Newton step on the grid's own fit
         fit, _, newton = _step(x, *_grid_fit(scores, index, grid), cell)
         y = fit if newton else x
-    f_y, g, H = _newton_stencil(elements, y)
+    stencil = _line_stencil if n == 1 else _newton_stencil
+    f_y, g, H, top = stencil(elements, y)
     # if the grid's step fell, the climb goes on from there, the grid point its floor
     floor = (x, f) if f_y < f else None
     x, f, radius = y, f_y, cell
     for _ in range(_MAX_STEPS):
-        y, gain, newton = _step(x, g, H, radius)
+        y, gain, newton = _step(x, g, H, radius, top)
         roundoff = 4.0 * math.ulp(f)
         if (
             all(abs(g[k]) * _STENCIL_H <= 4.0 * roundoff for k in _free(x, g))  # the stencil's own roundoff
@@ -466,16 +475,16 @@ def find_optimum(
             or not newton and gain <= roundoff
         ):
             break
-        f_y, g_y, H_y = _newton_stencil(elements, y)
+        f_y, g_y, H_y, top_y = stencil(elements, y)
         if f_y >= f or gain <= roundoff:  # the roundoff of f cannot judge so small a step
-            x, f, g, H = y, f_y, g_y, H_y
+            x, f, g, H, top = y, f_y, g_y, H_y, top_y
         else:
             radius = 0.25 * math.dist(x, y)
     if floor and f < floor[1]:
         x, f = floor
     at_boundary = tuple(name for name, u in zip(names, x) if min(u, 1.0 - u) < 5e-3)
     return OptimumResult(
-        argmax=dict(zip(names, at([x])[0].tolist())),
+        argmax={name: column[0] for name, column in zip(names, at([x]))},
         value=float(f),
         interior=not at_boundary,
         boundary_params=at_boundary,
@@ -506,14 +515,87 @@ def _grid_fit(scores, index, grid):
     )
 
 
+# The 1-D stencil: seven points at u = -3, ..., 3 (x = centre + u·h).  The
+# slope of their degree-6 interpolant p is the power series
+# p′(u) = Σ_j s_j·u^j, j = 0 to 5, with s_j = (w_0·f(0) + Σ_k w_k·(f(k) ± f(−k))) / w_d,
+# + for odd j and − for even: Fornberg's exact weights of the (j + 1)-th
+# derivative at u = 0 (Math. Comp. 51, 699 (1988)) over j!.  Row j holds
+# the integers (w_0, w_1, w_2, w_3, w_d).
+_LINE = 3
+_LINE_WEIGHTS = (
+    (0, 45, -9, 1, 60),
+    (-490, 270, -27, 2, 180),
+    (0, -13, 8, -1, 16),
+    (56, -39, 12, -1, 36),
+    (0, 5, -4, 1, 48),
+    (-20, 15, -6, 1, 120),
+)
+# the Newton iterations on p′ that find the interpolant's top
+_TOP_ITERATIONS = 5
+
+
+def _line_stencil(elements, x):
+    """The element at ``x`` (one coordinate), and its gradient and Hessian
+    there, in unit-box coordinates, from one batch: the degree-6 polynomial
+    p through seven points at spacing h, ±h, ±2h and ±3h about a centre.
+    The points centre on ``x``; within 3h of a face they move inside the
+    box and p is read at ``x``.  Also p's top: the point that
+    ``_TOP_ITERATIONS`` Newton iterations on p′ reach from ``x``, if p″ < 0
+    at every iterate and there and the point lies within 3h of the centre;
+    else None."""
+    h, (u,) = _STENCIL_H, x
+    c = min(max(u, _LINE * h), 1.0 - _LINE * h)
+    points, line = [[u]], []
+    for k in range(-_LINE, _LINE + 1):
+        v = c + k * h
+        if v == u:
+            line.append(0)
+        else:
+            line.append(len(points))
+            points.append([v])
+    f = elements(points)
+    values = [f[i] for i in line]
+    f0, right, left = values[_LINE], values[_LINE + 1 :], values[_LINE - 1 :: -1]
+    odd, even = [p - q for p, q in zip(right, left)], [p + q for p, q in zip(right, left)]
+    slopes = [
+        (sum(w * v for w, v in zip(ws, odd if j % 2 == 0 else even)) + w0 * f0) / d
+        for j, (w0, *ws, d) in enumerate(_LINE_WEIGHTS)
+    ]
+    t = (u - c) / h
+    slope, curvature = _line_derivatives(slopes, t)
+    top = _line_top(slopes, t)
+    return f[0], [slope / h], [[curvature / (h * h)]], None if top is None else c + top * h
+
+
+def _line_derivatives(slopes, t):
+    """p′(t) = Σ_j slopes[j]·t^j and p″(t), by Horner's rule."""
+    slope, curvature = slopes[-1], 0.0
+    for s in slopes[-2::-1]:
+        curvature = curvature * t + slope
+        slope = slope * t + s
+    return slope, curvature
+
+
+def _line_top(slopes, t):
+    """The point that ``_TOP_ITERATIONS`` Newton iterations on p′ reach from
+    t, in units of h, for p′ of :func:`_line_derivatives`, if p″ < 0 at
+    every iterate and there and the point lies in [−3, 3]; else None."""
+    for _ in range(_TOP_ITERATIONS):
+        slope, curvature = _line_derivatives(slopes, t)
+        if not curvature < 0.0:
+            return None
+        t -= slope / curvature
+    return t if abs(t) <= _LINE and _line_derivatives(slopes, t)[1] < 0.0 else None
+
+
 def _newton_stencil(elements, x):
-    """The element at ``x`` and its gradient and Hessian there, in unit-box
-    coordinates, from one batch.  Each axis holds the quartic through five
-    points at spacing h along it; in 2-D, two squares of corners, at ±h and
-    ±2h, give the mixed term by Richardson extrapolation.  The points centre
-    on ``x``; within 2h of a face an axis's five points move inside the box
-    and its quartic is read at ``x``, and the corners centre on the point
-    moved inside on every axis."""
+    """The element at ``x`` (two coordinates) and its gradient and Hessian
+    there, in unit-box coordinates, from one batch, and no top.  Each axis
+    holds the quartic through five points at spacing h along it; two
+    squares of corners, at ±h and ±2h, give the mixed term by Richardson
+    extrapolation.  The points centre on ``x``; within 2h of a face an
+    axis's five points move inside the box and its quartic is read at
+    ``x``, and the corners centre on the point moved inside on every axis."""
     h, n = _STENCIL_H, len(x)
     c = [min(max(u, 2.0 * h), 1.0 - 2.0 * h) for u in x]
     points, lines = [list(x)], []
@@ -528,8 +610,7 @@ def _newton_stencil(elements, x):
                 line.append(len(points))
                 points.append(y)
         lines.append(line)
-    if n == 2:
-        points += [[c[0] + a, c[1] + b] for r in (h, 2.0 * h) for a in (r, -r) for b in (r, -r)]
+    points += [[c[0] + a, c[1] + b] for r in (h, 2.0 * h) for a in (r, -r) for b in (r, -r)]
     f = elements(points)
     g, H = [0.0] * n, [[0.0] * n for _ in range(n)]
     for k, line in enumerate(lines):
@@ -541,10 +622,9 @@ def _newton_stencil(elements, x):
         t = x[k] - c[k]
         g[k] = d1 + t * (d2 + t * (d3 / 2.0 + t * d4 / 6.0))
         H[k][k] = d2 + t * (d3 + t * d4 / 2.0)
-    if n == 2:
-        near, far = ((pp - pm - mp + mm) for pp, pm, mp, mm in (f[-8:-4], f[-4:]))
-        H[0][1] = H[1][0] = (16.0 * near - far) / (48.0 * h * h)
-    return f[0], g, H
+    near, far = ((pp - pm - mp + mm) for pp, pm, mp, mm in (f[-8:-4], f[-4:]))
+    H[0][1] = H[1][0] = (16.0 * near - far) / (48.0 * h * h)
+    return f[0], g, H, None
 
 
 def _free(x, g):
@@ -553,14 +633,16 @@ def _free(x, g):
     return [k for k, (u, gk) in enumerate(zip(x, g)) if (u > 0.0 or gk > 0.0) and (u < 1.0 or gk < 0.0)]
 
 
-def _step(x, g, H, radius):
+def _step(x, g, H, radius, top=None):
     """The trust-region step from ``x`` on the model g·s + ½sᵀHs, in the unit
     box: the point it reaches, the model's gain there, and whether it is a
     Newton step.  A coordinate on a face that its gradient points out of is
     held; the others take the Newton step −H⁻¹g of their block when that
     block is negative definite (closed form for 2 × 2), else the Cauchy
     step along the gradient, to the model's maximum on that line or to
-    ``radius``.  The step is cut back to ``radius`` and then to the box
+    ``radius``.  In 1-D the Newton step goes instead to ``top``, the top of
+    the stencil's interpolant, when there is one in the box within
+    ``radius`` of ``x``.  The step is cut back to ``radius`` and then to the box
     along its own direction, and a held coordinate stays on its face."""
     n, free = len(x), _free(x, g)
     s, newton = [0.0] * n, True
@@ -569,6 +651,8 @@ def _step(x, g, H, radius):
         newton = H[k][k] < 0.0
         if newton:
             s[k] = -g[k] / H[k][k]
+            if top is not None and 0.0 <= top <= 1.0 and abs(top - x[k]) <= radius:
+                s[k] = top - x[k]
     elif len(free) == 2:
         (a, b), (_, c) = H
         det = a * c - b * b

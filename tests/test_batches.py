@@ -85,6 +85,27 @@ def test_a_batch_with_varying_pulse_lengths_stacks_its_gram_matrices():
         assert _point(batch, i) == _alone("atom-mech", {**fixed, "g": g[i], "kappa_tau": kappa_tau[i]})
 
 
+@pytest.mark.parametrize("gate,fixed", [
+    ("atom-light", {"eta": 0.9}),
+    ("optomech", {"eta": 0.9, "Gamma": 1e-3}),
+    ("atom-mech", {"eta": 0.9, "Gamma": 1e-4, "S": 7.0}),
+])
+def test_a_batch_of_repeated_pulse_lengths_is_each_point_alone(gate, fixed):
+    # pulse lengths that repeat out of order: the constants and the Gram
+    # matrices are built once per distinct κτ and gathered to the points;
+    # point 4's covariance overflows, and it fails alone as in the batch
+    kappa_tau = np.array([300.0, 20.0, 300.0, 90.0, 20.0, 90.0])
+    g = np.array([0.02, 0.07, 0.2, 0.05, 1e200, 0.1])
+    batch, error = build_batch(gate, {**fixed, "g": g, "kappa_tau": kappa_tau})
+    assert error is None and len({id(basis) for basis in batch.bases}) == 3
+    for i in range(len(g)):
+        one, _ = build_batch(gate, {**fixed, "g": g[i : i + 1], "kappa_tau": kappa_tau[i : i + 1]})
+        for name in ("kernels", "jet", "sectors", "vacuum_output_cov"):
+            assert getattr(batch, name)[i].tobytes() == getattr(one, name)[0].tobytes(), (i, name)
+        assert repr(batch.errors[i]) == repr(one.errors[0]), i
+    assert [error is None for error in batch.errors] == [True] * 4 + [False, True]
+
+
 def test_an_unphysical_point_fails_only_its_rows():
     # at κτ = 1e-8 the atom-light covariance violates the uncertainty bound;
     # the point next to it in the same batch is unaffected, and the rows of
@@ -181,6 +202,10 @@ def test_a_batch_configures_up_to_its_first_bad_point():
     assert (len(batch), error.point, str(error)) == (1, 1, "eta must lie in (0, 1]")
     batch, error = build_batch("atom-light", {"g": g, "kappa_tau": np.array([100.0, 1e-7, 100.0]), "eta": 0.9})
     assert (len(batch), error.point) == (1, 1) and str(error).startswith("kappa_tau=1e-07 is too short")
+    # a too-short pulse after pulse lengths that repeat fails at its own first point
+    kappa_tau = np.array([100.0, 50.0, 100.0, 50.0, 1e-7, 100.0, 1e-7])
+    batch, error = build_batch("atom-light", {"g": 0.06, "kappa_tau": kappa_tau, "eta": 0.9})
+    assert (len(batch), error.point) == (4, 4) and str(error).startswith("kappa_tau=1e-07 is too short")
 
 
 # threshold tables of each size cross the chunk boundaries differently: one

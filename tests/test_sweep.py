@@ -10,6 +10,7 @@ import os
 import stat
 import threading
 from concurrent.futures import Future
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -706,7 +707,7 @@ def test_find_optimum_lands_on_the_ideal_maximum(monkeypatch, G_range):
     calls = _count_elements(monkeypatch)
     res = find_optimum("ideal", {}, {"G": G_range}, grid=15)
     assert len(calls) <= 45
-    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-9
+    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-12
     assert abs(res.value - closed_form_qnd_11(QND_11_ARGMAX)) <= 1e-15
 
 
@@ -726,16 +727,17 @@ _BENCHMARK_SEARCHES = [
 
 @pytest.mark.parametrize("search,ascent_points", _BENCHMARK_SEARCHES)
 def test_find_optimum_takes_few_batches(monkeypatch, search, ascent_points):
-    # the grid is one batch and each Newton step one stencil batch: at most
-    # 4 batches in 1-D and 8 in 2-D, and at most 1.5 times the element
-    # points of the ascent it replaced
+    # the grid is one batch and each step one stencil batch: at most 3
+    # batches in 1-D, where the first stencil's interpolant puts the climb
+    # on the top, and 8 in 2-D, and at most 1.5 times the element points of
+    # the ascent it replaced
     gate, fixed, free, grid = search
     batches, real = [], qnd_hom.sweep.build_batch
     monkeypatch.setattr(qnd_hom.sweep, "build_batch", lambda gate, values: batches.append(1) or real(gate, values))
     calls = _count_elements(monkeypatch)
     res = find_optimum(gate, fixed, free, grid=grid)
     assert res.interior
-    assert len(batches) <= (4 if len(free) == 1 else 8)
+    assert len(batches) <= (3 if len(free) == 1 else 8)
     assert len(calls) <= 1.5 * ascent_points
 
 
@@ -743,33 +745,92 @@ def test_find_optimum_climbs_on_from_a_fallen_grid_step(monkeypatch):
     # on G ∈ [0.2, 2] at grid=9 the grid's central difference has the wrong
     # sign at its best point, so the element falls on the grid's Newton
     # step: the climb goes on from that step's stencil, the grid and at most
-    # 4 stencils, where a second stencil at the grid point made it 6
+    # 3 stencils, where a second stencil at the grid point made it 6
     batches, real = [], qnd_hom.sweep.build_batch
     monkeypatch.setattr(qnd_hom.sweep, "build_batch", lambda gate, values: batches.append(1) or real(gate, values))
     res = find_optimum("ideal", {}, {"G": (0.2, 2.0)}, grid=9)
-    assert len(batches) <= 5
-    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-9
+    assert len(batches) <= 4
+    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-12
     assert abs(res.value - closed_form_qnd_11(QND_11_ARGMAX)) <= 1e-15
+
+
+def _recorded_element(monkeypatch, element, name):
+    """Stand in ``element`` of the unit-box coordinate for every build of a
+    search over ``name`` on [0, 1]; the values of each batch, in order."""
+    batches = []
+
+    def recorded(gate, values):
+        points = values[name].tolist()
+        batches.append(points)
+        sectors = np.array([element(u) * np.ones((2, 2)) for u in points])
+        return SimpleNamespace(errors=(None,) * len(sectors), sectors=sectors), None
+
+    monkeypatch.setattr(qnd_hom.sweep, "build_batch", recorded)
+    return batches
 
 
 def test_find_optimum_keeps_the_grid_point_above_a_fallen_climb(monkeypatch):
     # a spike of 0.5 at the middle grid point of a hill whose top is 0.4:
     # the grid's step falls, the climb goes on to the hill's top, ends below
     # the grid point and returns it
-    def element(u):
-        return 0.5 if u == 0.5 else 0.4 - 0.2 * (u - 0.3) ** 2
-
-    def recorded(gate, values):
-        sectors = np.array([element(u) * np.ones((2, 2)) for u in values["G"].tolist()])
-        return SimpleNamespace(errors=(None,) * len(sectors), sectors=sectors), None
-
-    monkeypatch.setattr(qnd_hom.sweep, "build_batch", recorded)
+    _recorded_element(monkeypatch, lambda u: 0.5 if u == 0.5 else 0.4 - 0.2 * (u - 0.3) ** 2, "G")
     res = find_optimum("ideal", {}, {"G": (0.0, 1.0)}, grid=3)
     assert (res.value, res.argmax) == (0.5, {"G": 0.5})
 
 
+def test_line_weights_give_the_slope_of_every_polynomial_of_degree_6():
+    # through the values of u^k, k ≤ 6, at u = -3, ..., 3, the 1-D stencil's
+    # weights give the power series of its slope k·u^(k − 1) exactly
+    for k in range(7):
+        f = [Fraction(u) ** k for u in range(-3, 4)]  # f[3 + u] is the value at u
+        for j, (w0, *ws, d) in enumerate(qnd_hom.sweep._LINE_WEIGHTS):
+            sign = -1 if j % 2 == 0 else 1
+            s = (w0 * f[3] + sum(w * (f[3 + u] + sign * f[3 - u]) for u, w in enumerate(ws, 1))) / d
+            assert s == (k if j == k - 1 else 0), (k, j)
+
+
+_TOP = 0.4321
+
+
+def _sextic(u):
+    # concave near its top at u = _TOP, where its slope is 0
+    d = u - _TOP
+    return 0.4 - 0.3 * d**2 + 0.2 * d**3 - 0.5 * d**4 + 0.1 * d**5 - 0.3 * d**6
+
+
+def test_find_optimum_jumps_onto_the_top_of_a_polynomial(monkeypatch):
+    # the grid's step lands within 3h of the top, and the first stencil's
+    # degree-6 interpolant is the element itself: the climb goes to its
+    # top, whose stencil stops it, so the grid and two stencils
+    batches = _recorded_element(monkeypatch, _sextic, "G")
+    res = find_optimum("ideal", {}, {"G": (0.0, 1.0)}, grid=21)
+    assert len(batches) == 3
+    first, last = batches[1][0], batches[2][0]  # each stencil's first point is its own
+    assert 0.0 < abs(first - _TOP) <= 3 * qnd_hom.sweep._STENCIL_H
+    assert abs(last - _TOP) <= 1e-12
+    assert (res.argmax, res.value) == ({"G": last}, _sextic(last))
+
+
+def test_find_optimum_takes_the_newton_step_when_the_top_is_off_the_stencil(monkeypatch):
+    # a grid of one point starts the climb at u = 0, 0.3 below the top: the
+    # stencil's interpolant has no top within 3h of its centre, so the climb
+    # takes the Newton step off the stencil's gradient and Hessian
+    def hill(u):
+        return 0.4 - 0.2 * (u - 0.3) ** 2 - (u - 0.3) ** 4
+
+    batches = _recorded_element(monkeypatch, hill, "G")
+    find_optimum("ideal", {}, {"G": (0.0, 1.0)}, grid=1)
+    f, (g,), ((H,),), top = qnd_hom.sweep._line_stencil(lambda points: [hill(u) for u, in points], [0.0])
+    assert top is None and f == hill(0.0)
+    assert batches[1] == [0.0, *(3e-3 + k * 1e-3 for k in range(-2, 4))]
+    assert batches[2][0] == -g / H
+
+
 @pytest.mark.parametrize("gate,fixed,free,grid", [
     pytest.param("ideal", {}, {"G": (0.3, 2.0)}, 15, id="ideal"),
+    pytest.param("optomech", {**_ATOM_LIGHT, "Gamma": 1e-3}, {"g": (0.02, 0.15)}, 15, id="optomech"),
+    pytest.param("atom-mech", {"g": 0.07, "eta": 0.9, "Gamma": 1e-4, "S": 7.0},
+                 {"kappa_tau": (20.0, 300.0)}, 15, id="atom-mech-kappa_tau"),
     pytest.param("atom-light", {"eta": 0.9}, {"g": (0.02, 0.15), "kappa_tau": (50.0, 200.0)}, 9, id="atom-light-2d"),
     pytest.param("atom-mech", {"eta": 0.9, "Gamma": 1e-4, "S": 7.0},
                  {"g": (0.02, 0.2), "kappa_tau": (20.0, 300.0)}, 9, id="atom-mech-2d"),
@@ -812,7 +873,7 @@ def test_find_optimum_climbs_from_a_grid_of_faces(grid):
     # face, without the grid's own fit, and still lands on G*
     res = find_optimum("ideal", {}, {"G": (0.3, 2.0)}, grid=grid)
     assert res.interior
-    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-9
+    assert abs(res.argmax["G"] - QND_11_ARGMAX) <= 1e-12
     assert abs(res.value - closed_form_qnd_11(QND_11_ARGMAX)) <= 1e-15
 
 
